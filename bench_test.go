@@ -207,6 +207,18 @@ func BenchmarkAblationScheduler(b *testing.B) {
 // compare ns/op between the two benches for the speedup, and
 // interactions/run for the distributional agreement.
 func BenchmarkFig6CountEngine(b *testing.B) {
+	benchFig6Engine(b, harness.EngineCount)
+}
+
+// BenchmarkFig6BatchEngine reruns the same points and seeds on the batched
+// engine (internal/countsim.Batch). At n = 960 almost all of its work is
+// the exact final approach, so `go test -bench Fig6` puts its per-step
+// overhead over the count engine side by side.
+func BenchmarkFig6BatchEngine(b *testing.B) {
+	benchFig6Engine(b, harness.EngineBatch)
+}
+
+func benchFig6Engine(b *testing.B, e harness.Engine) {
 	for _, k := range []int{4, 8, 12} {
 		b.Run(fmt.Sprintf("n=960/k=%d", k), func(b *testing.B) {
 			var total uint64
@@ -214,7 +226,7 @@ func BenchmarkFig6CountEngine(b *testing.B) {
 				res, err := harness.RunTrial(harness.TrialSpec{
 					N: 960, K: k,
 					Seed:   rng.StreamSeed(0xbe9c4, 960, uint64(k), uint64(i)),
-					Engine: harness.EngineCount,
+					Engine: e,
 				})
 				if err != nil || !res.Converged {
 					b.Fatalf("%v", err)

@@ -180,6 +180,43 @@ func TestThreeEnginesAgree(t *testing.T) {
 	})
 }
 
+// Pinned trajectories at the paper's Figure 6 point (n = 960, k = 8): the
+// (Interactions, Productive) pair every engine reaches on the first eight
+// fig6 seeds. Any change to an engine's hot loop, its sampler or the
+// generator under it must leave these byte-identical.
+func TestFig6TrajectoriesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("24 full n=960 trials; skipped in -short runs")
+	}
+	want := map[harness.Engine][8][2]uint64{
+		harness.EngineAgent: {
+			{9821307, 116617}, {9265836, 99279}, {12652894, 110962}, {6033420, 91926},
+			{6040663, 111603}, {6524786, 85242}, {10419382, 97718}, {7087697, 87219},
+		},
+		harness.EngineCount: {
+			{8913063, 98213}, {10080096, 132246}, {4620918, 99189}, {4951752, 94690},
+			{3749235, 84984}, {1941110, 73797}, {6385422, 104116}, {14759591, 130053},
+		},
+		harness.EngineBatch: {
+			{13463125, 114947}, {3499278, 92563}, {6861724, 102409}, {13473437, 117392},
+			{2838240, 84592}, {13843407, 128225}, {8683745, 100669}, {2598246, 77949},
+		},
+	}
+	for _, e := range []harness.Engine{harness.EngineAgent, harness.EngineCount, harness.EngineBatch} {
+		for i, w := range want[e] {
+			res, err := harness.RunTrial(harness.TrialSpec{
+				N: 960, K: 8, Seed: rng.StreamSeed(1, 0xf16, uint64(i)), Engine: e,
+			})
+			if err != nil || !res.Converged {
+				t.Fatalf("%s seed %d: converged=%v err=%v", e, i, res.Converged, err)
+			}
+			if got := [2]uint64{res.Interactions, res.Productive}; got != w {
+				t.Errorf("%s seed %d: (interactions, productive) = %v, want %v", e, i, got, w)
+			}
+		}
+	}
+}
+
 // The Director reaches the same stable partition the random scheduler
 // does, orders of magnitude faster, and the rule-tally confirms it never
 // needs the demolition machinery from the all-initial configuration.

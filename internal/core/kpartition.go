@@ -188,25 +188,34 @@ func (p *Protocol) InitialBar() protocol.State { return 1 }
 // G returns the state index of g_i, 1 <= i <= k.
 func (p *Protocol) G(i int) protocol.State {
 	if i < 1 || i > p.k {
-		panic(fmt.Sprintf("core: g%d out of range for k=%d", i, p.k))
+		p.outOfRange("g", i)
 	}
 	return protocol.State(2 + i - 1)
 }
 
 // M returns the state index of m_i, 2 <= i <= k-1.
 func (p *Protocol) M(i int) protocol.State {
-	if i < 2 || i > p.k-1 {
-		panic(fmt.Sprintf("core: m%d out of range for k=%d", i, p.k))
+	if i < 2 || i >= p.k {
+		p.outOfRange("m", i)
 	}
-	return protocol.State(p.k + 2 + i - 2)
+	return protocol.State(p.k + i)
 }
 
 // D returns the state index of d_i, 1 <= i <= k-2.
 func (p *Protocol) D(i int) protocol.State {
 	if i < 1 || i > p.k-2 {
-		panic(fmt.Sprintf("core: d%d out of range for k=%d", i, p.k))
+		p.outOfRange("d", i)
 	}
 	return protocol.State(2*p.k + i - 1)
+}
+
+// outOfRange panics on a state-family index outside its range. It is kept
+// out of G, M and D so that G and M, called per check on the batch
+// engine's hot path, stay cheap enough to inline.
+//
+//go:noinline
+func (p *Protocol) outOfRange(family string, i int) {
+	panic(fmt.Sprintf("core: %s%d out of range for k=%d", family, i, p.k))
 }
 
 // Decode classifies state s and returns its within-subset index: 0 for the

@@ -43,9 +43,23 @@
 //     (final-approach mode), so small populations and endgames degrade to
 //     the exact engine automatically.
 //
-// Both modes re-run the O(S²) null-weight audit, the weight-decomposition
-// audit (progW + flipW + nullW = n(n−1)), and the optional Check hook at
-// every batch boundary.
+// Both modes re-run the O(S²) null-weight audit and the optional Check
+// hook at every batch boundary, and adaptive mode audits the weight
+// decomposition (progW + flipW + nullW = n(n−1)) before every batch.
+//
+// Final-approach steps are audited just as often but cost O(S), not
+// O(S²): when the engine falls back it opens a shadow — a copy of the
+// counts plus their from-scratch null, flip and progress weights — and
+// after each sequential step updates those weights exactly from the
+// states whose counts moved (see syncShadow). By induction from that full
+// recompute the shadow's null weight is the O(S²) audit's value, so every
+// step still checks the incremental null weight against it, checks the
+// decomposition, and runs Check; the window policy reads the same weights
+// and makes bit for bit the decisions the full scan would. At the paper's
+// Figure 6 point (n = 960, k = 8), where nearly every step is a
+// final-approach step, a batch trial costs 1.6–2.5× a count-engine trial
+// depending on the seed set (4.2–4.6× with the O(S²) scan and audit per
+// step).
 package countsim
 
 import (
@@ -91,8 +105,10 @@ type BatchOptions struct {
 	// populations). Ignored in matching mode.
 	SeqThreshold int64
 	// Check, when non-nil, is invoked with the live count vector at every
-	// batch boundary and after every fallback step; a non-nil error aborts
-	// the run. The harness installs the protocol's Lemma 1 invariant here.
+	// batch boundary and after every fallback step, each time right after
+	// the null-weight audit (O(S²) at a batch boundary, O(S) after a
+	// fallback step); a non-nil error aborts the run. The harness installs
+	// the protocol's Lemma 1 invariant here.
 	Check func(counts []int) error
 }
 
@@ -101,6 +117,14 @@ const (
 	shapeNone      uint8 = iota
 	shapeResponder       // δ(a,b) = (a,b′): responder toggles b ↔ b′
 	shapeInitiator       // δ(a,b) = (a′,b): initiator toggles a ↔ a′
+)
+
+// Cell classes of the adaptive mode's weight decomposition; they index the
+// final-approach shadow's class weights.
+const (
+	classNull uint8 = iota
+	classFlip
+	classProg
 )
 
 // Batch is a batched count engine wrapping the sequential Sim. Not safe
@@ -128,6 +152,29 @@ type Batch struct {
 	scrB        []int64
 	scrRow      []int64
 	pairDraws   []int64 // matching mode: last batch's per-cell draw counts
+
+	// Final-approach shadow (adaptive mode), allocated when the engine first
+	// falls back. While it takes exact sequential steps, the engine keeps
+	// the counts as of the last step and, exactly, their null, flip and
+	// progress weights, per-state live progress cells and window-policy
+	// inputs, updated in O(S) per step by syncShadow instead of the O(S²)
+	// scan and audit.
+	shadowOn bool
+	shCounts []int64
+	shW      [3]int64 // class weights, indexed by class
+	shLive   []int64  // per state: live progress cells it is in (a diagonal cell counts twice)
+	shPA     int64    // agents in states with a live progress cell
+	shCmax   int64    // largest count among those states
+	shDiag   int64    // agents in states whose diagonal cell is null
+	// cellClass is the class of each cell; lines lists, for each state x,
+	// the other ends of the flip cells in column x, the flip cells in row
+	// x, the progress cells in column x and the progress cells in row x:
+	// segment j of x is lines[lineOff[4x+j]:lineOff[4x+j+1]].
+	cellClass []uint8
+	lines     []protocol.State
+	lineOff   []int32
+	touched   []int  // syncShadow scratch: states whose count moved
+	crossed   []bool // syncShadow scratch: states whose count crossed 0, 1 or 2
 
 	// Introspection counters.
 	batches  uint64
@@ -165,7 +212,9 @@ func BatchFromCounts(p protocol.Protocol, counts []int, seed uint64, opts BatchO
 	b.scrA = make([]int64, S)
 	b.scrB = make([]int64, S)
 	b.scrRow = make([]int64, S)
-	b.pairDraws = make([]int64, S*S)
+	if opts.Size > 0 {
+		b.pairDraws = make([]int64, S*S)
+	}
 	return b, nil
 }
 
@@ -304,10 +353,32 @@ func (b *Batch) step(limit uint64) error {
 func (b *Batch) boundary() error {
 	s := b.sim
 	if got := s.auditNullWeight(); got != s.nullW {
-		return fmt.Errorf("countsim: batch null-weight audit failed: incremental %d, recomputed %d", s.nullW, got)
+		return nullAuditError(s.nullW, got)
 	}
+	return b.check()
+}
+
+// nullAuditError reports an incremental null weight that disagrees with
+// its recompute.
+func nullAuditError(incremental, recomputed int64) error {
+	return fmt.Errorf("countsim: batch null-weight audit failed: incremental %d, recomputed %d", incremental, recomputed)
+}
+
+// check runs the optional Check hook on the live counts.
+func (b *Batch) check() error {
 	if b.opts.Check != nil {
-		return b.opts.Check(s.counts)
+		return b.opts.Check(b.sim.counts)
+	}
+	return nil
+}
+
+// auditDecomposition checks that the progress and flip weights and the
+// incremental null weight add up to every ordered pair, n(n−1).
+func (b *Batch) auditDecomposition(progW, flipW int64) error {
+	s := b.sim
+	if W := int64(s.n) * int64(s.n-1); progW+flipW != W-s.nullW {
+		return fmt.Errorf("countsim: batch weight decomposition audit failed: progress %d + flip %d != total %d - null %d",
+			progW, flipW, W, s.nullW)
 	}
 	return nil
 }
@@ -374,6 +445,26 @@ func (b *Batch) stepAggregate(limit uint64) error {
 	S := s.S
 	W := int64(s.n) * int64(s.n-1)
 
+	if b.shadowOn {
+		// Final approach: the shadow holds exactly the weights the scan
+		// below would compute, so the policy decides from it in O(S). Once
+		// it proposes a batch, the scan takes over and decides the same.
+		if want := b.shW[classNull]; s.nullW != want {
+			return nullAuditError(s.nullW, want)
+		}
+		progW, flipW := b.shW[classProg], b.shW[classFlip]
+		if err := b.auditDecomposition(progW, flipW); err != nil {
+			return err
+		}
+		if progW+flipW <= 0 {
+			return ErrDead
+		}
+		if progW > 0 && b.sequential(b.window(progW, b.shPA, b.shCmax)) {
+			return b.seqStep()
+		}
+		b.shadowOn = false
+	}
+
 	// Weight scan. R[x] counts, per agent currently in state x, the ordered
 	// agent pairs whose interaction toggles that agent within its orbit.
 	// Alongside the progress weights, record which states currently
@@ -432,9 +523,8 @@ func (b *Batch) stepAggregate(limit uint64) error {
 	for x := 0; x < S; x++ {
 		flipW += int64(s.counts[x]) * R[x]
 	}
-	if progW+flipW != W-s.nullW {
-		return fmt.Errorf("countsim: batch weight decomposition audit failed: progress %d + flip %d != total %d - null %d",
-			progW, flipW, W, s.nullW)
+	if err := b.auditDecomposition(progW, flipW); err != nil {
+		return err
 	}
 	if progW+flipW <= 0 {
 		return ErrDead
@@ -450,45 +540,16 @@ func (b *Batch) stepAggregate(limit uint64) error {
 		// Only flips remain possible; spend the whole budget in one batch.
 		m = remaining
 	} else {
-		// Per-batch progress budget: small against the agents currently
-		// participating in progress cells (pA), and small against the
-		// availability of every individual cell — E[draws on cell (a,q)] is
-		// targetP·c_a·c_q/progW, so capping targetP at progW/(4·cmax) keeps
-		// each cell's expected draws under min(c_a, c_q)/4.
 		var pA int64
 		for x := 0; x < S; x++ {
 			if pmark[x] {
 				pA += int64(s.counts[x])
 			}
 		}
-		targetP := pA / targetDivisor
-		if cellCap := progW / (4 * cmax); cellCap < targetP {
-			targetP = cellCap
-		}
-		if targetP < 1 {
-			targetP = 1
-		}
-		if targetP > maxTargetProgress {
-			targetP = maxTargetProgress
-		}
-		mf := float64(targetP) * float64(W) / float64(progW)
-		if targetP < 4 {
-			// Sparse regime: a window sized at the mean waiting time
-			// overshoots the last event by ~58% in expectation (memoryless
-			// waits, E[windows to first event] = 1/(1−e⁻¹)). Quarter
-			// windows cut the expected overshoot to ~13% for 4× as many
-			// (cheap, near-empty) batches.
-			mf /= 4
-		}
-		if b.opts.SeqThreshold > 0 && mf < float64(b.opts.SeqThreshold) {
-			// Final-approach mode: the window is short enough that the
-			// sequential engine's geometric null-skip does the same work
-			// exactly.
-			if _, _, err := s.Step(); err != nil {
-				return err
-			}
-			b.seqSteps++
-			return b.boundary()
+		mf := b.window(progW, pA, cmax)
+		if b.sequential(mf) {
+			b.openShadow(progW, flipW)
+			return b.seqStep()
 		}
 		if mf >= float64(remaining) {
 			m = remaining
@@ -578,6 +639,282 @@ func (b *Batch) stepAggregate(limit uint64) error {
 	s.interactions += m
 	b.batches++
 	return b.boundary()
+}
+
+// window is the adaptive policy's proposed batch length in scheduled
+// interactions, given the progress weight progW > 0, the agents pA in live
+// progress cells and the largest count cmax among them.
+func (b *Batch) window(progW, pA, cmax int64) float64 {
+	// Per-batch progress budget: small against the agents currently
+	// participating in progress cells (pA), and small against the
+	// availability of every individual cell — E[draws on cell (a,q)] is
+	// targetP·c_a·c_q/progW, so capping targetP at progW/(4·cmax) keeps
+	// each cell's expected draws under min(c_a, c_q)/4.
+	targetP := pA / targetDivisor
+	if cellCap := progW / (4 * cmax); cellCap < targetP {
+		targetP = cellCap
+	}
+	if targetP < 1 {
+		targetP = 1
+	}
+	if targetP > maxTargetProgress {
+		targetP = maxTargetProgress
+	}
+	mf := float64(targetP) * float64(int64(b.sim.n)*int64(b.sim.n-1)) / float64(progW)
+	if targetP < 4 {
+		// Sparse regime: a window sized at the mean waiting time
+		// overshoots the last event by ~58% in expectation (memoryless
+		// waits, E[windows to first event] = 1/(1−e⁻¹)). Quarter
+		// windows cut the expected overshoot to ~13% for 4× as many
+		// (cheap, near-empty) batches.
+		mf /= 4
+	}
+	return mf
+}
+
+// sequential reports whether a proposed window is short enough for
+// final-approach mode, where the sequential engine's geometric null-skip
+// does the same work exactly.
+func (b *Batch) sequential(mf float64) bool {
+	return b.opts.SeqThreshold > 0 && mf < float64(b.opts.SeqThreshold)
+}
+
+// openShadow starts the final-approach shadow from the weight scan that
+// just chose to fall back: the live counts, the scan's from-scratch flip
+// and progress weights and live cells, and a from-scratch null weight.
+func (b *Batch) openShadow(progW, flipW int64) {
+	s := b.sim
+	S := s.S
+	if b.shCounts == nil {
+		b.shCounts = make([]int64, S)
+		b.shLive = make([]int64, S)
+		b.touched = make([]int, 0, S)
+		b.crossed = make([]bool, S)
+		b.buildLines()
+	}
+	b.shDiag = 0
+	for x, c := range s.counts {
+		b.shCounts[x] = int64(c)
+		b.shLive[x] = 0
+		if s.nullPair[x*S+x] {
+			b.shDiag += int64(c)
+		}
+	}
+	for j, cell := range b.progCells {
+		if b.progWeights[j] > 0 {
+			b.shLive[cell/S]++
+			b.shLive[cell%S]++
+		}
+	}
+	b.shW = [3]int64{classNull: s.auditNullWeight(), classFlip: flipW, classProg: progW}
+	b.shPA, b.shCmax = b.participation()
+	b.shadowOn = true
+}
+
+// buildLines fills cellClass, lines and lineOff from the classification.
+func (b *Batch) buildLines() {
+	s := b.sim
+	S := s.S
+	b.cellClass = make([]uint8, S*S)
+	for i := range b.cellClass {
+		switch {
+		case s.nullPair[i]:
+			b.cellClass[i] = classNull
+		case b.flipShape[i] != shapeNone:
+			b.cellClass[i] = classFlip
+		default:
+			b.cellClass[i] = classProg
+		}
+	}
+	b.lines = make([]protocol.State, 0, 2*(len(b.flipCells)+len(b.progCells)))
+	b.lineOff = make([]int32, 1, 4*S+1)
+	for x := 0; x < S; x++ {
+		for _, cls := range [2]uint8{classFlip, classProg} {
+			for _, row := range [2]bool{false, true} {
+				for y := 0; y < S; y++ {
+					cell := y*S + x
+					if row {
+						cell = x*S + y
+					}
+					if b.cellClass[cell] == cls {
+						b.lines = append(b.lines, protocol.State(y))
+					}
+				}
+				b.lineOff = append(b.lineOff, int32(len(b.lines)))
+			}
+		}
+	}
+}
+
+// seqStep takes one exact sequential step of the final approach, brings
+// the shadow up to it with its audit, and runs the Check hook.
+func (b *Batch) seqStep() error {
+	if _, _, err := b.sim.Step(); err != nil {
+		return err
+	}
+	b.seqSteps++
+	if err := b.syncShadow(); err != nil {
+		return err
+	}
+	return b.check()
+}
+
+// participation recomputes the window policy's pA and cmax from the
+// shadow: the agents in states with a live progress cell, and the largest
+// count among those states.
+func (b *Batch) participation() (pA, cmax int64) {
+	for x, l := range b.shLive {
+		if l > 0 {
+			c := b.shCounts[x]
+			pA += c
+			cmax = max(cmax, c)
+		}
+	}
+	return pA, cmax
+}
+
+// syncShadow brings the shadow up to the live counts and audits the
+// incremental null weight against it. It finds the states that moved by
+// diffing the live counts against the shadow's copy, never from what
+// adjust reports, and updates each class weight
+//
+//	F_M(c) = Σ_{a,b} M_ab·c_a·(c_b − [a = b])
+//
+// over those states' rows and columns only. With o the shadow counts and
+// d = c − o,
+//
+//	ΔF_M = dᵀM·o + oᵀM·d + dᵀM·d − Σ_t M_tt·d_t.
+//
+// The flip and progress cells of a row or column are the few listed in
+// lines; its null cells take the rest of Σo. A progress cell's liveness
+// (both ends present) changes only where a count crosses 0, 1 or 2, so
+// only those states' progress cells are re-examined. Cost O(S) per moved
+// state, plus one O(S) pass that also gathers the audit's sums and the
+// window policy's pA and cmax.
+//
+// The audit: by induction from the full recompute that opened the shadow,
+// its null weight equals the O(S²) recompute of auditNullWeight, so
+// comparing the incremental nullW against it is exactly as strong. The row
+// and column sums that adjust and Sim.Step work from must give the same
+// weight: Σ_a c_a·rowSum[a] and Σ_b c_b·colSum[b] both equal nullW plus
+// shDiag, the agents in states whose diagonal cell is null (kept, like the
+// class weights, by induction).
+func (b *Batch) syncShadow() error {
+	s := b.sim
+	S := s.S
+	o, live := b.shCounts, b.shLive[:len(b.shCounts)]
+	counts := s.counts[:len(o)]
+	rowSum, colSum := s.rowSum[:len(o)], s.colSum[:len(o)]
+	T := b.touched[:0]
+	var total, viaRow, viaCol, pA, cmax int64
+	for x, c := range counts {
+		c := int64(c)
+		total += o[x]
+		if c != o[x] {
+			T = append(T, x)
+		}
+		viaRow += c * rowSum[x]
+		viaCol += c * colSum[x]
+		if live[x] > 0 {
+			pA += c
+			cmax = max(cmax, c)
+		}
+	}
+	var dW [3]int64
+	crossed := false
+	for _, t := range T {
+		off := b.lineOff[4*t : 4*t+5]
+		var acc [3]int64
+		acc[classFlip] = lineSum(o, b.lines[off[0]:off[2]])
+		acc[classProg] = lineSum(o, b.lines[off[2]:off[4]])
+		acc[classNull] = 2*total - acc[classFlip] - acc[classProg]
+		row := b.cellClass[t*S : t*S+S]
+		for _, u := range T {
+			acc[row[u]] += int64(counts[u]) - o[u]
+		}
+		acc[row[t]]--
+		d := int64(counts[t]) - o[t]
+		for k, v := range acc {
+			dW[k] += d * v
+		}
+		if row[t] == classNull {
+			b.shDiag += d
+		}
+		if min(o[t], 2) != min(int64(counts[t]), 2) {
+			b.crossed[t] = true
+			crossed = true
+		}
+	}
+	if crossed {
+		// A cell with both ends crossed is re-examined once, from its row.
+		for _, t := range T {
+			if !b.crossed[t] {
+				continue
+			}
+			off := b.lineOff[4*t : 4*t+5]
+			for _, q := range b.lines[off[3]:off[4]] {
+				b.relive(t, int(q))
+			}
+			for _, a := range b.lines[off[2]:off[3]] {
+				if !b.crossed[a] {
+					b.relive(int(a), t)
+				}
+			}
+		}
+		for _, t := range T {
+			b.crossed[t] = false
+		}
+	}
+	for _, t := range T {
+		o[t] = int64(counts[t])
+	}
+	for k, v := range dW {
+		b.shW[k] += v
+	}
+	if crossed {
+		// pA and cmax above read the liveness from before the step.
+		pA, cmax = b.participation()
+	}
+	b.shPA, b.shCmax = pA, cmax
+
+	want := b.shW[classNull]
+	if s.nullW != want {
+		return nullAuditError(s.nullW, want)
+	}
+	viaRow -= b.shDiag
+	viaCol -= b.shDiag
+	if viaRow != want || viaCol != want {
+		return fmt.Errorf("countsim: batch null-weight audit failed: row sums give %d, column sums %d, recomputed %d",
+			viaRow, viaCol, want)
+	}
+	return nil
+}
+
+// lineSum returns the sum of o over the states in seg.
+func lineSum(o []int64, seg []protocol.State) int64 {
+	var w int64
+	for _, y := range seg {
+		w += o[y]
+	}
+	return w
+}
+
+// relive updates the shadow's live-cell counts for the progress cell
+// (a, q) between the shadow counts and the live ones.
+func (b *Batch) relive(a, q int) {
+	diag := int64(0)
+	if a == q {
+		diag = 1
+	}
+	was := b.shCounts[a] > 0 && b.shCounts[q]-diag > 0
+	if now := b.sim.counts[a] > 0 && int64(b.sim.counts[q])-diag > 0; now != was {
+		d := int64(1)
+		if was {
+			d = -1
+		}
+		b.shLive[a] += d
+		b.shLive[q] += d
+	}
 }
 
 // RunUntil advances batches until pred(counts) reports true at a boundary

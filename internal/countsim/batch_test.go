@@ -21,6 +21,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -409,6 +410,267 @@ func TestBatchSeedStabilityTrajectory(t *testing.T) {
 		if !reflect.DeepEqual(t1, t2) {
 			t.Fatalf("%s: boundary trajectories diverged across identical runs", mode.name)
 		}
+	}
+}
+
+// Pinned adaptive-mode trajectories: (Interactions, Productive, Batches,
+// SeqSteps) to stability on the fig6 seeds, at the Figure 6 point (almost
+// all final-approach steps) and at n = 20000, k = 4 (where the engine
+// switches between aggregate batches and the fallback many times).
+func TestBatchTrajectoryGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("eleven full runs to stability; skipped in -short runs")
+	}
+	for _, cse := range []struct {
+		n, k int
+		want [][4]uint64
+	}{
+		{960, 8, [][4]uint64{
+			{13463125, 114947, 743, 66296}, {3499278, 92563, 125, 83053},
+			{6861724, 102409, 334, 79274}, {13473437, 117392, 561, 80701},
+			{2838240, 84592, 168, 74921}, {13843407, 128225, 655, 88618},
+			{8683745, 100669, 417, 72416}, {2598246, 77949, 65, 72388},
+		}},
+		{20000, 4, [][4]uint64{
+			{587152457, 455889, 676, 30622}, {437301509, 469261, 885, 26378},
+			{463658950, 460654, 714, 33667},
+		}},
+	} {
+		p := core.MustNew(cse.k)
+		for i, want := range cse.want {
+			b, err := NewBatch(p, cse.n, rng.StreamSeed(1, 0xf16, uint64(i)), BatchOptions{Check: p.CheckInvariant})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok, err := b.RunUntil(p.IsStable, 1<<50); err != nil || !ok {
+				t.Fatalf("n=%d k=%d seed %d: ok=%v err=%v", cse.n, cse.k, i, ok, err)
+			}
+			got := [4]uint64{b.Interactions(), b.Productive(), b.Batches(), b.SeqSteps()}
+			if got != want {
+				t.Errorf("n=%d k=%d seed %d: (interactions, productive, batches, seqSteps) = %v, want %v",
+					cse.n, cse.k, i, got, want)
+			}
+		}
+	}
+}
+
+// recomputeShadow derives from scratch, in O(S²), what the final-approach
+// shadow keeps incrementally: the null, flip and progress weights of the
+// live counts, each state's number of live progress cells, and the agents
+// in states whose diagonal cell is null.
+func recomputeShadow(b *Batch) (w [3]int64, live []int64, diag int64) {
+	s := b.sim
+	S := s.S
+	live = make([]int64, S)
+	for a := 0; a < S; a++ {
+		if s.nullPair[a*S+a] {
+			diag += int64(s.counts[a])
+		}
+		for q := 0; q < S; q++ {
+			ca, cq := int64(s.counts[a]), int64(s.counts[q])
+			if a == q {
+				cq--
+			}
+			cls := b.cellClass[a*S+q]
+			w[cls] += ca * cq
+			if cls == classProg && ca > 0 && cq > 0 {
+				live[a]++
+				live[q]++
+			}
+		}
+	}
+	return w, live, diag
+}
+
+// Property test: over random count vectors and protocols, and random runs
+// of final-approach steps, the shadow's class weights, live-cell counts,
+// null-diagonal count and count copy equal an O(S²) recompute after every
+// step, its window-policy inputs equal a recompute from its live cells,
+// and its null weight equals auditNullWeight. Half the runs force the fallback on every
+// step (a SeqThreshold no window reaches); the rest keep the default
+// cutoff, so larger vectors move between aggregate and fallback mode.
+func TestShadowMatchesRecompute(t *testing.T) {
+	prop := func(raw [22]uint16, kSel uint8, forced bool, seed uint64) bool {
+		p := core.MustNew(3 + int(kSel)%6)
+		S := p.NumStates()
+		counts := make([]int, S)
+		n := 0
+		for i := range counts {
+			counts[i] = int(raw[i] % 300)
+			n += counts[i]
+		}
+		if n < 2 {
+			counts[0] += 2
+		}
+		opts := BatchOptions{}
+		if forced {
+			opts.SeqThreshold = math.MaxInt64
+		}
+		b, err := BatchFromCounts(p, counts, seed, opts)
+		if err != nil {
+			t.Logf("construction: %v", err)
+			return false
+		}
+		for i := 0; i < 200; i++ {
+			if err := b.Step(); err != nil {
+				if errors.Is(err, ErrDead) {
+					return true
+				}
+				t.Logf("step %d: %v", i, err)
+				return false
+			}
+			if forced && !b.shadowOn {
+				t.Logf("step %d: forced fallback left the shadow closed", i)
+				return false
+			}
+			if !b.shadowOn {
+				continue
+			}
+			w, live, diag := recomputeShadow(b)
+			if b.shW != w || b.shDiag != diag {
+				t.Logf("step %d: shadow weights %v diagonal %d, recomputed %v and %d", i, b.shW, b.shDiag, w, diag)
+				return false
+			}
+			if got := b.sim.auditNullWeight(); w[classNull] != got {
+				t.Logf("step %d: recomputed null %d, auditNullWeight %d", i, w[classNull], got)
+				return false
+			}
+			if pA, cmax := b.participation(); b.shPA != pA || b.shCmax != cmax {
+				t.Logf("step %d: shadow pA %d cmax %d, recomputed %d and %d", i, b.shPA, b.shCmax, pA, cmax)
+				return false
+			}
+			for x := range live {
+				if b.shLive[x] != live[x] || b.shCounts[x] != int64(b.sim.counts[x]) {
+					t.Logf("step %d state %d: shadow live %d count %d, recomputed live %d count %d",
+						i, x, b.shLive[x], b.shCounts[x], live[x], b.sim.counts[x])
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fig6FinalApproach returns an adaptive engine at the Figure 6 point (n =
+// 960, k = 8) that has taken 2000 final-approach steps.
+func fig6FinalApproach(t *testing.T) *Batch {
+	t.Helper()
+	p := core.MustNew(8)
+	b, err := NewBatch(p, 960, rng.StreamSeed(1, 0xf16, 0), BatchOptions{Check: p.CheckInvariant})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b.SeqSteps() < 2000 {
+		if err := b.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !b.shadowOn {
+		t.Fatal("engine is not in the final approach")
+	}
+	return b
+}
+
+// The O(S) final-approach audit is as strong as the O(S²) one it replaced:
+// corrupting the incremental null weight, or one row or column sum it is
+// maintained from, fails the very next Step with the null-weight audit.
+func TestShadowAuditCatchesMutation(t *testing.T) {
+	for _, mut := range []struct {
+		name  string
+		apply func(s *Sim, x int)
+	}{
+		{"nullW", func(s *Sim, _ int) { s.nullW++ }},
+		{"rowSum", func(s *Sim, x int) { s.rowSum[x]++ }},
+		{"colSum", func(s *Sim, x int) { s.colSum[x]-- }},
+	} {
+		b := fig6FinalApproach(t)
+		x := 0 // a state with agents in it, so its row and column sums count
+		for i, c := range b.sim.counts {
+			if c > b.sim.counts[x] {
+				x = i
+			}
+		}
+		mut.apply(b.sim, x)
+		if err := b.Step(); err == nil || !strings.Contains(err.Error(), "null-weight audit failed") {
+			t.Errorf("%s bumped: next Step returned %v, want the null-weight audit failure", mut.name, err)
+		}
+	}
+}
+
+// A final-approach step allocates nothing: the shadow is allocated once,
+// when the engine first falls back.
+func TestFinalApproachStepAllocs(t *testing.T) {
+	b := fig6FinalApproach(t)
+	seq := b.SeqSteps()
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := b.Step(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("final-approach Step allocates %v times per call, want 0", allocs)
+	}
+	if got := b.SeqSteps() - seq; got != 1001 {
+		t.Errorf("%d of 1001 calls were final-approach steps", got)
+	}
+}
+
+// BenchmarkFig6Step times single steps at the Figure 6 point (n = 960,
+// k = 8): Sim.Step on the count engine, and on the batch engine a
+// final-approach Batch.Step with its audits and the Check hook, so the
+// two read as the batch engine's per-step overhead. A run that
+// stabilizes is replaced, off the clock, by one on the next seed.
+func BenchmarkFig6Step(b *testing.B) {
+	p := core.MustNew(8)
+	stable, err := p.StableChecker(960)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, engine := range []string{"count", "batch"} {
+		b.Run(engine, func(b *testing.B) {
+			var (
+				step   func() error
+				counts []int
+				seed   uint64
+			)
+			start := func() {
+				seed++
+				if engine == "count" {
+					s, err := New(p, 960, rng.StreamSeed(1, 0xf16, seed))
+					if err != nil {
+						b.Fatal(err)
+					}
+					step = func() error { _, _, err := s.Step(); return err }
+					counts = s.CountsView()
+					return
+				}
+				e, err := NewBatch(p, 960, rng.StreamSeed(1, 0xf16, seed), BatchOptions{Check: p.CheckInvariant})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for e.SeqSteps() == 0 {
+					if err := e.Step(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				step, counts = e.Step, e.CountsView()
+			}
+			start()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if stable(counts) {
+					b.StopTimer()
+					start()
+					b.StartTimer()
+				}
+				if err := step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -22,7 +22,10 @@
 //
 // Equivalence is validated three ways in the tests: against the exact
 // Markov expectations, against the agent-level engine, and by an O(S²)
-// weight audit re-run after every step.
+// weight audit re-run after every step. That per-step audit runs only in
+// the tests; Sim.Step itself pays O(S) per productive step. The batched
+// engine (batch.go) audits at run time: O(S²) at every bulk batch and
+// O(S), inductively, at every final-approach step.
 package countsim
 
 import (
@@ -58,6 +61,12 @@ type Sim struct {
 	rowSum []int64
 	colSum []int64
 	nullW  int64
+	// nonNull lists, for each state x, the states a with δ(a,x) non-null
+	// (nonNull[nonNullOff[2x]:nonNullOff[2x+1]]) and then the states b
+	// with δ(x,b) non-null (up to nonNullOff[2x+2]): the entries adjust
+	// takes back after adding a count change to every row and column sum.
+	nonNull    []protocol.State
+	nonNullOff []int32
 
 	interactions uint64
 	productive   uint64
@@ -104,6 +113,28 @@ func FromCounts(p protocol.Protocol, counts []int, seed uint64) (*Sim, error) {
 			s.result[a*S+b] = out
 			s.nullPair[a*S+b] = int(out.P) == a && int(out.Q) == b
 		}
+	}
+	nonNullCells := 0
+	for _, null := range s.nullPair {
+		if !null {
+			nonNullCells++
+		}
+	}
+	s.nonNull = make([]protocol.State, 0, 2*nonNullCells)
+	s.nonNullOff = make([]int32, 1, 2*S+1)
+	for x := 0; x < S; x++ {
+		for a := 0; a < S; a++ {
+			if !s.nullPair[a*S+x] {
+				s.nonNull = append(s.nonNull, protocol.State(a))
+			}
+		}
+		s.nonNullOff = append(s.nonNullOff, int32(len(s.nonNull)))
+		for b := 0; b < S; b++ {
+			if !s.nullPair[x*S+b] {
+				s.nonNull = append(s.nonNull, protocol.State(b))
+			}
+		}
+		s.nonNullOff = append(s.nonNullOff, int32(len(s.nonNull)))
 	}
 	s.nullW = s.auditNullWeight()
 	for a := 0; a < S; a++ {
@@ -154,19 +185,26 @@ func (s *Sim) auditNullWeight() int64 {
 //
 // where the sums are taken BEFORE the update.
 func (s *Sim) adjust(x int, delta int64) {
+	rowSum, colSum := s.rowSum, s.colSum[:len(s.rowSum)]
 	diag := int64(0)
 	if s.nullPair[x*s.S+x] {
 		diag = 1
 	}
-	s.nullW += delta*(s.colSum[x]+s.rowSum[x]) + delta*delta*diag - delta*diag
+	s.nullW += delta*(colSum[x]+rowSum[x]) + delta*delta*diag - delta*diag
 	s.counts[x] += int(delta)
-	for a := 0; a < s.S; a++ {
-		if s.nullPair[a*s.S+x] {
-			s.rowSum[a] += delta
-		}
-		if s.nullPair[x*s.S+a] {
-			s.colSum[a] += delta
-		}
+	// rowSum[a] moves by delta for every a with null(a,x), colSum[b] for
+	// every b with null(x,b). Most cells are null, so add delta densely
+	// and take it back from the short non-null lists.
+	for a := range rowSum {
+		rowSum[a] += delta
+		colSum[a] += delta
+	}
+	off := s.nonNullOff[2*x : 2*x+3]
+	for _, a := range s.nonNull[off[0]:off[1]] {
+		rowSum[a] -= delta
+	}
+	for _, b := range s.nonNull[off[1]:off[2]] {
+		colSum[b] -= delta
 	}
 }
 
@@ -268,10 +306,16 @@ func (s *Sim) Step() (from, to protocol.Pair, err error) {
 func (s *Sim) apply(a, b int) (protocol.Pair, protocol.Pair, error) {
 	out := s.result[a*s.S+b]
 	from := protocol.Pair{P: protocol.State(a), Q: protocol.State(b)}
-	s.adjust(a, -1)
-	s.adjust(b, -1)
-	s.adjust(int(out.P), +1)
-	s.adjust(int(out.Q), +1)
+	// adjust is exact, so an agent the rule leaves in its state (a flip
+	// moves only one of the two) needs no −1/+1 pair of updates.
+	if p := int(out.P); p != a {
+		s.adjust(a, -1)
+		s.adjust(p, +1)
+	}
+	if q := int(out.Q); q != b {
+		s.adjust(b, -1)
+		s.adjust(q, +1)
+	}
 	return from, out, nil
 }
 

@@ -19,6 +19,8 @@
 // concurrent use; parallel workers must each own a Source (see Split).
 package rng
 
+import "math/bits"
+
 // Source is a stream of uniformly distributed pseudo-random numbers.
 //
 // Implementations are deterministic functions of their seed and are not
@@ -87,18 +89,13 @@ func NewXoshiro256(seed uint64) *Xoshiro256 {
 	return &x
 }
 
-func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }
-
 // Uint64 returns the next value of the stream.
 func (x *Xoshiro256) Uint64() uint64 {
-	result := rotl(x.s[1]*5, 7) * 9
-	t := x.s[1] << 17
-	x.s[2] ^= x.s[0]
-	x.s[3] ^= x.s[1]
-	x.s[1] ^= x.s[2]
-	x.s[0] ^= x.s[3]
-	x.s[2] ^= t
-	x.s[3] = rotl(x.s[3], 45)
+	s0, s1, s2, s3 := x.s[0], x.s[1], x.s[2], x.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	s2 ^= s0
+	s3 ^= s1
+	x.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
 	return result
 }
 

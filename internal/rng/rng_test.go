@@ -2,9 +2,7 @@ package rng
 
 import (
 	"math"
-	"math/bits"
 	"testing"
-	"testing/quick"
 )
 
 // Reference vectors for splitmix64 with seed 1234567, from the public
@@ -87,14 +85,42 @@ func TestPCG32Reference(t *testing.T) {
 	}
 }
 
-func TestMul64MatchesBits(t *testing.T) {
-	f := func(a, b uint64) bool {
-		hi, lo := mul64(a, b)
-		whi, wlo := bits.Mul64(a, b)
-		return hi == whi && lo == wlo
+// wrappedXoshiro hides a *Xoshiro256 behind another type, so a Rand over
+// it draws through the Source interface.
+type wrappedXoshiro struct{ x *Xoshiro256 }
+
+func (w wrappedXoshiro) Uint64() uint64 { return w.x.Uint64() }
+
+// Rand draws from a *Xoshiro256 directly and from any other Source
+// through the interface; both paths must be one stream. New(seed),
+// FromSource(NewXoshiro256(seed)) and a Rand over a wrapper of the same
+// generator emit identical draws of every kind.
+func TestDirectDrawMatchesInterfaceDraw(t *testing.T) {
+	draws := func(r *Rand) []uint64 {
+		var out []uint64
+		for i := 0; i < 2000; i++ {
+			a, b := r.Pair(97)
+			out = append(out, r.Uint64(), r.Uint64n(uint64(i)+1), uint64(a), uint64(b),
+				math.Float64bits(r.Float64()), uint64(r.Binomial(int64(i)*37, 0.3)))
+		}
+		return out
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	for _, seed := range []uint64{0, 1, 0xf16} {
+		want := draws(New(seed))
+		for _, c := range []struct {
+			name string
+			r    *Rand
+		}{
+			{"FromSource(NewXoshiro256)", FromSource(NewXoshiro256(seed))},
+			{"FromSource(wrapped)", FromSource(wrappedXoshiro{NewXoshiro256(seed)})},
+		} {
+			got := draws(c.r)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d %s: draw %d = %#x, New gives %#x", seed, c.name, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

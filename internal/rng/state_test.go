@@ -128,3 +128,28 @@ func TestMarshalIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A restore in the middle of a stream resumes it exactly on the direct
+// Xoshiro256 path, both in the Rand that exported the state (rewinding
+// it) and in a fresh one.
+func TestDirectDrawStateRoundTrip(t *testing.T) {
+	r := New(42)
+	for i := 0; i < 333; i++ {
+		r.Uint64n(1000)
+	}
+	state := r.MarshalState()
+	want := make([]uint64, 1000)
+	for i := range want {
+		want[i] = r.Uint64()
+	}
+	for _, dst := range []*Rand{r, New(7)} {
+		if err := dst.UnmarshalState(state); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range want {
+			if got := dst.Uint64(); got != w {
+				t.Fatalf("draw %d after restore: got %#x, want %#x", i, got, w)
+			}
+		}
+	}
+}

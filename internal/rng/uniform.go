@@ -1,5 +1,7 @@
 package rng
 
+import "math/bits"
+
 // This file provides small distribution helpers on top of a raw Source.
 // They are methods of Rand, a convenience wrapper that callers embed or
 // hold by value.
@@ -8,20 +10,29 @@ package rng
 // The zero value is invalid; use New.
 type Rand struct {
 	src Source
+	// x is src itself when src is a *Xoshiro256, so the simulations' hot
+	// draws call the generator directly instead of through the interface.
+	x *Xoshiro256
 }
 
 // New returns a Rand drawing from a fresh Xoshiro256 seeded with seed.
 func New(seed uint64) *Rand {
-	return &Rand{src: NewXoshiro256(seed)}
+	return FromSource(NewXoshiro256(seed))
 }
 
 // FromSource returns a Rand drawing from src.
 func FromSource(src Source) *Rand {
-	return &Rand{src: src}
+	x, _ := src.(*Xoshiro256)
+	return &Rand{src: src, x: x}
 }
 
 // Uint64 returns the next raw 64 bits.
-func (r *Rand) Uint64() uint64 { return r.src.Uint64() }
+func (r *Rand) Uint64() uint64 {
+	if r.x != nil {
+		return r.x.Uint64()
+	}
+	return r.src.Uint64()
+}
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 //
@@ -42,31 +53,23 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	// Lemire 2019, "Fast Random Integer Generation in an Interval".
 	// hi of x*n is uniform in [0,n) except for a small biased region of the
 	// low word, rejected below.
-	x := r.Uint64()
-	hi, lo := mul64(x, n)
+	//
+	// The first draw repeats Uint64's dispatch, which is too large to
+	// inline, so the schedulers' pair draws reach the generator inline.
+	var x uint64
+	if r.x != nil {
+		x = r.x.Uint64()
+	} else {
+		x = r.src.Uint64()
+	}
+	hi, lo := bits.Mul64(x, n)
 	if lo < n {
 		thresh := -n % n // == (2^64 - n) mod n
 		for lo < thresh {
-			x = r.Uint64()
-			hi, lo = mul64(x, n)
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
 	return hi
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	w0 := a0 * b0
-	t := a1*b0 + w0>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + w1>>32
-	lo = a * b
-	return
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 bits of precision.
