@@ -238,17 +238,32 @@ func benchFig6Engine(b *testing.B, e harness.Engine) {
 	}
 }
 
-// BenchmarkEngineThroughput isolates the simulator's raw speed (the
-// substrate cost underlying every figure): interactions per second on the
-// Figure 6 workload shape, without stability detection overhead beyond
-// the O(1) CountTarget.
+// BenchmarkEngineThroughput measures the agent engine's cost per
+// interaction on the Figure 6 workload shape (n = 960, k = 8): one
+// sim.Run of b.N interactions under a CountTarget that cannot fire, so
+// ns/op is ns per interaction of the loop trials run. "fused" is the
+// run harness trials make; "general" wraps the same scheduler in a
+// sched.Func, which keeps sim.Run on its general loop.
 func BenchmarkEngineThroughput(b *testing.B) {
+	b.Run("fused", func(b *testing.B) { benchThroughput(b, sched.NewRandom(1)) })
+	b.Run("general", func(b *testing.B) {
+		r := sched.NewRandom(1)
+		benchThroughput(b, sched.Func{SchedName: r.Name(), F: r.Next})
+	})
+}
+
+func benchThroughput(b *testing.B, s sched.Scheduler) {
 	p := harness.Proto(8)
+	target, err := p.TargetCounts(960)
+	if err != nil {
+		b.Fatal(err)
+	}
 	pop := population.New(p, 960)
-	s := sched.NewRandom(1)
+	// No slot of the target is occupied, so the condition never holds.
+	stop := sim.NewCountTarget(p.CanonMap(), make([]int, len(target)))
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x, y := s.Next(pop)
-		pop.Interact(x, y)
+	res, err := sim.Run(pop, s, stop, sim.Options{MaxInteractions: uint64(b.N)})
+	if err != nil || res.Interactions != uint64(b.N) {
+		b.Fatalf("ran %d of %d interactions: %v", res.Interactions, b.N, err)
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"repro/internal/population"
 	"repro/internal/rng"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -181,9 +182,12 @@ func main() {
 			pt.Name, pt.MeanInteractions,
 			time.Duration(pt.WallNSMedian).Round(time.Microsecond), pt.InteractionsPerSec)
 	}
-	doc.Points = append(doc.Points, engineThroughput())
-	last := doc.Points[len(doc.Points)-1]
-	fmt.Printf("%-24s %39s  %10.3g interactions/sec\n", last.Name, "(raw engine loop)", last.InteractionsPerSec)
+	tp, err := engineThroughput()
+	if err != nil {
+		fatal(err)
+	}
+	doc.Points = append(doc.Points, tp)
+	fmt.Printf("%-24s %39s  %10.3g interactions/sec\n", tp.Name, "(agent engine loop)", tp.InteractionsPerSec)
 
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -252,19 +256,24 @@ func runPoint(ctx context.Context, opts harness.RunOptions, name string, base ha
 	return pt, nil
 }
 
-// engineThroughput measures the raw agent-engine loop (scheduler +
-// interact, no stop condition), mirroring BenchmarkEngineThroughput: the
-// substrate cost every figure sits on and the number the <2% obs-off
-// regression budget is checked against.
-func engineThroughput() benchPoint {
+// engineThroughput measures the agent engine's cost per interaction on
+// the Figure 6 shape (n = 960, k = 8), mirroring BenchmarkEngineThroughput:
+// one sim.Run capped at a fixed interaction count under a CountTarget
+// that cannot fire, so it times the loop trials run, stop detection
+// included, with none of the harness around it.
+func engineThroughput() (benchPoint, error) {
 	const n, k, steps = 960, 8, 5_000_000
 	p := harness.Proto(k)
+	target, err := p.TargetCounts(n)
+	if err != nil {
+		return benchPoint{}, err
+	}
 	pop := population.New(p, n)
-	s := sched.NewRandom(1)
+	// No slot of the target is occupied, so the condition never holds.
+	stop := sim.NewCountTarget(p.CanonMap(), make([]int, len(target)))
 	start := time.Now()
-	for i := 0; i < steps; i++ {
-		x, y := s.Next(pop)
-		pop.Interact(x, y)
+	if _, err := sim.Run(pop, sched.NewRandom(1), stop, sim.Options{MaxInteractions: steps}); err != nil {
+		return benchPoint{}, err
 	}
 	wall := time.Since(start)
 	return benchPoint{
@@ -273,7 +282,7 @@ func engineThroughput() benchPoint {
 		WallNSMedian:       float64(wall.Nanoseconds()) / steps,
 		WallNSP90:          float64(wall.Nanoseconds()) / steps,
 		InteractionsPerSec: steps / wall.Seconds(),
-	}
+	}, nil
 }
 
 func fatal(err error) {

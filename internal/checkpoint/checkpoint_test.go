@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -65,6 +67,84 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 	if pop2.Productive() != refPop.Productive() {
 		t.Fatalf("productive counters diverged: %d vs %d", pop2.Productive(), refPop.Productive())
+	}
+}
+
+// The same contract through sim.Run's fused loop, the one a uniform
+// random run with a CountTarget takes: a run cut into segments, each
+// ended by its cap or by a cancelled context and followed by a
+// checkpoint round trip, ends byte-identical to the uncut run. So the
+// loop writes the generator state and the counters back on every exit:
+// cap, context error and stop.
+func TestResumeEquivalenceFusedLoop(t *testing.T) {
+	const n, k, seed = 200, 6, 0x5eed
+	p := core.MustNew(k)
+	target, err := p.TargetCounts(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(pop *population.Population, s *sched.Random, opts sim.Options) (sim.Result, error) {
+		return sim.Run(pop, s, sim.NewCountTarget(p.CanonMap(), target), opts)
+	}
+	refPop, refSched := population.New(p, n), sched.NewRandom(seed)
+	ref, err := run(refPop, refSched, sim.Options{})
+	if err != nil || !ref.Converged {
+		t.Fatalf("uncut run: converged=%v err=%v", ref.Converged, err)
+	}
+	if ref.Interactions < 100_000 {
+		t.Fatalf("uncut run stabilized after %d interactions, too few to cut", ref.Interactions)
+	}
+
+	pop, s := population.New(p, n), sched.NewRandom(seed)
+	resume := func() {
+		t.Helper()
+		snap, err := Capture(pop, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap, err = Read(&buf); err != nil {
+			t.Fatal(err)
+		}
+		s = sched.NewRandom(0) // restore overwrites the generator
+		if pop, err = Restore(p, s, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cut := range []uint64{1, 4095, 4096, 12_289, 50_000, ref.Interactions - 1} {
+		res, err := run(pop, s, sim.Options{MaxInteractions: cut})
+		if err != nil || res.Converged || res.Interactions != cut {
+			t.Fatalf("segment to %d: ended at %d, converged=%v err=%v", cut, res.Interactions, res.Converged, err)
+		}
+		resume()
+		if cut != 12_289 {
+			continue
+		}
+		// From 12289 a cancelled context lets the loop run to the next
+		// poll point, 16384, and stop there.
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		res, err = run(pop, s, sim.Options{Ctx: ctx})
+		if !errors.Is(err, context.Canceled) || res.Interactions != 16_384 {
+			t.Fatalf("cancelled segment: ended at %d with %v, want 16384 and context.Canceled", res.Interactions, err)
+		}
+		resume()
+	}
+	res, err := run(pop, s, sim.Options{})
+	if err != nil || !res.Converged {
+		t.Fatalf("last segment: converged=%v err=%v", res.Converged, err)
+	}
+	if !reflect.DeepEqual(res, ref) {
+		t.Fatalf("cut run ended with %+v, uncut run with %+v", res, ref)
+	}
+	if !reflect.DeepEqual(pop.Snapshot(), refPop.Snapshot()) {
+		t.Fatal("cut run ended in another configuration")
+	}
+	if !bytes.Equal(s.RNG().MarshalState(), refSched.RNG().MarshalState()) {
+		t.Fatal("cut run left the generator in another state")
 	}
 }
 

@@ -109,6 +109,11 @@ func (t *PhaseTimer) OnStep(pop *population.Population, s sim.StepInfo) {
 	t.record()
 }
 
+// IgnoresNull marks OnStep as a no-op on null steps (see sim.Hook): a
+// null step records no mark, and record then re-sets the gauge to the
+// value it holds.
+func (t *PhaseTimer) IgnoresNull() {}
+
 // record flushes any new grouping marks into the histograms.
 func (t *PhaseTimer) record() {
 	for ; t.recorded < len(t.gc.Marks); t.recorded++ {

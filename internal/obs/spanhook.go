@@ -43,6 +43,10 @@ func (h *PhaseSpans) OnStep(pop *population.Population, s sim.StepInfo) {
 	h.flush()
 }
 
+// IgnoresNull marks OnStep as a no-op on null steps (see sim.Hook): a
+// null step records no milestone, so flush emits nothing.
+func (h *PhaseSpans) IgnoresNull() {}
+
 // flush emits a span for every milestone recorded since the last step.
 func (h *PhaseSpans) flush() {
 	for ; h.emitted < len(h.gc.Marks); h.emitted++ {

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/protocol"
+	"repro/internal/rng"
 )
 
 // Population is a mutable configuration of n agents running protocol p.
@@ -110,6 +111,58 @@ func (pop *Population) Interact(i, j int) bool {
 	if out.P == p && out.Q == q {
 		return false
 	}
+	pop.apply(i, j, p, q, out)
+	return true
+}
+
+// InteractUniform applies encounters between pairs drawn uniformly at
+// random from x until the interaction counter reaches until or
+// productive returns true, and reports whether productive did. Each
+// pair is drawn exactly as rng.Rand.Pair draws it from a Rand over x,
+// and δ is read from delta, the protocol's transition table (see
+// protocol.Table.TransitionsView). A null encounter only advances the
+// interaction counter. A productive one is applied as Interact applies
+// it, and then, with both counters current, productive is called with
+// the agents and their states before and after the encounter. The
+// counters are current again whenever InteractUniform returns.
+//
+// This is the agent engine's loop under the paper's uniform random
+// scheduler, where almost every encounter is null: such an encounter
+// costs two inlined draws and one table read.
+func (pop *Population) InteractUniform(x *rng.Xoshiro256, delta []protocol.Pair, until uint64,
+	productive func(i, j int, before, after protocol.Pair) bool) bool {
+	S := len(pop.counts)
+	if len(delta) != S*S {
+		panic(fmt.Sprintf("population: transition table has %d entries, want %d", len(delta), S*S))
+	}
+	states := pop.states
+	n := uint64(len(states))
+	t := pop.interactions
+	for t < until {
+		t++
+		i := int(rng.Lemire(x, x.Uint64(), n))
+		j := int(rng.Lemire(x, x.Uint64(), n-1))
+		if j >= i {
+			j++
+		}
+		p, q := states[i], states[j]
+		out := delta[int(p)*S+int(q)]
+		if out.P == p && out.Q == q {
+			continue
+		}
+		pop.interactions = t
+		pop.apply(i, j, p, q, out)
+		if productive(i, j, protocol.Pair{P: p, Q: q}, out) {
+			return true
+		}
+	}
+	pop.interactions = t
+	return false
+}
+
+// apply moves agents i and j from states p and q to out, keeping the
+// count vector in step, and counts the encounter as productive.
+func (pop *Population) apply(i, j int, p, q protocol.State, out protocol.Pair) {
 	pop.productive++
 	if out.P != p {
 		pop.counts[p]--
@@ -121,7 +174,6 @@ func (pop *Population) Interact(i, j int) bool {
 		pop.counts[out.Q]++
 		pop.states[j] = out.Q
 	}
-	return true
 }
 
 // GroupSizes returns the size of each group 1..k at the current

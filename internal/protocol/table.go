@@ -174,6 +174,12 @@ func (t *Table) Delta(p, q State) (Pair, bool) {
 	return t.delta[idx], t.fired[idx]
 }
 
+// TransitionsView returns the live transition table: entry
+// p*NumStates()+q holds δ(p, q). Callers must not modify it; it is
+// exposed without copying for the agent engine's hot loop. A type that
+// embeds a Table and overrides Delta must override this view too.
+func (t *Table) TransitionsView() []Pair { return t.delta }
+
 // Group implements Protocol.
 func (t *Table) Group(s State) int { return t.groups[s] }
 

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
@@ -120,6 +121,38 @@ func TestDirectDrawMatchesInterfaceDraw(t *testing.T) {
 					t.Fatalf("seed %d %s: draw %d = %#x, New gives %#x", seed, c.name, i, got[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+// countingSource counts the draws taken from a *Xoshiro256.
+type countingSource struct {
+	x     *Xoshiro256
+	draws int
+}
+
+func (c *countingSource) Uint64() uint64 { c.draws++; return c.x.Uint64() }
+
+// Lemire over a raw xoshiro draw, the agent engine's inlined draw, is
+// Rand.Uint64n's stream, redraws included. For n = 3·2^62 a quarter of
+// the first draws land in the rejected region, so the redraw path runs.
+func TestLemireMatchesUint64n(t *testing.T) {
+	const draws = 4000
+	for _, n := range []uint64{1, 2, 959, 3 << 62} {
+		x := NewXoshiro256(0xf16)
+		src := &countingSource{x: NewXoshiro256(0xf16)}
+		r := FromSource(src)
+		for i := 0; i < draws; i++ {
+			got, want := Lemire(x, x.Uint64(), n), r.Uint64n(n)
+			if got != want || got >= n {
+				t.Fatalf("n=%d draw %d: Lemire gives %d, Uint64n %d", n, i, got, want)
+			}
+		}
+		if !bytes.Equal(x.MarshalState(), src.x.MarshalState()) {
+			t.Fatalf("n=%d: the generators ended in different states", n)
+		}
+		if n == 3<<62 && src.draws < draws*5/4 {
+			t.Fatalf("n=%d: %d raw draws for %d values, want about %d", n, src.draws, draws, draws*4/3)
 		}
 	}
 }

@@ -50,24 +50,46 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with zero n")
 	}
-	// Lemire 2019, "Fast Random Integer Generation in an Interval".
-	// hi of x*n is uniform in [0,n) except for a small biased region of the
-	// low word, rejected below.
-	//
 	// The first draw repeats Uint64's dispatch, which is too large to
 	// inline, so the schedulers' pair draws reach the generator inline.
-	var x uint64
+	var v uint64
 	if r.x != nil {
-		x = r.x.Uint64()
+		v = r.x.Uint64()
 	} else {
-		x = r.src.Uint64()
+		v = r.src.Uint64()
 	}
-	hi, lo := bits.Mul64(x, n)
+	return Lemire(r.src, v, n)
+}
+
+// Xoshiro returns the generator r draws from when it is a *Xoshiro256,
+// and nil otherwise. Draws through it and through r are one stream.
+func (r *Rand) Xoshiro() *Xoshiro256 { return r.x }
+
+// Lemire maps v, the next draw from src, onto a uniform value in [0, n)
+// for n > 0 by Lemire's multiply-shift method (Lemire 2019, "Fast Random
+// Integer Generation in an Interval"). The high word of v*n is uniform
+// in [0, n) except for a small biased region of the low word, which is
+// rejected and redrawn from src, so the redraws continue src's stream.
+//
+// Lemire inlines. A caller drawing v through (*Xoshiro256).Uint64 gets
+// the common case, one multiply and one compare, without a call.
+func Lemire(src Source, v, n uint64) uint64 {
+	hi, lo := bits.Mul64(v, n)
 	if lo < n {
-		thresh := -n % n // == (2^64 - n) mod n
-		for lo < thresh {
-			hi, lo = bits.Mul64(r.Uint64(), n)
-		}
+		return lemireRedraw(src, v, n)
+	}
+	return hi
+}
+
+// lemireRedraw is Lemire's rejection loop, kept out of line so that
+// Lemire stays within the inlining budget.
+//
+//go:noinline
+func lemireRedraw(src Source, v, n uint64) uint64 {
+	thresh := -n % n // == (2^64 - n) mod n
+	hi, lo := bits.Mul64(v, n)
+	for lo < thresh {
+		hi, lo = bits.Mul64(src.Uint64(), n)
 	}
 	return hi
 }

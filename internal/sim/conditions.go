@@ -38,9 +38,14 @@ func NewCountTarget(canon, target []int) *CountTarget {
 	return &CountTarget{canon: canon, target: target}
 }
 
-// Init implements StopCondition.
+// Init implements StopCondition. It reuses the slot counts of an
+// earlier run, so a run of a reused CountTarget allocates nothing here.
 func (c *CountTarget) Init(pop *population.Population) {
-	c.cur = make([]int, len(c.target))
+	if cap(c.cur) < len(c.target) {
+		c.cur = make([]int, len(c.target))
+	}
+	c.cur = c.cur[:len(c.target)]
+	clear(c.cur)
 	for s, n := range pop.CountsView() {
 		c.cur[c.canon[s]] += n
 	}

@@ -47,6 +47,9 @@ func (g *GroupingCounter) OnStep(pop *population.Population, s StepInfo) {
 	}
 }
 
+// IgnoresNull marks OnStep as a no-op on null steps (see Hook).
+func (g *GroupingCounter) IgnoresNull() {}
+
 // Deltas returns NI'_i = NI_i − NI_(i−1) for i = 1..len(Marks), plus the
 // remainder tail (total − NI_last) as the final element when total exceeds
 // the last mark. This matches the stacked decomposition of Figure 4, whose
@@ -82,6 +85,9 @@ func (m *MaxGroupCount) OnStep(pop *population.Population, s StepInfo) {
 		}
 	}
 }
+
+// IgnoresNull marks OnStep as a no-op on null steps (see Hook).
+func (m *MaxGroupCount) IgnoresNull() {}
 
 // SpreadRecorder samples the group-size spread (max−min) every Interval
 // interactions; used by convergence-trajectory plots and tests asserting

@@ -7,6 +7,25 @@
 // — e.g. the closed-form stable signature of the k-partition protocol —
 // enters through the StopCondition interface, so the same engine runs the
 // paper's protocol, the bipartition special case, and every baseline.
+//
+// Run has two loops with one result. The general loop calls the
+// scheduler, the stop condition and every hook on every encounter. The
+// fused loop serves the paper's evaluation model, where almost every
+// encounter is null (98.6% at the Figure 6 point): it touches the stop
+// condition and the hooks only on productive encounters, so a null one
+// costs two inlined draws and one transition-table read. Run takes the
+// fused loop when all of these hold, and the general loop otherwise:
+//
+//   - the scheduler is a *sched.Random over a xoshiro generator;
+//   - the stop condition is a *CountTarget;
+//   - Options.InvariantEvery is 0;
+//   - the protocol is table-backed (protocol.Table.TransitionsView);
+//   - every hook declares that it ignores null steps (see Hook).
+//
+// Both loops draw the same pairs, apply the same transitions, poll the
+// context at the same interaction counts and stop at the same step, so
+// the choice never changes a Result, a trajectory or what a hook records.
+// Only the inputs pick the loop; there is no switch.
 package sim
 
 import (
@@ -16,6 +35,7 @@ import (
 
 	"repro/internal/population"
 	"repro/internal/protocol"
+	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
@@ -37,6 +57,18 @@ type StopCondition interface {
 }
 
 // Hook observes every applied interaction (after the stop condition).
+//
+// A hook whose OnStep does nothing on a step with Changed == false may
+// declare so with the optional marker method
+//
+//	IgnoresNull()
+//
+// the way stop conditions declare Satisfied. Run may then skip the
+// hook's null steps, which lets it take the fused loop (see the package
+// documentation); a hook without the marker sees every step.
+// GroupingCounter, MaxGroupCount, obs.PhaseSpans and obs.PhaseTimer carry
+// the marker; SpreadRecorder, StepFunc, obs.RuleTally, obs.Progress and
+// trace.Writer do not.
 type Hook interface {
 	Init(pop *population.Population)
 	OnStep(pop *population.Population, s StepInfo)
@@ -49,7 +81,10 @@ type Options struct {
 	// returns Result.Converged == false rather than an error, because
 	// adversarial-scheduler experiments hit it on purpose.
 	MaxInteractions uint64
-	// Hooks are invoked on every step, in order.
+	// Hooks are invoked on every step, in order, after the stop
+	// condition; a hook marked IgnoresNull (see Hook) may be skipped on
+	// null steps. A hook without the marker keeps the run on the
+	// general loop.
 	Hooks []Hook
 	// InvariantEvery, if > 0, calls Invariant on the population every so
 	// many interactions and aborts with an error if it fails. Used by
@@ -131,6 +166,9 @@ func Run(pop *population.Population, s sched.Scheduler, stop StopCondition, opts
 	if pre, ok := stop.(interface{ Satisfied() bool }); ok && pre.Satisfied() {
 		return finish(pop, true), nil
 	}
+	if x, delta, target, ok := fusable(pop, s, stop, opts); ok {
+		return runFused(pop, x, delta, target, maxI, opts)
+	}
 
 	var info StepInfo
 	for pop.Interactions() < maxI {
@@ -158,6 +196,62 @@ func Run(pop *population.Population, s sched.Scheduler, stop StopCondition, opts
 			}
 		}
 		if done {
+			return finish(pop, true), nil
+		}
+	}
+	return finish(pop, false), nil
+}
+
+// fusable reports whether a run can take the fused loop (see the
+// package documentation) and returns what that loop reads: the
+// scheduler's generator, the protocol's transition table and the stop
+// condition as a *CountTarget.
+func fusable(pop *population.Population, s sched.Scheduler, stop StopCondition, opts Options) (*rng.Xoshiro256, []protocol.Pair, *CountTarget, bool) {
+	random, ok := s.(*sched.Random)
+	if !ok || opts.InvariantEvery > 0 {
+		return nil, nil, nil, false
+	}
+	x := random.RNG().Xoshiro()
+	target, ok := stop.(*CountTarget)
+	if x == nil || !ok {
+		return nil, nil, nil, false
+	}
+	table, ok := pop.Protocol().(interface{ TransitionsView() []protocol.Pair })
+	if !ok {
+		return nil, nil, nil, false
+	}
+	for _, h := range opts.Hooks {
+		if _, ok := h.(interface{ IgnoresNull() }); !ok {
+			return nil, nil, nil, false
+		}
+	}
+	return x, table.TransitionsView(), target, true
+}
+
+// runFused is Run's fused loop. Population.InteractUniform runs the
+// encounters between context polls and calls back only on productive
+// ones; the stop condition and the hooks see exactly those, which is all
+// a CountTarget and a hook marked IgnoresNull act on.
+func runFused(pop *population.Population, x *rng.Xoshiro256, delta []protocol.Pair, stop *CountTarget, maxI uint64, opts Options) (Result, error) {
+	step := func(i, j int, before, after protocol.Pair) bool {
+		info := StepInfo{I: i, J: j, Before: before, After: after, Changed: true}
+		done := stop.Step(pop, info)
+		for _, h := range opts.Hooks {
+			h.OnStep(pop, info)
+		}
+		return done
+	}
+	for at := pop.Interactions(); at < maxI; at = pop.Interactions() {
+		if opts.Ctx != nil && at&ctxPollMask == 0 {
+			if err := opts.Ctx.Err(); err != nil {
+				return finish(pop, false), err
+			}
+		}
+		until := maxI
+		if poll := at | ctxPollMask; poll < maxI {
+			until = poll + 1
+		}
+		if pop.InteractUniform(x, delta, until, step) {
 			return finish(pop, true), nil
 		}
 	}
