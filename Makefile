@@ -83,18 +83,18 @@ bench:
 
 # Machine-readable perf trajectory; compare BENCH_kpart.json across PRs.
 bench-json:
-	$(GO) run ./cmd/kpart-bench -out BENCH_kpart.json
+	$(GO) run ./cmd/kpart bench -out BENCH_kpart.json
 
 # End-to-end liveness check of the serving layer: boots a loopback
-# kpart-serve, round-trips a trial, proves the cache hit is
+# `kpart serve`, round-trips a trial, proves the cache hit is
 # byte-identical, streams a sweep, and shuts down cleanly.
 serve-smoke:
-	$(GO) run ./cmd/kpart-serve -smoke
+	$(GO) run ./cmd/kpart serve -smoke
 
 # Service perf trajectory: req/s, latency quantiles, cache hit rate
 # under a fixed loopback mix; compare BENCH_serve.json across PRs.
 serve-bench-json:
-	$(GO) run ./cmd/kpart-serve-bench -out BENCH_serve.json
+	$(GO) run ./cmd/kpart serve-bench -out BENCH_serve.json
 
 # Regression gate: run both benchmark suites fresh and diff them against
 # the committed BENCH_serve.json / BENCH_kpart.json baselines
@@ -103,14 +103,16 @@ serve-bench-json:
 # batched-engine points, so a sampler regression that slows the n=10⁸
 # headline shows up here. `bench-diff` fails the build on a regression;
 # `bench-diff-report` (the `check` flavor) prints the same comparison
-# without failing, so tier-1 stays green on noisy hardware.
+# without failing, so tier-1 stays green on noisy hardware. The kpart
+# binary is built once into the temp directory.
 BENCH_DIFF_FLAGS ?=
 bench-diff:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) run ./cmd/kpart-serve-bench -out "$$tmp/BENCH_serve.json" >/dev/null && \
-	$(GO) run ./cmd/kpart-bench-diff $(BENCH_DIFF_FLAGS) BENCH_serve.json "$$tmp/BENCH_serve.json" && \
-	$(GO) run ./cmd/kpart-bench -out "$$tmp/BENCH_kpart.json" >/dev/null && \
-	$(GO) run ./cmd/kpart-bench-diff $(BENCH_DIFF_FLAGS) BENCH_kpart.json "$$tmp/BENCH_kpart.json"
+	$(GO) build -o "$$tmp/kpart" ./cmd/kpart && \
+	"$$tmp/kpart" serve-bench -out "$$tmp/BENCH_serve.json" >/dev/null && \
+	"$$tmp/kpart" bench-diff $(BENCH_DIFF_FLAGS) BENCH_serve.json "$$tmp/BENCH_serve.json" && \
+	"$$tmp/kpart" bench -out "$$tmp/BENCH_kpart.json" >/dev/null && \
+	"$$tmp/kpart" bench-diff $(BENCH_DIFF_FLAGS) BENCH_kpart.json "$$tmp/BENCH_kpart.json"
 
 bench-diff-report:
 	@$(MAKE) --no-print-directory bench-diff BENCH_DIFF_FLAGS=-report-only
@@ -123,11 +125,11 @@ bench-diff-report:
 # second. `twin-check` fails the build on a budget violation;
 # `twin-check-report` (the `check` flavor) prints the same comparison
 # without failing. After a legitimate trial-pipeline change, regenerate
-# the sim side with `go run ./cmd/kpart-twin-check -write` and commit
+# the sim side with `go run ./cmd/kpart twin-check -write` and commit
 # the diff.
 TWIN_CHECK_FLAGS ?=
 twin-check:
-	$(GO) run ./cmd/kpart-twin-check $(TWIN_CHECK_FLAGS)
+	$(GO) run ./cmd/kpart twin-check $(TWIN_CHECK_FLAGS)
 
 twin-check-report:
 	@$(MAKE) --no-print-directory twin-check TWIN_CHECK_FLAGS=-report-only

@@ -8,7 +8,7 @@ package repro_test
 // ns/op additionally shows the simulator's own cost.
 //
 // Full sweeps with 100 trials and confidence intervals are the job of
-// cmd/kpart-experiments; benches keep points small enough for -bench=. to
+// `kpart experiments`; benches keep points small enough for -bench=. to
 // finish in minutes.
 
 import (
@@ -84,7 +84,7 @@ func BenchmarkFig5(b *testing.B) {
 
 // BenchmarkFig6 regenerates Figure 6 points: interactions vs k at n = 960
 // (exponential growth in k). Larger k (15, 16, 20, 24) are reachable via
-// cmd/kpart-experiments -fig6max; the bench stops at 12 to keep -bench=.
+// `kpart experiments -fig6max`; the bench stops at 12 to keep -bench=.
 // affordable.
 func BenchmarkFig6(b *testing.B) {
 	for _, k := range []int{2, 3, 4, 6, 8, 12} {
@@ -97,7 +97,7 @@ func BenchmarkFig6(b *testing.B) {
 // BenchmarkAblationComposed compares the paper's protocol against repeated
 // bipartition at k = 2^h (DESIGN.md A1). Both use 3k−2 states; the bench
 // contrasts their convergence cost (their output quality is contrasted by
-// the harness tests and kpart-compare).
+// the harness tests and `kpart compare`).
 func BenchmarkAblationComposed(b *testing.B) {
 	for _, cse := range []struct{ n, k int }{{64, 4}, {64, 8}} {
 		rows := func(b *testing.B, name string) {

@@ -1,14 +1,14 @@
-// Command kpart-bench is the machine-readable companion to the
-// bench_test.go families: it runs a fixed suite of representative
-// workload points (one per figure of the paper's evaluation, plus a raw
-// engine-throughput probe) and writes BENCH_kpart.json, so successive
-// PRs have a perf trajectory to compare against instead of eyeballing
-// `go test -bench` text output.
+package main
+
+// kpart bench is the machine-readable companion to the bench_test.go
+// families: it runs a fixed suite of representative workload points (one
+// per figure of the paper's evaluation, plus a raw engine-throughput
+// probe) and writes BENCH_kpart.json, so successive changes have a perf
+// trajectory to compare against instead of eyeballing `go test -bench`
+// text output.
 //
-// Usage:
-//
-//	kpart-bench [-out BENCH_kpart.json] [-trials 5] [-debug-addr :6060]
-//	kpart-bench -resume [-trial-timeout 5m] [-retries 1]
+//	kpart bench [-out BENCH_kpart.json] [-trials 5] [-debug-addr :6060]
+//	kpart bench -resume [-trial-timeout 5m] [-retries 1]
 //
 // The seeds match bench_test.go's (StreamSeed(0xbe9c4, n, k, trial)),
 // so interactions/run agrees with the benchmarks point for point.
@@ -16,22 +16,14 @@
 // Completed suite trials are checkpointed to <out>.journal; after a
 // crash or SIGINT, -resume reuses them (including their recorded wall
 // times) instead of re-measuring from scratch.
-package main
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
 	"runtime"
-	"syscall"
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/population"
 	"repro/internal/rng"
 	"repro/internal/sched"
@@ -73,51 +65,21 @@ type benchDoc struct {
 	Points     []benchPoint `json:"points"`
 }
 
-func main() {
+func benchCmd(ctx context.Context, args []string) error {
+	fs := newFlags()
 	var (
-		out          = flag.String("out", "BENCH_kpart.json", "output path for the benchmark document")
-		trials       = flag.Int("trials", 5, "trials per suite point")
-		debugAddr    = flag.String("debug-addr", "", "serve pprof and /debug/vars on this address (e.g. :6060)")
-		resume       = flag.Bool("resume", false, "resume from <out>.journal, reusing completed suite trials")
-		trialTimeout = flag.Duration("trial-timeout", 0, "per-trial wall deadline (0 = none)")
-		retries      = flag.Int("retries", 0, "extra attempts for transiently failed trials")
+		out          = fs.String("out", "BENCH_kpart.json", "output path for the benchmark document")
+		trials       = fs.Int("trials", 5, "trials per suite point")
+		debugAddr    = fs.String("debug-addr", "", "serve pprof and /debug/vars on this address (e.g. :6060)")
+		resume       = fs.Bool("resume", false, "resume from <out>.journal, reusing completed suite trials")
+		trialTimeout = fs.Duration("trial-timeout", 0, "per-trial wall deadline (0 = none)")
+		retries      = fs.Int("retries", 0, "extra attempts for transiently failed trials")
 	)
-	flag.Parse()
-
-	if *debugAddr != "" {
-		ln, err := obs.ServeDebug(*debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "kpart-bench: debug server on http://%s/debug/pprof\n", ln.Addr())
+	if err := parseFlags(fs, args, map[string]int{"trials": 1, "retries": 0}); err != nil {
+		return err
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop()
-	}()
-
-	opts := harness.RunOptions{TrialTimeout: *trialTimeout, Retries: *retries}
-	journalPath := *out + ".journal"
-	meta := fmt.Sprintf("kpart-bench trials=%d", *trials)
-	var j *harness.Journal
-	{
-		var err error
-		if *resume {
-			j, err = harness.OpenJournal(journalPath, meta)
-		} else {
-			j, err = harness.CreateJournal(journalPath, meta)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		defer j.Close()
-		if *resume && j.Len() > 0 {
-			fmt.Fprintf(os.Stderr, "kpart-bench: resuming, %d trials already journaled in %s\n", j.Len(), journalPath)
-		}
-		opts.Journal = j
+	if err := serveDebug(*debugAddr); err != nil {
+		return err
 	}
 
 	doc := benchDoc{
@@ -161,49 +123,51 @@ func main() {
 		{name: "scenario-weak/k=3/n=12", n: 12, k: 3, engine: harness.EngineAgent,
 			maxInteractions: 500_000, fairness: harness.FairnessWeak, scenario: true},
 	}
-	for _, s := range suite {
-		base := harness.TrialSpec{
-			N: s.n, K: s.k,
-			Engine:          s.engine,
-			MaxInteractions: s.maxInteractions,
-			Topology:        s.topology,
-			Fairness:        s.fairness,
-		}
-		pt, err := runPoint(ctx, opts, s.name, base, *trials, s.scenario)
-		if err != nil {
-			if errors.Is(err, context.Canceled) {
-				fmt.Fprintf(os.Stderr, "kpart-bench: interrupted; completed trials saved in %s — rerun with -resume to continue\n", journalPath)
-				os.Exit(130)
+	meta := fmt.Sprintf("kpart-bench trials=%d", *trials)
+	err := journaled(*out+".journal", meta, *resume, func(j *harness.Journal) error {
+		opts := harness.RunOptions{TrialTimeout: *trialTimeout, Retries: *retries, Journal: j}
+		for _, s := range suite {
+			base := harness.TrialSpec{
+				N: s.n, K: s.k,
+				Engine:          s.engine,
+				MaxInteractions: s.maxInteractions,
+				Topology:        s.topology,
+				Fairness:        s.fairness,
 			}
-			fatal(err)
+			pt, err := runPoint(ctx, opts, s.name, base, *trials, s.scenario)
+			if err != nil {
+				return err
+			}
+			doc.Points = append(doc.Points, pt)
+			fmt.Printf("%-24s %12.0f interactions/run  %12s/trial  %10.3g interactions/sec\n",
+				pt.Name, pt.MeanInteractions,
+				time.Duration(pt.WallNSMedian).Round(time.Microsecond), pt.InteractionsPerSec)
 		}
-		doc.Points = append(doc.Points, pt)
-		fmt.Printf("%-24s %12.0f interactions/run  %12s/trial  %10.3g interactions/sec\n",
-			pt.Name, pt.MeanInteractions,
-			time.Duration(pt.WallNSMedian).Round(time.Microsecond), pt.InteractionsPerSec)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	tp, err := engineThroughput()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	doc.Points = append(doc.Points, tp)
 	fmt.Printf("%-24s %39s  %10.3g interactions/sec\n", tp.Name, "(agent engine loop)", tp.InteractionsPerSec)
 
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
+	if err := writeJSON(*out, doc); err != nil {
+		return err
 	}
 	fmt.Println("wrote", *out)
+	return nil
 }
 
-// runPoint executes trials at one point and aggregates wall times and
-// interaction counts. Journaled trials (a -resume run) contribute their
-// recorded wall times instead of being re-measured. Scenario points
-// tolerate unconverged trials (freezes and stalls are their workload);
-// for everything else a failure to stabilize aborts the suite.
+// runPoint executes trials at one point, one at a time, and aggregates
+// wall times and interaction counts. Journaled trials (a -resume run)
+// contribute their recorded wall times instead of being re-measured.
+// Scenario points tolerate unconverged trials (freezes and stalls are
+// their workload); for everything else a failure to stabilize aborts the
+// suite.
 func runPoint(ctx context.Context, opts harness.RunOptions, name string, base harness.TrialSpec, trials int, scenarioPoint bool) (benchPoint, error) {
 	pt := benchPoint{Name: name, N: base.N, K: base.K, Engine: base.Engine.String(), Trials: trials}
 	if scenarioPoint {
@@ -215,21 +179,9 @@ func runPoint(ctx context.Context, opts harness.RunOptions, name string, base ha
 	for t := 0; t < trials; t++ {
 		spec := base
 		spec.Seed = rng.StreamSeed(0xbe9c4, uint64(base.N), uint64(base.K), uint64(t))
-		var res harness.TrialResult
-		var wall time.Duration
-		if e, ok := opts.Journal.Lookup(spec); ok {
-			res, wall = e.Result, time.Duration(e.WallUS)*time.Microsecond
-		} else {
-			start := time.Now()
-			r, err := harness.RunTrialCtx(ctx, spec, opts)
-			wall = time.Since(start)
-			if err != nil {
-				return pt, fmt.Errorf("%s trial %d: %w", name, t, err)
-			}
-			res = r
-			if err := opts.Journal.Append(spec, res, wall); err != nil {
-				return pt, err
-			}
+		res, wall, _, err := harness.RunTimedCtx(ctx, spec, opts)
+		if err != nil {
+			return pt, fmt.Errorf("%s trial %d: %w", name, t, err)
 		}
 		if scenarioPoint {
 			if res.Converged {
@@ -283,9 +235,4 @@ func engineThroughput() (benchPoint, error) {
 		WallNSP90:          float64(wall.Nanoseconds()) / steps,
 		InteractionsPerSec: steps / wall.Seconds(),
 	}, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "kpart-bench:", err)
-	os.Exit(1)
 }

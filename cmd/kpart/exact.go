@@ -1,16 +1,15 @@
-// Command kpart-exact computes EXACT expected stabilization times for
-// small populations by solving the configuration Markov chain under the
+package main
+
+// kpart exact computes EXACT expected stabilization times for small
+// populations by solving the configuration Markov chain under the
 // uniform-random scheduler (internal/markov), and optionally contrasts
 // them with simulation means — a bias check for the whole simulation
 // stack, and the exact version of Figure 3 at small n.
 //
-// Usage:
-//
-//	kpart-exact -k 3 -nmax 12 [-sim 2000] [-seed 5]
-package main
+//	kpart exact -k 3 -nmax 12 [-sim 2000] [-seed 5]
 
 import (
-	"flag"
+	"context"
 	"fmt"
 	"os"
 
@@ -22,29 +21,32 @@ import (
 	"repro/internal/stats"
 )
 
-func main() {
+func exactCmd(_ context.Context, args []string) error {
+	fs := newFlags()
 	var (
-		k      = flag.Int("k", 3, "number of groups")
-		nmin   = flag.Int("nmin", 3, "smallest population")
-		nmax   = flag.Int("nmax", 12, "largest population")
-		trials = flag.Int("sim", 2000, "simulation trials per n for comparison (0 = exact only)")
-		seed   = flag.Uint64("seed", 5, "simulation seed")
+		k      = fs.Int("k", 3, "number of groups")
+		nmin   = fs.Int("nmin", 3, "smallest population")
+		nmax   = fs.Int("nmax", 12, "largest population")
+		trials = fs.Int("sim", 2000, "simulation trials per n for comparison (0 = exact only)")
+		seed   = fs.Uint64("seed", 5, "simulation seed")
 	)
-	flag.Parse()
+	if err := parseFlags(fs, args, map[string]int{"k": 2, "nmin": 3, "nmax": 3, "sim": 0}); err != nil {
+		return err
+	}
 
 	p, err := core.New(*k)
 	if err != nil {
-		fatal(err)
+		return usageError{err}
 	}
 	tbl := report.NewTable("n", "configs", "exact_E[interactions]", "sim_mean", "sim_ci95", "zscore")
 	for n := *nmin; n <= *nmax; n++ {
 		ch, err := markov.New(p, n)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		E, err := ch.HittingTimes(1e-10, 0)
 		if err != nil {
-			fatal(fmt.Errorf("n=%d: %w", n, err))
+			return fmt.Errorf("n=%d: %w", n, err)
 		}
 		exact := E[0]
 		simMean, simCI := "", ""
@@ -56,7 +58,7 @@ func main() {
 					N: n, K: *k, Seed: rng.StreamSeed(*seed, uint64(n), uint64(t)),
 				})
 				if err != nil {
-					fatal(err)
+					return err
 				}
 				xs[t] = float64(res.Interactions)
 			}
@@ -76,9 +78,5 @@ func main() {
 		fmt.Println("\nzscore = (simulated mean − exact) / standard error; |z| ≲ 3 means the")
 		fmt.Println("simulator is unbiased at this point to Monte-Carlo resolution.")
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "kpart-exact:", err)
-	os.Exit(1)
+	return nil
 }

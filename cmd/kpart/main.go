@@ -1,184 +1,86 @@
-// Command kpart runs one simulation of the uniform k-partition protocol
-// and reports the outcome: interactions to stability, the final group
-// sizes, and (optionally) a full interaction trace in JSON Lines.
+// Command kpart is the reproduction's command-line tool. Its first
+// argument names a subcommand, one file each (run.go, scale.go, ...);
+// `kpart` alone lists them and `kpart <subcommand> -h` lists its flags.
 //
-// Usage:
+//	kpart run -n 24 -k 4 [-seed 1] [-v] [-trace run.jsonl]   # one simulation
+//	kpart experiments -fig all [-quick]                      # the paper's Figures 3–6
+//	kpart verify -kmax 5 -nmax 10                            # Theorem 1, exhaustively
+//	kpart serve -addr :8080                                  # the HTTP trial service
 //
-//	kpart -n 24 -k 4 [-seed 1] [-max 0] [-rules] [-trace out.jsonl] [-v]
-//	      [-metrics metrics.jsonl] [-debug-addr :6060] [-progress N]
-//
-// Observability: -metrics writes an internal/obs snapshot (per-rule
-// firing counts, phase timings, engine totals) as JSONL after the run;
-// -debug-addr serves live pprof and /debug/vars while the run is hot;
-// -v routes through the obs Progress reporter (interactions/sec,
-// productive %, spread) in addition to the per-grouping marks.
-//
-// Exit status is non-zero if the run hits the interaction cap before
-// stabilizing.
+// The run plumbing the subcommands share lives in plumbing.go. Exit
+// status: 0 success; 1 any other failure, or a negative verdict (run not
+// converged, verification failed, regression found, budget exceeded); 2
+// arguments rejected (missing or unknown subcommand, flag parse error, a
+// flag value refused before any work starts); 130 interrupted by
+// SIGINT/SIGTERM, after the journal is closed and metrics are flushed.
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
+	"io"
 	"os"
-	"time"
-
-	"repro/internal/core"
-	"repro/internal/obs"
-	"repro/internal/population"
-	"repro/internal/protocol"
-	"repro/internal/sched"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
+// A command is one kpart subcommand.
+type command struct {
+	name, summary string
+	run           func(ctx context.Context, args []string) error
+	// interruptible subcommands see the first SIGINT/SIGTERM as ctx
+	// cancellation and wind down; the others die on it the default way.
+	interruptible bool
+}
+
+var commands = []command{
+	{"run", "one simulation: interactions to stability, final groups", runCmd, false},
+	{"scale", "large-n sweeps on the count engines, and scenario runs", scaleCmd, true},
+	{"experiments", "regenerate the evaluation figures as CSV and charts", experimentsCmd, true},
+	{"compare", "protocol-comparison, scheduler and topology ablations", compareCmd, false},
+	{"exact", "exact expected stabilization times from the Markov chain", exactCmd, false},
+	{"verify", "model-check Theorem 1 for small populations", verifyCmd, false},
+	{"trace", "replay and analyze a `kpart run -trace` file", traceCmd, false},
+	{"predict", "the analytical twin's answer for (n, k)", predictCmd, false},
+	{"spans", "render span JSONL exports", spansCmd, false},
+	{"pp", "run a protocol written in the text DSL", ppCmd, false},
+	{"serve", "the HTTP trial service", serveCmd, true},
+	{"bench", "the simulation benchmark suite (BENCH_kpart.json)", benchCmd, true},
+	{"serve-bench", "the service load test (BENCH_serve.json)", serveBenchCmd, false},
+	{"bench-diff", "the benchmark regression gate", benchDiffCmd, false},
+	{"twin-check", "the twin's accuracy gate (TWIN_baseline.json)", twinCheckCmd, false},
+}
+
 func main() {
-	var (
-		n         = flag.Int("n", 24, "population size (>= 3)")
-		k         = flag.Int("k", 4, "number of groups (>= 2)")
-		seed      = flag.Uint64("seed", 1, "random scheduler seed")
-		maxI      = flag.Uint64("max", 0, "interaction cap (0 = engine default)")
-		rules     = flag.Bool("rules", false, "print the protocol's transition rules and exit")
-		dot       = flag.Bool("dot", false, "print the protocol's state machine as Graphviz DOT and exit")
-		tracePath = flag.String("trace", "", "write a JSONL interaction trace to this file")
-		verbose   = flag.Bool("v", false, "print live progress and per-grouping marks")
-		metrics   = flag.String("metrics", "", "write an obs metrics snapshot (JSONL) to this file")
-		debugAddr = flag.String("debug-addr", "", "serve pprof and /debug/vars on this address (e.g. :6060)")
-		progressN = flag.Uint64("progress", 0, "interactions between progress reports (0 = auto with -v)")
-	)
-	flag.Parse()
-
-	p, err := core.New(*k)
-	if err != nil {
-		fatal(err)
-	}
-	if *rules {
-		fmt.Printf("%s: %d states (3k-2 = %d), designated initial state %q\n",
-			p.Name(), p.NumStates(), 3**k-2, p.StateName(p.InitialState()))
-		fmt.Print(protocol.FormatRules(p, protocol.Rules(p)))
-		return
-	}
-	if *dot {
-		if err := protocol.WriteDot(os.Stdout, p); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *n < 3 {
-		fatal(fmt.Errorf("n must be >= 3 (symmetric protocols cannot partition n=2)"))
-	}
-
-	// The registry is enabled whenever someone will read it: a snapshot
-	// file, or live /debug/vars. With neither, it is the no-op registry
-	// and the instrumentation hooks are not attached at all.
-	reg := obs.Nop()
-	if *metrics != "" || *debugAddr != "" {
-		reg = obs.New("kpart")
-		reg.PublishExpvar()
-	}
-	if *debugAddr != "" {
-		ln, err := obs.ServeDebug(*debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "kpart: debug server on http://%s/debug/pprof (vars at /debug/vars)\n", ln.Addr())
-	}
-
-	target, err := p.TargetCounts(*n)
-	if err != nil {
-		fatal(err)
-	}
-	pop := population.New(p, *n)
-	opts := sim.Options{MaxInteractions: *maxI}
-
-	gc := &sim.GroupingCounter{Watch: p.G(*k)}
-	opts.Hooks = append(opts.Hooks, gc)
-
-	tally := core.NewTally(p)
-	opts.Hooks = append(opts.Hooks, sim.StepFunc(func(pop *population.Population, s sim.StepInfo) {
-		tally.Observe(s.Before.P, s.Before.Q)
-	}))
-
-	if reg.Enabled() {
-		opts.Hooks = append(opts.Hooks, newRuleTally(reg, p), obs.NewPhaseTimer(reg, p.G(*k)))
-	}
-	if *verbose || *progressN > 0 {
-		capI := *maxI
-		if capI == 0 {
-			capI = sim.DefaultMaxInteractions
-		}
-		opts.Hooks = append(opts.Hooks, &obs.Progress{
-			Every: *progressN, // 0 = obs.DefaultProgressEvery
-			Cap:   capI,
-			Label: fmt.Sprintf("n=%d k=%d", *n, *k),
-		})
-	}
-
-	var traceFile *os.File
-	if *tracePath != "" {
-		traceFile, err = os.Create(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		defer traceFile.Close()
-		opts.Hooks = append(opts.Hooks, &trace.Writer{W: traceFile})
-	}
-
-	start := time.Now()
-	res, err := sim.Run(pop, sched.NewRandom(*seed), sim.NewCountTarget(p.CanonMap(), target), opts)
-	if err != nil {
-		fatal(err)
-	}
-	wall := time.Since(start)
-
-	fmt.Printf("protocol   %s (%d states)\n", p.Name(), p.NumStates())
-	fmt.Printf("population n=%d, seed=%d\n", *n, *seed)
-	if res.Converged {
-		fmt.Printf("stabilized after %d interactions (%d productive)\n", res.Interactions, res.Productive)
-	} else {
-		fmt.Printf("NOT stable after %d interactions (cap reached)\n", res.Interactions)
-	}
-	fmt.Printf("group sizes %v (spread %d)\n", res.GroupSizes, res.Spread())
-	fmt.Printf("final config %s\n", pop)
-	if *verbose {
-		rate := float64(res.Interactions) / wall.Seconds()
-		fmt.Printf("wall time %v (%.3g interactions/sec), productive %.1f%%\n",
-			wall.Round(time.Microsecond), rate, 100*float64(res.Productive)/float64(res.Interactions))
-		for i, m := range gc.Marks {
-			fmt.Printf("  grouping %d complete at interaction %d\n", i+1, m)
-		}
-		fmt.Println("rule-family tally:")
-		for r := core.RuleKind(0); int(r) < core.NumRuleKinds; r++ {
-			if c := tally.Counts[r]; c > 0 {
-				fmt.Printf("  %-6s %d\n", r, c)
-			}
-		}
-		fmt.Printf("demolition fraction of productive interactions: %.4f\n", tally.DemolitionFraction())
-	}
-	if *metrics != "" {
-		if err := reg.Snapshot().WriteFile(*metrics); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote metrics snapshot %s\n", *metrics)
-	}
-	if !res.Converged {
-		os.Exit(1)
-	}
+	os.Exit(kpart(os.Args[1:]))
 }
 
-// newRuleTally wires the obs per-rule counters to Algorithm 1's rule
-// families via core's pair classifier.
-func newRuleTally(reg *obs.Registry, p *core.Protocol) *obs.RuleTally {
-	names := make([]string, 0, core.NumRuleKinds-1)
-	for kind := core.RuleNull + 1; int(kind) < core.NumRuleKinds; kind++ {
-		names = append(names, kind.String())
+// kpart dispatches args to a subcommand and returns the exit status.
+func kpart(args []string) int {
+	if len(args) == 0 {
+		usage(os.Stderr)
+		return 2
 	}
-	return obs.NewRuleTally(reg, names, func(a, b protocol.State) int {
-		return int(p.ClassifyPair(a, b)) - 1
-	})
+	for _, c := range commands {
+		if c.name == args[0] {
+			prog = "kpart " + c.name
+			ctx, stop := signalContext(c.interruptible)
+			defer stop()
+			return exitCode(c.run(ctx, args[1:]))
+		}
+	}
+	switch args[0] {
+	case "-h", "-help", "--help", "help":
+		usage(os.Stdout)
+		return 0
+	}
+	fmt.Fprintf(os.Stderr, "kpart: unknown subcommand %q\n", args[0])
+	usage(os.Stderr)
+	return 2
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "kpart:", err)
-	os.Exit(2)
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage: kpart <subcommand> [flags] [args]\n\nsubcommands:")
+	for _, c := range commands {
+		fmt.Fprintf(w, "  %-12s %s\n", c.name, c.summary)
+	}
+	fmt.Fprintln(w, "\nRun `kpart <subcommand> -h` for its flags.")
 }

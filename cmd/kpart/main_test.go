@@ -1,0 +1,280 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+)
+
+// kpartBin is the binary TestMain builds from this package.
+var kpartBin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "kpart-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	kpartBin = filepath.Join(dir, "kpart")
+	if out, err := exec.Command("go", "build", "-o", kpartBin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building kpart: %v\n%s", err, out)
+		os.Exit(1)
+	}
+	code := m.Run()
+	_ = os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// kpartCmd returns `kpart a...` to run in dir.
+func kpartCmd(dir string, a ...string) *exec.Cmd {
+	cmd := exec.Command(kpartBin, a...)
+	cmd.Dir = dir
+	return cmd
+}
+
+// run runs `kpart a...` in dir to completion; a run still going after a
+// minute is killed and fails the test rather than hang it.
+func run(t *testing.T, dir string, a ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	var out, errb bytes.Buffer
+	cmd := kpartCmd(dir, a...)
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	timer := time.AfterFunc(time.Minute, func() { _ = cmd.Process.Kill() })
+	defer timer.Stop()
+	code, err := exitStatus(cmd.Wait())
+	if err != nil {
+		t.Fatalf("kpart %s: %v", strings.Join(a, " "), err)
+	}
+	return out.String(), errb.String(), code
+}
+
+// The goldens were recorded from the per-command binaries kpart
+// replaced; every subcommand must reproduce them unchanged.
+func TestGoldens(t *testing.T) {
+	for _, c := range goldenCases {
+		t.Run(c.name, func(t *testing.T) {
+			want, err := os.ReadFile(goldenPath(c.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := record(t, c); got != string(want) {
+				t.Errorf("record differs from %s\n%s", goldenPath(c.name), firstDiff(string(want), got))
+			}
+		})
+	}
+}
+
+// firstDiff renders the first line where want and got part.
+func firstDiff(want, got string) string {
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	for i := 0; ; i++ {
+		switch {
+		case i >= len(w) || i >= len(g):
+			return fmt.Sprintf("line %d: want %d lines, got %d", i+1, len(w), len(g))
+		case w[i] != g[i]:
+			return fmt.Sprintf("line %d:\nwant %q\ngot  %q", i+1, w[i], g[i])
+		}
+	}
+}
+
+func TestSubcommandDispatch(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range []struct {
+		args           []string
+		code           int
+		stdout, stderr string
+	}{
+		{nil, 2, "", "usage: kpart <subcommand>"},
+		{[]string{"frobnicate"}, 2, "", `unknown subcommand "frobnicate"`},
+		{[]string{"help"}, 0, "usage: kpart <subcommand>", ""},
+		{[]string{"run", "-no-such-flag"}, 2, "", "flag provided but not defined: -no-such-flag"},
+		{[]string{"run", "-h"}, 0, "", "-trace string"},
+		{[]string{"scale", "-resume"}, 2, "", "kpart scale: -resume requires -journal"},
+		{[]string{"scale", "-engine", "warp"}, 2, "", "kpart scale: "},
+		{[]string{"trace", "-k", "3"}, 2, "", "usage: kpart trace"},
+		{[]string{"bench-diff", "only-one.json"}, 2, "", "usage: kpart bench-diff"},
+		{[]string{"twin-check", "-baseline", "missing.json"}, 1, "", "kpart twin-check: reading baseline"},
+	} {
+		stdout, stderr, code := run(t, dir, c.args...)
+		if code != c.code || !strings.Contains(stdout, c.stdout) || !strings.Contains(stderr, c.stderr) {
+			t.Errorf("kpart %s: exit %d, stdout %q, stderr %q; want exit %d with %q on stdout and %q on stderr",
+				strings.Join(c.args, " "), code, stdout, stderr, c.code, c.stdout, c.stderr)
+		}
+	}
+}
+
+// countMinimums lists every int flag of every subcommand with the
+// smallest value it accepts.
+var countMinimums = []struct {
+	sub, flag string
+	min       int
+}{
+	{"run", "n", 3}, {"run", "k", 2},
+	{"scale", "n", 3}, {"scale", "trials", 1}, {"scale", "retries", 0},
+	{"experiments", "trials", 1}, {"experiments", "workers", 0}, {"experiments", "nmax", 3},
+	{"experiments", "fig6max", 2}, {"experiments", "retries", 0},
+	{"compare", "n", 3}, {"compare", "k", 2}, {"compare", "trials", 1},
+	{"exact", "k", 2}, {"exact", "nmin", 3}, {"exact", "nmax", 3}, {"exact", "sim", 0},
+	{"verify", "kmax", 2}, {"verify", "nmax", 3},
+	{"trace", "k", 2},
+	{"predict", "n", 3}, {"predict", "k", 2},
+	{"pp", "n", 2},
+	{"serve", "workers", 0}, {"serve", "queue", 0}, {"serve", "cache", 0}, {"serve", "retries", 0},
+	{"serve", "max-sweep-trials", 0},
+	{"bench", "trials", 1}, {"bench", "retries", 0},
+	{"serve-bench", "clients", 1}, {"serve-bench", "requests", 1}, {"serve-bench", "unique", 1},
+	{"serve-bench", "workers", 0}, {"serve-bench", "queue", 0},
+	{"twin-check", "trials", 1},
+}
+
+// A count below its minimum is refused before any work starts: exit 2,
+// the flag named on stderr, nothing on stdout. Several of these values
+// used to panic (an empty quantile sample, makeslice, a division by
+// zero, population.New) or silently run something else.
+func TestCountFlagMinimums(t *testing.T) {
+	dir := t.TempDir()
+	for _, c := range countMinimums {
+		bad := strconv.Itoa(c.min - 1)
+		stdout, stderr, code := run(t, dir, c.sub, "-"+c.flag, bad)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, "-"+c.flag+" "+bad+" is below its minimum") {
+			t.Errorf("kpart %s -%s %s: exit %d, stdout %q, stderr %q; want exit 2 naming the flag",
+				c.sub, c.flag, bad, code, stdout, stderr)
+		}
+	}
+	// Requests split evenly over the clients, so fewer than one each is
+	// refused too.
+	if _, stderr, code := run(t, dir, "serve-bench", "-requests", "5", "-clients", "8"); code != 2 || !strings.Contains(stderr, "-requests 5 is below -clients 8") {
+		t.Errorf("serve-bench -requests 5 -clients 8: exit %d, stderr %q", code, stderr)
+	}
+}
+
+// Every int flag a subcommand defines has a row in countMinimums.
+func TestCountMinimumsCoverEveryIntFlag(t *testing.T) {
+	listed := map[string]bool{}
+	for _, c := range countMinimums {
+		listed[c.sub+" -"+c.flag] = true
+	}
+	intFlag := regexp.MustCompile(`(?m)^  -(\S+) int$`)
+	for _, c := range commands {
+		_, stderr, _ := run(t, t.TempDir(), c.name, "-h")
+		for _, m := range intFlag.FindAllStringSubmatch(stderr, -1) {
+			if !listed[c.name+" -"+m[1]] {
+				t.Errorf("kpart %s -%s: int flag without a minimum in countMinimums", c.name, m[1])
+			}
+		}
+	}
+}
+
+// The first SIGINT drains a journaled run: exit 130 with the resume
+// hint, every completed trial on disk, and a -resume rerun that ends
+// exactly where an uninterrupted run does.
+func TestInterruptAndResume(t *testing.T) {
+	for _, c := range []struct {
+		name, journal string
+		args          []string
+		// compare returns what must match between the resumed and the
+		// uninterrupted run.
+		compare func(t *testing.T, dir, stdout string) string
+	}{
+		{"scale", "s.journal", argv("scale -n 2000 -k 4 -trials 150 -journal s.journal"),
+			func(t *testing.T, dir, stdout string) string {
+				resumed := regexp.MustCompile(`(?m)^\(\d+ of 150 trials resumed from journal\)\n`)
+				return normalise(resumed.ReplaceAllString(stdout, ""), dir)
+			}},
+		{"experiments", "results/fig3.journal", argv("experiments -fig 3 -trials 150 -nmax 40"),
+			func(t *testing.T, dir, _ string) string {
+				data, err := os.ReadFile(filepath.Join(dir, "results", "fig3.csv"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(data)
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var stderr bytes.Buffer
+			cmd := kpartCmd(dir, c.args...)
+			cmd.Stderr = &stderr
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			journal := filepath.Join(dir, c.journal)
+			waitForRecords(t, journal, 3)
+			if err := cmd.Process.Signal(os.Interrupt); err != nil {
+				t.Fatal(err)
+			}
+			code, err := exitStatus(cmd.Wait())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code != 130 || !strings.Contains(stderr.String(), "rerun with -resume to continue") {
+				t.Fatalf("interrupted run: exit %d, stderr %q; want 130 and the resume hint", code, stderr.String())
+			}
+			saved := checkJournal(t, journal)
+
+			stdout, _, code := run(t, dir, append(c.args, "-resume")...)
+			if code != 0 {
+				t.Fatalf("resumed run: exit %d", code)
+			}
+			if c.name == "scale" && !strings.Contains(stdout, fmt.Sprintf("(%d of 150 trials resumed from journal)", saved)) {
+				t.Errorf("resumed run did not reuse the %d journaled trials:\n%s", saved, stdout)
+			}
+			ref := t.TempDir()
+			refOut, _, code := run(t, ref, c.args...)
+			if code != 0 {
+				t.Fatalf("uninterrupted run: exit %d", code)
+			}
+			if got, want := c.compare(t, dir, stdout), c.compare(t, ref, refOut); got != want {
+				t.Errorf("resumed run differs from an uninterrupted one\n%s", firstDiff(want, got))
+			}
+		})
+	}
+}
+
+// waitForRecords polls a journal until it holds n trial records.
+func waitForRecords(t *testing.T, path string, n int) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for time.Now().Before(deadline) {
+		if data, err := os.ReadFile(path); err == nil && bytes.Count(data, []byte("\n")) > n {
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatalf("%s never reached %d records", path, n)
+}
+
+// checkJournal asserts the journal ends on a whole record and returns
+// how many trial records it holds.
+func checkJournal(t *testing.T, path string) int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(data, []byte("\n")) {
+		t.Fatalf("%s ends mid-record", path)
+	}
+	records := -1 // the header line
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		if !json.Valid(sc.Bytes()) {
+			t.Fatalf("%s: torn line %q", path, sc.Text())
+		}
+		records++
+	}
+	return records
+}

@@ -1,17 +1,18 @@
-// Command pp runs an arbitrary population protocol defined in the text
-// format of internal/parse, making the toolkit usable beyond the built-in
-// protocols:
+package main
+
+// kpart pp runs an arbitrary population protocol defined in the text
+// format of internal/parse, making the toolkit usable beyond the
+// built-in protocols:
 //
-//	pp -f protocol.pp -n 100 [-seed 1] [-max 1000000] [-init "x=60,y=40"]
+//	kpart pp -f protocol.pp -n 100 [-seed 1] [-max 1000000] [-init "x=60,y=40"]
 //
 // The run stops at quiescence (no productive pair exists) or at the
 // interaction cap, and prints the final state counts, group sizes, and
 // counters. -dump prints the parsed protocol back in canonical form and
-// exits. Example protocol files live in cmd/pp/testdata.
-package main
+// exits. Example protocol files live in cmd/kpart/testdata.
 
 import (
-	"flag"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,40 +26,42 @@ import (
 	"repro/internal/sim"
 )
 
-func main() {
+func ppCmd(_ context.Context, args []string) error {
+	fs := newFlags()
 	var (
-		file    = flag.String("f", "", "protocol definition file (required)")
-		n       = flag.Int("n", 50, "population size")
-		seed    = flag.Uint64("seed", 1, "scheduler seed")
-		maxI    = flag.Uint64("max", 10_000_000, "interaction cap")
-		initCfg = flag.String("init", "", "initial configuration as state=count pairs, e.g. \"x=30,y=20\" (default: all agents in the init state)")
-		dump    = flag.Bool("dump", false, "print the parsed protocol in canonical form and exit")
-		rules   = flag.Bool("rules", false, "print the transition rules and exit")
+		file    = fs.String("f", "", "protocol definition file (required)")
+		n       = fs.Int("n", 50, "population size")
+		seed    = fs.Uint64("seed", 1, "scheduler seed")
+		maxI    = fs.Uint64("max", 10_000_000, "interaction cap")
+		initCfg = fs.String("init", "", "initial configuration as state=count pairs, e.g. \"x=30,y=20\" (default: all agents in the init state)")
+		dump    = fs.Bool("dump", false, "print the parsed protocol in canonical form and exit")
+		rules   = fs.Bool("rules", false, "print the transition rules and exit")
 	)
-	flag.Parse()
+	if err := parseFlags(fs, args, map[string]int{"n": 2}); err != nil {
+		return err
+	}
 	if *file == "" {
-		fmt.Fprintln(os.Stderr, "usage: pp -f protocol.pp [-n 50] [-init \"x=30,y=20\"]")
-		os.Exit(2)
+		return usagef("usage: kpart pp -f protocol.pp [-n 50] [-init \"x=30,y=20\"]")
 	}
 
 	f, err := os.Open(*file)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	res, err := parse.Reader(f, strings.TrimSuffix(filepath.Base(*file), filepath.Ext(*file)))
 	_ = f.Close() // read-only handle, fully consumed by parse.Reader
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	p := res.Protocol
 
 	if *dump {
 		fmt.Print(parse.Format(p))
-		return
+		return nil
 	}
 	if *rules {
 		fmt.Print(protocol.FormatRules(p, protocol.Rules(p)))
-		return
+		return nil
 	}
 
 	var pop *population.Population
@@ -67,7 +70,7 @@ func main() {
 	} else {
 		states, err := parseInit(*initCfg, res.Names)
 		if err != nil {
-			fatal(err)
+			return usageError{err}
 		}
 		pop = population.FromStates(p, states)
 	}
@@ -75,7 +78,7 @@ func main() {
 	fmt.Printf("protocol %s: %d states, %d groups, n=%d\n", p.Name(), p.NumStates(), p.NumGroups(), pop.N())
 	r, err := sim.Run(pop, sched.NewRandom(*seed), sim.NewQuiescence(p), sim.Options{MaxInteractions: *maxI})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if r.Converged {
 		fmt.Printf("quiesced after %d interactions (%d productive)\n", r.Interactions, r.Productive)
@@ -84,6 +87,7 @@ func main() {
 	}
 	fmt.Printf("final configuration: %s\n", pop)
 	fmt.Printf("group sizes: %v\n", r.GroupSizes)
+	return nil
 }
 
 // parseInit expands "x=30,y=20" into a state vector.
@@ -110,9 +114,4 @@ func parseInit(s string, names map[string]protocol.State) ([]protocol.State, err
 		return nil, fmt.Errorf("-init yields %d agents; need >= 2", len(out))
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pp:", err)
-	os.Exit(1)
 }

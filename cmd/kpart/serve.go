@@ -1,16 +1,16 @@
-// Command kpart-serve exposes the simulation harness as an HTTP service:
-// trial and sweep requests come in as JSON, execute on a bounded worker
-// pool behind an explicit admission queue (full queue = 429 with
-// Retry-After, not an unbounded goroutine pile), and results are
-// memoized in a content-addressed cache keyed by harness.SpecKey — an
-// identical spec is computed once and replayed byte-for-byte.
+package main
+
+// kpart serve exposes the simulation harness as an HTTP service: trial
+// and sweep requests come in as JSON, execute on a bounded worker pool
+// behind an explicit admission queue (full queue = 429 with Retry-After,
+// not an unbounded goroutine pile), and results are memoized in a
+// content-addressed cache keyed by harness.SpecKey — an identical spec is
+// computed once and replayed byte-for-byte.
 //
-// Usage:
-//
-//	kpart-serve [-addr :8080] [-workers 0] [-queue 64] [-cache 4096]
+//	kpart serve [-addr :8080] [-workers 0] [-queue 64] [-cache 4096]
 //	            [-journal kpart-serve.journal] [-trial-timeout 0] [-retries 0]
 //	            [-debug-addr :6060] [-metrics-out path.jsonl] [-trace-out spans.jsonl]
-//	kpart-serve -smoke
+//	kpart serve -smoke
 //
 // GET /metrics on the API address serves the registry in Prometheus
 // text exposition format (and, with -debug-addr, on the debug address
@@ -18,34 +18,29 @@
 // trial → attempt → engine → per-#gk grouping phases — is appended to
 // the given JSONL file as it completes; clients may name their trace
 // with an X-Kpart-Trace header, which the response echoes. Render the
-// file with cmd/kpart-spans.
+// file with kpart spans.
 //
 // With -journal, completed trials are appended to the same crash-atomic
-// journal format the batch binaries use; a restarted server loads it and
-// answers GET /v1/results/{speckey} for prior work from disk. SIGINT
+// journal format the batch subcommands use; a restarted server loads it
+// and answers GET /v1/results/{speckey} for prior work from disk. SIGINT
 // drains gracefully: in-flight trials abort through the harness's
-// context plumbing, the journal is flushed, and the process exits 130
-// like the other kpart binaries.
+// context plumbing, the journal is flushed, and the process exits 130.
 //
 // -smoke runs a self-contained loopback round-trip (trial, cache hit,
 // result replay, health, sweep stream) and exits; `make serve-smoke`
 // uses it as the CI-level liveness check.
-package main
 
 import (
 	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/harness"
@@ -54,72 +49,72 @@ import (
 	"repro/internal/serve"
 )
 
-func main() {
+func serveCmd(ctx context.Context, args []string) error {
+	fs := newFlags()
 	var (
-		addr         = flag.String("addr", ":8080", "listen address for the API")
-		workers      = flag.Int("workers", 0, "trial workers (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", serve.DefaultQueueDepth, "admission queue depth (full queue answers 429)")
-		cacheN       = flag.Int("cache", serve.DefaultCacheEntries, "result cache capacity (entries)")
-		journalPath  = flag.String("journal", "", "journal path for persistent results (empty = in-memory only)")
-		trialTimeout = flag.Duration("trial-timeout", 0, "per-trial wall deadline (0 = none)")
-		retries      = flag.Int("retries", 0, "extra attempts for transiently failed trials")
-		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint sent with 429 responses")
-		sweepMax     = flag.Int("max-sweep-trials", serve.DefaultMaxSweepTrials, "largest trial count one sweep request may expand into")
-		debugAddr    = flag.String("debug-addr", "", "serve pprof, /debug/vars and /metrics on this address (e.g. :6060)")
-		metricsOut   = flag.String("metrics-out", "", "write a metrics snapshot (JSONL) here on exit")
-		traceOut     = flag.String("trace-out", "", "append completed request span trees (JSONL) here")
-		smoke        = flag.Bool("smoke", false, "run a loopback self-test and exit")
+		addr         = fs.String("addr", ":8080", "listen address for the API")
+		workers      = fs.Int("workers", 0, "trial workers (0 = GOMAXPROCS)")
+		queue        = fs.Int("queue", serve.DefaultQueueDepth, "admission queue depth (full queue answers 429)")
+		cacheN       = fs.Int("cache", serve.DefaultCacheEntries, "result cache capacity (entries)")
+		journalPath  = fs.String("journal", "", "journal path for persistent results (empty = in-memory only)")
+		trialTimeout = fs.Duration("trial-timeout", 0, "per-trial wall deadline (0 = none)")
+		retries      = fs.Int("retries", 0, "extra attempts for transiently failed trials")
+		retryAfter   = fs.Duration("retry-after", time.Second, "Retry-After hint sent with 429 responses")
+		sweepMax     = fs.Int("max-sweep-trials", serve.DefaultMaxSweepTrials, "largest trial count one sweep request may expand into")
+		debugAddr    = fs.String("debug-addr", "", "serve pprof, /debug/vars and /metrics on this address (e.g. :6060)")
+		metricsOut   = fs.String("metrics-out", "", "write a metrics snapshot (JSONL) here on exit")
+		traceOut     = fs.String("trace-out", "", "append completed request span trees (JSONL) here")
+		smoke        = fs.Bool("smoke", false, "run a loopback self-test and exit")
 	)
-	flag.Parse()
+	min := map[string]int{"workers": 0, "queue": 0, "cache": 0, "retries": 0, "max-sweep-trials": 0}
+	if err := parseFlags(fs, args, min); err != nil {
+		return err
+	}
 
 	if *smoke {
 		if err := runSmoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "kpart-serve: smoke:", err)
-			os.Exit(1)
+			return fmt.Errorf("smoke: %w", err)
 		}
 		fmt.Println("kpart-serve: smoke ok")
-		return
+		return nil
 	}
 
 	// A service is always instrumented: the registry feeds /healthz's
 	// richer sibling /debug/vars and the per-endpoint counters.
-	reg := obs.New("kpart_serve")
-	reg.PublishExpvar()
+	reg := registry("kpart_serve", true)
 	reg.PublishPrometheus()
 	harness.SetMetrics(reg)
 
 	var spans *span.Collector
-	var traceFile *os.File
 	if *traceOut != "" {
 		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		traceFile = f
+		defer func() {
+			if err := spans.Err(); err != nil {
+				logf("span sink: %v", err)
+			}
+			if err := f.Close(); err != nil {
+				logf("closing %s: %v", *traceOut, err)
+			}
+		}()
 		spans = span.NewCollector(f)
-		fmt.Fprintf(os.Stderr, "kpart-serve: tracing request spans to %s\n", *traceOut)
+		logf("tracing request spans to %s", *traceOut)
 	}
-
-	if *debugAddr != "" {
-		ln, err := obs.ServeDebug(*debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "kpart-serve: debug server on http://%s/debug/pprof\n", ln.Addr())
+	if err := serveDebug(*debugAddr); err != nil {
+		return err
 	}
 
 	var journal *harness.Journal
 	if *journalPath != "" {
-		// OpenJournal resumes an existing journal (that is the point of a
+		// Reopening resumes an existing journal (that is the point of a
 		// service restart) and degenerates to a fresh one on first boot.
-		j, err := harness.OpenJournal(*journalPath, "kpart-serve")
+		j, err := openJournal(*journalPath, "kpart-serve", true)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		journal = j
-		if n := j.Len(); n > 0 {
-			fmt.Fprintf(os.Stderr, "kpart-serve: loaded %d completed trials from %s\n", n, *journalPath)
-		}
 	}
 
 	srv := serve.New(serve.Config{
@@ -136,22 +131,19 @@ func main() {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "kpart-serve: listening on http://%s\n", ln.Addr())
+	logf("listening on http://%s", ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case <-ctx.Done():
 	case err := <-serveErr:
-		fatal(err)
+		return err
 	}
-	stop() // a second signal kills the process the default way
-	fmt.Fprintln(os.Stderr, "kpart-serve: draining (in-flight trials abort; completed ones are journaled)")
+	logf("draining (in-flight trials abort; completed ones are journaled)")
 
 	// Drain order matters: abort trial execution first so blocked
 	// handlers return, then let the HTTP server finish those responses,
@@ -160,30 +152,20 @@ func main() {
 	shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "kpart-serve: http shutdown: %v\n", err)
+		logf("http shutdown: %v", err)
 	}
 	if journal != nil {
 		if err := journal.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "kpart-serve: closing journal: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("closing journal: %w", err)
 		}
 	}
 	if *metricsOut != "" {
 		if err := reg.Snapshot().WriteFile(*metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "kpart-serve: writing metrics: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("writing metrics: %w", err)
 		}
-		fmt.Fprintln(os.Stderr, "kpart-serve: wrote", *metricsOut)
+		logf("wrote %s", *metricsOut)
 	}
-	if traceFile != nil {
-		if err := spans.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "kpart-serve: span sink: %v\n", err)
-		}
-		if err := traceFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "kpart-serve: closing %s: %v\n", *traceOut, err)
-		}
-	}
-	os.Exit(130)
+	return ctx.Err()
 }
 
 // runSmoke boots a loopback server with a throwaway journal and walks
@@ -196,7 +178,7 @@ func runSmoke() error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	journal, err := harness.CreateJournal(dir+"/smoke.journal", "kpart-serve")
+	journal, err := openJournal(dir+"/smoke.journal", "kpart-serve", false)
 	if err != nil {
 		return err
 	}
@@ -210,8 +192,7 @@ func runSmoke() error {
 	go func() { _ = httpSrv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()
 
-	post := func(path, body string) (*http.Response, []byte, error) {
-		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+	read := func(resp *http.Response, err error) (*http.Response, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
@@ -219,6 +200,10 @@ func runSmoke() error {
 		b, err := io.ReadAll(resp.Body)
 		return resp, b, err
 	}
+	post := func(path, body string) (*http.Response, []byte, error) {
+		return read(http.Post(base+path, "application/json", strings.NewReader(body)))
+	}
+	get := func(path string) (*http.Response, []byte, error) { return read(http.Get(base + path)) }
 
 	// 1. Trial round-trip (miss) and cache hit with an identical body.
 	resp1, body1, err := post("/v1/trials", `{"n":24,"k":4,"seed":7}`)
@@ -250,12 +235,7 @@ func runSmoke() error {
 	if err := json.Unmarshal(body1, &rec); err != nil {
 		return err
 	}
-	resp3, err := http.Get(base + "/v1/results/" + rec.SpecKey)
-	if err != nil {
-		return err
-	}
-	body3, err := io.ReadAll(resp3.Body)
-	_ = resp3.Body.Close()
+	resp3, body3, err := get("/v1/results/" + rec.SpecKey)
 	if err != nil {
 		return err
 	}
@@ -265,11 +245,10 @@ func runSmoke() error {
 	fmt.Println("smoke: GET /v1/results/" + rec.SpecKey)
 
 	// 3. Health.
-	resp4, err := http.Get(base + "/healthz")
+	resp4, _, err := get("/healthz")
 	if err != nil {
 		return err
 	}
-	_ = resp4.Body.Close()
 	if resp4.StatusCode != http.StatusOK {
 		return fmt.Errorf("healthz: status %d", resp4.StatusCode)
 	}
@@ -277,12 +256,7 @@ func runSmoke() error {
 
 	// 3b. Prometheus exposition: the trial above must show in the RED
 	// metrics.
-	respM, err := http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	mBody, err := io.ReadAll(respM.Body)
-	_ = respM.Body.Close()
+	respM, mBody, err := get("/metrics")
 	if err != nil {
 		return err
 	}
@@ -323,9 +297,4 @@ func runSmoke() error {
 	}
 	fmt.Println("smoke: graceful shutdown, journal flushed with 5 trials")
 	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "kpart-serve:", err)
-	os.Exit(2)
 }

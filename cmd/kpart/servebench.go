@@ -1,29 +1,26 @@
-// Command kpart-serve-bench load-tests the serving layer against a
-// loopback listener and writes BENCH_serve.json, the service companion
-// to BENCH_kpart.json: req/s, client-observed latency quantiles, and
-// the cache hit rate under a fixed request mix.
-//
-// The mix is deliberately cache-friendly and fixed across runs so the
-// numbers are comparable PR to PR: every client round-robins the same
-// -unique trial specs (two spec families, small and medium), so the
-// first pass through the set pays for simulation and every later
-// request exercises the content-addressed replay path — which is the
-// hot path a result service actually serves.
-//
-// Usage:
-//
-//	kpart-serve-bench [-out BENCH_serve.json] [-clients 8]
-//	                  [-requests 2000] [-unique 64] [-workers 0]
 package main
 
+// kpart serve-bench load-tests the serving layer against a loopback
+// listener and writes BENCH_serve.json, the service companion to
+// BENCH_kpart.json: req/s, client-observed latency quantiles, and the
+// cache hit rate under a fixed request mix.
+//
+// The mix is deliberately cache-friendly and fixed across runs so the
+// numbers are comparable from change to change: every client
+// round-robins the same -unique trial specs (two spec families, small
+// and medium), so the first pass through the set pays for simulation and
+// every later request exercises the content-addressed replay path —
+// which is the hot path a result service actually serves.
+//
+//	kpart serve-bench [-out BENCH_serve.json] [-clients 8]
+//	                  [-requests 2000] [-unique 64] [-workers 0]
+
 import (
-	"encoding/json"
-	"flag"
+	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -51,8 +48,8 @@ func specMix(unique int) []string {
 	return bodies
 }
 
-// benchDoc is the BENCH_serve.json document.
-type benchDoc struct {
+// serveBenchDoc is the BENCH_serve.json document.
+type serveBenchDoc struct {
 	CreatedAt string `json:"created_at"`
 	Go        string `json:"go"`
 	GOOS      string `json:"goos"`
@@ -83,25 +80,38 @@ type benchDoc struct {
 	TrialsRun uint64 `json:"trials_run"`
 }
 
-func main() {
+func serveBenchCmd(_ context.Context, args []string) error {
+	fs := newFlags()
 	var (
-		out      = flag.String("out", "BENCH_serve.json", "output JSON path")
-		clients  = flag.Int("clients", 8, "concurrent clients")
-		requests = flag.Int("requests", 2000, "total requests across all clients")
-		unique   = flag.Int("unique", 64, "distinct trial specs in the mix")
-		workers  = flag.Int("workers", 0, "server trial workers (0 = GOMAXPROCS)")
-		queue    = flag.Int("queue", serve.DefaultQueueDepth, "server admission queue depth")
+		out      = fs.String("out", "BENCH_serve.json", "output JSON path")
+		clients  = fs.Int("clients", 8, "concurrent clients")
+		requests = fs.Int("requests", 2000, "total requests across all clients")
+		unique   = fs.Int("unique", 64, "distinct trial specs in the mix")
+		workers  = fs.Int("workers", 0, "server trial workers (0 = GOMAXPROCS)")
+		queue    = fs.Int("queue", serve.DefaultQueueDepth, "server admission queue depth")
 	)
-	flag.Parse()
+	min := map[string]int{"clients": 1, "requests": 1, "unique": 1, "workers": 0, "queue": 0}
+	if err := parseFlags(fs, args, min); err != nil {
+		return err
+	}
+	if *requests < *clients {
+		// Requests split evenly across clients; fewer than one each
+		// would measure nothing.
+		return usagef("-requests %d is below -clients %d", *requests, *clients)
+	}
 
 	reg := obs.New("kpart_serve_bench")
 	srv := serve.New(serve.Config{Workers: *workers, QueueDepth: *queue, Registry: reg})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	go func() { _ = httpSrv.Serve(ln) }()
+	defer func() {
+		srv.Shutdown()
+		_ = httpSrv.Close()
+	}()
 	url := "http://" + ln.Addr().String() + "/v1/trials"
 
 	bodies := specMix(*unique)
@@ -112,6 +122,7 @@ func main() {
 		latencies []float64 // ns
 		miss, lru int
 		rejected  int
+		err       error
 	}
 	allStats := make([]clientStats, *clients)
 	var wg sync.WaitGroup
@@ -130,7 +141,8 @@ func main() {
 					t0 := time.Now()
 					resp, err := client.Post(url, "application/json", strings.NewReader(body))
 					if err != nil {
-						fatal(err)
+						st.err = err
+						return
 					}
 					_, _ = io.Copy(io.Discard, resp.Body)
 					_ = resp.Body.Close()
@@ -142,7 +154,8 @@ func main() {
 						continue
 					}
 					if resp.StatusCode != http.StatusOK {
-						fatal(fmt.Errorf("POST /v1/trials: status %d", resp.StatusCode))
+						st.err = fmt.Errorf("POST /v1/trials: status %d", resp.StatusCode)
+						return
 					}
 					st.latencies = append(st.latencies, float64(time.Since(t0).Nanoseconds()))
 					switch resp.Header.Get("X-Kpart-Cache") {
@@ -162,6 +175,9 @@ func main() {
 	var latencies []float64
 	miss, lru, rejected := 0, 0, 0
 	for i := range allStats {
+		if err := allStats[i].err; err != nil {
+			return err
+		}
 		latencies = append(latencies, allStats[i].latencies...)
 		miss += allStats[i].miss
 		lru += allStats[i].lru
@@ -176,7 +192,7 @@ func main() {
 		}
 	}
 
-	doc := benchDoc{
+	doc := serveBenchDoc{
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 		Go:        runtime.Version(),
 		GOOS:      runtime.GOOS,
@@ -205,26 +221,10 @@ func main() {
 		TrialsRun: trialsRun,
 	}
 
-	srv.Shutdown()
-	_ = httpSrv.Close()
-
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
+	if err := writeJSON(*out, doc); err != nil {
+		return err
 	}
 	fmt.Printf("kpart-serve-bench: %d requests in %v (%.0f req/s, %.1f%% cache hits, %d trials computed) -> %s\n",
 		total, elapsed.Round(time.Millisecond), doc.RequestsPerSec, 100*doc.CacheHitRate, trialsRun, *out)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "kpart-serve-bench:", err)
-	os.Exit(1)
+	return nil
 }

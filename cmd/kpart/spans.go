@@ -1,23 +1,22 @@
-// Command kpart-spans renders span JSONL exports (kpart-serve
-// -trace-out, or any internal/obs/span collector sink) for humans:
-// per-trace tree views with logical (interaction-count) and wall
-// intervals, the critical path through each trace, and a per-name
-// rollup attributing where the time went across all traces.
+package main
+
+// kpart spans renders span JSONL exports (kpart serve -trace-out, or any
+// internal/obs/span collector sink) for humans: per-trace tree views
+// with logical (interaction-count) and wall intervals, the critical path
+// through each trace, and a per-name rollup attributing where the time
+// went across all traces.
 //
-// Usage:
-//
-//	kpart-spans [-trace ID] [-critical] [-rollup] [-no-wall] spans.jsonl
-//	cat spans.jsonl | kpart-spans
+//	kpart spans [-trace ID] [-critical] [-rollup] [-no-wall] spans.jsonl
+//	cat spans.jsonl | kpart spans
 //
 // The default output is the tree view. All views are deterministic:
 // spans order by (trace, id), never by arrival, so two exports of the
 // same deterministic pipeline render identically (modulo wall stamps,
 // which -no-wall suppresses for byte-comparable output).
-package main
 
 import (
 	"bufio"
-	"flag"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -26,37 +25,35 @@ import (
 	"repro/internal/obs/span"
 )
 
-func main() {
+func spansCmd(_ context.Context, args []string) error {
+	fs := newFlags()
 	var (
-		traceID  = flag.String("trace", "", "render only this trace ID")
-		critical = flag.Bool("critical", false, "show each trace's critical path")
-		rollup   = flag.Bool("rollup", false, "show the per-name cost rollup")
-		noWall   = flag.Bool("no-wall", false, "suppress wall stamps (deterministic output)")
+		traceID  = fs.String("trace", "", "render only this trace ID")
+		critical = fs.Bool("critical", false, "show each trace's critical path")
+		rollup   = fs.Bool("rollup", false, "show the per-name cost rollup")
+		noWall   = fs.Bool("no-wall", false, "suppress wall stamps (deterministic output)")
 	)
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: kpart-spans [-trace ID] [-critical] [-rollup] [-no-wall] [spans.jsonl]")
-		flag.PrintDefaults()
+	if err := parseFlags(fs, args, nil); err != nil {
+		return err
 	}
-	flag.Parse()
 
 	var in io.Reader = os.Stdin
-	switch flag.NArg() {
+	switch fs.NArg() {
 	case 0:
 	case 1:
-		f, err := os.Open(flag.Arg(0))
+		f, err := os.Open(fs.Arg(0))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		in = f
 	default:
-		flag.Usage()
-		os.Exit(2)
+		return usagef("usage: kpart spans [-trace ID] [-critical] [-rollup] [-no-wall] [spans.jsonl]")
 	}
 
 	spans, err := span.ReadJSONL(in)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *traceID != "" {
 		kept := spans[:0]
@@ -69,12 +66,10 @@ func main() {
 	}
 	if len(spans) == 0 {
 		fmt.Println("no spans")
-		return
+		return nil
 	}
 
 	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-
 	trees := span.BuildTrees(spans)
 	if !*critical && !*rollup {
 		for _, tree := range trees {
@@ -89,13 +84,11 @@ func main() {
 			for _, root := range tree.Roots {
 				path := span.CriticalPath(root)
 				var names []string
-				var cost uint64
 				for _, n := range path {
 					names = append(names, n.Span.Name)
 				}
-				cost = span.Cost(path[len(path)-1].Span)
 				fmt.Fprintf(w, "trace %s critical: %s (leaf cost %d)\n",
-					tree.Trace, strings.Join(names, " -> "), cost)
+					tree.Trace, strings.Join(names, " -> "), span.Cost(path[len(path)-1].Span))
 			}
 		}
 	}
@@ -105,6 +98,7 @@ func main() {
 			fmt.Fprintf(w, "%-24s %8d %14d %14d\n", st.Name, st.Count, st.WallDurUS, st.SeqDelta)
 		}
 	}
+	return w.Flush()
 }
 
 // renderNode prints one span line and recurses into its children.
@@ -125,9 +119,4 @@ func renderNode(w io.Writer, n *span.Node, depth int, noWall bool) {
 	for _, c := range n.Children {
 		renderNode(w, c, depth+1, noWall)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "kpart-spans:", err)
-	os.Exit(2)
 }

@@ -1,16 +1,15 @@
-// Command kpart-trace analyzes a JSONL interaction trace produced by
-// `kpart -trace`: it re-validates the trace by deterministic replay,
+package main
+
+// kpart trace analyzes a JSONL interaction trace produced by
+// `kpart run -trace`: it re-validates the trace by deterministic replay,
 // tallies the Algorithm 1 rule families, and reports scheduler-fairness
 // metrics (pair-coverage dispersion, starvation gaps).
 //
-// Usage:
-//
-//	kpart -n 24 -k 4 -trace run.jsonl
-//	kpart-trace -k 4 run.jsonl
-package main
+//	kpart run -n 24 -k 4 -trace run.jsonl
+//	kpart trace -k 4 run.jsonl
 
 import (
-	"flag"
+	"context"
 	"fmt"
 	"os"
 
@@ -20,32 +19,34 @@ import (
 	"repro/internal/trace"
 )
 
-func main() {
-	k := flag.Int("k", 0, "number of groups the trace was produced with (required)")
-	flag.Parse()
-	if flag.NArg() != 1 || *k < 2 {
-		fmt.Fprintln(os.Stderr, "usage: kpart-trace -k <groups> <trace.jsonl>")
-		os.Exit(2)
+func traceCmd(_ context.Context, args []string) error {
+	fs := newFlags()
+	k := fs.Int("k", 0, "number of groups the trace was produced with (required)")
+	if err := parseFlags(fs, args, map[string]int{"k": 2}); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		return usagef("usage: kpart trace -k <groups> <trace.jsonl>")
+	}
+	p, err := core.New(*k)
+	if err != nil {
+		return usageError{err}
 	}
 
-	f, err := os.Open(flag.Arg(0))
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	hdr, events, err := trace.Decode(f)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Printf("trace: protocol %q, n=%d, %d events\n", hdr.Protocol, hdr.N, len(events))
 
-	p, err := core.New(*k)
-	if err != nil {
-		fatal(err)
-	}
 	pop, err := trace.Replay(p, hdr, events)
 	if err != nil {
-		fatal(fmt.Errorf("replay validation failed: %w", err))
+		return fmt.Errorf("replay validation failed: %w", err)
 	}
 	fmt.Printf("replay: OK — final configuration %s\n", pop)
 	if p.IsStable(pop.Counts()) {
@@ -54,7 +55,7 @@ func main() {
 		fmt.Println("final configuration is NOT stable (trace ends mid-run)")
 	}
 	if err := p.CheckInvariant(pop.Counts()); err != nil {
-		fatal(fmt.Errorf("Lemma 1 violated at final configuration: %w", err))
+		return fmt.Errorf("Lemma 1 violated at final configuration: %w", err)
 	}
 
 	// Rule-family tally.
@@ -83,9 +84,5 @@ func main() {
 	fmt.Printf("  pair-count Gini     %.4f\n", rep.Gini)
 	fmt.Printf("  longest pair gap    %d interactions\n", rep.MaxGap)
 	fmt.Printf("  agent-count CV      %.4f\n", rep.AgentCV)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "kpart-trace:", err)
-	os.Exit(1)
+	return nil
 }

@@ -1,6 +1,8 @@
-// Command kpart-twin-check is the analytical twin's accuracy gate: it
-// holds the surrogate ladder (internal/twin) to its documented error
-// budgets against the references committed in TWIN_baseline.json.
+package main
+
+// kpart twin-check is the analytical twin's accuracy gate: it holds the
+// surrogate ladder (internal/twin) to its documented error budgets
+// against the references committed in TWIN_baseline.json.
 //
 // The gate has two legs, one per rung:
 //
@@ -22,15 +24,12 @@
 // the flavor `make check` runs so tier-1 stays green while `make
 // twin-check` stays a hard gate.
 //
-// Usage:
-//
-//	kpart-twin-check [-baseline TWIN_baseline.json] [-report-only]
-//	kpart-twin-check -write [-trials 2000] [-seed 20260807]
-package main
+//	kpart twin-check [-baseline TWIN_baseline.json] [-report-only]
+//	kpart twin-check -write [-trials 2000] [-seed 20260807]
 
 import (
+	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 
@@ -73,66 +72,75 @@ var defaultSimGrid = []twin.Spec{
 	{N: 100, K: 5, Milestones: true},
 }
 
-func main() {
+func twinCheckCmd(_ context.Context, args []string) error {
+	fs := newFlags()
 	var (
-		path       = flag.String("baseline", "TWIN_baseline.json", "baseline file to check against (or write)")
-		reportOnly = flag.Bool("report-only", false, "print the comparison but always exit 0")
-		write      = flag.Bool("write", false, "regenerate the simulation side of the baseline, then report")
+		path       = fs.String("baseline", "TWIN_baseline.json", "baseline file to check against (or write)")
+		reportOnly = fs.Bool("report-only", false, "print the comparison but always exit 0")
+		write      = fs.Bool("write", false, "regenerate the simulation side of the baseline, then report")
 		// 2000 trials put the references' 95% half-widths near 3% of the
 		// mean — the stabilization time is heavy-tailed, and a reference
 		// noisier than ~a third of the 10% budget would gate on luck. At
 		// these populations regeneration still takes well under a minute.
-		trials = flag.Int("trials", 2000, "-write: simulation trials per grid point")
-		seed   = flag.Uint64("seed", 20260807, "-write: root seed for the reference trials")
+		trials = fs.Int("trials", 2000, "-write: simulation trials per grid point")
+		seed   = fs.Uint64("seed", 20260807, "-write: root seed for the reference trials")
 	)
-	flag.Parse()
+	if err := parseFlags(fs, args, map[string]int{"trials": 1}); err != nil {
+		return err
+	}
 
 	var doc baselineDoc
 	if *write {
 		d, err := generate(*trials, *seed)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		doc = d
-		if err := save(*path, doc); err != nil {
-			fatal(err)
+		// Stable formatting, so regeneration diffs cleanly.
+		if err := writeJSON(*path, doc); err != nil {
+			return err
 		}
 		fmt.Println("wrote", *path)
 	} else {
 		b, err := os.ReadFile(*path)
 		if err != nil {
-			fatal(fmt.Errorf("reading baseline (run with -write to create it): %w", err))
+			return fmt.Errorf("reading baseline (run with -write to create it): %w", err)
 		}
 		if err := json.Unmarshal(b, &doc); err != nil {
-			fatal(fmt.Errorf("parsing %s: %w", *path, err))
+			return fmt.Errorf("parsing %s: %w", *path, err)
 		}
 	}
 
-	violations := 0
-	violations += checkExact(doc.Exact)
-	violations += checkSim(doc.Sim)
-
-	if violations > 0 {
+	exactBad, err := checkExact(doc.Exact)
+	if err != nil {
+		return err
+	}
+	simBad, err := checkSim(doc.Sim)
+	if err != nil {
+		return err
+	}
+	if violations := exactBad + simBad; violations > 0 {
 		fmt.Printf("\ntwin-check: %d point(s) outside the error budget\n", violations)
 		if !*reportOnly {
-			os.Exit(1)
+			return errVerdict
 		}
 		fmt.Println("(report-only: not failing the build)")
-		return
+		return nil
 	}
 	fmt.Println("\ntwin-check: all points within budget")
+	return nil
 }
 
 // checkExact runs the exact leg and prints its table, returning the
 // number of budget violations.
-func checkExact(grid []gridPoint) int {
+func checkExact(grid []gridPoint) (int, error) {
 	fmt.Printf("Exact leg: lumped rung vs internal/markov (budget %.2g)\n", float64(twin.RelErrExact))
 	tbl := report.NewTable("n", "k", "mean", "exact_mean", "max_rel_err", "verdict")
 	bad := 0
 	for _, g := range grid {
 		rep, err := twin.CrossValidateExact(g.N, g.K)
 		if err != nil {
-			fatal(fmt.Errorf("exact leg n=%d k=%d: %w", g.N, g.K, err))
+			return 0, fmt.Errorf("exact leg n=%d k=%d: %w", g.N, g.K, err)
 		}
 		verdict := "ok"
 		if rep.MaxRelErr > twin.RelErrExact {
@@ -142,12 +150,12 @@ func checkExact(grid []gridPoint) int {
 		tbl.AddRow(g.N, g.K, rep.Mean, rep.ExactMean, rep.MaxRelErr, verdict)
 	}
 	tbl.WriteTo(os.Stdout)
-	return bad
+	return bad, nil
 }
 
 // checkSim runs the fluid leg against the committed references and
 // prints its table, returning the number of budget violations.
-func checkSim(points []twin.BaselinePoint) int {
+func checkSim(points []twin.BaselinePoint) (int, error) {
 	fmt.Printf("\nSim leg: mean-field rung vs committed trial summaries (budget %.2g)\n",
 		float64(twin.RelErrFluid))
 	tbl := report.NewTable("n", "k", "trials", "mean", "sim_mean", "sim_ci95", "rel_err", "verdict")
@@ -156,7 +164,7 @@ func checkSim(points []twin.BaselinePoint) int {
 	for _, bp := range points {
 		rep, err := twin.CompareBaseline(model, bp)
 		if err != nil {
-			fatal(fmt.Errorf("sim leg n=%d k=%d: %w", bp.N, bp.K, err))
+			return 0, fmt.Errorf("sim leg n=%d k=%d: %w", bp.N, bp.K, err)
 		}
 		verdict := "ok"
 		if rep.RelErr > twin.RelErrFluid {
@@ -166,7 +174,7 @@ func checkSim(points []twin.BaselinePoint) int {
 		tbl.AddRow(bp.N, bp.K, bp.Trials, rep.Mean, rep.SimMean, rep.SimHalf95, rep.RelErr, verdict)
 	}
 	tbl.WriteTo(os.Stdout)
-	return bad
+	return bad, nil
 }
 
 // generate builds a fresh baseline: the exact grid is static (its
@@ -183,25 +191,4 @@ func generate(trials int, seed uint64) (baselineDoc, error) {
 		doc.Sim = append(doc.Sim, bp)
 	}
 	return doc, nil
-}
-
-// save writes the baseline with stable formatting so regeneration diffs
-// cleanly.
-func save(path string, doc baselineDoc) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		_ = f.Close() // the encode error is the one worth reporting
-		return fmt.Errorf("encoding %s: %w", path, err)
-	}
-	return f.Close()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "kpart-twin-check:", err)
-	os.Exit(1)
 }

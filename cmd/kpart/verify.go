@@ -1,35 +1,39 @@
-// Command kpart-verify exhaustively verifies Theorem 1 for small
-// populations by model checking the full configuration graph (see
-// internal/explore): from every reachable configuration a stable
-// configuration is reachable, and every stable configuration is a uniform
-// partition. It also re-checks the Lemma 1 invariant on every reachable
-// configuration.
-//
-// Usage:
-//
-//	kpart-verify [-kmax 5] [-nmax 10] [-v]
-//
-// Exit status is non-zero if any check fails.
 package main
 
+// kpart verify exhaustively verifies Theorem 1 for small populations by
+// model checking the full configuration graph (see internal/explore):
+// from every reachable configuration a stable configuration is
+// reachable, and every stable configuration is a uniform partition. It
+// also re-checks the Lemma 1 invariant on every reachable configuration.
+//
+//	kpart verify [-kmax 5] [-nmax 10] [-v] [-witness]
+//
+// A failed check is a negative verdict (exit 1).
+
 import (
-	"flag"
+	"context"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/explore"
 )
 
-func main() {
+func verifyCmd(_ context.Context, args []string) error {
+	fs := newFlags()
 	var (
-		kmax    = flag.Int("kmax", 5, "verify k = 2..kmax")
-		nmax    = flag.Int("nmax", 10, "verify n = 3..nmax")
-		verb    = flag.Bool("v", false, "print per-(n,k) graph sizes")
-		witness = flag.Bool("witness", false, "print a shortest execution to stability for each (n,k)")
+		kmax    = fs.Int("kmax", 5, "verify k = 2..kmax")
+		nmax    = fs.Int("nmax", 10, "verify n = 3..nmax")
+		verb    = fs.Bool("v", false, "print per-(n,k) graph sizes")
+		witness = fs.Bool("witness", false, "print a shortest execution to stability for each (n,k)")
 	)
-	flag.Parse()
+	if err := parseFlags(fs, args, map[string]int{"kmax": 2, "nmax": 3}); err != nil {
+		return err
+	}
+
+	if _, err := core.New(*kmax); err != nil {
+		return usageError{err}
+	}
 
 	failed := false
 	start := time.Now()
@@ -39,8 +43,7 @@ func main() {
 		for n := 3; n <= *nmax; n++ {
 			g, err := explore.Build(p, n)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "kpart-verify: n=%d k=%d: %v\n", n, k, err)
-				os.Exit(2)
+				return fmt.Errorf("n=%d k=%d: %w", n, k, err)
 			}
 			for i, node := range g.Nodes {
 				if err := p.CheckInvariant(node.Counts); err != nil {
@@ -51,8 +54,7 @@ func main() {
 			}
 			rep, err := explore.Check(p, n, 1)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "kpart-verify: %v\n", err)
-				os.Exit(2)
+				return err
 			}
 			checked++
 			status := "ok"
@@ -82,8 +84,9 @@ func main() {
 	}
 	if failed {
 		fmt.Printf("THEOREM 1 VERIFICATION FAILED (%d cases, %v)\n", checked, time.Since(start).Round(time.Millisecond))
-		os.Exit(1)
+		return errVerdict
 	}
 	fmt.Printf("Theorem 1 verified exhaustively for k=2..%d, n=3..%d (%d cases, %v)\n",
 		*kmax, *nmax, checked, time.Since(start).Round(time.Millisecond))
+	return nil
 }

@@ -21,16 +21,16 @@
 //   - internal/harness    — the Figure 3–6 experiment harness and the
 //     scenario model (topology × fairness × churn; see DESIGN.md §8)
 //
-// Binaries: cmd/kpart (single run), cmd/kpart-experiments (regenerate all
-// figures), cmd/kpart-verify (model checker), cmd/kpart-compare
-// (ablations), cmd/kpart-scale (large-n sweeps and scenario runs),
-// cmd/kpart-serve (the HTTP trial service), cmd/kpart-bench (the
-// regression-gated benchmark suite), cmd/kpart-lint (repo-specific static
-// analysis). Runnable examples live in examples/; examples/graphchurn
+// Binaries: cmd/kpart, one tool whose subcommands cover a single run
+// (run), the figures (experiments), the model checker (verify), the
+// ablations (compare), large-n sweeps and scenario runs (scale), the HTTP
+// trial service (serve) and the regression-gated benchmark suites (bench,
+// serve-bench, bench-diff, twin-check); and cmd/kpart-lint, the
+// repo-specific static analysis. Runnable examples live in examples/; examples/graphchurn
 // tours the scenario engine.
 //
 // The benchmarks in this package (bench_test.go) regenerate a
 // representative point of every figure of the paper's evaluation; the full
-// sweeps live in cmd/kpart-experiments. See DESIGN.md for the system
+// sweeps live in `kpart experiments`. See DESIGN.md for the system
 // inventory and EXPERIMENTS.md for paper-vs-measured results.
 package repro

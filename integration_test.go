@@ -26,7 +26,7 @@ import (
 
 // A miniature Figure 3 + Figure 6 pipeline: sweep, aggregate, growth-fit —
 // asserting the paper's two qualitative conclusions on freshly generated
-// data (small trials; the full version lives in cmd/kpart-experiments).
+// data (small trials; the full version lives in `kpart experiments`).
 func TestMiniEvaluationPipeline(t *testing.T) {
 	// Mini Figure 3: k=4, n in 8..31, 10 trials.
 	series, err := harness.RunFig3(harness.Fig3Config{

@@ -97,10 +97,9 @@ func (p *Protocol) ClassifyPair(a, b protocol.State) RuleKind {
 	return RuleNull
 }
 
-// Tally counts rule-family firings along an execution; it implements
-// sim.Hook structurally (no import, same shape as core.Director's view
-// trick is unnecessary here because the hook interface only references
-// population types).
+// Tally counts rule-family firings along an execution, one Observe call
+// per encounter (null ones included). It is not a sim.Hook: callers
+// feed it from a step function or from a replayed trace.
 type Tally struct {
 	p *Protocol
 	// Counts[kind] is the number of interactions classified as kind.

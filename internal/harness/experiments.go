@@ -70,7 +70,7 @@ func RunFig3(cfg Fig3Config) ([]KSeries, error) {
 // RunFig3Ctx is RunFig3 under a context and resilience policy: the sweep
 // honors cancellation between (and, via the engines, within) trials, and
 // with opts.Journal set it skips journaled trials and checkpoints each
-// completed one — the resume workflow of cmd/kpart-experiments.
+// completed one — the resume workflow of `kpart experiments`.
 func RunFig3Ctx(ctx context.Context, cfg Fig3Config, opts RunOptions) ([]KSeries, error) {
 	cfg.fill()
 	var out []KSeries

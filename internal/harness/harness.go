@@ -529,10 +529,10 @@ func RunMany(specs []TrialSpec, workers int) ([]TrialResult, error) {
 // order, journal hits, and retry history (the differential tests pin
 // this down).
 //
-// With opts.Journal set, trials whose spec key is already journaled are
-// returned without re-running (counted in harness/resumed), and each
-// freshly completed trial is appended to the journal as soon as it
-// finishes — so a crash or cancellation loses at most the in-flight
+// Each trial goes through RunTimedCtx: with opts.Journal set, trials
+// whose spec key is already journaled are returned without re-running,
+// and each freshly completed trial is appended to the journal as soon as
+// it finishes — so a crash or cancellation loses at most the in-flight
 // trials.
 //
 // Cancellation is graceful: no new trials are dispatched, in-flight
@@ -547,16 +547,6 @@ func RunManyCtx(ctx context.Context, specs []TrialSpec, workers int, opts RunOpt
 	}
 	results := make([]TrialResult, len(specs))
 	errs := make([]error, len(specs))
-	done := make([]bool, len(specs))
-	if opts.Journal != nil {
-		reg := Metrics()
-		for i := range specs {
-			if e, ok := opts.Journal.Lookup(specs[i]); ok {
-				results[i], done[i] = e.Result, true
-				reg.Counter("harness/resumed").Inc()
-			}
-		}
-	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -564,19 +554,12 @@ func RunManyCtx(ctx context.Context, specs []TrialSpec, workers int, opts RunOpt
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				start := time.Now()
-				results[i], errs[i] = RunTrialCtx(ctx, specs[i], opts)
-				if errs[i] == nil && opts.Journal != nil {
-					errs[i] = opts.Journal.Append(specs[i], results[i], time.Since(start))
-				}
+				results[i], _, _, errs[i] = RunTimedCtx(ctx, specs[i], opts)
 			}
 		}()
 	}
 dispatch:
 	for i := range specs {
-		if done[i] {
-			continue
-		}
 		select {
 		case idx <- i:
 		case <-ctx.Done():
@@ -594,6 +577,26 @@ dispatch:
 		}
 	}
 	return results, nil
+}
+
+// RunTimedCtx runs one trial of a batch behind opts.Journal. A trial the
+// journal already holds is answered from it (counted in harness/resumed)
+// with resumed set and its recorded wall time; any other trial runs under
+// RunTrialCtx, timed, and is appended to the journal once it completes.
+func RunTimedCtx(ctx context.Context, spec TrialSpec, opts RunOptions) (res TrialResult, wall time.Duration, resumed bool, err error) {
+	if opts.Journal != nil {
+		if e, ok := opts.Journal.Lookup(spec); ok {
+			Metrics().Counter("harness/resumed").Inc()
+			return e.Result, time.Duration(e.WallUS) * time.Microsecond, true, nil
+		}
+	}
+	start := time.Now()
+	res, err = RunTrialCtx(ctx, spec, opts)
+	wall = time.Since(start)
+	if err == nil && opts.Journal != nil {
+		err = opts.Journal.Append(spec, res, wall)
+	}
+	return res, wall, false, err
 }
 
 // Point is one aggregated parameter point of an experiment.

@@ -43,7 +43,7 @@ func Metrics() *obs.Registry {
 // decision points rather than here: harness/retries (RunTrialCtx, per
 // re-derived-seed attempt), harness/timeouts (per attempt that exceeded
 // its wall deadline), harness/canceled (trials abandoned because the
-// batch context fired), and harness/resumed (RunManyCtx, trials answered
+// batch context fired), and harness/resumed (RunTimedCtx, trials answered
 // from the sweep journal instead of re-run).
 func observeTrial(reg *obs.Registry, res TrialResult, err error, wall time.Duration) {
 	reg.Counter("harness/trials").Inc()

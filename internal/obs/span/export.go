@@ -3,7 +3,7 @@ package span
 // Export and analysis: the JSONL exchange format (one span per line),
 // the Collector that gathers finished traces and streams them to a
 // sink, and the tree/critical-path/rollup computations shared by
-// cmd/kpart-spans and the tests. Everything here is deterministic —
+// `kpart spans` and the tests. Everything here is deterministic —
 // spans are ordered by (trace, id), never by completion time.
 
 import (

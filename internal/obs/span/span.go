@@ -2,7 +2,7 @@
 // stack: explicit, deterministic span trees that follow one trial from
 // the HTTP edge (serve admission and queue) through the harness
 // (trial, attempt) into the engines (per-#gk grouping phases), exported
-// as JSONL and rendered by cmd/kpart-spans.
+// as JSONL and rendered by `kpart spans`.
 //
 // The design constraint is the repository's determinism bar: a span
 // tree's identity — trace ID, span IDs, parent links, names, attributes

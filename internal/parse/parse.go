@@ -1,5 +1,5 @@
 // Package parse reads population protocols from a small text format, so
-// the simulation toolkit (cmd/pp) can run user-defined protocols without
+// the simulation toolkit (`kpart pp`) can run user-defined protocols without
 // recompiling. The format, one directive per line:
 //
 //	# comment (also after directives)

@@ -4,7 +4,7 @@
 // behind an explicit admission queue, and memoizes results in a
 // content-addressed cache keyed by harness.SpecKey.
 //
-// Endpoints (cmd/kpart-serve is the binary):
+// Endpoints (`kpart serve` runs the service):
 //
 //	POST /v1/trials            run (or replay) one trial; JSON in, Record out
 //	POST /v1/sweeps            run one sweep point; streams NDJSON Records

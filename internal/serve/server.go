@@ -31,7 +31,7 @@ type Config struct {
 	CacheEntries int
 	// Journal, when non-nil, persists completed trials and answers
 	// lookups for results computed before a restart. The caller keeps
-	// ownership (kpart-serve closes it after Shutdown).
+	// ownership (`kpart serve` closes it after Shutdown).
 	Journal *harness.Journal
 	// Registry records per-endpoint and pool metrics; nil disables.
 	Registry *obs.Registry

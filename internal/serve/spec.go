@@ -96,7 +96,7 @@ const DefaultMaxSweepTrials = 10_000
 // SweepRequest is the JSON body of POST /v1/sweeps: one aggregated
 // parameter point, seeded exactly like the batch binaries
 // (StreamSeed(seed, point_id, trial)), so a served sweep reproduces a
-// kpart-experiments sweep point for point.
+// `kpart experiments` sweep point for point.
 type SweepRequest struct {
 	N               int    `json:"n"`
 	K               int    `json:"k"`

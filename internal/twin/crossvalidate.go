@@ -10,7 +10,7 @@ import (
 	"repro/internal/stats"
 )
 
-// Cross-validation hooks: the accuracy gate (cmd/kpart-twin-check) and the
+// Cross-validation hooks: the accuracy gate (`kpart twin-check`) and the
 // package tests both need "compare a rung against its ground truth" as a
 // reusable operation, so it lives here rather than in either caller.
 //
@@ -126,7 +126,7 @@ type SimReport struct {
 // trial statistics for a single (n, k), as stored in TWIN_baseline.json.
 // Committing the summary (not the trials) keeps the accuracy gate cheap —
 // `make twin-check` re-answers the spec with the live model but replays
-// the expensive simulation side from this record; `kpart-twin-check
+// the expensive simulation side from this record; `kpart twin-check
 // -write` regenerates it deterministically from (Seed, Trials).
 type BaselinePoint struct {
 	N      int `json:"n"`
@@ -151,7 +151,7 @@ func (bp BaselinePoint) Spec() Spec {
 
 // SimBaseline runs trials for the spec, seeded from root via
 // rng.StreamSeed, and summarizes them into a BaselinePoint. This is the
-// generation half of the accuracy gate (`kpart-twin-check -write`).
+// generation half of the accuracy gate (`kpart twin-check -write`).
 func SimBaseline(s Spec, trials int, root uint64) (BaselinePoint, error) {
 	bp := BaselinePoint{N: s.N, K: s.K, Trials: trials, Seed: root}
 	if trials < 2 {

@@ -2,7 +2,8 @@
 // k-partition protocol: models that answer "how long until stability, and
 // how long until each group completes?" without running a simulation.
 //
-// The ladder has two rungs plus a calibration layer:
+// The ladder has two rungs, and every Prediction carries a dispersion
+// estimate next to its point estimate, so error bars come with it:
 //
 //   - Rung 1 (Lumped, FidelityExact): an exactly lumped Markov chain over
 //     the reduced vector (#initial, #initial', #m2..#m(k−1), #d1..#d(k−2),
@@ -17,18 +18,17 @@
 //     solve each, and exact variances come from the same layered second-
 //     moment pass. That makes exact milestone curves practical at
 //     populations where internal/markov's per-milestone solves are not.
+//     Its dispersion is that exact second moment.
 //
 //   - Rung 2 (MeanField, FidelityFluid): the finite-n mean-field drift of
 //     the same reduced vector, integrated as an ODE with adaptive RK4,
 //     plus an exact "endgame" sub-chain for the last few #gk levels where
 //     integer effects dominate and the fluid limit is blind. Answers in
-//     microseconds for arbitrary n; accuracy is a calibrated contract
+//     microseconds for arbitrary n; accuracy is a documented contract
 //     (see RelErrBudget), enforced in CI by `make twin-check` against
-//     recorded simulation means.
-//
-//   - Calibration (rung 3): every Prediction carries a dispersion estimate
-//     — exact second moments on rung 1, a calibrated coefficient of
-//     variation on rung 2 — so error bars come with the point estimate.
+//     recorded simulation means. Its dispersion is the fluid phase's
+//     Kurtz 1/√n spread added in quadrature with the endgame's exact
+//     variance.
 //
 // Auto picks the highest-fidelity rung whose cost fits a state budget;
 // CrossValidate* are the hooks the accuracy gate and the tests use to

@@ -576,12 +576,14 @@ func (m *MeanField) Predict(s Spec) (Prediction, error) {
 	if endVar < 0 {
 		endVar = 0
 	}
-	fStd := fluidPhaseStd(k, n, fr.tau)
+	// Density-dependent chains concentrate as 1/√n (Kurtz), so the fluid
+	// phase's std is τ/√n, added in quadrature with the endgame variance.
+	fStd := fr.tau / math.Sqrt(float64(n))
 	pr := Prediction{
 		N: n, K: k,
 		Model:                m.Name(),
 		Fidelity:             m.Fidelity(),
-		ExpectedInteractions: calibrateMean(k, fr.tau+entryE, fr.tau),
+		ExpectedInteractions: fr.tau + entryE,
 		StdInteractions:      math.Sqrt(endVar + fStd*fStd),
 		RelErrBudget:         RelErrFluid,
 		States:               len(ch.nodes),
@@ -628,12 +630,12 @@ func (m *MeanField) predictFluidOnly(s Spec, f *fluid, q int) (Prediction, error
 		tail = fr.tau - fr.crossings[q-3]
 	}
 	total := fr.tau + tail
-	fStd := fluidPhaseStd(s.K, s.N, total)
+	fStd := total / math.Sqrt(float64(s.N)) // the Kurtz spread, as in Predict
 	pr := Prediction{
 		N: s.N, K: s.K,
 		Model:                m.Name(),
 		Fidelity:             m.Fidelity(),
-		ExpectedInteractions: calibrateMean(s.K, total, total),
+		ExpectedInteractions: total,
 		StdInteractions:      fStd,
 		RelErrBudget:         RelErrFluid,
 	}

@@ -9,7 +9,7 @@ import (
 
 // The mean-field rung's in-repo accuracy reference is the exact rung on
 // points small enough for it; the sim leg of the contract runs in
-// cmd/kpart-twin-check against TWIN_baseline.json. The asserted bound
+// `kpart twin-check` against TWIN_baseline.json. The asserted bound
 // here (2%) is far inside the RelErrFluid contract (10%) so regressions
 // surface long before the CI gate trips — the measured worst case on
 // this grid is under 1%.

@@ -18,8 +18,8 @@ const (
 	// to solver tolerance (RelErrExact).
 	FidelityExact Fidelity = "exact-lumped"
 	// FidelityFluid marks mean-field predictions: fluid-limit expectations
-	// with an exact endgame correction, accurate to the calibrated
-	// RelErrFluid budget on the committed validation grid.
+	// with an exact endgame correction, accurate to the RelErrFluid
+	// budget on the committed validation grid.
 	FidelityFluid Fidelity = "mean-field"
 )
 
@@ -63,7 +63,8 @@ type Prediction struct {
 	// from the all-initial configuration to the stable configuration.
 	ExpectedInteractions float64 `json:"expected_interactions"`
 	// StdInteractions is the predicted standard deviation of that time —
-	// exact on rung 1, calibrated on rung 2.
+	// exact on rung 1; on rung 2 the fluid phase's 1/√n spread plus the
+	// endgame's exact variance.
 	StdInteractions float64 `json:"std_interactions"`
 	// IntervalLow/IntervalHigh bound a single trial's stabilization time
 	// with ~95% coverage (mean ± 1.96·std, clipped at 0).
@@ -123,7 +124,7 @@ func Select(n, k, budget int) Model {
 }
 
 // Auto validates the spec, picks the rung with Select under the default
-// budget, and answers. This is what POST /v1/predict and kpart-predict
+// budget, and answers. This is what POST /v1/predict and `kpart predict`
 // call.
 func Auto(s Spec) (Prediction, error) {
 	if err := s.Validate(); err != nil {
