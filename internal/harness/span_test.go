@@ -7,18 +7,20 @@ import (
 	"repro/internal/obs/span"
 )
 
-// traceTrial runs one traced trial and returns the exported spans.
-func traceTrial(t *testing.T, spec TrialSpec) []span.Span {
+// traceTrial runs one traced trial and returns its result and the
+// exported spans.
+func traceTrial(t *testing.T, spec TrialSpec) (TrialResult, []span.Span) {
 	t.Helper()
 	col := span.NewCollector(nil)
 	tr := col.TraceForSpec(SpecKey(spec))
 	root := tr.Root("request")
 	ctx := span.NewContext(context.Background(), root)
-	if _, err := RunTrialCtx(ctx, spec, RunOptions{}); err != nil {
+	res, err := RunTrialCtx(ctx, spec, RunOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	root.End()
-	return col.Export()
+	return res, col.Export()
 }
 
 // identity strips the wall fields, which are edge-captured and vary run
@@ -56,8 +58,9 @@ func spansEqual(a, b []span.Span) bool {
 func TestTrialSpanTreeDeterministic(t *testing.T) {
 	for _, eng := range []Engine{EngineAgent, EngineCount} {
 		spec := TrialSpec{N: 24, K: 4, Seed: 7, Engine: eng}
-		a := identity(traceTrial(t, spec))
-		b := identity(traceTrial(t, spec))
+		_, spansA := traceTrial(t, spec)
+		_, spansB := traceTrial(t, spec)
+		a, b := identity(spansA), identity(spansB)
 		if !spansEqual(a, b) {
 			t.Errorf("engine %v: two runs of the same spec exported different trees:\n%v\n%v", eng, a, b)
 		}
@@ -78,7 +81,7 @@ func TestTrialSpanTreeShape(t *testing.T) {
 		{EngineCount, "engine/count"},
 	} {
 		spec := TrialSpec{N: 24, K: 4, Seed: 7, Engine: tc.engine}
-		spans := traceTrial(t, spec)
+		_, spans := traceTrial(t, spec)
 
 		byID := make(map[string]span.Span)
 		count := make(map[string]int)
@@ -146,7 +149,7 @@ func TestTrialSpanTreeShape(t *testing.T) {
 // the context the trial must behave exactly as before (and not panic).
 func TestUntracedContextRunsClean(t *testing.T) {
 	spec := TrialSpec{N: 12, K: 3, Seed: 1}
-	traced := traceTrial(t, spec)
+	_, traced := traceTrial(t, spec)
 	res, err := RunTrialCtx(context.Background(), spec, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
