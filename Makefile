@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check lint lint-sarif test race fuzz-smoke bench bench-json serve-smoke serve-bench-json bench-diff bench-diff-report twin-check twin-check-report
+.PHONY: check build vet fmt-check lint lint-sarif test race perfbench fuzz-smoke bench bench-json serve-smoke serve-bench-json bench-diff bench-diff-report twin-check twin-check-report
 
-check: build vet fmt-check lint test race bench-diff-report twin-check-report
+check: build vet fmt-check lint test race perfbench bench-diff-report twin-check-report
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,13 @@ race:
 		./internal/sim ./internal/checkpoint ./internal/countsim ./internal/rng \
 		./internal/serve ./internal/topology ./internal/fairness ./internal/sched \
 		./internal/twin
+
+# perfbench/ is its own module (`replace repro => ../`), so the root
+# `./...` patterns above never build it. Vet and test it here, so that a
+# change to a name the benchmark uses fails `check` rather than the
+# benchmark run.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short exploratory pass over every fuzz target (the plain corpora run
 # under `test`); a real campaign raises -fuzztime.

@@ -58,7 +58,7 @@ func BenchmarkFig3(b *testing.B) {
 }
 
 // BenchmarkFig4 regenerates Figure 4 points: the same sweep with
-// per-grouping instrumentation enabled (GroupingCounter hook), verifying
+// per-grouping instrumentation enabled (the obs.Milestones hook), verifying
 // the instrumentation's overhead is negligible and the marks are produced.
 func BenchmarkFig4(b *testing.B) {
 	for _, k := range []int{4, 6, 8} {

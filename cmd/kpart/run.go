@@ -63,8 +63,9 @@ func runCmd(_ context.Context, args []string) error {
 	}
 
 	// The registry is enabled whenever someone will read it: a snapshot
-	// file, or live /debug/vars. With neither, it is the no-op registry
-	// and the instrumentation hooks are not attached at all.
+	// file, or live /debug/vars. With neither, it is the no-op registry:
+	// the milestone observer only keeps the marks -v prints, and the rule
+	// tally is not attached at all.
 	reg := registry("kpart", *metrics != "" || *debugAddr != "")
 	if err := serveDebug(*debugAddr); err != nil {
 		return err
@@ -77,8 +78,8 @@ func runCmd(_ context.Context, args []string) error {
 	pop := population.New(p, *n)
 	opts := sim.Options{MaxInteractions: *maxI}
 
-	gc := &sim.GroupingCounter{Watch: p.G(*k)}
-	opts.Hooks = append(opts.Hooks, gc)
+	ms := obs.NewMilestones(reg, p.G(*k), nil)
+	opts.Hooks = append(opts.Hooks, ms)
 
 	// The tally is printed only under -v. An unmarked step function keeps
 	// sim.Run off its fused loop, so plain runs do not attach it.
@@ -91,7 +92,7 @@ func runCmd(_ context.Context, args []string) error {
 	}
 
 	if reg.Enabled() {
-		opts.Hooks = append(opts.Hooks, newRuleTally(reg, p), obs.NewPhaseTimer(reg, p.G(*k)))
+		opts.Hooks = append(opts.Hooks, newRuleTally(reg, p))
 	}
 	if *verbose || *progressN > 0 {
 		capI := *maxI
@@ -134,7 +135,7 @@ func runCmd(_ context.Context, args []string) error {
 		rate := float64(res.Interactions) / wall.Seconds()
 		fmt.Printf("wall time %v (%.3g interactions/sec), productive %.1f%%\n",
 			wall.Round(time.Microsecond), rate, 100*float64(res.Productive)/float64(res.Interactions))
-		for i, m := range gc.Marks {
+		for i, m := range ms.Marks() {
 			fmt.Printf("  grouping %d complete at interaction %d\n", i+1, m)
 		}
 		fmt.Println("rule-family tally:")

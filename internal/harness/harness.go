@@ -331,17 +331,13 @@ func runTrial(ctx context.Context, spec TrialSpec, ropts RunOptions) (TrialResul
 	}
 	pop := population.New(p, spec.N)
 	opts := sim.Options{MaxInteractions: spec.MaxInteractions, Ctx: ctx}
-	var gc *sim.GroupingCounter
-	if spec.Grouping {
-		gc = &sim.GroupingCounter{Watch: p.G(spec.K)}
-		opts.Hooks = []sim.Hook{gc}
-	}
 	// A traced run gets an engine span with per-#gk phase children. The
 	// spans are observational only — they never feed back into the result,
 	// so a traced and an untraced run of the same spec stay byte-identical.
 	espan := span.FromContext(ctx).Child("engine/agent")
-	if espan != nil {
-		opts.Hooks = append(opts.Hooks, &obs.PhaseSpans{Watch: p.G(spec.K), Parent: espan})
+	ms := milestones(p, spec, espan)
+	if ms != nil {
+		opts.Hooks = []sim.Hook{ms}
 	}
 	if ropts.Progress > 0 {
 		opts.Hooks = append(opts.Hooks, &obs.Progress{
@@ -366,10 +362,20 @@ func runTrial(ctx context.Context, spec TrialSpec, ropts RunOptions) (TrialResul
 		Converged:    res.Converged,
 		Spread:       res.Spread(),
 	}
-	if gc != nil {
-		out.Marks = append([]uint64(nil), gc.Marks...)
+	if spec.Grouping {
+		out.Marks = ms.Marks()
 	}
 	return out, nil
+}
+
+// milestones returns the Figure 4 observer of a trial that wants marks
+// (spec.Grouping) or phase spans (a non-nil engine span), and nil for a
+// trial that wants neither. Its metrics go to the no-op registry.
+func milestones(p *core.Protocol, spec TrialSpec, espan *span.ActiveSpan) *obs.Milestones {
+	if !spec.Grouping && espan == nil {
+		return nil
+	}
+	return obs.NewMilestones(obs.Nop(), p.G(spec.K), espan)
 }
 
 // countEngine is the run-loop surface shared by the sequential count
@@ -414,18 +420,10 @@ func runCountTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, ropts 
 	if maxI == 0 {
 		maxI = sim.DefaultMaxInteractions
 	}
-	gk := p.G(spec.K)
-	var marks []uint64
-	best := 0
-	// Precompute the stable signature once; calling p.IsStable per
-	// productive step would rebuild the target and canon slices each time
-	// (it dominated the count-engine profile before this change).
-	canon := p.CanonMap()
-	target, err := p.TargetCounts(spec.N)
+	stable, err := p.StableChecker(spec.N)
 	if err != nil {
 		return TrialResult{}, err
 	}
-	scratch := make([]int, len(target))
 	var prog *obs.Progress
 	if ropts.Progress > 0 {
 		prog = &obs.Progress{
@@ -433,50 +431,20 @@ func runCountTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, ropts 
 			Label: fmt.Sprintf("n=%d k=%d seed=%#x", spec.N, spec.K, spec.Seed),
 		}
 	}
-	// A traced run gets an engine span plus one "phase/grouping" child
-	// per #gk milestone, timed on the engine's own interaction counter
-	// (which includes the geometrically skipped null batches). Milestones
-	// are detected for tracing even when the spec did not ask for marks,
-	// but the spans never leak into the result: Marks stays nil unless
-	// spec.Grouping, so traced and untraced results are byte-identical.
+	// Phase spans are timed on the engine's own interaction counter,
+	// which includes the geometrically skipped null runs.
 	espan := span.FromContext(ctx).Child(engSpan)
-	trackPhases := spec.Grouping || espan != nil
-	phases := 0
-	var prevMark uint64
+	ms := milestones(p, spec, espan)
 	pred := func(counts []int) bool {
 		if prog != nil {
 			prog.MaybeReport(s.Interactions(), s.Productive(), func() int {
 				return spreadOf(p.GroupSizesFromCounts(counts))
 			})
 		}
-		if trackPhases {
-			if c := counts[gk]; c > best {
-				for i := best; i < c; i++ {
-					if spec.Grouping {
-						marks = append(marks, s.Interactions())
-					}
-					phases++
-					espan.Child("phase/grouping").
-						SetAttr("index", fmt.Sprint(phases)).
-						SetSeq(prevMark, s.Interactions()).
-						End()
-					prevMark = s.Interactions()
-				}
-				best = c
-			}
+		if ms != nil {
+			ms.Observe(s.Interactions(), counts)
 		}
-		for i := range scratch {
-			scratch[i] = 0
-		}
-		for st, c := range counts {
-			scratch[canon[st]] += c
-		}
-		for i := range scratch {
-			if scratch[i] != target[i] {
-				return false
-			}
-		}
-		return true
+		return stable(counts)
 	}
 	ok, err := s.RunUntilCtx(ctx, pred, maxI)
 	if espan != nil {
@@ -493,9 +461,11 @@ func runCountTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, ropts 
 		Interactions: s.Interactions(),
 		Productive:   s.Productive(),
 		Converged:    ok,
-		Marks:        marks,
+		Spread:       spreadOf(p.GroupSizesFromCounts(s.CountsView())),
 	}
-	res.Spread = spreadOf(p.GroupSizesFromCounts(s.CountsView()))
+	if spec.Grouping {
+		res.Marks = ms.Marks()
+	}
 	return res, nil
 }
 
@@ -603,7 +573,8 @@ func RunTimedCtx(ctx context.Context, spec TrialSpec, opts RunOptions) (res Tria
 type Point struct {
 	N, K   int
 	Trials int
-	// Mean and CI95 are over interactions-to-stability of the trials.
+	// Mean, CI95, Min and Max are over interactions-to-stability of the
+	// converged trials; all are 0 when no trial converged.
 	Mean float64
 	CI95 float64
 	Min  uint64
@@ -624,23 +595,19 @@ type Point struct {
 // Aggregate folds a point's trials into a Point.
 func Aggregate(n, k int, trials []TrialResult) Point {
 	pt := Point{N: n, K: k, Trials: len(trials)}
-	if len(trials) == 0 {
-		return pt
-	}
 	xs := make([]float64, 0, len(trials))
-	pt.Min, pt.Max = trials[0].Interactions, trials[0].Interactions
 	for _, tr := range trials {
 		if !tr.Converged {
 			pt.Unconverged++
 			continue
 		}
-		xs = append(xs, float64(tr.Interactions))
-		if tr.Interactions < pt.Min {
+		if len(xs) == 0 || tr.Interactions < pt.Min {
 			pt.Min = tr.Interactions
 		}
 		if tr.Interactions > pt.Max {
 			pt.Max = tr.Interactions
 		}
+		xs = append(xs, float64(tr.Interactions))
 	}
 	pt.Mean = meanOf(xs)
 	pt.CI95 = ci95Of(xs)
@@ -672,7 +639,7 @@ func Aggregate(n, k int, trials []TrialResult) Point {
 			if !tr.Converged || len(tr.Marks) == 0 {
 				continue
 			}
-			deltas := (&sim.GroupingCounter{Marks: tr.Marks}).Deltas(tr.Interactions)
+			deltas := obs.Deltas(tr.Marks, tr.Interactions)
 			for i, d := range deltas {
 				if i < len(sums) {
 					sums[i] += float64(d)

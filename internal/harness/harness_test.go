@@ -96,24 +96,40 @@ func TestRunManySurfacesErrors(t *testing.T) {
 }
 
 func TestAggregateBasics(t *testing.T) {
-	trials := []TrialResult{
-		{Interactions: 100, Converged: true},
-		{Interactions: 200, Converged: true},
-		{Interactions: 300, Converged: true},
-		{Interactions: 5, Converged: false},
-	}
-	pt := Aggregate(12, 4, trials)
-	if pt.Mean != 200 {
-		t.Fatalf("mean %v", pt.Mean)
-	}
-	if pt.Unconverged != 1 {
-		t.Fatalf("unconverged %d", pt.Unconverged)
-	}
-	if pt.Min != 100 || pt.Max != 300 {
-		t.Fatalf("min/max %d %d", pt.Min, pt.Max)
-	}
-	if pt.CI95 <= 0 {
-		t.Fatal("zero CI for dispersed sample")
+	capped := TrialResult{Interactions: 1000, Converged: false}
+	for _, c := range []struct {
+		name     string
+		trials   []TrialResult
+		mean     float64
+		min, max uint64
+	}{
+		{"mixed", []TrialResult{
+			{Interactions: 100, Converged: true},
+			{Interactions: 200, Converged: true},
+			{Interactions: 300, Converged: true},
+			{Interactions: 5, Converged: false},
+		}, 200, 100, 300},
+		// Min and Max skip unconverged trials wherever they stand.
+		{"unconverged first", []TrialResult{capped, {Interactions: 100, Converged: true}, {Interactions: 200, Converged: true}}, 150, 100, 200},
+		{"unconverged last", []TrialResult{{Interactions: 100, Converged: true}, {Interactions: 200, Converged: true}, capped}, 150, 100, 200},
+		{"none converged", []TrialResult{capped, capped}, 0, 0, 0},
+	} {
+		pt := Aggregate(12, 4, c.trials)
+		if pt.Mean != c.mean || pt.Min != c.min || pt.Max != c.max {
+			t.Errorf("%s: mean/min/max %v %d %d, want %v %d %d", c.name, pt.Mean, pt.Min, pt.Max, c.mean, c.min, c.max)
+		}
+		unconverged := 0
+		for _, tr := range c.trials {
+			if !tr.Converged {
+				unconverged++
+			}
+		}
+		if pt.Unconverged != unconverged {
+			t.Errorf("%s: unconverged %d, want %d", c.name, pt.Unconverged, unconverged)
+		}
+		if dispersed := c.min != c.max; (pt.CI95 > 0) != dispersed {
+			t.Errorf("%s: CI95 %v for a sample with min %d and max %d", c.name, pt.CI95, c.min, c.max)
+		}
 	}
 }
 

@@ -452,26 +452,6 @@ func applyChurn(states []protocol.State, c ChurnSpec, p *core.Protocol, r *rng.R
 	return states
 }
 
-// targetSatisfied reports whether the canonicalized state counts of pop
-// match the stable signature for its current size.
-func targetSatisfied(p *core.Protocol, pop *population.Population) bool {
-	target, err := p.TargetCounts(pop.N())
-	if err != nil {
-		return false
-	}
-	canon := p.CanonMap()
-	cur := make([]int, len(target))
-	for st, c := range pop.CountsView() {
-		cur[canon[st]] += c
-	}
-	for i := range cur {
-		if cur[i] != target[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // runScenarioTrial executes a scenario trial on the agent engine. The
 // run is segmented at the churn schedule's interaction counts: each
 // segment runs under a freshly built scheduler for the segment's
@@ -511,7 +491,7 @@ func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, rop
 
 	pop := population.New(p, spec.N)
 	churnRNG := rng.New(rng.StreamSeed(spec.Seed, churnStreamTag, 0))
-	var gc *sim.GroupingCounter
+	var ms *obs.Milestones
 
 	for segment := 0; ; segment++ {
 		s, g, err := scenarioScheduler(spec, p, pop.N(), uint64(segment))
@@ -559,9 +539,8 @@ func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, rop
 			} else {
 				stop = ct
 			}
-			if spec.Grouping {
-				gc = &sim.GroupingCounter{Watch: p.G(spec.K)}
-				opts.Hooks = append(opts.Hooks, gc)
+			if ms = milestones(p, spec, nil); ms != nil {
+				opts.Hooks = append(opts.Hooks, ms)
 			}
 		}
 		segStart := pop.Interactions()
@@ -578,7 +557,7 @@ func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, rop
 			return TrialResult{}, err
 		}
 		if final {
-			converged := targetSatisfied(p, pop)
+			converged := p.IsStable(pop.CountsView())
 			out := TrialResult{
 				Spec:         spec,
 				Interactions: res.Interactions,
@@ -588,8 +567,8 @@ func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, rop
 				Frozen:       res.Converged && !converged,
 				FinalN:       pop.N(),
 			}
-			if gc != nil {
-				out.Marks = append([]uint64(nil), gc.Marks...)
+			if spec.Grouping {
+				out.Marks = ms.Marks()
 			}
 			endSpan(pop)
 			return out, nil

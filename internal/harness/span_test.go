@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs/span"
@@ -145,27 +146,33 @@ func TestTrialSpanTreeShape(t *testing.T) {
 	}
 }
 
-// TestUntracedContextRunsClean pins the no-op path: without a span in
-// the context the trial must behave exactly as before (and not panic).
+// TestUntracedContextRunsClean pins the no-op path on every engine and
+// the scenario runner: with Figure 4 marks on, a trial without a span in
+// its context returns exactly the TrialResult of a traced one.
 func TestUntracedContextRunsClean(t *testing.T) {
-	spec := TrialSpec{N: 12, K: 3, Seed: 1}
-	_, traced := traceTrial(t, spec)
-	res, err := RunTrialCtx(context.Background(), spec, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("trial did not converge")
-	}
-	// Tracing must not perturb the result: compare against the traced run.
-	tres, err := RunTrialCtx(span.NewContext(context.Background(), span.NewTrace("t").Root("r")), spec, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Interactions != tres.Interactions || res.Productive != tres.Productive {
-		t.Fatalf("tracing perturbed the result: %+v vs %+v", res, tres)
-	}
-	if len(traced) == 0 {
-		t.Fatal("traced run exported nothing")
+	for _, c := range []struct {
+		path string
+		spec TrialSpec
+	}{
+		{"agent", TrialSpec{N: 12, K: 3, Seed: 1, Grouping: true}},
+		{"count", TrialSpec{N: 26, K: 4, Seed: 2, Grouping: true, Engine: EngineCount}},
+		{"batch", TrialSpec{N: 120, K: 4, Seed: 3, Grouping: true, Engine: EngineBatch}},
+		{"scenario", TrialSpec{N: 12, K: 3, Seed: 4, Grouping: true, MaxInteractions: 5_000_000,
+			Topology: TopologySpec{Kind: TopologyRing}}},
+	} {
+		res, err := RunTrialCtx(context.Background(), c.spec, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged || len(res.Marks) == 0 {
+			t.Fatalf("%s: trial did not converge with marks: %+v", c.path, res)
+		}
+		tres, traced := traceTrial(t, c.spec)
+		if !reflect.DeepEqual(res, tres) {
+			t.Fatalf("%s: tracing perturbed the result:\n%+v\n%+v", c.path, res, tres)
+		}
+		if len(traced) == 0 {
+			t.Fatalf("%s: traced run exported nothing", c.path)
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // Per-milestone hitting times: the exact counterpart of the simulation's
-// GroupingCounter marks (sim.GroupingCounter). Milestone j is the first
+// Figure 4 marks (obs.Milestones). Milestone j is the first
 // time #gk — the count of agents in the terminal group state — reaches j,
 // and because gk-agents never leave gk (Section 5.1 of the paper), the set
 // {configurations with #gk ≥ j} is closed, making each milestone an
@@ -82,7 +82,7 @@ func (ch *Chain) HittingTimesTo(absorb []bool, tol float64, maxIter int) ([]floa
 // Milestones returns the exact expected number of interactions from the
 // all-initial configuration until #gk first reaches j, for j = 1..⌊n/k⌋
 // (index j−1 in the returned slice — the same layout as a simulated
-// GroupingCounter's Marks). The final milestone is the completion of the
+// trial's Marks). The final milestone is the completion of the
 // last full group; the terminal stabilization time additionally pays for
 // settling the n mod k leftover agents, so Milestones[q−1] ≤
 // ExpectedStabilization, with equality only when the last gk arrival

@@ -97,7 +97,7 @@ func TestHittingTimesToRejectsBadMask(t *testing.T) {
 	}
 }
 
-// Cross-validation against the simulation's GroupingCounter: the mean of
+// Cross-validation against the simulation's milestone marks: the mean of
 // simulated Marks[j] must match milestone j to within sampling error. This
 // is the per-phase refinement of TestExactMatchesSimulation — a bias that
 // cancels in the total (e.g. one phase too fast, a later one too slow)

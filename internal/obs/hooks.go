@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"strconv"
+
+	"repro/internal/obs/span"
 	"repro/internal/population"
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -62,74 +65,113 @@ func (t *RuleTally) OnStep(pop *population.Population, s sim.StepInfo) {
 	}
 }
 
-// PhaseTimer is a sim.Hook that records interactions-to-milestone: each
-// increment of the watched state count (#gk for the k-partition
-// protocol) marks the completion of one grouping, exactly the NI_i
-// instrumentation of Figure 4, reusing sim.GroupingCounter's
-// past-maximum logic. The timer feeds two histograms:
+// Milestones observes the #gk milestones of a run, the instrumentation
+// behind Figure 4 of the paper: NI_i, the total number of interactions
+// applied when the i-th complete set of agents {g1..gk} is finished. That
+// is exactly the moment #gk first reaches i, since rule 7 is the only
+// rule producing gk and gk-agents never leave (Section 5.1: "once an
+// agent enters state gk, the set of agents never goes back to initial").
 //
-//	phase/interactions_to_grouping — absolute NI_i per milestone
-//	phase/grouping_cost            — per-grouping deltas NI'_i
+// Each milestone goes to three consumers:
 //
-// and a gauge phase/groupings_complete with the milestone count.
-type PhaseTimer struct {
-	// Watch is the state whose count increments mark milestones.
-	Watch protocol.State
-
-	gc       sim.GroupingCounter
+//   - Marks, whose element i−1 is NI_i;
+//   - the registry: histograms phase/interactions_to_grouping (NI_i) and
+//     phase/grouping_cost (NI'_i = NI_i − NI_(i−1)), and the gauge
+//     phase/groupings_complete (the milestone count);
+//   - under a non-nil parent span, one "phase/grouping" child covering
+//     (NI_(i−1), NI_i]. Intervals are logical (interaction counts via
+//     SetSeq), never wall clock, so the spans are a pure function of
+//     (spec, seed).
+//
+// The agent engine drives it as a sim.Hook. The count engines call
+// Observe from their stop predicate; the batched engine runs that
+// predicate only at batch boundaries, so its marks are boundary-granular.
+type Milestones struct {
+	watch    protocol.State
+	parent   *span.ActiveSpan
 	absolute Histogram
 	delta    Histogram
 	complete Gauge
-	recorded int
-	prevMark uint64
+	marks    []uint64
 }
 
-// NewPhaseTimer wires the phase histograms and gauge into r.
-func NewPhaseTimer(r *Registry, watch protocol.State) *PhaseTimer {
-	return &PhaseTimer{
-		Watch:    watch,
+// NewMilestones returns an observer of the count of watch (gk for the
+// k-partition protocol) that feeds the phase metrics of r (Nop for none)
+// and emits phase spans under parent (nil for none).
+func NewMilestones(r *Registry, watch protocol.State, parent *span.ActiveSpan) *Milestones {
+	return &Milestones{
+		watch:    watch,
+		parent:   parent,
 		absolute: r.Histogram("phase/interactions_to_grouping"),
 		delta:    r.Histogram("phase/grouping_cost"),
 		complete: r.Gauge("phase/groupings_complete"),
 	}
 }
 
-// Init implements sim.Hook.
-func (t *PhaseTimer) Init(pop *population.Population) {
-	t.gc = sim.GroupingCounter{Watch: t.Watch}
-	t.gc.Init(pop)
-	t.recorded = 0
-	t.prevMark = 0
-	t.record()
+// Observe records one milestone at interactions for each unit the
+// watched entry of counts has risen past its previous maximum.
+func (m *Milestones) Observe(interactions uint64, counts []int) {
+	for len(m.marks) < counts[m.watch] {
+		var prev uint64
+		if len(m.marks) > 0 {
+			prev = m.marks[len(m.marks)-1]
+		}
+		m.marks = append(m.marks, interactions)
+		m.absolute.Observe(interactions)
+		m.delta.Observe(interactions - prev)
+		m.complete.Set(int64(len(m.marks)))
+		// Formatting the index only under a parent keeps an untraced
+		// observer allocation-free past milestone 99.
+		if m.parent != nil {
+			m.parent.Child("phase/grouping").
+				SetAttr("index", strconv.Itoa(len(m.marks))).
+				SetSeq(prev, interactions).
+				End()
+		}
+	}
+}
+
+// Init implements sim.Hook. It starts a new run: the marks restart, the
+// registry's histograms keep accumulating, and the agents already in the
+// watched state count as milestones at the current interaction count.
+func (m *Milestones) Init(pop *population.Population) {
+	m.marks = m.marks[:0]
+	m.complete.Set(0)
+	m.Observe(pop.Interactions(), pop.CountsView())
 }
 
 // OnStep implements sim.Hook.
-func (t *PhaseTimer) OnStep(pop *population.Population, s sim.StepInfo) {
-	t.gc.OnStep(pop, s)
-	t.record()
+func (m *Milestones) OnStep(pop *population.Population, _ sim.StepInfo) {
+	m.Observe(pop.Interactions(), pop.CountsView())
 }
 
 // IgnoresNull marks OnStep as a no-op on null steps (see sim.Hook): a
-// null step records no mark, and record then re-sets the gauge to the
-// value it holds.
-func (t *PhaseTimer) IgnoresNull() {}
+// null step leaves the watched count as it was.
+func (m *Milestones) IgnoresNull() {}
 
-// record flushes any new grouping marks into the histograms.
-func (t *PhaseTimer) record() {
-	for ; t.recorded < len(t.gc.Marks); t.recorded++ {
-		mark := t.gc.Marks[t.recorded]
-		t.absolute.Observe(mark)
-		t.delta.Observe(mark - t.prevMark)
-		t.prevMark = mark
+// Marks returns NI_i for every milestone so far. The slice is reused by
+// the next Init.
+func (m *Milestones) Marks() []uint64 { return m.marks }
+
+// Deltas returns NI'_i = NI_i − NI_(i−1) for i = 1..len(marks), plus the
+// remainder tail (total − NI_last) as the final element when total
+// exceeds the last mark. This matches the stacked decomposition of
+// Figure 4, whose top segment is the cost of placing the remaining n mod
+// k agents.
+func Deltas(marks []uint64, total uint64) []uint64 {
+	out := make([]uint64, 0, len(marks)+1)
+	prev := uint64(0)
+	for _, m := range marks {
+		out = append(out, m-prev)
+		prev = m
 	}
-	t.complete.Set(int64(t.recorded))
+	if total > prev {
+		out = append(out, total-prev)
+	}
+	return out
 }
-
-// Marks returns the absolute interaction counts at each milestone (NI_i),
-// mirroring sim.GroupingCounter.Marks.
-func (t *PhaseTimer) Marks() []uint64 { return t.gc.Marks }
 
 var (
 	_ sim.Hook = (*RuleTally)(nil)
-	_ sim.Hook = (*PhaseTimer)(nil)
+	_ sim.Hook = (*Milestones)(nil)
 )

@@ -31,21 +31,21 @@ func general(r *sched.Random) sched.Scheduler {
 }
 
 // observed is everything a run leaves behind that the two loops must
-// agree on.
+// agree on, the milestone observer's marks, metrics and spans included.
 type observed struct {
 	res      sim.Result
 	err      error
 	states   []protocol.State
 	rngState []byte
 	marks    []uint64
-	timer    []uint64
-	max      int
+	metrics  obs.Snapshot
 	spans    []span.Span
 }
 
 // runLoop runs n agents of the k-partition protocol to stability or
-// maxI interactions with the grouping hooks attached, on the fused loop
-// or, when viaFunc is set, on the general loop. Extra hooks ride along.
+// maxI interactions with a traced milestone observer attached, on the
+// fused loop or, when viaFunc is set, on the general loop. Extra hooks
+// ride along.
 func runLoop(t *testing.T, ctx context.Context, n, k int, seed, maxI uint64, viaFunc bool, extra ...sim.Hook) observed {
 	t.Helper()
 	p := core.MustNew(k)
@@ -55,10 +55,9 @@ func runLoop(t *testing.T, ctx context.Context, n, k int, seed, maxI uint64, via
 	}
 	tr := span.NewTrace("fused")
 	root := tr.Root("engine/agent")
-	gc := &sim.GroupingCounter{Watch: p.G(k)}
-	mc := &sim.MaxGroupCount{Watch: p.G(k)}
-	pt := obs.NewPhaseTimer(obs.New("fused"), p.G(k))
-	hooks := append([]sim.Hook{gc, mc, pt, &obs.PhaseSpans{Watch: p.G(k), Parent: root}}, extra...)
+	reg := obs.New("fused")
+	ms := obs.NewMilestones(reg, p.G(k), root)
+	hooks := append([]sim.Hook{ms}, extra...)
 
 	r := sched.NewRandom(seed)
 	var s sched.Scheduler = r
@@ -73,9 +72,8 @@ func runLoop(t *testing.T, ctx context.Context, n, k int, seed, maxI uint64, via
 		res: res, err: err,
 		states:   pop.Snapshot(),
 		rngState: r.RNG().MarshalState(),
-		marks:    gc.Marks,
-		timer:    pt.Marks(),
-		max:      mc.Max,
+		marks:    ms.Marks(),
+		metrics:  reg.Snapshot(),
 		spans:    tr.Spans(),
 	}
 }
@@ -250,7 +248,8 @@ func TestRunPicksLoopFromInputs(t *testing.T) {
 }
 
 // A fused run allocates the same at any length: only finish's two
-// result slices, FinalCounts and GroupSizes.
+// result slices, FinalCounts and GroupSizes. An untraced milestone
+// observer adds nothing once its marks have grown in the warm-up run.
 func TestFusedRunAllocs(t *testing.T) {
 	p := core.MustNew(8)
 	target, err := p.TargetCounts(960)
@@ -261,7 +260,7 @@ func TestFusedRunAllocs(t *testing.T) {
 	s := sched.NewRandom(1)
 	// No slot of the target is occupied, so the condition never holds.
 	stop := sim.NewCountTarget(p.CanonMap(), make([]int, len(target)))
-	hooks := []sim.Hook{&sim.MaxGroupCount{Watch: p.G(8)}}
+	hooks := []sim.Hook{obs.NewMilestones(obs.Nop(), p.G(8), nil)}
 	for _, maxI := range []uint64{1e4, 1e6} {
 		allocs := testing.AllocsPerRun(3, func() {
 			pop.Reset()

@@ -66,9 +66,8 @@ type StopCondition interface {
 // the way stop conditions declare Satisfied. Run may then skip the
 // hook's null steps, which lets it take the fused loop (see the package
 // documentation); a hook without the marker sees every step.
-// GroupingCounter, MaxGroupCount, obs.PhaseSpans and obs.PhaseTimer carry
-// the marker; SpreadRecorder, StepFunc, obs.RuleTally, obs.Progress and
-// trace.Writer do not.
+// obs.Milestones carries the marker; SpreadRecorder, StepFunc,
+// obs.RuleTally, obs.Progress and trace.Writer do not.
 type Hook interface {
 	Init(pop *population.Population)
 	OnStep(pop *population.Population, s StepInfo)

@@ -273,66 +273,6 @@ func TestResultSpreadEmpty(t *testing.T) {
 
 // --- hooks ---
 
-func TestGroupingCounterMarks(t *testing.T) {
-	p := core.MustNew(3)
-	n := 9
-	pop := population.New(p, n)
-	gc := &GroupingCounter{Watch: p.G(3)}
-	res, err := Run(pop, sched.NewRandom(9), mustTarget(t, p, n), Options{Hooks: []Hook{gc}})
-	if err != nil || !res.Converged {
-		t.Fatalf("setup: %v %+v", err, res)
-	}
-	if len(gc.Marks) != n/3 {
-		t.Fatalf("recorded %d groupings, want %d", len(gc.Marks), n/3)
-	}
-	var prev uint64
-	for i, m := range gc.Marks {
-		if m < prev || m > res.Interactions {
-			t.Fatalf("mark %d = %d out of order (prev %d, total %d)", i, m, prev, res.Interactions)
-		}
-		prev = m
-	}
-	deltas := gc.Deltas(res.Interactions)
-	var sum uint64
-	for _, d := range deltas {
-		sum += d
-	}
-	if sum != res.Interactions {
-		t.Fatalf("deltas sum to %d, want %d", sum, res.Interactions)
-	}
-}
-
-func TestGroupingCounterDeltasWithTail(t *testing.T) {
-	gc := &GroupingCounter{Marks: []uint64{10, 25, 70}}
-	deltas := gc.Deltas(100)
-	want := []uint64{10, 15, 45, 30}
-	if len(deltas) != len(want) {
-		t.Fatalf("deltas %v, want %v", deltas, want)
-	}
-	for i := range want {
-		if deltas[i] != want[i] {
-			t.Fatalf("deltas %v, want %v", deltas, want)
-		}
-	}
-	// No tail when the last mark IS the total.
-	if d := gc.Deltas(70); len(d) != 3 {
-		t.Fatalf("unexpected tail: %v", d)
-	}
-}
-
-func TestMaxGroupCountHook(t *testing.T) {
-	p := core.MustNew(3)
-	pop := population.New(p, 12)
-	h := &MaxGroupCount{Watch: p.G(3)}
-	res, err := Run(pop, sched.NewRandom(4), mustTarget(t, p, 12), Options{Hooks: []Hook{h}})
-	if err != nil || !res.Converged {
-		t.Fatal(err)
-	}
-	if h.Max != 4 {
-		t.Fatalf("Max = %d, want 4", h.Max)
-	}
-}
-
 func TestSpreadRecorder(t *testing.T) {
 	p := core.MustNew(4)
 	pop := population.New(p, 16)
