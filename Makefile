@@ -84,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadJSONL -fuzztime=5s ./internal/obs/span
 	$(GO) test -run='^$$' -fuzz=FuzzBatchApply -fuzztime=5s ./internal/countsim
 	$(GO) test -run='^$$' -fuzz=FuzzGuardedBy -fuzztime=5s ./internal/lint/analyzers
+	$(GO) test -run='^$$' -fuzz=FuzzTrialRequest -fuzztime=5s ./internal/serve
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$

@@ -81,13 +81,15 @@ func ValidateSpec(spec TrialSpec) error {
 	// BatchSize is a mode selector of the batched engine only; on any
 	// other engine a non-zero value would silently change the spec's
 	// content hash without changing the run. n is positive here (the
-	// TargetCounts check passed), so the conversion is safe.
+	// TargetCounts check passed), so the conversion is safe; the bound
+	// divides n rather than doubling the size, which would wrap for
+	// sizes of 2⁶³ and above.
 	if spec.BatchSize != 0 {
 		if spec.Engine != EngineBatch {
 			return fmt.Errorf("%w: batch size %d set for engine %s (only engine batch batches)",
 				ErrInvalidSpec, spec.BatchSize, spec.Engine)
 		}
-		if 2*spec.BatchSize > uint64(spec.N) {
+		if spec.BatchSize > uint64(spec.N)/2 {
 			return fmt.Errorf("%w: batch size %d needs 2·size <= n = %d (disjoint pairs)",
 				ErrInvalidSpec, spec.BatchSize, spec.N)
 		}

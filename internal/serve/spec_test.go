@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/harness"
@@ -57,6 +59,64 @@ func TestSweepRequestValidation(t *testing.T) {
 	}
 	if _, err := (SweepRequest{N: 12, K: 3, Trials: DefaultMaxSweepTrials + 1}).Sweep(0); !errors.Is(err, harness.ErrInvalidSpec) {
 		t.Error("sweep above the default bound was accepted")
+	}
+}
+
+// TestRequestsCarryEveryField checks the wire mapping of every
+// TrialSpec field: TrialRequest names each one, a few valid requests
+// together set each one, and a sweep of a request expands to exactly
+// that request's spec under the per-cell seeds.
+func TestRequestsCarryEveryField(t *testing.T) {
+	specType := reflect.TypeOf(harness.TrialSpec{})
+	for i := 0; i < specType.NumField(); i++ {
+		name := specType.Field(i).Name
+		if _, ok := reflect.TypeOf(TrialRequest{}).FieldByName(name); !ok {
+			t.Errorf("TrialRequest has no %s field, so TrialSpec.%s cannot be set over the wire", name, name)
+		}
+	}
+	reqs := []TrialRequest{
+		{N: 12, K: 3, Seed: 9, MaxInteractions: 1000, Grouping: true, Topology: "ring", Fairness: "weak"},
+		{N: 12, K: 3, MaxInteractions: 1000, Churn: "at=10,events=1,join=1"},
+		{N: 24, K: 4, Engine: "batch", BatchSize: 4},
+	}
+	set := make([]bool, specType.NumField())
+	for _, req := range reqs {
+		spec, err := req.Spec()
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		for i := range set {
+			set[i] = set[i] || !reflect.ValueOf(spec).Field(i).IsZero()
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sr SweepRequest
+		if err := json.Unmarshal(body, &sr); err != nil {
+			t.Fatal(err)
+		}
+		sr.Trials, sr.PointID = 3, 5
+		sweep, err := sr.Sweep(0)
+		if err != nil {
+			t.Fatalf("%+v: %v", sr, err)
+		}
+		specs := sweep.Specs()
+		if len(specs) != 3 {
+			t.Fatalf("%+v: %d specs, want 3", sr, len(specs))
+		}
+		for i, got := range specs {
+			want := spec
+			want.Seed = harness.SeedForCell(req.Seed, 5, i)
+			if got != want {
+				t.Errorf("%+v: trial %d spec\n%+v\nwant\n%+v", sr, i, got, want)
+			}
+		}
+	}
+	for i, ok := range set {
+		if !ok {
+			t.Errorf("no request sets TrialSpec.%s: add a request that does", specType.Field(i).Name)
+		}
 	}
 }
 
