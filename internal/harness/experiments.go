@@ -88,9 +88,11 @@ func RunFig3Ctx(ctx context.Context, cfg Fig3Config, opts RunOptions) ([]KSeries
 		s := KSeries{K: k}
 		for n := nMin; n <= cfg.NMax; n += cfg.NStep {
 			pt, err := SweepPointCtx(ctx, SweepSpec{
-				N: n, K: k, Trials: cfg.Trials, Seed: cfg.Seed, PointID: pointID,
-				Grouping: cfg.Grouping, Workers: cfg.Workers,
-				MaxInteractions: cfg.MaxInteractions, Engine: cfg.Engine,
+				TrialSpec: TrialSpec{
+					N: n, K: k, Seed: cfg.Seed, Grouping: cfg.Grouping,
+					MaxInteractions: cfg.MaxInteractions, Engine: cfg.Engine,
+				},
+				Trials: cfg.Trials, PointID: pointID, Workers: cfg.Workers,
 			}, opts)
 			if err != nil {
 				return nil, fmt.Errorf("fig3: %w", err)
@@ -153,8 +155,8 @@ func RunFig5Ctx(ctx context.Context, cfg Fig5Config, opts RunOptions) ([]KSeries
 				return nil, fmt.Errorf("fig5: n=%d not divisible by k=%d", n, k)
 			}
 			pt, err := SweepPointCtx(ctx, SweepSpec{
-				N: n, K: k, Trials: cfg.Trials, Seed: cfg.Seed, PointID: pointID,
-				Workers: cfg.Workers, MaxInteractions: cfg.MaxInteractions, Engine: cfg.Engine,
+				TrialSpec: TrialSpec{N: n, K: k, Seed: cfg.Seed, MaxInteractions: cfg.MaxInteractions, Engine: cfg.Engine},
+				Trials:    cfg.Trials, PointID: pointID, Workers: cfg.Workers,
 			}, opts)
 			if err != nil {
 				return nil, fmt.Errorf("fig5: %w", err)
@@ -212,8 +214,8 @@ func RunFig6Ctx(ctx context.Context, cfg Fig6Config, opts RunOptions) ([]Point, 
 			return nil, fmt.Errorf("fig6: n=%d not divisible by k=%d", cfg.N, k)
 		}
 		pt, err := SweepPointCtx(ctx, SweepSpec{
-			N: cfg.N, K: k, Trials: cfg.Trials, Seed: cfg.Seed, PointID: pointID,
-			Workers: cfg.Workers, MaxInteractions: cfg.MaxInteractions, Engine: cfg.Engine,
+			TrialSpec: TrialSpec{N: cfg.N, K: k, Seed: cfg.Seed, MaxInteractions: cfg.MaxInteractions, Engine: cfg.Engine},
+			Trials:    cfg.Trials, PointID: pointID, Workers: cfg.Workers,
 		}, opts)
 		if err != nil {
 			return nil, fmt.Errorf("fig6: %w", err)
@@ -224,9 +226,10 @@ func RunFig6Ctx(ctx context.Context, cfg Fig6Config, opts RunOptions) ([]Point, 
 	return out, nil
 }
 
-// SeedForCell reproduces the seed of one trial of one point, matching the
-// derivation SweepPoint uses. Exposed so a single cell can be re-run in
-// isolation (e.g. while debugging an outlier trial from a CSV).
+// SeedForCell reproduces the seed of one trial of one point; Specs
+// derives every sweep trial's seed through it. Exposed so a single cell
+// can be re-run in isolation (e.g. while debugging an outlier trial from
+// a CSV).
 func SeedForCell(rootSeed, pointID uint64, trial int) uint64 {
 	return rng.StreamSeed(rootSeed, pointID, uint64(trial))
 }

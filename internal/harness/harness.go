@@ -683,47 +683,24 @@ func ci95Of(xs []float64) float64 {
 }
 
 // SweepSpec describes one aggregated parameter point of a sweep: `Trials`
-// trials at (N, K), seeded from (Seed, PointID, trial).
+// trials of the embedded TrialSpec, whose Seed is the root seed. Trial t
+// runs under SeedForCell(Seed, PointID, t).
 type SweepSpec struct {
-	N, K, Trials    int
-	Seed, PointID   uint64
-	Grouping        bool
-	Workers         int
-	MaxInteractions uint64
-	Engine          Engine
-	BatchSize       uint64
-	Topology        TopologySpec
-	Fairness        Fairness
-	Churn           ChurnSpec
+	TrialSpec
+	Trials  int
+	PointID uint64
+	Workers int
 }
 
-// Specs expands the sweep point into its per-trial specs, in trial order.
+// Specs expands the sweep point into its per-trial specs, in trial order:
+// copies of the embedded spec that differ only in Seed.
 func (s SweepSpec) Specs() []TrialSpec {
 	specs := make([]TrialSpec, s.Trials)
 	for t := range specs {
-		specs[t] = TrialSpec{
-			N: s.N, K: s.K,
-			Seed:            rng.StreamSeed(s.Seed, s.PointID, uint64(t)),
-			Grouping:        s.Grouping,
-			MaxInteractions: s.MaxInteractions,
-			Engine:          s.Engine,
-			BatchSize:       s.BatchSize,
-			Topology:        s.Topology,
-			Fairness:        s.Fairness,
-			Churn:           s.Churn,
-		}
+		specs[t] = s.TrialSpec
+		specs[t].Seed = SeedForCell(s.Seed, s.PointID, t)
 	}
 	return specs
-}
-
-// SweepPoint runs one sweep point and aggregates it; the
-// context/journal-aware form is SweepPointCtx.
-func SweepPoint(n, k, trials int, seed, pointID uint64, grouping bool, workers int, maxInteractions uint64, engine Engine) (Point, error) {
-	return SweepPointCtx(context.Background(), SweepSpec{
-		N: n, K: k, Trials: trials, Seed: seed, PointID: pointID,
-		Grouping: grouping, Workers: workers,
-		MaxInteractions: maxInteractions, Engine: engine,
-	}, RunOptions{})
 }
 
 // SweepPointCtx runs a sweep point under ctx with the given resilience

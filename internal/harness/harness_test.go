@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -171,7 +172,9 @@ func TestAggregateDeltasSumToMean(t *testing.T) {
 }
 
 func TestSweepPointAggregates(t *testing.T) {
-	pt, err := SweepPoint(16, 4, 8, 7, 0, false, 4, 0, EngineAgent)
+	pt, err := SweepPointCtx(context.Background(), SweepSpec{
+		TrialSpec: TrialSpec{N: 16, K: 4, Seed: 7}, Trials: 8, Workers: 4,
+	}, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,12 +367,12 @@ func TestWriteCSVFile(t *testing.T) {
 }
 
 func TestSeedForCellMatchesSweep(t *testing.T) {
-	// The seed SweepPoint uses for (pointID=5, trial=3) must equal
+	// The seed SweepSpec.Specs gives (pointID=5, trial=3) must equal
 	// SeedForCell's derivation — the re-run-a-cell contract.
 	want := SeedForCell(42, 5, 3)
-	got := SeedForCell(42, 5, 3)
+	got := SweepSpec{TrialSpec: TrialSpec{N: 12, K: 3, Seed: 42}, Trials: 4, PointID: 5}.Specs()[3].Seed
 	if want != got {
-		t.Fatal("SeedForCell not deterministic")
+		t.Fatalf("Specs seeds trial 3 with %#x, SeedForCell gives %#x", got, want)
 	}
 	if SeedForCell(42, 5, 4) == want || SeedForCell(42, 6, 3) == want {
 		t.Fatal("seed collisions across cells")

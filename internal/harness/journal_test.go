@@ -216,7 +216,7 @@ func TestJournalTornTailTruncatedAndAppendable(t *testing.T) {
 // byte-identical to an uninterrupted run's.
 func TestSweepCrashRecoveryMatchesUninterruptedCSV(t *testing.T) {
 	dir := t.TempDir()
-	sweep := SweepSpec{N: 18, K: 3, Trials: 6, Seed: 77, PointID: 9, Workers: 4}
+	sweep := SweepSpec{TrialSpec: TrialSpec{N: 18, K: 3, Seed: 77}, Trials: 6, PointID: 9, Workers: 4}
 
 	// Reference: the uninterrupted run.
 	ptRef, err := SweepPointCtx(context.Background(), sweep, RunOptions{})

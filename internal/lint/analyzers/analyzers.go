@@ -31,7 +31,6 @@ func All() []*lint.Analyzer {
 		CtxFlow,
 		LockGuard,
 		GoroutineLife,
-		SpecClosure,
 	}
 }
 

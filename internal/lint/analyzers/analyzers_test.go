@@ -386,27 +386,6 @@ func TestGoroutineLifeScopedToLongLivedPackages(t *testing.T) {
 	}
 }
 
-// The speclosure golden is a two-package program: the harness fixture
-// exports the TrialSpec field inventory as a fact, and the serve
-// fixture (importing it by its real testdata path) is checked against
-// that inventory across the package boundary.
-func TestSpecClosureGoldenMultiPackage(t *testing.T) {
-	linttest.RunPackages(t, []linttest.PackageSpec{
-		{Dir: "testdata/speclosure/harness", ImportPath: "repro/internal/lint/analyzers/testdata/speclosure/harness"},
-		{Dir: "testdata/speclosure/serve", ImportPath: "repro/internal/lint/analyzers/testdata/speclosure/serve"},
-	}, analyzers.SpecClosure)
-}
-
-// Under paths ending neither /harness nor /serve the same sources are
-// out of scope entirely.
-func TestSpecClosureScopedToHarnessAndServe(t *testing.T) {
-	for _, d := range loadAs(t, "testdata/speclosure/harness", "repro/internal/sim", analyzers.SpecClosure) {
-		if d.Analyzer == analyzers.SpecClosure.Name {
-			t.Fatalf("speclosure fired outside its package scope: %v", d)
-		}
-	}
-}
-
 // A directory without external test files is not an xtest unit.
 func TestLoadExternalTestAbsent(t *testing.T) {
 	abs, err := filepath.Abs("testdata/determinism")

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 
@@ -37,58 +36,19 @@ var wantArgRe = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 // against the package's // want annotations.
 func Run(t *testing.T, dir, importPath string, analyzers ...*lint.Analyzer) {
 	t.Helper()
-	RunPackages(t, []PackageSpec{{Dir: dir, ImportPath: importPath}}, analyzers...)
-}
-
-// PackageSpec names one testdata directory and the import path to
-// type-check it under.
-type PackageSpec struct {
-	Dir        string
-	ImportPath string
-}
-
-// RunPackages loads several testdata packages as one program — shared
-// loader, shared file set, one lint.Run over all of them — and compares
-// the diagnostics against the union of // want annotations across every
-// package. This is how the interprocedural analyzers are golden-tested:
-// facts exported while analyzing one package are consumed checking
-// another, exactly as in a real ./... run.
-func RunPackages(t *testing.T, specs []PackageSpec, analyzers ...*lint.Analyzer) {
-	t.Helper()
-	pkgs := LoadPackages(t, specs)
-	diags := lint.Run(pkgs, analyzers)
-	CheckPackages(t, pkgs, diags)
-}
-
-// LoadPackages loads each spec's directory under its import path with
-// one shared loader, so cross-package imports (by real testdata paths)
-// and position-keyed facts resolve across the whole set.
-func LoadPackages(t *testing.T, specs []PackageSpec) []*lint.Package {
-	t.Helper()
-	if len(specs) == 0 {
-		t.Fatal("linttest: no packages given")
-	}
-	abs0, err := filepath.Abs(specs[0].Dir)
+	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}
-	loader, err := lint.NewLoader(abs0)
+	loader, err := lint.NewLoader(abs)
 	if err != nil {
 		t.Fatalf("linttest: %v", err)
 	}
-	pkgs := make([]*lint.Package, 0, len(specs))
-	for _, spec := range specs {
-		abs, err := filepath.Abs(spec.Dir)
-		if err != nil {
-			t.Fatalf("linttest: %v", err)
-		}
-		pkg, err := loader.LoadDirAs(abs, spec.ImportPath)
-		if err != nil {
-			t.Fatalf("linttest: loading %s: %v", spec.Dir, err)
-		}
-		pkgs = append(pkgs, pkg)
+	pkg, err := loader.LoadDirAs(abs, importPath)
+	if err != nil {
+		t.Fatalf("linttest: loading %s: %v", dir, err)
 	}
-	return pkgs
+	Check(t, pkg, lint.Run([]*lint.Package{pkg}, analyzers))
 }
 
 // expectation is the set of regexps wanted on one file:line.
@@ -103,41 +63,7 @@ type expectation struct {
 // diagnostic list.
 func Check(t *testing.T, pkg *lint.Package, diags []lint.Diagnostic) {
 	t.Helper()
-	CheckPackages(t, []*lint.Package{pkg}, diags)
-}
-
-// CheckPackages compares diagnostics against the union of // want
-// annotations across all the given packages.
-func CheckPackages(t *testing.T, pkgs []*lint.Package, diags []lint.Diagnostic) {
-	t.Helper()
-	wants := make(map[string]*expectation)
-	for _, pkg := range pkgs {
-		pkgWants := collectWants(t, pkg)
-		keys := make([]string, 0, len(pkgWants))
-		for key := range pkgWants {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			exp := pkgWants[key]
-			if prior, ok := wants[key]; ok {
-			merge:
-				for i, re := range exp.res {
-					for _, praw := range prior.raw {
-						if praw == exp.raw[i] {
-							continue merge
-						}
-					}
-					prior.res = append(prior.res, re)
-					prior.raw = append(prior.raw, exp.raw[i])
-					prior.hits = append(prior.hits, false)
-				}
-				continue
-			}
-			wants[key] = exp
-		}
-	}
-
+	wants := collectWants(t, pkg)
 	for _, d := range diags {
 		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
 		exp, ok := wants[key]

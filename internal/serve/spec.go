@@ -41,24 +41,6 @@ type TrialRequest struct {
 	Churn string `json:"churn,omitempty"`
 }
 
-// scenario parses the wire scenario dimensions shared by trial and
-// sweep requests. All errors wrap harness.ErrInvalidSpec.
-func scenario(topo, fair, churn string) (harness.TopologySpec, harness.Fairness, harness.ChurnSpec, error) {
-	t, err := harness.ParseTopology(topo)
-	if err != nil {
-		return harness.TopologySpec{}, 0, harness.ChurnSpec{}, err
-	}
-	f, err := harness.ParseFairness(fair)
-	if err != nil {
-		return harness.TopologySpec{}, 0, harness.ChurnSpec{}, err
-	}
-	c, err := harness.ParseChurn(churn)
-	if err != nil {
-		return harness.TopologySpec{}, 0, harness.ChurnSpec{}, err
-	}
-	return t, f, c, nil
-}
-
 // Spec validates the request and returns the trial spec it names.
 // Errors wrap harness.ErrInvalidSpec; the server maps them to 400 and
 // never enqueues the request.
@@ -67,7 +49,15 @@ func (r TrialRequest) Spec() (harness.TrialSpec, error) {
 	if err != nil {
 		return harness.TrialSpec{}, err
 	}
-	topo, fair, churn, err := scenario(r.Topology, r.Fairness, r.Churn)
+	topo, err := harness.ParseTopology(r.Topology)
+	if err != nil {
+		return harness.TrialSpec{}, err
+	}
+	fair, err := harness.ParseFairness(r.Fairness)
+	if err != nil {
+		return harness.TrialSpec{}, err
+	}
+	churn, err := harness.ParseChurn(r.Churn)
 	if err != nil {
 		return harness.TrialSpec{}, err
 	}
@@ -96,22 +86,13 @@ const DefaultMaxSweepTrials = 10_000
 // SweepRequest is the JSON body of POST /v1/sweeps: one aggregated
 // parameter point, seeded exactly like the batch binaries
 // (StreamSeed(seed, point_id, trial)), so a served sweep reproduces a
-// `kpart experiments` sweep point for point.
+// `kpart experiments` sweep point for point. The embedded TrialRequest
+// names the trial every cell runs, in the same JSON keys as
+// POST /v1/trials, with its seed as the root seed.
 type SweepRequest struct {
-	N               int    `json:"n"`
-	K               int    `json:"k"`
-	Trials          int    `json:"trials"`
-	Seed            uint64 `json:"seed"`
-	PointID         uint64 `json:"point_id,omitempty"`
-	MaxInteractions uint64 `json:"max_interactions,omitempty"`
-	Grouping        bool   `json:"grouping,omitempty"`
-	Engine          string `json:"engine,omitempty"`
-	BatchSize       uint64 `json:"batch_size,omitempty"`
-	// Topology, Fairness and Churn carry the scenario dimensions in the
-	// same syntax as TrialRequest; they apply to every trial of the point.
-	Topology string `json:"topology,omitempty"`
-	Fairness string `json:"fairness,omitempty"`
-	Churn    string `json:"churn,omitempty"`
+	TrialRequest
+	Trials  int    `json:"trials"`
+	PointID uint64 `json:"point_id,omitempty"`
 }
 
 // Sweep validates the request against maxTrials (<= 0 selects
@@ -126,31 +107,11 @@ func (r SweepRequest) Sweep(maxTrials int) (harness.SweepSpec, error) {
 	if r.Trials > maxTrials {
 		return harness.SweepSpec{}, fmt.Errorf("%w: trials=%d exceeds the per-sweep bound %d", harness.ErrInvalidSpec, r.Trials, maxTrials)
 	}
-	eng, err := harness.ParseEngine(r.Engine)
+	spec, err := r.Spec()
 	if err != nil {
 		return harness.SweepSpec{}, err
 	}
-	topo, fair, churn, err := scenario(r.Topology, r.Fairness, r.Churn)
-	if err != nil {
-		return harness.SweepSpec{}, err
-	}
-	s := harness.SweepSpec{
-		N: r.N, K: r.K, Trials: r.Trials,
-		Seed: r.Seed, PointID: r.PointID,
-		Grouping:        r.Grouping,
-		MaxInteractions: r.MaxInteractions,
-		Engine:          eng,
-		BatchSize:       r.BatchSize,
-		Topology:        topo,
-		Fairness:        fair,
-		Churn:           churn,
-	}
-	// Every trial of the point shares (n, k, engine), so validating the
-	// first spec validates them all.
-	if err := harness.ValidateSpec(s.Specs()[0]); err != nil {
-		return harness.SweepSpec{}, err
-	}
-	return s, nil
+	return harness.SweepSpec{TrialSpec: spec, Trials: r.Trials, PointID: r.PointID}, nil
 }
 
 // Record is the canonical document for one completed trial: what POST

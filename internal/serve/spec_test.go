@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -42,22 +41,22 @@ func TestTrialRequestValidation(t *testing.T) {
 }
 
 func TestSweepRequestValidation(t *testing.T) {
-	if _, err := (SweepRequest{N: 12, K: 3, Trials: 4, Seed: 1}).Sweep(0); err != nil {
+	if _, err := (SweepRequest{TrialRequest: TrialRequest{N: 12, K: 3, Seed: 1}, Trials: 4}).Sweep(0); err != nil {
 		t.Fatalf("valid sweep: %v", err)
 	}
 	for name, req := range map[string]SweepRequest{
-		"zero trials":     {N: 12, K: 3, Trials: 0},
-		"negative trials": {N: 12, K: 3, Trials: -1},
-		"bad point":       {N: 1, K: 3, Trials: 2},
+		"zero trials":     {TrialRequest: TrialRequest{N: 12, K: 3}, Trials: 0},
+		"negative trials": {TrialRequest: TrialRequest{N: 12, K: 3}, Trials: -1},
+		"bad point":       {TrialRequest: TrialRequest{N: 1, K: 3}, Trials: 2},
 	} {
 		if _, err := req.Sweep(0); !errors.Is(err, harness.ErrInvalidSpec) {
 			t.Errorf("%s: err = %v, want ErrInvalidSpec", name, err)
 		}
 	}
-	if _, err := (SweepRequest{N: 12, K: 3, Trials: 5}).Sweep(4); !errors.Is(err, harness.ErrInvalidSpec) {
+	if _, err := (SweepRequest{TrialRequest: TrialRequest{N: 12, K: 3}, Trials: 5}).Sweep(4); !errors.Is(err, harness.ErrInvalidSpec) {
 		t.Error("sweep above the per-request bound was accepted")
 	}
-	if _, err := (SweepRequest{N: 12, K: 3, Trials: DefaultMaxSweepTrials + 1}).Sweep(0); !errors.Is(err, harness.ErrInvalidSpec) {
+	if _, err := (SweepRequest{TrialRequest: TrialRequest{N: 12, K: 3}, Trials: DefaultMaxSweepTrials + 1}).Sweep(0); !errors.Is(err, harness.ErrInvalidSpec) {
 		t.Error("sweep above the default bound was accepted")
 	}
 }
@@ -88,28 +87,19 @@ func TestRequestsCarryEveryField(t *testing.T) {
 		for i := range set {
 			set[i] = set[i] || !reflect.ValueOf(spec).Field(i).IsZero()
 		}
-		body, err := json.Marshal(req)
+		sweep, err := SweepRequest{TrialRequest: req, Trials: 3, PointID: 5}.Sweep(0)
 		if err != nil {
-			t.Fatal(err)
-		}
-		var sr SweepRequest
-		if err := json.Unmarshal(body, &sr); err != nil {
-			t.Fatal(err)
-		}
-		sr.Trials, sr.PointID = 3, 5
-		sweep, err := sr.Sweep(0)
-		if err != nil {
-			t.Fatalf("%+v: %v", sr, err)
+			t.Fatalf("%+v: %v", req, err)
 		}
 		specs := sweep.Specs()
 		if len(specs) != 3 {
-			t.Fatalf("%+v: %d specs, want 3", sr, len(specs))
+			t.Fatalf("%+v: %d specs, want 3", req, len(specs))
 		}
 		for i, got := range specs {
 			want := spec
 			want.Seed = harness.SeedForCell(req.Seed, 5, i)
 			if got != want {
-				t.Errorf("%+v: trial %d spec\n%+v\nwant\n%+v", sr, i, got, want)
+				t.Errorf("%+v: trial %d spec\n%+v\nwant\n%+v", req, i, got, want)
 			}
 		}
 	}
