@@ -210,7 +210,7 @@ func TestDocPresenceTwinGolden(t *testing.T) {
 }
 
 // External test packages (package foo_test) are analysis units too.
-// atomicfield's Done phase joins facts program-wide, so a plain read
+// atomicfield's whole-program pass sees every unit, so a plain read
 // from an external test of a field that the package writes atomically
 // is exactly the cross-unit race the xtest loader exists to catch —
 // and is invisible when only the in-package unit is analyzed.

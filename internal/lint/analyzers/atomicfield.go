@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"repro/internal/lint"
 )
@@ -15,133 +14,94 @@ import (
 // program must be accessed through sync/atomic everywhere. A single
 // plain read of an atomically written counter is a data race the race
 // detector only catches if a test happens to interleave it — this check
-// catches it at lint time, program-wide (the Done phase joins facts
-// across packages). Fields typed atomic.Uint64 etc. are safe by
+// catches it at lint time, program-wide (its whole-program pass sees
+// every package). Fields typed atomic.Uint64 etc. are safe by
 // construction and never trigger it.
 var AtomicField = &lint.Analyzer{
-	Name: "atomicfield",
-	Doc:  "a struct field accessed via sync/atomic anywhere must be accessed atomically everywhere",
-	Run:  runAtomicField,
-	Done: doneAtomicField,
+	Name:       "atomicfield",
+	Doc:        "a struct field accessed via sync/atomic anywhere must be accessed atomically everywhere",
+	RunProgram: runAtomicField,
 }
 
-// afFacts accumulates across packages. Fields are keyed by the
-// declaration position of the field identifier — stable across the
-// loader's dependency and analysis type-checks of the same source.
-type afFacts struct {
-	// atomicAt maps field key -> position of one atomic use (for the
-	// message).
-	atomicAt map[string]token.Position
-	// plain maps field key -> non-atomic access positions.
-	plain map[string][]plainAccess
-	name  map[string]string
-}
-
-type plainAccess struct {
-	pos token.Position
-	// posKey dedups the same source position seen from both the
-	// dependency-facing and test-augmented type-check of one package.
-	posKey string
-}
-
-func afState(st *lint.State) *afFacts {
-	return st.Get("facts", func() any {
-		return &afFacts{
-			atomicAt: make(map[string]token.Position),
-			plain:    make(map[string][]plainAccess),
-			name:     make(map[string]string),
-		}
-	}).(*afFacts)
-}
-
-func fieldKey(pass *lint.Pass, f *types.Var) string {
-	return pass.Position(f.Pos()).String()
-}
-
-func runAtomicField(pass *lint.Pass) {
-	facts := afState(pass.State)
-
-	// First pass per file: mark the selector operands of sync/atomic
-	// calls (the `x.f` in atomic.AddUint64(&x.f, 1)) as atomic uses.
+// runAtomicField makes two passes over the program. The first collects
+// the fields passed to sync/atomic (the `x.f` in atomic.AddUint64(&x.f,
+// 1)); the second reports every other selection of those fields. Fields
+// are keyed by the declaration position of the field identifier, which
+// is stable across the loader's dependency and analysis type-checks of
+// the same source.
+func runAtomicField(pp *lint.ProgramPass) {
 	atomicSel := make(map[*ast.SelectorExpr]bool)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := lint.CalleeFunc(pass.Info, call)
-			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-				return true
-			}
-			for _, arg := range call.Args {
-				un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || un.Op != token.AND {
-					continue
-				}
-				sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
+	atomicAt := make(map[string]token.Position) // field key -> one atomic use
+	name := make(map[string]string)
+	for _, pkg := range pp.Program.Packages {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
 				if !ok {
-					continue
+					return true
 				}
-				if fv := fieldVar(pass, sel); fv != nil {
-					atomicSel[sel] = true
-					k := fieldKey(pass, fv)
-					if _, seen := facts.atomicAt[k]; !seen {
-						facts.atomicAt[k] = pass.Position(sel.Pos())
+				fn := lint.CalleeFunc(pkg.Info, call)
+				if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+					return true
+				}
+				for _, arg := range call.Args {
+					un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
+					if !ok || un.Op != token.AND {
+						continue
 					}
-					facts.name[k] = fv.Pkg().Name() + "." + structName(fv) + "." + fv.Name()
+					sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
+					if !ok {
+						continue
+					}
+					if fv := fieldVar(pkg.Info, sel); fv != nil {
+						atomicSel[sel] = true
+						k := pp.Position(fv.Pos()).String()
+						if _, seen := atomicAt[k]; !seen {
+							atomicAt[k] = pp.Position(sel.Pos())
+						}
+						name[k] = fv.Pkg().Name() + "." + structName(fv) + "." + fv.Name()
+					}
 				}
-			}
-			return true
-		})
+				return true
+			})
+		}
+	}
+	if len(atomicAt) == 0 {
+		return
 	}
 
-	// Second pass: every other selection of those fields is a plain
-	// access. All accesses are recorded here; Done filters to fields
-	// with at least one atomic use anywhere in the program.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || atomicSel[sel] {
+	// One report per source position, even when two analysis units
+	// parse the same file.
+	reported := make(map[string]bool)
+	for _, pkg := range pp.Program.Packages {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok || atomicSel[sel] {
+					return true
+				}
+				fv := fieldVar(pkg.Info, sel)
+				if fv == nil {
+					return true
+				}
+				k := pp.Position(fv.Pos()).String()
+				at, ok := atomicAt[k]
+				pos := pp.Position(sel.Sel.Pos()).String()
+				if !ok || reported[pos] {
+					return true
+				}
+				reported[pos] = true
+				pp.Reportf(sel.Sel.Pos(), "field %s is accessed with sync/atomic at %s but plainly here; every access must go through sync/atomic (or retype the field as an atomic.* value)",
+					name[k], at)
 				return true
-			}
-			fv := fieldVar(pass, sel)
-			if fv == nil {
-				return true
-			}
-			k := fieldKey(pass, fv)
-			pos := pass.Position(sel.Sel.Pos())
-			facts.plain[k] = append(facts.plain[k], plainAccess{pos: pos, posKey: pos.String()})
-			return true
-		})
-	}
-}
-
-func doneAtomicField(st *lint.State, report func(pos token.Position, format string, args ...any)) {
-	facts := afState(st)
-	keys := make([]string, 0, len(facts.atomicAt))
-	for k := range facts.atomicAt {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		accesses := facts.plain[k]
-		sort.Slice(accesses, func(i, j int) bool { return accesses[i].posKey < accesses[j].posKey })
-		seen := make(map[string]bool)
-		for _, a := range accesses {
-			if seen[a.posKey] {
-				continue
-			}
-			seen[a.posKey] = true
-			report(a.pos, "field %s is accessed with sync/atomic at %s but plainly here; every access must go through sync/atomic (or retype the field as an atomic.* value)",
-				facts.name[k], facts.atomicAt[k])
+			})
 		}
 	}
 }
 
 // fieldVar resolves sel to the struct field it selects, or nil.
-func fieldVar(pass *lint.Pass, sel *ast.SelectorExpr) *types.Var {
-	if s, ok := pass.Info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+func fieldVar(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
 		if v, ok := s.Obj().(*types.Var); ok {
 			return v
 		}

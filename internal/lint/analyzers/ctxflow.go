@@ -31,7 +31,6 @@ var CtxFlow = &lint.Analyzer{
 	Name:            "ctxflow",
 	Doc:             "functions reachable from RunTrialCtx/serve handlers with unbounded loops or blocking channel ops must accept and poll a context.Context",
 	Applies:         ctxflowScope,
-	Run:             func(*lint.Pass) {},
 	RunProgram:      runCtxFlowProgram,
 	Interprocedural: true,
 }

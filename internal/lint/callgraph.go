@@ -2,8 +2,8 @@ package lint
 
 // The whole-program layer: a conservative call graph over every loaded
 // analysis package, built by class-hierarchy analysis (CHA) on the
-// type-checked ASTs. Interprocedural analyzers (ctxflow, lockguard,
-// goroutinelife, speclosure) consume it through Program/ProgramPass.
+// type-checked ASTs. The interprocedural analyzers (ctxflow, lockguard,
+// goroutinelife) consume it through Program/ProgramPass.
 //
 // Resolution policy, most to least precise:
 //
@@ -184,28 +184,6 @@ func (g *CallGraph) Callees(f *Func) []Edge { return g.callees[f] }
 
 // Callers returns f's incoming edges in deterministic order.
 func (g *CallGraph) Callers(f *Func) []Edge { return g.callers[f] }
-
-// Reachable returns the set of nodes reachable from roots, following
-// every edge kind (go/defer launches included — the invariants the
-// interprocedural analyzers enforce follow work, not just the stack).
-func (g *CallGraph) Reachable(roots []*Func) map[*Func]bool {
-	seen := make(map[*Func]bool)
-	queue := append([]*Func(nil), roots...)
-	for _, r := range queue {
-		seen[r] = true
-	}
-	for len(queue) > 0 {
-		f := queue[0]
-		queue = queue[1:]
-		for _, e := range g.callees[f] {
-			if e.Callee != nil && !seen[e.Callee] {
-				seen[e.Callee] = true
-				queue = append(queue, e.Callee)
-			}
-		}
-	}
-	return seen
-}
 
 // BuildCallGraph constructs the CHA call graph over the packages.
 func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {

@@ -14,8 +14,10 @@
 //   - Loader (load.go) discovers, parses, and type-checks module
 //     packages using only go/parser and go/types, with the stdlib
 //     resolved through go/importer's "source" compiler.
-//   - Analyzer (this file) is one named check with a per-package Run
-//     pass and an optional whole-program Done pass.
+//   - Analyzer (this file) is one named check with an optional
+//     per-package Run pass and an optional whole-program RunProgram
+//     pass over the call graph (callgraph.go) and the facts its Run
+//     passes exported (facts.go).
 //   - Suppressions (suppress.go): a finding is silenced by a
 //     `//lint:allow <analyzer> -- reason` comment on the offending line
 //     or the line above it. The reason is mandatory, unknown analyzer
@@ -66,18 +68,15 @@ type Analyzer struct {
 	// Applies reports whether the analyzer runs on the package with the
 	// given import path. nil means every package.
 	Applies func(pkgPath string) bool
-	// Run inspects one type-checked package and reports findings via
-	// pass.Reportf. It may stash cross-package facts in pass.State.
+	// Run, if non-nil, inspects one type-checked package and reports
+	// findings via pass.Reportf. It may export facts to pass.Facts.
 	Run func(pass *Pass)
-	// Done, if non-nil, runs once after every package's Run pass, with
-	// the analyzer's accumulated State. It exists for whole-program
-	// invariants (e.g. a field used atomically in one package and
-	// plainly in another).
-	Done func(st *State, report func(pos token.Position, format string, args ...any))
 	// RunProgram, if non-nil, runs once after every Run pass with the
-	// whole-program view: the CHA call graph and the analyzer's fact
-	// store (facts exported by Run passes). Setting it makes the runner
-	// build Program (callgraph.go).
+	// whole-program view: every loaded package, the CHA call graph and
+	// the analyzer's fact store (facts exported by Run passes). It is
+	// for invariants no single package can decide, such as a field used
+	// atomically in one package and plainly in another. Setting it
+	// makes the runner build Program (callgraph.go).
 	RunProgram func(pp *ProgramPass)
 	// Interprocedural marks analyzers whose findings implicate whole
 	// call paths rather than single lines. Their diagnostics accept
@@ -96,9 +95,6 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// State is shared across all of this analyzer's passes and its Done
-	// hook; it is never shared between analyzers.
-	State *State
 	// Facts is the analyzer's cross-pass fact store: Run passes export
 	// facts about objects here; the RunProgram pass imports them. Never
 	// shared between analyzers.
@@ -128,26 +124,6 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
-// State is an analyzer-scoped scratch space that survives across
-// packages, for Done-phase whole-program checks.
-type State struct {
-	v map[string]any
-}
-
-// NewState returns an empty State.
-func NewState() *State { return &State{v: make(map[string]any)} }
-
-// Get returns the value under key, initializing it with init on first
-// use.
-func (s *State) Get(key string, init func() any) any {
-	if x, ok := s.v[key]; ok {
-		return x
-	}
-	x := init()
-	s.v[key] = x
-	return x
-}
-
 // Program is the whole-program view handed to RunProgram passes: every
 // loaded analysis package plus the CHA call graph over them. It is
 // built once per Run invocation (only when some analyzer asks for it)
@@ -158,27 +134,11 @@ type Program struct {
 	Graph    *CallGraph
 }
 
-// PackageFor returns the analysis unit whose import path satisfies
-// match, or nil. Analyzers use it to locate peers (e.g. speclosure
-// finding the serve package for a harness package) without hard-coding
-// full paths, so golden fixtures under testdata import paths resolve
-// the same way the real tree does.
-func (p *Program) PackageFor(match func(path string) bool) *Package {
-	for _, pkg := range p.Packages {
-		if match(pkg.Path) {
-			return pkg
-		}
-	}
-	return nil
-}
-
 // ProgramPass carries one analyzer's whole-program pass.
 type ProgramPass struct {
 	Analyzer *Analyzer
 	Program  *Program
-	// State and Facts are the same objects the analyzer's Run passes
-	// populated.
-	State *State
+	// Facts is the same store the analyzer's Run passes populated.
 	Facts *FactStore
 
 	report func(Diagnostic)

@@ -15,9 +15,9 @@ import (
 // malformed-directive, unknown-name, and unused-suppression findings.
 //
 // Phases, in order: per-package Run passes (which may export facts),
-// Done passes (legacy whole-program hook over State), RunProgram passes
-// (whole-program hook over the call graph and fact store — the program
-// is built once, only when some applicable analyzer asks for it).
+// then RunProgram passes (whole-program hook over the call graph and
+// fact store — the program is built once, only when some applicable
+// analyzer asks for it).
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
@@ -32,7 +32,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
-	states := make(map[string]*State, len(analyzers))
+	// An analyzer's fact store exists once it applies to some package.
 	facts := make(map[string]*FactStore, len(analyzers))
 	var sups []*Suppression
 
@@ -44,11 +44,11 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			if a.Applies != nil && !a.Applies(pkg.Path) {
 				continue
 			}
-			st, ok := states[a.Name]
-			if !ok {
-				st = NewState()
-				states[a.Name] = st
+			if facts[a.Name] == nil {
 				facts[a.Name] = NewFactStore(pkg.Fset)
+			}
+			if a.Run == nil {
+				continue
 			}
 			a.Run(&Pass{
 				Analyzer: a,
@@ -57,34 +57,16 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				Files:    pkg.Files,
 				Pkg:      pkg.Pkg,
 				Info:     pkg.Info,
-				State:    st,
 				Facts:    facts[a.Name],
 				report:   report,
 			})
 		}
 	}
-	for _, a := range analyzers {
-		if a.Done == nil {
-			continue
-		}
-		st, ok := states[a.Name]
-		if !ok {
-			continue // never applied to any package
-		}
-		name := a.Name
-		a.Done(st, func(pos token.Position, format string, args ...any) {
-			diags = append(diags, Diagnostic{Analyzer: name, Pos: pos, Message: fmt.Sprintf(format, args...)})
-		})
-	}
 
 	var prog *Program
 	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
-		}
-		st, ok := states[a.Name]
-		if !ok {
-			continue // applied to no package; nothing to check
+		if a.RunProgram == nil || facts[a.Name] == nil {
+			continue // no whole-program pass, or applied to no package
 		}
 		if prog == nil {
 			prog = &Program{Fset: fset, Packages: pkgs, Graph: BuildCallGraph(fset, pkgs)}
@@ -92,7 +74,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		a.RunProgram(&ProgramPass{
 			Analyzer: a,
 			Program:  prog,
-			State:    st,
 			Facts:    facts[a.Name],
 			report:   report,
 		})
@@ -196,7 +177,7 @@ func SortDiagnostics(ds []Diagnostic) {
 // sortedCopy returns the diagnostics in canonical order without
 // mutating the caller's slice. The writers sort defensively so CI
 // output stays diff-stable even if a caller assembles diagnostics from
-// multiple Run invocations (or a Done/RunProgram phase appended out of
+// multiple Run invocations (or a RunProgram phase appended out of
 // position order) without re-sorting.
 func sortedCopy(ds []Diagnostic) []Diagnostic {
 	out := append([]Diagnostic(nil), ds...)
