@@ -97,44 +97,32 @@ func benchCmd(ctx context.Context, args []string) error {
 	// interaction budget must be explicit because ~5·10¹⁶ interactions
 	// dwarf the harness default cap.
 	suite := []struct {
-		name            string
-		n, k            int
-		engine          harness.Engine
-		maxInteractions uint64
-		topology        harness.TopologySpec
-		fairness        harness.Fairness
-		scenario        bool
+		name string
+		spec harness.TrialSpec
 	}{
-		{name: "fig3/k=4/n=24", n: 24, k: 4, engine: harness.EngineAgent},
-		{name: "fig3/k=6/n=36", n: 36, k: 6, engine: harness.EngineAgent},
-		{name: "fig5/k=4/n=120", n: 120, k: 4, engine: harness.EngineAgent},
-		{name: "fig6/k=8/n=960", n: 960, k: 8, engine: harness.EngineAgent},
-		{name: "fig6-count/k=8/n=960", n: 960, k: 8, engine: harness.EngineCount},
-		{name: "fig6-count/k=12/n=960", n: 960, k: 12, engine: harness.EngineCount},
-		{name: "fig6-batch/k=8/n=960", n: 960, k: 8, engine: harness.EngineBatch},
-		{name: "scale-batch/k=8/n=1e8", n: 100_000_000, k: 8, engine: harness.EngineBatch, maxInteractions: 1 << 62},
+		{"fig3/k=4/n=24", harness.TrialSpec{N: 24, K: 4, Engine: harness.EngineAgent}},
+		{"fig3/k=6/n=36", harness.TrialSpec{N: 36, K: 6, Engine: harness.EngineAgent}},
+		{"fig5/k=4/n=120", harness.TrialSpec{N: 120, K: 4, Engine: harness.EngineAgent}},
+		{"fig6/k=8/n=960", harness.TrialSpec{N: 960, K: 8, Engine: harness.EngineAgent}},
+		{"fig6-count/k=8/n=960", harness.TrialSpec{N: 960, K: 8, Engine: harness.EngineCount}},
+		{"fig6-count/k=12/n=960", harness.TrialSpec{N: 960, K: 12, Engine: harness.EngineCount}},
+		{"fig6-batch/k=8/n=960", harness.TrialSpec{N: 960, K: 8, Engine: harness.EngineBatch}},
+		{"scale-batch/k=8/n=1e8", harness.TrialSpec{N: 100_000_000, K: 8, Engine: harness.EngineBatch, MaxInteractions: 1 << 62}},
 		// Scenario points measure the scenario seam's overhead, not
 		// convergence speed: the ring point runs the edge scheduler plus
 		// the orbit-closure freeze detector to its (usually frozen) end;
 		// the weak point drives the adversary a fixed 500k interactions
 		// (it stalls by design, so wall/interaction is the metric).
-		{name: "scenario-ring/k=3/n=60", n: 60, k: 3, engine: harness.EngineAgent,
-			maxInteractions: 5_000_000, topology: harness.TopologySpec{Kind: harness.TopologyRing}, scenario: true},
-		{name: "scenario-weak/k=3/n=12", n: 12, k: 3, engine: harness.EngineAgent,
-			maxInteractions: 500_000, fairness: harness.FairnessWeak, scenario: true},
+		{"scenario-ring/k=3/n=60", harness.TrialSpec{N: 60, K: 3, Engine: harness.EngineAgent,
+			MaxInteractions: 5_000_000, Topology: harness.TopologySpec{Kind: harness.TopologyRing}}},
+		{"scenario-weak/k=3/n=12", harness.TrialSpec{N: 12, K: 3, Engine: harness.EngineAgent,
+			MaxInteractions: 500_000, Fairness: harness.FairnessWeak}},
 	}
 	meta := fmt.Sprintf("kpart-bench trials=%d", *trials)
 	err := journaled(*out+".journal", meta, *resume, func(j *harness.Journal) error {
 		opts := harness.RunOptions{TrialTimeout: *trialTimeout, Retries: *retries, Journal: j}
 		for _, s := range suite {
-			base := harness.TrialSpec{
-				N: s.n, K: s.k,
-				Engine:          s.engine,
-				MaxInteractions: s.maxInteractions,
-				Topology:        s.topology,
-				Fairness:        s.fairness,
-			}
-			pt, err := runPoint(ctx, opts, s.name, base, *trials, s.scenario)
+			pt, err := runPoint(ctx, opts, s.name, s.spec, *trials)
 			if err != nil {
 				return err
 			}
@@ -168,8 +156,9 @@ func benchCmd(ctx context.Context, args []string) error {
 // Scenario points tolerate unconverged trials (freezes and stalls are
 // their workload); for everything else a failure to stabilize aborts the
 // suite.
-func runPoint(ctx context.Context, opts harness.RunOptions, name string, base harness.TrialSpec, trials int, scenarioPoint bool) (benchPoint, error) {
+func runPoint(ctx context.Context, opts harness.RunOptions, name string, base harness.TrialSpec, trials int) (benchPoint, error) {
 	pt := benchPoint{Name: name, N: base.N, K: base.K, Engine: base.Engine.String(), Trials: trials}
+	scenarioPoint := base.HasScenario()
 	if scenarioPoint {
 		pt.Scenario = fmt.Sprintf("topology=%s fairness=%s", base.Topology, base.Fairness)
 	}

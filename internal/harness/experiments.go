@@ -62,15 +62,11 @@ type KSeries struct {
 	Points []Point
 }
 
-// RunFig3 executes the Figure 3 (and, with Grouping, Figure 4) sweep.
-func RunFig3(cfg Fig3Config) ([]KSeries, error) {
-	return RunFig3Ctx(context.Background(), cfg, RunOptions{})
-}
-
-// RunFig3Ctx is RunFig3 under a context and resilience policy: the sweep
-// honors cancellation between (and, via the engines, within) trials, and
-// with opts.Journal set it skips journaled trials and checkpoints each
-// completed one — the resume workflow of `kpart experiments`.
+// RunFig3Ctx executes the Figure 3 (and, with Grouping, Figure 4) sweep
+// under a context and resilience policy: the sweep honors cancellation
+// between (and, via the engines, within) trials, and with opts.Journal
+// set it skips journaled trials and checkpoints each completed one — the
+// resume workflow of `kpart experiments`.
 func RunFig3Ctx(ctx context.Context, cfg Fig3Config, opts RunOptions) ([]KSeries, error) {
 	cfg.fill()
 	var out []KSeries
@@ -136,13 +132,8 @@ func (c *Fig5Config) fill() {
 	}
 }
 
-// RunFig5 executes the Figure 5 sweep.
-func RunFig5(cfg Fig5Config) ([]KSeries, error) {
-	return RunFig5Ctx(context.Background(), cfg, RunOptions{})
-}
-
-// RunFig5Ctx is RunFig5 with cancellation and checkpoint/resume (see
-// RunFig3Ctx).
+// RunFig5Ctx executes the Figure 5 sweep with cancellation and
+// checkpoint/resume (see RunFig3Ctx).
 func RunFig5Ctx(ctx context.Context, cfg Fig5Config, opts RunOptions) ([]KSeries, error) {
 	cfg.fill()
 	var out []KSeries
@@ -197,14 +188,9 @@ func (c *Fig6Config) fill() {
 	sort.Ints(c.Ks)
 }
 
-// RunFig6 executes the Figure 6 sweep; the returned points share N and
+// RunFig6Ctx executes the Figure 6 sweep with cancellation and
+// checkpoint/resume (see RunFig3Ctx); the returned points share N and
 // vary K.
-func RunFig6(cfg Fig6Config) ([]Point, error) {
-	return RunFig6Ctx(context.Background(), cfg, RunOptions{})
-}
-
-// RunFig6Ctx is RunFig6 with cancellation and checkpoint/resume (see
-// RunFig3Ctx).
 func RunFig6Ctx(ctx context.Context, cfg Fig6Config, opts RunOptions) ([]Point, error) {
 	cfg.fill()
 	var out []Point

@@ -486,18 +486,12 @@ func spreadOf(sizes []int) int {
 	return max - min
 }
 
-// RunMany executes specs over a worker pool and returns results in input
-// order. workers <= 0 selects GOMAXPROCS. Every spec is attempted; the
-// first error is returned alongside the full result slice.
-func RunMany(specs []TrialSpec, workers int) ([]TrialResult, error) {
-	return RunManyCtx(context.Background(), specs, workers, RunOptions{})
-}
-
 // RunManyCtx executes specs over a worker pool under ctx and returns
-// results in input order. workers <= 0 selects GOMAXPROCS. Results are a
-// pure function of the specs — independent of worker count, scheduling
-// order, journal hits, and retry history (the differential tests pin
-// this down).
+// results in input order. workers <= 0 selects GOMAXPROCS. Every spec is
+// attempted; the first error is returned alongside the full result
+// slice. Results are a pure function of the specs — independent of
+// worker count, scheduling order, journal hits, and retry history (the
+// differential tests pin this down).
 //
 // Each trial goes through RunTimedCtx: with opts.Journal set, trials
 // whose spec key is already journaled are returned without re-running,
