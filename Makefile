@@ -32,10 +32,9 @@ fmt-check:
 # tableclosure, docpresence) plus the interprocedural suite built on the
 # whole-program call graph — ctxflow (reachable unbounded work must poll
 # a context), lockguard (`// guarded by <mu>` field accesses), goroutinelife
-# (every go statement needs a provable exit path), speclosure (every
-# TrialSpec field reaches SpecKey, ValidateSpec, and the serve JSON
-# mapping). See internal/lint/analyzers and DESIGN.md §9. Exits non-zero
-# on any finding; suppressions require `//lint:allow <analyzer> -- reason`.
+# (every go statement needs a provable exit path). See
+# internal/lint/analyzers and DESIGN.md §9. Exits non-zero on any
+# finding; suppressions require `//lint:allow <analyzer> -- reason`.
 lint:
 	$(GO) run ./cmd/kpart-lint ./...
 

@@ -5,8 +5,8 @@
 // per-package checks (determinism, rngdiscipline, maporder,
 // atomicfield, errclose, tableclosure, docpresence) and the
 // interprocedural checks built on the whole-program call graph and fact
-// store (ctxflow, lockguard, goroutinelife, speclosure) — see DESIGN.md
-// §9 for how those are constructed.
+// store (ctxflow, lockguard, goroutinelife) — see DESIGN.md §9 for how
+// those are constructed.
 //
 // Usage:
 //
