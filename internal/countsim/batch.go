@@ -196,7 +196,9 @@ func BatchFromCounts(p protocol.Protocol, counts []int, seed uint64, opts BatchO
 	if err != nil {
 		return nil, err
 	}
-	if opts.Size > 0 && 2*opts.Size > uint64(s.n) {
+	// Divide n rather than double the size: 2·size wraps for sizes of
+	// 2⁶³ and above, and the sampler would then draw past the population.
+	if opts.Size > 0 && opts.Size > uint64(s.n)/2 {
 		return nil, fmt.Errorf("countsim: matching batch size %d needs 2·size <= n = %d", opts.Size, s.n)
 	}
 	if opts.SeqThreshold == 0 {

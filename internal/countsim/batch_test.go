@@ -38,6 +38,9 @@ func TestBatchValidation(t *testing.T) {
 	if _, err := NewBatch(p, 10, 1, BatchOptions{Size: 6}); err == nil {
 		t.Error("Size 6 with n=10 violates 2·size <= n; want error")
 	}
+	if _, err := NewBatch(p, 10, 1, BatchOptions{Size: 1 << 63}); err == nil {
+		t.Error("Size 2⁶³ with n=10 violates 2·size <= n (2·size wraps to 0); want error")
+	}
 	if _, err := NewBatch(p, 1, 1, BatchOptions{}); err == nil {
 		t.Error("n=1 must be rejected")
 	}

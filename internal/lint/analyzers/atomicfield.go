@@ -30,9 +30,12 @@ var AtomicField = &lint.Analyzer{
 // is stable across the loader's dependency and analysis type-checks of
 // the same source.
 func runAtomicField(pp *lint.ProgramPass) {
+	type atomicUse struct {
+		at   token.Position // one sync/atomic use, for the message
+		name string
+	}
 	atomicSel := make(map[*ast.SelectorExpr]bool)
-	atomicAt := make(map[string]token.Position) // field key -> one atomic use
-	name := make(map[string]string)
+	uses := make(map[string]atomicUse) // by field key
 	for _, pkg := range pp.Program.Packages {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -56,17 +59,19 @@ func runAtomicField(pp *lint.ProgramPass) {
 					if fv := fieldVar(pkg.Info, sel); fv != nil {
 						atomicSel[sel] = true
 						k := pp.Position(fv.Pos()).String()
-						if _, seen := atomicAt[k]; !seen {
-							atomicAt[k] = pp.Position(sel.Pos())
+						if _, seen := uses[k]; !seen {
+							uses[k] = atomicUse{
+								at:   pp.Position(sel.Pos()),
+								name: fv.Pkg().Name() + "." + structName(fv) + "." + fv.Name(),
+							}
 						}
-						name[k] = fv.Pkg().Name() + "." + structName(fv) + "." + fv.Name()
 					}
 				}
 				return true
 			})
 		}
 	}
-	if len(atomicAt) == 0 {
+	if len(uses) == 0 {
 		return
 	}
 
@@ -84,15 +89,17 @@ func runAtomicField(pp *lint.ProgramPass) {
 				if fv == nil {
 					return true
 				}
-				k := pp.Position(fv.Pos()).String()
-				at, ok := atomicAt[k]
+				use, ok := uses[pp.Position(fv.Pos()).String()]
+				if !ok {
+					return true
+				}
 				pos := pp.Position(sel.Sel.Pos()).String()
-				if !ok || reported[pos] {
+				if reported[pos] {
 					return true
 				}
 				reported[pos] = true
 				pp.Reportf(sel.Sel.Pos(), "field %s is accessed with sync/atomic at %s but plainly here; every access must go through sync/atomic (or retype the field as an atomic.* value)",
-					name[k], at)
+					use.name, use.at)
 				return true
 			})
 		}
