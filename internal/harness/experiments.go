@@ -146,8 +146,11 @@ func RunFig5Ctx(ctx context.Context, cfg Fig5Config, opts RunOptions) ([]KSeries
 				return nil, fmt.Errorf("fig5: n=%d not divisible by k=%d", n, k)
 			}
 			pt, err := SweepPointCtx(ctx, SweepSpec{
-				TrialSpec: TrialSpec{N: n, K: k, Seed: cfg.Seed, MaxInteractions: cfg.MaxInteractions, Engine: cfg.Engine},
-				Trials:    cfg.Trials, PointID: pointID, Workers: cfg.Workers,
+				TrialSpec: TrialSpec{
+					N: n, K: k, Seed: cfg.Seed,
+					MaxInteractions: cfg.MaxInteractions, Engine: cfg.Engine,
+				},
+				Trials: cfg.Trials, PointID: pointID, Workers: cfg.Workers,
 			}, opts)
 			if err != nil {
 				return nil, fmt.Errorf("fig5: %w", err)
@@ -200,8 +203,11 @@ func RunFig6Ctx(ctx context.Context, cfg Fig6Config, opts RunOptions) ([]Point, 
 			return nil, fmt.Errorf("fig6: n=%d not divisible by k=%d", cfg.N, k)
 		}
 		pt, err := SweepPointCtx(ctx, SweepSpec{
-			TrialSpec: TrialSpec{N: cfg.N, K: k, Seed: cfg.Seed, MaxInteractions: cfg.MaxInteractions, Engine: cfg.Engine},
-			Trials:    cfg.Trials, PointID: pointID, Workers: cfg.Workers,
+			TrialSpec: TrialSpec{
+				N: cfg.N, K: k, Seed: cfg.Seed,
+				MaxInteractions: cfg.MaxInteractions, Engine: cfg.Engine,
+			},
+			Trials: cfg.Trials, PointID: pointID, Workers: cfg.Workers,
 		}, opts)
 		if err != nil {
 			return nil, fmt.Errorf("fig6: %w", err)
