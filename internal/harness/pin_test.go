@@ -10,8 +10,9 @@ import (
 )
 
 // pinnedSpecs covers every engine with and without Figure 4 marks, the
-// scenario runner on a ring with marks, and a churn trial (churn rejects
-// marks). Populations stay small: each #gk milestone of a traced trial
+// scenario runner on a ring with marks, and three churn shapes (churn
+// rejects marks): crash leaves, graceful leaves with joins, and joins on
+// a star. Populations stay small: each #gk milestone of a traced trial
 // is one phase span in the fixture.
 var pinnedSpecs = []struct {
 	name string
@@ -29,6 +30,11 @@ var pinnedSpecs = []struct {
 		Topology: TopologySpec{Kind: TopologyRing}, Grouping: true}},
 	{"churn", TrialSpec{N: 15, K: 3, Seed: 3, MaxInteractions: 5_000_000,
 		Churn: ChurnSpec{At: 200, Interval: 200, Events: 2, Leaves: 1, Crash: true}}},
+	{"churn-graceful-join", TrialSpec{N: 16, K: 3, Seed: 9, MaxInteractions: 5_000_000,
+		Churn: ChurnSpec{At: 150, Interval: 150, Events: 3, Joins: 2, Leaves: 1}}},
+	{"star-churn-join", TrialSpec{N: 12, K: 3, Seed: 6, MaxInteractions: 5_000_000,
+		Topology: TopologySpec{Kind: TopologyStar},
+		Churn:    ChurnSpec{At: 100, Events: 1, Joins: 2}}},
 }
 
 // pinnedPath holds, for each of pinnedSpecs, a "# name" line, the
