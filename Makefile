@@ -48,9 +48,9 @@ test:
 
 # Race pass over the concurrency-bearing packages: the obs metrics core
 # (atomic counters shared across workers), the parallel trial harness
-# (whose journal is appended from every worker), the checkpoint layer,
-# the engines the trials drive (countsim includes the batched engine and
-# its seed-stability trajectory test; rng the samplers it draws from),
+# (whose journal is appended from every worker), the engines the trials
+# drive (countsim includes the batched engine and its seed-stability
+# trajectory test; rng the samplers it draws from),
 # and the HTTP serving layer (worker pool + admission queue + shared
 # LRU). internal/twin runs here because its mean-field rung shares a
 # mutex-guarded endgame-chain cache across /v1/predict request
@@ -63,7 +63,7 @@ test:
 # either way.
 race:
 	$(GO) test -race -short ./internal/obs ./internal/obs/span ./internal/harness \
-		./internal/sim ./internal/checkpoint ./internal/countsim ./internal/rng \
+		./internal/sim ./internal/countsim ./internal/rng \
 		./internal/serve ./internal/topology ./internal/fairness ./internal/sched \
 		./internal/twin
 
@@ -78,7 +78,6 @@ perfbench:
 # under `test`); a real campaign raises -fuzztime.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=5s ./internal/trace
-	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=5s ./internal/checkpoint
 	$(GO) test -run='^$$' -fuzz=FuzzSuppression -fuzztime=5s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzReadJSONL -fuzztime=5s ./internal/obs/span
 	$(GO) test -run='^$$' -fuzz=FuzzBatchApply -fuzztime=5s ./internal/countsim

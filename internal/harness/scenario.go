@@ -17,10 +17,9 @@ package harness
 //     yet can stall the protocol forever — the gap between weak and
 //     global fairness, mechanized.
 //   - Churn mutates the population mid-run (joins, graceful leaves,
-//     crashes) on a fixed interaction-count schedule, using
-//     checkpoint.Capture/Restore as the transfer mechanism so the
-//     surviving agents' states and the run's counters carry over
-//     exactly.
+//     crashes) on a fixed interaction-count schedule: the surviving
+//     agents' states and the run's counters carry over exactly into a
+//     new population.
 //
 // Scenario trials run ONLY on the agent engine: the count and batch
 // engines identify agents by state alone, so they cannot express a
@@ -36,7 +35,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
@@ -456,13 +454,12 @@ func applyChurn(states []protocol.State, c ChurnSpec, p *core.Protocol, r *rng.R
 // run is segmented at the churn schedule's interaction counts: each
 // segment runs under a freshly built scheduler for the segment's
 // population (graph rebuilt, seed derived per segment), and churn
-// batches transfer the surviving agents' states and the cumulative
-// counters through checkpoint.Capture/Restore. The final segment stops
-// on the stable signature of the FINAL population size — or, on a
-// restricted graph, when the configuration group-freezes
-// (topology.FrozenCondition with the protocol's parity orbits), which
-// is how the star-graph freeze surfaces as Frozen=true rather than a
-// burned interaction cap.
+// batches pass the surviving agents' states and the cumulative counters
+// to a new population. The final segment stops on the stable signature
+// of the FINAL population size — or, on a restricted graph, when the
+// configuration group-freezes (topology.FrozenCondition with the
+// protocol's parity orbits), which is how the star-graph freeze
+// surfaces as Frozen=true rather than a burned interaction cap.
 func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, ropts RunOptions) (TrialResult, error) {
 	maxI := spec.MaxInteractions
 	// The churn event times inside the run's budget, ascending.
@@ -573,23 +570,12 @@ func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, rop
 			endSpan(pop)
 			return out, nil
 		}
-		// Churn batch: capture the run, rewrite the agent roster, restore
-		// under the next segment's scheduler. Counters (and therefore the
-		// interaction clock) carry over; the next scheduler is built by
-		// the next loop iteration, so Restore is fed a scheduler matching
-		// the snapshot we edit here.
-		snap, err := checkpoint.Capture(pop, s)
-		if err != nil {
-			endSpan(pop)
-			return TrialResult{}, err
-		}
-		snap.States = applyChurn(snap.States, spec.Churn, p, churnRNG)
-		snap.RNGState = nil // the next segment's scheduler gets a fresh derived seed
-		next, err := checkpoint.Restore(p, s, snap)
-		if err != nil {
-			endSpan(pop)
-			return TrialResult{}, fmt.Errorf("harness: churn event %d: %w", segment+1, err)
-		}
+		// Churn batch: rewrite the agent roster into a new population and
+		// carry the counters (and therefore the interaction clock) over.
+		// validateScenario guarantees every size stays at least 3, and the
+		// next loop iteration builds the next segment's scheduler.
+		next := population.FromStates(p, applyChurn(pop.Snapshot(), spec.Churn, p, churnRNG))
+		next.SetCounters(pop.Interactions(), pop.Productive())
 		pop = next
 	}
 }

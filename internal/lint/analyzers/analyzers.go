@@ -68,13 +68,11 @@ func inDeterministicPkg(path string) bool {
 }
 
 // persistencePkgs are the paths that write experiment artifacts (CSV,
-// JSON docs, journals, traces, checkpoints) — the places where a
-// swallowed Close/Flush error turns into a silently truncated result
-// file.
+// JSON docs, journals, traces) — the places where a swallowed
+// Close/Flush error turns into a silently truncated result file.
 func inPersistencePkg(path string) bool {
 	switch path {
 	case modPath + "/internal/harness",
-		modPath + "/internal/checkpoint",
 		modPath + "/internal/trace":
 		return true
 	}

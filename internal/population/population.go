@@ -221,8 +221,8 @@ func (pop *Population) Clone() *Population {
 	}
 }
 
-// SetCounters overwrites the interaction counters; used by
-// checkpoint.Restore to resume a run with its history intact.
+// SetCounters overwrites the interaction counters; the churn scenario
+// uses it to carry a run's history into the population that replaces it.
 func (pop *Population) SetCounters(interactions, productive uint64) {
 	pop.interactions = interactions
 	pop.productive = productive

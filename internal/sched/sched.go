@@ -84,8 +84,8 @@ func NewRandomFrom(r *rng.Rand) *Random { return &Random{r: r} }
 // Name implements Scheduler.
 func (s *Random) Name() string { return "random" }
 
-// RNG exposes the scheduler's generator for checkpoint capture/restore;
-// the generator is the scheduler's only dynamic state.
+// RNG exposes the scheduler's generator, so the agent engine's fused
+// loop can draw pairs from it directly.
 func (s *Random) RNG() *rng.Rand { return s.r }
 
 // Next implements Scheduler.

@@ -90,11 +90,6 @@ func NewWeakAdversary(seed uint64, opts WeakOptions) *WeakAdversary {
 // Name implements Scheduler.
 func (w *WeakAdversary) Name() string { return "weak-adversary" }
 
-// RNG exposes the tie-break generator for checkpoint capture/restore;
-// together with the rotation cursor it is the scheduler's dynamic
-// state, and the cursor is deterministic in the step count.
-func (w *WeakAdversary) RNG() *rng.Rand { return w.r }
-
 // Next implements Scheduler.
 func (w *WeakAdversary) Next(v View) (int, int) {
 	w.step++

@@ -36,7 +36,7 @@ type observed struct {
 	res      sim.Result
 	err      error
 	states   []protocol.State
-	rngState []byte
+	rngState rng.Xoshiro256
 	marks    []uint64
 	metrics  obs.Snapshot
 	spans    []span.Span
@@ -71,7 +71,7 @@ func runLoop(t *testing.T, ctx context.Context, n, k int, seed, maxI uint64, via
 	return observed{
 		res: res, err: err,
 		states:   pop.Snapshot(),
-		rngState: r.RNG().MarshalState(),
+		rngState: *r.RNG().Xoshiro(),
 		marks:    ms.Marks(),
 		metrics:  reg.Snapshot(),
 		spans:    tr.Spans(),
