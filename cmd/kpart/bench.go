@@ -8,7 +8,7 @@ package main
 // text output.
 //
 //	kpart bench [-out BENCH_kpart.json] [-trials 5] [-debug-addr :6060]
-//	kpart bench -resume [-trial-timeout 5m] [-retries 1]
+//	kpart bench -resume [-trial-timeout 5m]
 //
 // The seeds match bench_test.go's (StreamSeed(0xbe9c4, n, k, trial)),
 // so interactions/run agrees with the benchmarks point for point.
@@ -73,9 +73,8 @@ func benchCmd(ctx context.Context, args []string) error {
 		debugAddr    = fs.String("debug-addr", "", "serve pprof and /debug/vars on this address (e.g. :6060)")
 		resume       = fs.Bool("resume", false, "resume from <out>.journal, reusing completed suite trials")
 		trialTimeout = fs.Duration("trial-timeout", 0, "per-trial wall deadline (0 = none)")
-		retries      = fs.Int("retries", 0, "extra attempts for transiently failed trials")
 	)
-	if err := parseFlags(fs, args, map[string]int{"trials": 1, "retries": 0}); err != nil {
+	if err := parseFlags(fs, args, map[string]int{"trials": 1}); err != nil {
 		return err
 	}
 	if err := serveDebug(*debugAddr); err != nil {
@@ -120,7 +119,7 @@ func benchCmd(ctx context.Context, args []string) error {
 	}
 	meta := fmt.Sprintf("kpart-bench trials=%d", *trials)
 	err := journaled(*out+".journal", meta, *resume, func(j *harness.Journal) error {
-		opts := harness.RunOptions{TrialTimeout: *trialTimeout, Retries: *retries, Journal: j}
+		opts := harness.RunOptions{TrialTimeout: *trialTimeout, Journal: j}
 		for _, s := range suite {
 			pt, err := runPoint(ctx, opts, s.name, s.spec, *trials)
 			if err != nil {

@@ -16,7 +16,7 @@ package main
 // the fig6 grid, the end-to-end predicted-vs-measured comparison.
 //
 //	kpart experiments -fig all [-trials 100] [-seed 20180725] [-out results] [-quick]
-//	kpart experiments -fig 6 -resume [-trial-timeout 10m] [-retries 2]
+//	kpart experiments -fig 6 -resume [-trial-timeout 10m]
 //	kpart experiments -fig predict [-fig6max 12] [-quick]
 //
 // -quick shrinks every sweep (fewer trials, smaller ranges) to finish in
@@ -58,10 +58,9 @@ func experimentsCmd(ctx context.Context, args []string) error {
 		debugAddr    = fs.String("debug-addr", "", "serve pprof and /debug/vars on this address (e.g. :6060)")
 		metrics      = fs.Bool("metrics", false, "record harness metrics; snapshot written to <out>/metrics.jsonl")
 		resume       = fs.Bool("resume", false, "resume from existing <out>/<fig>.journal files instead of starting fresh")
-		trialTimeout = fs.Duration("trial-timeout", 0, "per-trial wall deadline (0 = none); timed-out trials are retried under derived seeds")
-		retries      = fs.Int("retries", 0, "extra attempts for transiently failed trials (deterministic retry seeds)")
+		trialTimeout = fs.Duration("trial-timeout", 0, "per-trial wall deadline (0 = none)")
 	)
-	min := map[string]int{"trials": 1, "workers": 0, "nmax": 3, "fig6max": 2, "retries": 0}
+	min := map[string]int{"trials": 1, "workers": 0, "nmax": 3, "fig6max": 2}
 	if err := parseFlags(fs, args, min); err != nil {
 		return err
 	}
@@ -101,7 +100,7 @@ func experimentsCmd(ctx context.Context, args []string) error {
 	// Observability: with -metrics or -debug-addr the parallel trial
 	// runner records per-trial wall times, interaction histograms,
 	// convergence counters, and the resilience counters
-	// (retries/timeouts/canceled/resumed); /debug/vars exposes them live
+	// (timeouts/canceled/resumed); /debug/vars exposes them live
 	// during a long sweep, and the snapshot lands next to the CSV/JSON
 	// results — including on an interrupted exit.
 	reg := registry("kpart_experiments", *metrics || *debugAddr != "")
@@ -136,7 +135,7 @@ func experimentsCmd(ctx context.Context, args []string) error {
 	}
 
 	c := campaign{
-		opts:   harness.RunOptions{TrialTimeout: *trialTimeout, Retries: *retries},
+		opts:   harness.RunOptions{TrialTimeout: *trialTimeout},
 		trials: *trials, seed: *seed, outDir: *outDir, workers: *workers, eng: eng,
 	}
 	for _, e := range exps {

@@ -122,18 +122,18 @@ var countMinimums = []struct {
 	min       int
 }{
 	{"run", "n", 3}, {"run", "k", 2},
-	{"scale", "n", 3}, {"scale", "trials", 1}, {"scale", "retries", 0},
+	{"scale", "n", 3}, {"scale", "trials", 1},
 	{"experiments", "trials", 1}, {"experiments", "workers", 0}, {"experiments", "nmax", 3},
-	{"experiments", "fig6max", 2}, {"experiments", "retries", 0},
+	{"experiments", "fig6max", 2},
 	{"compare", "n", 3}, {"compare", "k", 2}, {"compare", "trials", 1},
 	{"exact", "k", 2}, {"exact", "nmin", 3}, {"exact", "nmax", 3}, {"exact", "sim", 0},
 	{"verify", "kmax", 2}, {"verify", "nmax", 3},
 	{"trace", "k", 2},
 	{"predict", "n", 3}, {"predict", "k", 2},
 	{"pp", "n", 2},
-	{"serve", "workers", 0}, {"serve", "queue", 0}, {"serve", "cache", 0}, {"serve", "retries", 0},
+	{"serve", "workers", 0}, {"serve", "queue", 0}, {"serve", "cache", 0},
 	{"serve", "max-sweep-trials", 0},
-	{"bench", "trials", 1}, {"bench", "retries", 0},
+	{"bench", "trials", 1},
 	{"serve-bench", "clients", 1}, {"serve-bench", "requests", 1}, {"serve-bench", "unique", 1},
 	{"serve-bench", "workers", 0}, {"serve-bench", "queue", 0},
 	{"twin-check", "trials", 1},

@@ -10,7 +10,7 @@ package main
 //	kpart scale -n 960 -k 16,20,24 -trials 10     # extend Figure 6
 //	kpart scale -n 100000000 -k 8 -engine batch   # planet scale: batched engine, ~1s/trial
 //	kpart scale -n 1000000 -k 8 -progress 100000000 -debug-addr :6060
-//	kpart scale -n 10000000 -k 8 -journal scale.journal -trial-timeout 2h -retries 1
+//	kpart scale -n 10000000 -k 8 -journal scale.journal -trial-timeout 2h
 //	kpart scale -n 10000000 -k 8 -journal scale.journal -resume   # after a crash/SIGINT
 //
 // Scenario runs (restricted topologies, the weak-fairness adversary,
@@ -59,7 +59,6 @@ type trialRecord struct {
 	Productive   uint64  `json:"productive"`
 	WallMS       float64 `json:"wall_ms"`
 	Resumed      bool    `json:"resumed,omitempty"`
-	Attempts     int     `json:"attempts,omitempty"`
 	// Scenario outcome fields: scenario trials may end frozen (or burn
 	// the cap) instead of converging, and churn changes the final size.
 	Converged bool `json:"converged,omitempty"`
@@ -112,8 +111,7 @@ func scaleCmd(ctx context.Context, args []string) error {
 		progressN    = fs.Uint64("progress", 0, "interactions between live progress reports (0 = off)")
 		journalPath  = fs.String("journal", "", "checkpoint completed trials to this journal file")
 		resume       = fs.Bool("resume", false, "resume from -journal, skipping already-completed trials")
-		trialTimeout = fs.Duration("trial-timeout", 0, "per-trial wall deadline (0 = none); timed-out trials retry under derived seeds")
-		retries      = fs.Int("retries", 0, "extra attempts for transiently failed trials")
+		trialTimeout = fs.Duration("trial-timeout", 0, "per-trial wall deadline (0 = none)")
 		engineFlag   = fs.String("engine", "count", "count engine: count (sequential, exact distribution) or batch (aggregated batches, approximate interaction totals, fastest); scenario flags switch to agent")
 		batchSize    = fs.Uint64("batch", 0, "batch engine: fixed matching size per batch (0 = adaptive aggregate mode)")
 		topoFlag     = fs.String("topology", "", "interaction graph: complete (default), ring, star, grid:RxC, regular:D[@SEED]")
@@ -121,7 +119,7 @@ func scaleCmd(ctx context.Context, args []string) error {
 		churnFlag    = fs.String("churn", "", "join/leave schedule, e.g. at=5000,events=2,every=5000,leave=1,crash")
 		maxIFlag     = fs.Uint64("max", 0, "interaction cap per trial (0 = unbounded; scenario runs default to 50M)")
 	)
-	if err := parseFlags(fs, args, map[string]int{"n": 3, "trials": 1, "retries": 0}); err != nil {
+	if err := parseFlags(fs, args, map[string]int{"n": 3, "trials": 1}); err != nil {
 		return err
 	}
 
@@ -183,11 +181,7 @@ func scaleCmd(ctx context.Context, args []string) error {
 		return err
 	}
 
-	opts := harness.RunOptions{
-		TrialTimeout: *trialTimeout,
-		Retries:      *retries,
-		Progress:     *progressN,
-	}
+	opts := harness.RunOptions{TrialTimeout: *trialTimeout, Progress: *progressN}
 	meta := fmt.Sprintf("kpart-scale n=%d k=%s trials=%d seed=%d engine=%s batch=%d topo=%s fair=%s churn=%s max=%d",
 		*n, *ksFlag, *trials, *seed, eng, *batchSize, topo, fair, churn, maxI)
 	doc := resultDoc{
@@ -236,7 +230,7 @@ func scaleCmd(ctx context.Context, args []string) error {
 					Trial: t, Seed: spec.Seed,
 					Interactions: res.Interactions, Productive: res.Productive,
 					WallMS:  float64(wall) / float64(time.Millisecond),
-					Resumed: resumed, Attempts: res.Attempts,
+					Resumed: resumed,
 				}
 				// Outcome fields only matter when trials can fail to converge;
 				// non-scenario runs abort on the first unconverged trial, so

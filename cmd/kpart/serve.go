@@ -8,15 +8,15 @@ package main
 // computed once and replayed byte-for-byte.
 //
 //	kpart serve [-addr :8080] [-workers 0] [-queue 64] [-cache 4096]
-//	            [-journal kpart-serve.journal] [-trial-timeout 0] [-retries 0]
+//	            [-journal kpart-serve.journal] [-trial-timeout 0]
 //	            [-debug-addr :6060] [-metrics-out path.jsonl] [-trace-out spans.jsonl]
 //	kpart serve -smoke
 //
 // GET /metrics on the API address serves the registry in Prometheus
 // text exposition format (and, with -debug-addr, on the debug address
 // too). With -trace-out, every request's span tree — request → queue →
-// trial → attempt → engine → per-#gk grouping phases — is appended to
-// the given JSONL file as it completes; clients may name their trace
+// trial → engine → per-#gk grouping phases — is appended to the given
+// JSONL file as it completes; clients may name their trace
 // with an X-Kpart-Trace header, which the response echoes. Render the
 // file with kpart spans.
 //
@@ -58,7 +58,6 @@ func serveCmd(ctx context.Context, args []string) error {
 		cacheN       = fs.Int("cache", serve.DefaultCacheEntries, "result cache capacity (entries)")
 		journalPath  = fs.String("journal", "", "journal path for persistent results (empty = in-memory only)")
 		trialTimeout = fs.Duration("trial-timeout", 0, "per-trial wall deadline (0 = none)")
-		retries      = fs.Int("retries", 0, "extra attempts for transiently failed trials")
 		retryAfter   = fs.Duration("retry-after", time.Second, "Retry-After hint sent with 429 responses")
 		sweepMax     = fs.Int("max-sweep-trials", serve.DefaultMaxSweepTrials, "largest trial count one sweep request may expand into")
 		debugAddr    = fs.String("debug-addr", "", "serve pprof, /debug/vars and /metrics on this address (e.g. :6060)")
@@ -66,7 +65,7 @@ func serveCmd(ctx context.Context, args []string) error {
 		traceOut     = fs.String("trace-out", "", "append completed request span trees (JSONL) here")
 		smoke        = fs.Bool("smoke", false, "run a loopback self-test and exit")
 	)
-	min := map[string]int{"workers": 0, "queue": 0, "cache": 0, "retries": 0, "max-sweep-trials": 0}
+	min := map[string]int{"workers": 0, "queue": 0, "cache": 0, "max-sweep-trials": 0}
 	if err := parseFlags(fs, args, min); err != nil {
 		return err
 	}
@@ -124,7 +123,7 @@ func serveCmd(ctx context.Context, args []string) error {
 		Journal:        journal,
 		Registry:       reg,
 		Spans:          spans,
-		RunOptions:     harness.RunOptions{TrialTimeout: *trialTimeout, Retries: *retries},
+		RunOptions:     harness.RunOptions{TrialTimeout: *trialTimeout},
 		RetryAfter:     *retryAfter,
 		MaxSweepTrials: *sweepMax,
 	})

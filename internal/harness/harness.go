@@ -24,7 +24,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/population"
-	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -93,11 +92,6 @@ type TrialResult struct {
 	// Marks holds NI_i (total interactions at the i-th grouping) when
 	// Spec.Grouping was set.
 	Marks []uint64
-	// Attempts is how many executions it took to get this result (1 =
-	// first try). Retried attempts run under deterministically re-derived
-	// seeds (RetrySeed), recorded in Spec.Seed, so every result remains
-	// reproducible from its own spec regardless of the retry history.
-	Attempts int `json:",omitempty"`
 	// Frozen reports that a restricted-topology run stopped because the
 	// configuration group-froze (no reachable interaction can change any
 	// agent's group again) WITHOUT reaching the uniform target — the
@@ -129,26 +123,15 @@ func Proto(k int) *core.Protocol {
 	return p
 }
 
-// RunOptions is the execution policy of a trial or batch: deadlines,
-// retries, journaling, progress. It deliberately lives OUTSIDE TrialSpec —
-// the spec is a trial's reproducible identity (it is what the sweep
-// journal hashes), while RunOptions only shapes how patiently the harness
-// pursues that identity. The zero value means: no deadline, no retries,
-// no journal — exactly the pre-resilience behavior.
+// RunOptions is the execution policy of a trial or batch: deadline,
+// journaling, progress. It deliberately lives OUTSIDE TrialSpec — the
+// spec is a trial's reproducible identity (it is what the sweep journal
+// hashes), while RunOptions only decides whether and where a trial runs,
+// never what it returns. The zero value means: no deadline, no journal.
 type RunOptions struct {
-	// TrialTimeout is the per-trial wall deadline; a trial (each attempt
-	// separately) exceeding it is aborted with context.DeadlineExceeded.
-	// 0 means no wall deadline.
+	// TrialTimeout is the per-trial wall deadline; a trial exceeding it
+	// fails with context.DeadlineExceeded. 0 means no wall deadline.
 	TrialTimeout time.Duration
-	// Retries is how many additional attempts a transiently failed trial
-	// gets. Each retry runs under RetrySeed(seed, attempt) so the retry
-	// stream is itself deterministic. Invalid-spec errors (ErrInvalidSpec)
-	// and batch cancellation are never retried.
-	Retries int
-	// Backoff is the base delay before the first retry, doubling per
-	// attempt and capped at MaxRetryBackoff; 0 means DefaultRetryBackoff.
-	// The sleep respects cancellation.
-	Backoff time.Duration
 	// Journal, when non-nil, is consulted before running each trial of a
 	// batch (completed trials are returned from the journal instead of
 	// re-run) and appended to after each success — the sweep
@@ -160,49 +143,9 @@ type RunOptions struct {
 	Progress uint64
 }
 
-// Retry/backoff tuning shared by every binary.
-const (
-	// DefaultRetryBackoff is the base retry delay when Backoff is 0.
-	DefaultRetryBackoff = 50 * time.Millisecond
-	// MaxRetryBackoff caps the exponential backoff growth.
-	MaxRetryBackoff = 2 * time.Second
-)
-
-// ErrInvalidSpec marks trial failures that no retry can fix (bad n/k,
-// malformed spec); RunTrialCtx fails such trials immediately.
+// ErrInvalidSpec marks trial failures that no run can fix (bad n/k,
+// malformed spec); RunTrialCtx fails such trials before running them.
 var ErrInvalidSpec = errors.New("harness: invalid trial spec")
-
-// RetrySeed deterministically derives the seed of the attempt-th retry
-// (attempt >= 1) of a trial originally seeded with seed. Keeping the
-// derivation pure means a resumed or re-run sweep retries identically,
-// so results stay reproducible even through failure paths.
-func RetrySeed(seed uint64, attempt int) uint64 {
-	return rng.StreamSeed(seed, 0x9e7291, uint64(attempt))
-}
-
-// backoffDelay is the sleep before retry number attempt (1-based).
-func backoffDelay(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		base = DefaultRetryBackoff
-	}
-	d := base << (attempt - 1)
-	if d <= 0 || d > MaxRetryBackoff {
-		d = MaxRetryBackoff
-	}
-	return d
-}
-
-// sleepCtx waits d or until ctx fires, whichever is first.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
 
 // RunTrial executes one trial to stability (or the interaction cap),
 // recording per-trial metrics when a registry is installed (SetMetrics).
@@ -210,20 +153,18 @@ func RunTrial(spec TrialSpec) (TrialResult, error) {
 	return RunTrialCtx(context.Background(), spec, RunOptions{})
 }
 
-// RunTrialCtx executes one trial under ctx with the given policy: each
-// attempt gets opts.TrialTimeout of wall clock, transient failures are
-// retried up to opts.Retries times under deterministically re-derived
-// seeds, and per-trial metrics (including retry/timeout counters) are
-// recorded when a registry is installed. The returned result's Spec
-// carries the seed that actually produced it.
+// RunTrialCtx executes one trial under ctx with the given policy. The
+// trial runs once, under its spec's seed and with opts.TrialTimeout of
+// wall clock, and either returns its result or fails with a typed error:
+// ErrInvalidSpec, context.DeadlineExceeded for a missed deadline, or the
+// batch context's error. Per-trial metrics (including the timeout and
+// cancellation counters) are recorded when a registry is installed.
 //
 // When ctx carries a span (span.FromContext), the run is traced: a
-// "trial" span with one "attempt" child per execution (retries show up
-// as extra attempts under their re-derived seeds), each attempt holding
-// its engine span and per-#gk phase spans. The span tree's identity is
-// deterministic for a fixed spec; only the wall stamps, taken here at
-// the harness edge, vary run to run.
-func RunTrialCtx(ctx context.Context, spec TrialSpec, opts RunOptions) (TrialResult, error) {
+// "trial" span holding the engine span and its per-#gk phase spans. The
+// span tree's identity is deterministic for a fixed spec; only the wall
+// stamps, taken here at the harness edge, vary run to run.
+func RunTrialCtx(ctx context.Context, spec TrialSpec, opts RunOptions) (res TrialResult, err error) {
 	reg := Metrics()
 	tspan := span.FromContext(ctx).Child("trial")
 	tspan.SetAttr("n", fmt.Sprint(spec.N)).
@@ -238,73 +179,43 @@ func RunTrialCtx(ctx context.Context, spec TrialSpec, opts RunOptions) (TrialRes
 		}
 	}
 	tsw := span.StartWall()
-	endTrial := func(res TrialResult, err error) (TrialResult, error) {
+	defer func() {
 		if err != nil {
 			tspan.SetAttr("outcome", "error")
 		} else {
 			tspan.SetAttr("outcome", "ok").
-				SetAttr("converged", fmt.Sprint(res.Converged)).
-				SetAttr("attempts", fmt.Sprint(res.Attempts))
+				SetAttr("converged", fmt.Sprint(res.Converged))
 			tspan.SetSeq(0, res.Interactions)
 		}
 		tsw.StopInto(tspan)
 		tspan.End()
-		return res, err
+	}()
+	if ctx.Err() != nil {
+		reg.Counter("harness/canceled").Inc()
+		return TrialResult{}, ctx.Err()
 	}
-	attempt := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			reg.Counter("harness/canceled").Inc()
-			return endTrial(TrialResult{}, err)
-		}
-		tctx := ctx
-		cancel := context.CancelFunc(nil)
-		if opts.TrialTimeout > 0 {
-			tctx, cancel = context.WithTimeout(ctx, opts.TrialTimeout)
-		}
-		aspan := tspan.Child("attempt").
-			SetAttr("attempt", fmt.Sprint(attempt+1)).
-			SetAttr("seed", fmt.Sprintf("%#x", spec.Seed))
-		asw := span.StartWall()
-		start := time.Now()
-		res, err := runTrial(span.NewContext(tctx, aspan), spec, opts)
-		wall := time.Since(start)
-		asw.StopInto(aspan)
-		if err != nil {
-			aspan.SetAttr("outcome", "error")
-		} else {
-			aspan.SetSeq(0, res.Interactions)
-		}
-		aspan.End()
-		if cancel != nil {
-			cancel()
-		}
-		observeTrial(reg, res, err, wall)
-		if err == nil {
-			res.Attempts = attempt + 1
-			return endTrial(res, nil)
-		}
-		if ctx.Err() != nil {
-			// The batch (not this trial's deadline) was cancelled.
-			reg.Counter("harness/canceled").Inc()
-			return endTrial(TrialResult{}, ctx.Err())
-		}
-		if errors.Is(err, context.DeadlineExceeded) {
-			reg.Counter("harness/timeouts").Inc()
-			err = fmt.Errorf("harness: n=%d k=%d seed=%#x: attempt %d exceeded trial timeout %v: %w",
-				spec.N, spec.K, spec.Seed, attempt+1, opts.TrialTimeout, err)
-		}
-		if errors.Is(err, ErrInvalidSpec) || attempt >= opts.Retries {
-			return endTrial(TrialResult{}, err)
-		}
-		attempt++
-		reg.Counter("harness/retries").Inc()
-		spec.Seed = RetrySeed(spec.Seed, attempt)
-		if serr := sleepCtx(ctx, backoffDelay(opts.Backoff, attempt)); serr != nil {
-			reg.Counter("harness/canceled").Inc()
-			return endTrial(TrialResult{}, serr)
-		}
+	tctx := ctx
+	if opts.TrialTimeout > 0 {
+		var cancel context.CancelFunc
+		tctx, cancel = context.WithTimeout(ctx, opts.TrialTimeout)
+		defer cancel()
 	}
+	start := time.Now()
+	res, err = runTrial(span.NewContext(tctx, tspan), spec, opts)
+	observeTrial(reg, res, err, time.Since(start))
+	switch {
+	case err == nil:
+		return res, nil
+	case ctx.Err() != nil:
+		// The batch (not this trial's deadline) was cancelled.
+		reg.Counter("harness/canceled").Inc()
+		return TrialResult{}, ctx.Err()
+	case errors.Is(err, context.DeadlineExceeded):
+		reg.Counter("harness/timeouts").Inc()
+		return TrialResult{}, fmt.Errorf("harness: n=%d k=%d seed=%#x: exceeded trial timeout %v: %w",
+			spec.N, spec.K, spec.Seed, opts.TrialTimeout, err)
+	}
+	return TrialResult{}, err
 }
 
 func runTrial(ctx context.Context, spec TrialSpec, ropts RunOptions) (TrialResult, error) {
@@ -315,8 +226,8 @@ func runTrial(ctx context.Context, spec TrialSpec, ropts RunOptions) (TrialResul
 	}
 	// The scenario axes are validated on the execution path too, not just
 	// at admission: a caller that skips ValidateSpec still gets
-	// ErrInvalidSpec (never a bogus run, never a retry) for an
-	// inconsistent scenario spec.
+	// ErrInvalidSpec (never a bogus run) for an inconsistent scenario
+	// spec.
 	if err := validateScenario(spec); err != nil {
 		return TrialResult{}, err
 	}
@@ -490,8 +401,9 @@ func spreadOf(sizes []int) int {
 // results in input order. workers <= 0 selects GOMAXPROCS. Every spec is
 // attempted; the first error is returned alongside the full result
 // slice. Results are a pure function of the specs — independent of
-// worker count, scheduling order, journal hits, and retry history (the
-// differential tests pin this down).
+// worker count, scheduling order, journal hits, and deadlines, which can
+// fail a trial but never change its result (the differential tests pin
+// this down).
 //
 // Each trial goes through RunTimedCtx: with opts.Journal set, trials
 // whose spec key is already journaled are returned without re-running,
@@ -558,7 +470,7 @@ func RunTimedCtx(ctx context.Context, spec TrialSpec, opts RunOptions) (res Tria
 	res, err = RunTrialCtx(ctx, spec, opts)
 	wall = time.Since(start)
 	if err == nil && opts.Journal != nil {
-		err = opts.Journal.Append(spec, res, wall)
+		err = opts.Journal.Append(res, wall)
 	}
 	return res, wall, false, err
 }
@@ -697,7 +609,7 @@ func (s SweepSpec) Specs() []TrialSpec {
 	return specs
 }
 
-// SweepPointCtx runs a sweep point under ctx with the given resilience
+// SweepPointCtx runs a sweep point under ctx with the given execution
 // policy and aggregates the trials.
 func SweepPointCtx(ctx context.Context, s SweepSpec, opts RunOptions) (Point, error) {
 	results, err := RunManyCtx(ctx, s.Specs(), s.Workers, opts)

@@ -222,12 +222,12 @@ func (j *Journal) Len() int {
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Append records one completed trial under the ORIGINAL spec's key (res
-// may carry a retry seed in its Spec; the journal identity is the trial
-// as planned, so resume lookups match). The record is written as a
-// single newline-terminated write, the atomic unit of the format.
-func (j *Journal) Append(spec TrialSpec, res TrialResult, wall time.Duration) error {
-	rec := journalRecord{Key: SpecKey(spec), Result: res, WallUS: uint64(wall.Microseconds())}
+// Append records one completed trial under its spec's key; a result's
+// Spec is the trial as planned, so resume lookups match. The record is
+// written as a single newline-terminated write, the atomic unit of the
+// format.
+func (j *Journal) Append(res TrialResult, wall time.Duration) error {
+	rec := journalRecord{Key: SpecKey(res.Spec), Result: res, WallUS: uint64(wall.Microseconds())}
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return err

@@ -44,13 +44,13 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(spec, res, 1234*time.Microsecond); err != nil {
+	if err := j.Append(res, 1234*time.Microsecond); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(spec, res, 0); err == nil {
+	if err := j.Append(res, 0); err == nil {
 		t.Fatal("append after Close accepted")
 	}
 
@@ -119,12 +119,13 @@ func TestJournalCorruptMiddleRecordRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunTrial(TrialSpec{N: 16, K: 4, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	for _, seed := range []uint64{3, 4} {
+		res, err := RunTrial(TrialSpec{N: 16, K: 4, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Append(res, 0)
 	}
-	j.Append(TrialSpec{N: 16, K: 4, Seed: 3}, res, 0)
-	j.Append(TrialSpec{N: 16, K: 4, Seed: 4}, res, 0)
 	j.Close()
 
 	// Corrupt the FIRST record (a complete, newline-terminated line): this
@@ -173,7 +174,7 @@ func TestJournalTornTailTruncatedAndAppendable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Append(s, res, time.Millisecond); err != nil {
+		if err := j.Append(res, time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -196,7 +197,7 @@ func TestJournalTornTailTruncatedAndAppendable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Append(specs[2], res, time.Millisecond); err != nil {
+	if err := j2.Append(res, time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()

@@ -35,16 +35,15 @@ func Metrics() *obs.Registry {
 	return obsReg
 }
 
-// observeTrial records one finished trial attempt. Wall time lands in a
+// observeTrial records one finished trial. Wall time lands in a
 // power-of-two histogram of microseconds (trial durations span ~1 µs
 // model-check-sized runs to minutes-long Figure 6 tails).
 //
-// The resilience layer adds four more counters, recorded at their
-// decision points rather than here: harness/retries (RunTrialCtx, per
-// re-derived-seed attempt), harness/timeouts (per attempt that exceeded
-// its wall deadline), harness/canceled (trials abandoned because the
-// batch context fired), and harness/resumed (RunTimedCtx, trials answered
-// from the sweep journal instead of re-run).
+// Three more counters are recorded at their decision points rather than
+// here: harness/timeouts (RunTrialCtx, trials that exceeded their wall
+// deadline), harness/canceled (trials abandoned because the batch
+// context fired), and harness/resumed (RunTimedCtx, trials answered from
+// the sweep journal instead of re-run).
 func observeTrial(reg *obs.Registry, res TrialResult, err error, wall time.Duration) {
 	reg.Counter("harness/trials").Inc()
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // Differential determinism: RunManyCtx results are a pure function of the
 // specs — worker count must not leak into any field. Byte-identical JSON
 // is the strongest cheap form of that claim (it covers every exported
-// field at once, including Marks, Spread, and Attempts).
+// field at once, including Marks, Spread, Frozen and FinalN).
 func TestRunManyDifferentialDeterminism(t *testing.T) {
 	var specs []TrialSpec
 	for i := 0; i < 10; i++ {
@@ -71,11 +71,9 @@ func TestRunManyDifferentialDeterminism(t *testing.T) {
 			t.Fatalf("workers=%d produced different results\nserial: %s\ngot:    %s", workers, serial, got)
 		}
 	}
-	// The execution policy (a generous deadline, retry budget) is not part
-	// of trial identity either: same bytes with a non-zero policy.
-	res, err := RunManyCtx(context.Background(), specs, 4, RunOptions{
-		TrialTimeout: time.Minute, Retries: 2, Backoff: time.Millisecond,
-	})
+	// The execution policy (a generous deadline) is not part of trial
+	// identity either: same bytes with a non-zero policy.
+	res, err := RunManyCtx(context.Background(), specs, 4, RunOptions{TrialTimeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,68 +81,74 @@ func TestRunManyDifferentialDeterminism(t *testing.T) {
 	if !bytes.Equal(data, serial) {
 		t.Fatal("RunOptions changed trial results")
 	}
-}
-
-func TestRetrySeedDerivation(t *testing.T) {
-	if RetrySeed(42, 1) != RetrySeed(42, 1) {
-		t.Fatal("RetrySeed not deterministic")
-	}
-	seen := map[uint64]bool{42: true}
-	for attempt := 1; attempt <= 4; attempt++ {
-		s := RetrySeed(42, attempt)
-		if seen[s] {
-			t.Fatalf("attempt %d collides with an earlier seed", attempt)
+	// A deadline can fail a trial but never change its result: under a
+	// 2ms deadline each spec either fails with DeadlineExceeded or returns
+	// the bytes of its run without one. n=1000, k=8 on the agent engine
+	// needs far more than 2ms, so the deadline fires at least once.
+	fired := 0
+	for i, spec := range append(specs, TrialSpec{N: 1000, K: 8, Seed: 7}) {
+		res, err := RunTrialCtx(context.Background(), spec, RunOptions{TrialTimeout: 2 * time.Millisecond})
+		if errors.Is(err, context.DeadlineExceeded) {
+			fired++
+			continue
 		}
-		seen[s] = true
+		if err != nil {
+			t.Fatalf("spec %d: %v", i, err)
+		}
+		plain, err := RunTrial(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, _ := json.Marshal(res)
+		b, _ := json.Marshal(plain)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("spec %d: the deadline changed the result\ntimed: %s\nplain: %s", i, a, b)
+		}
+	}
+	if fired == 0 {
+		t.Fatal("the 2ms deadline fired for no spec")
 	}
 }
 
-// A per-trial wall deadline aborts the attempt with DeadlineExceeded;
-// with a retry budget, every attempt runs (under a re-derived seed) and
-// the timeout/retry counters record the history.
-func TestRunTrialCtxTimeoutAndRetryCounters(t *testing.T) {
+// A per-trial wall deadline fails the trial with DeadlineExceeded, once,
+// and the timeout counter records it.
+func TestRunTrialCtxTimeoutCounted(t *testing.T) {
 	reg := obs.New("test")
 	SetMetrics(reg)
 	defer SetMetrics(nil)
 
 	// n=1000, k=8 on the agent engine needs far more than 2ms of wall
-	// clock (the fig6 point at n=960 runs for seconds), so every attempt
-	// deterministically exceeds the deadline.
+	// clock, so the trial deterministically exceeds the deadline.
 	spec := TrialSpec{N: 1000, K: 8, Seed: 7}
-	_, err := RunTrialCtx(context.Background(), spec, RunOptions{
-		TrialTimeout: 2 * time.Millisecond,
-		Retries:      2,
-		Backoff:      time.Millisecond,
-	})
+	_, err := RunTrialCtx(context.Background(), spec, RunOptions{TrialTimeout: 2 * time.Millisecond})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want DeadlineExceeded", err)
 	}
-	if got := reg.Counter("harness/timeouts").Value(); got != 3 {
-		t.Fatalf("timeouts counter = %d, want 3 (initial attempt + 2 retries)", got)
+	if got := reg.Counter("harness/timeouts").Value(); got != 1 {
+		t.Fatalf("timeouts counter = %d, want 1", got)
 	}
-	if got := reg.Counter("harness/retries").Value(); got != 2 {
-		t.Fatalf("retries counter = %d, want 2", got)
+	if got := reg.Counter("harness/trials").Value(); got != 1 {
+		t.Fatalf("trials counter = %d, want 1", got)
 	}
 }
 
-// Invalid specs can never be fixed by retrying — they fail immediately,
-// leaving the retry budget untouched.
-func TestRunTrialCtxInvalidSpecNotRetried(t *testing.T) {
+// An invalid spec fails with ErrInvalidSpec and counts as an error.
+func TestRunTrialCtxInvalidSpecFails(t *testing.T) {
 	reg := obs.New("test")
 	SetMetrics(reg)
 	defer SetMetrics(nil)
 
-	_, err := RunTrialCtx(context.Background(), TrialSpec{N: 2, K: 3, Seed: 1}, RunOptions{Retries: 5})
+	_, err := RunTrialCtx(context.Background(), TrialSpec{N: 2, K: 3, Seed: 1}, RunOptions{})
 	if !errors.Is(err, ErrInvalidSpec) {
 		t.Fatalf("got %v, want ErrInvalidSpec", err)
 	}
-	if got := reg.Counter("harness/retries").Value(); got != 0 {
-		t.Fatalf("invalid spec was retried %d times", got)
+	if got := reg.Counter("harness/errors").Value(); got != 1 {
+		t.Fatalf("errors counter = %d, want 1", got)
 	}
 }
 
-// Batch cancellation is not a trial failure: no retry, the canceled
-// counter increments, and the context error surfaces unchanged.
+// Batch cancellation is not a trial failure: the canceled counter
+// increments, and the context error surfaces unchanged.
 func TestRunTrialCtxCanceled(t *testing.T) {
 	reg := obs.New("test")
 	SetMetrics(reg)
@@ -152,25 +156,12 @@ func TestRunTrialCtxCanceled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunTrialCtx(ctx, TrialSpec{N: 20, K: 4, Seed: 1}, RunOptions{Retries: 3})
+	_, err := RunTrialCtx(ctx, TrialSpec{N: 20, K: 4, Seed: 1}, RunOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want Canceled", err)
 	}
 	if got := reg.Counter("harness/canceled").Value(); got == 0 {
 		t.Fatal("canceled counter not incremented")
-	}
-	if got := reg.Counter("harness/retries").Value(); got != 0 {
-		t.Fatalf("canceled trial was retried %d times", got)
-	}
-}
-
-func TestRunTrialCtxAttemptsRecorded(t *testing.T) {
-	res, err := RunTrialCtx(context.Background(), TrialSpec{N: 20, K: 4, Seed: 1}, RunOptions{Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Attempts != 1 {
-		t.Fatalf("clean first-try run recorded Attempts=%d", res.Attempts)
 	}
 }
 

@@ -69,7 +69,7 @@ func TestTrialSpanTreeDeterministic(t *testing.T) {
 }
 
 // TestTrialSpanTreeShape checks the exported tree is complete and
-// properly nested: request → trial → attempt → engine → one
+// properly nested: request → trial → engine → one
 // phase/grouping span per #gk milestone, with every child's logical
 // interval inside its parent's and every child's wall interval inside
 // its parent's (where both are stamped).
@@ -91,7 +91,7 @@ func TestTrialSpanTreeShape(t *testing.T) {
 			count[s.Name]++
 		}
 		// n=24, k=4 converges to exactly 6 complete groupings.
-		want := map[string]int{"request": 1, "trial": 1, "attempt": 1, tc.eng: 1, "phase/grouping": 6}
+		want := map[string]int{"request": 1, "trial": 1, tc.eng: 1, "phase/grouping": 6}
 		for name, n := range want {
 			if count[name] != n {
 				t.Errorf("engine %v: %d %q spans, want %d (all: %v)", tc.engine, count[name], name, n, count)

@@ -67,8 +67,8 @@ func ValidatePartition(n, k int) error {
 // running it: group count in range, population size admitting a target
 // signature, and a known engine. Failures wrap ErrInvalidSpec — the same
 // sentinel runTrial returns — so admission layers (the HTTP service
-// rejects invalid specs with 400 before enqueueing them) and the retry
-// policy agree on what "unfixable" means.
+// rejects invalid specs with 400 before enqueueing them) and the
+// execution path agree on what "unfixable" means.
 func ValidateSpec(spec TrialSpec) error {
 	if err := ValidatePartition(spec.N, spec.K); err != nil {
 		return err

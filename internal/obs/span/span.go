@@ -1,8 +1,8 @@
 // Package span is the distributed-tracing layer of the simulation
 // stack: explicit, deterministic span trees that follow one trial from
-// the HTTP edge (serve admission and queue) through the harness
-// (trial, attempt) into the engines (per-#gk grouping phases), exported
-// as JSONL and rendered by `kpart spans`.
+// the HTTP edge (serve admission and queue) through the harness trial
+// into the engines (per-#gk grouping phases), exported as JSONL and
+// rendered by `kpart spans`.
 //
 // The design constraint is the repository's determinism bar: a span
 // tree's identity — trace ID, span IDs, parent links, names, attributes

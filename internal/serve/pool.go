@@ -328,8 +328,8 @@ func (p *Pool) execute(j *Job) outcome {
 	}()
 	ctx := p.ctx
 	if j.parent != nil {
-		// The worker roots the harness's trial/attempt/engine spans
-		// under the submitting request's span.
+		// The worker roots the harness's trial/engine spans under the
+		// submitting request's span.
 		ctx = span.NewContext(ctx, j.parent)
 	}
 	start := time.Now()
@@ -349,7 +349,7 @@ func (p *Pool) execute(j *Job) outcome {
 	if p.journal != nil {
 		// A journal append failure must not fail the response — the
 		// result is correct, only its persistence is degraded.
-		if jerr := p.journal.Append(j.Spec, res, wall); jerr != nil {
+		if jerr := p.journal.Append(res, wall); jerr != nil {
 			p.journalErrs.Inc()
 		}
 	}

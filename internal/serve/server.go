@@ -38,7 +38,7 @@ type Config struct {
 	// Spans collects request span trees (see internal/obs/span); nil
 	// disables tracing entirely.
 	Spans *span.Collector
-	// RunOptions is the per-trial execution policy (timeout, retries).
+	// RunOptions is the per-trial execution policy (the timeout).
 	// Journal and Progress are ignored; the pool journals itself.
 	RunOptions harness.RunOptions
 	// RetryAfter is the hint sent with 429 responses (0 = 1s).

@@ -2,7 +2,7 @@ package serve
 
 // Loopback tests for the tracing edge: X-Kpart-Trace round-trips into
 // the span export, the exported tree is complete (request → queue →
-// trial → attempt → engine → #gk phases), span identity is stable
+// trial → engine → #gk phases), span identity is stable
 // across two runs of the same spec, and concurrent identical specs
 // coalesce onto one in-flight job.
 
@@ -78,8 +78,8 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 		t.Fatalf("response %s = %q, want %q", span.Header, got, traceID)
 	}
 
-	// request + queue + trial + attempt + engine + ≥1 phase.
-	spans := exportWhenDone(t, col, 6)
+	// request + queue + trial + engine + ≥1 phase.
+	spans := exportWhenDone(t, col, 5)
 	count := make(map[string]int)
 	byID := make(map[string]span.Span)
 	for _, s := range spans {
@@ -89,7 +89,7 @@ func TestTraceHeaderRoundTrip(t *testing.T) {
 		count[s.Name]++
 		byID[s.ID] = s
 	}
-	for _, name := range []string{"request", "queue", "trial", "attempt", "engine/agent"} {
+	for _, name := range []string{"request", "queue", "trial", "engine/agent"} {
 		if count[name] != 1 {
 			t.Errorf("export has %d %q spans, want 1 (all: %v)", count[name], name, count)
 		}
