@@ -32,6 +32,8 @@ package harness
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -350,31 +352,84 @@ func validateScenario(spec TrialSpec) error {
 			return fmt.Errorf("%w: grouping marks are undefined under churn (the target group count changes mid-run)", ErrInvalidSpec)
 		}
 	}
-	// Walk the population-size schedule: the target signature and the
-	// graph must exist at every size the run will pass through.
-	p := Proto(spec.K)
-	n := spec.N
-	events := 0
-	if c.Enabled() {
-		events = c.Events
+	// The target signature and the graph must exist at every size the
+	// run will pass through: the initial size here, every later one in
+	// validateChurnSizes.
+	if err := sizeErr(spec.K, 0, spec.N); err != nil {
+		return err
 	}
-	for ev := 0; ev <= events; ev++ {
-		if ev > 0 {
-			if c.Leaves >= n {
-				return fmt.Errorf("%w: churn event %d removes %d agents from a population of %d",
-					ErrInvalidSpec, ev, c.Leaves, n)
-			}
-			n += c.Joins - c.Leaves
-		}
-		if _, err := p.TargetCounts(n); err != nil {
-			return fmt.Errorf("%w: after churn event %d the population of %d has no stable signature: %v",
-				ErrInvalidSpec, ev, n, err)
-		}
-		if _, err := spec.Topology.Build(n); err != nil {
-			return fmt.Errorf("%w: topology %s at population %d: %v", ErrInvalidSpec, spec.Topology, n, err)
-		}
+	if _, err := spec.Topology.Build(spec.N); err != nil {
+		return fmt.Errorf("%w: topology %s at population %d: %v", ErrInvalidSpec, spec.Topology, spec.N, err)
+	}
+	if c.Enabled() {
+		return validateChurnSizes(spec.K, spec.N, c)
 	}
 	return nil
+}
+
+// sizeErr reports whether a population of n agents, reached after churn
+// event ev, lacks a stable signature.
+func sizeErr(k, ev, n int) error {
+	if _, err := Proto(k).TargetCounts(n); err != nil {
+		return fmt.Errorf("%w: after churn event %d the population of %d has no stable signature: %v",
+			ErrInvalidSpec, ev, n, err)
+	}
+	return nil
+}
+
+// validateChurnSizes finds the first churn event a population of n
+// agents cannot take, in O(1). After event e the population is
+// n + e·(Joins − Leaves), linear in e, so the first bad event is the
+// first whose leaves reach the population before it, or the first that
+// leaves fewer than 3 agents, the smallest size with a stable
+// signature. The complete graph, ring and star, the only topologies
+// churn composes with, exist at every such size. A schedule that grows
+// the population past the largest int is rejected too.
+func validateChurnSizes(k, n int, c ChurnSpec) error {
+	leavesErr := func(ev, before int) error {
+		return fmt.Errorf("%w: churn event %d removes %d agents from a population of %d",
+			ErrInvalidSpec, ev, c.Leaves, before)
+	}
+	growth := c.Joins - c.Leaves
+	if growth >= 0 {
+		if c.Leaves >= n {
+			return leavesErr(1, n)
+		}
+		if growth > 0 && c.Events > (math.MaxInt-n)/growth {
+			return fmt.Errorf("%w: %d churn events adding %d agents each overflow a population of %d",
+				ErrInvalidSpec, c.Events, growth, n)
+		}
+		return nil
+	}
+	shrink := -growth
+	// Event e finds n − (e−1)·shrink agents and leaves n − e·shrink.
+	leaveEv := 1
+	if c.Leaves < n {
+		leaveEv = 2 + (n-c.Leaves-1)/shrink
+	}
+	smallEv := (n-3)/shrink + 1
+	switch {
+	case min(leaveEv, smallEv) > c.Events:
+		return nil
+	case leaveEv <= smallEv:
+		return leavesErr(leaveEv, n-(leaveEv-1)*shrink)
+	}
+	return sizeErr(k, smallEv, n-smallEv*shrink)
+}
+
+// eventTime returns the interaction count of churn event i (0-based)
+// and whether the run reaches it: the schedule has an event i, and
+// At + i·Interval neither wraps nor reaches maxI.
+func (c ChurnSpec) eventTime(i int, maxI uint64) (uint64, bool) {
+	if !c.Enabled() || i >= c.Events {
+		return 0, false
+	}
+	hi, lo := bits.Mul64(uint64(i), c.Interval)
+	t, carry := bits.Add64(c.At, lo, 0)
+	if hi != 0 || carry != 0 || t >= maxI {
+		return 0, false
+	}
+	return t, true
 }
 
 // Seed-stream tags of the scenario runner (see rng.StreamSeed): each
@@ -462,15 +517,6 @@ func applyChurn(states []protocol.State, c ChurnSpec, p *core.Protocol, r *rng.R
 // surfaces as Frozen=true rather than a burned interaction cap.
 func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, ropts RunOptions) (TrialResult, error) {
 	maxI := spec.MaxInteractions
-	// The churn event times inside the run's budget, ascending.
-	var events []uint64
-	if spec.Churn.Enabled() {
-		t := spec.Churn.At
-		for ev := 0; ev < spec.Churn.Events && t < maxI; ev++ {
-			events = append(events, t)
-			t += spec.Churn.Interval
-		}
-	}
 	espan := span.FromContext(ctx).Child("engine/scenario")
 	if espan != nil {
 		espan.SetAttr("topology", spec.Topology.String()).
@@ -496,7 +542,10 @@ func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, rop
 			endSpan(pop)
 			return TrialResult{}, err
 		}
-		final := segment >= len(events)
+		// Segment i ends at churn event i; once the run reaches no
+		// further event, the segment is the final one.
+		eventAt, more := spec.Churn.eventTime(segment, maxI)
+		final := !more
 		var stop sim.StopCondition = sim.Never{}
 		opts := sim.Options{MaxInteractions: maxI, Ctx: ctx}
 		if ropts.Progress > 0 {
@@ -508,7 +557,7 @@ func runScenarioTrial(ctx context.Context, p *core.Protocol, spec TrialSpec, rop
 		if !final {
 			// Pre-churn segments run to the event time regardless of the
 			// configuration: churn strikes on the clock, converged or not.
-			opts.MaxInteractions = events[segment]
+			opts.MaxInteractions = eventAt
 		} else {
 			target, terr := p.TargetCounts(pop.N())
 			if terr != nil {

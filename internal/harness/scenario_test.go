@@ -3,6 +3,8 @@ package harness
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -208,7 +210,8 @@ func TestScenarioDeterministic(t *testing.T) {
 // Invalid scenario combinations must be rejected by ValidateSpec (the
 // admission path) AND by RunTrialCtx (the execution path) with
 // ErrInvalidSpec, so the serving layer 400s them before enqueueing and
-// the retry policy never retries them.
+// no worker ever runs them. The 2⁶²-event schedules are checked without
+// walking them.
 func TestScenarioValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -237,6 +240,11 @@ func TestScenarioValidation(t *testing.T) {
 			Topology: TopologySpec{Kind: TopologyRegular, Degree: 3}}, "regular"},
 		{"churn fields without churn", TrialSpec{N: 12, K: 3, MaxInteractions: 1000,
 			Churn: ChurnSpec{At: 10, Events: 1}}, "without join or leave"},
+		{"churn drains population over 2⁶² events", TrialSpec{N: 30, K: 3, MaxInteractions: 1000,
+			Churn: ChurnSpec{At: 1, Interval: 1, Events: 1 << 62, Joins: 1, Leaves: 2}},
+			"after churn event 28 the population of 2 has no stable signature"},
+		{"churn overflows population", TrialSpec{N: 30, K: 3, MaxInteractions: 1000,
+			Churn: ChurnSpec{At: 1, Interval: 1, Events: 1 << 62, Joins: 3, Leaves: 1}}, "overflow"},
 	}
 	for _, tc := range cases {
 		err := ValidateSpec(tc.spec)
@@ -250,6 +258,87 @@ func TestScenarioValidation(t *testing.T) {
 		if _, rerr := RunTrialCtx(context.Background(), tc.spec, RunOptions{}); !errors.Is(rerr, ErrInvalidSpec) {
 			t.Errorf("%s: RunTrialCtx = %v, want ErrInvalidSpec", tc.name, rerr)
 		}
+	}
+}
+
+// walkChurn is the reference for validateChurnSizes: it walks the
+// population through every churn event, checking the leaves, the
+// target signature and the graph at each size.
+func walkChurn(spec TrialSpec) error {
+	c, n := spec.Churn, spec.N
+	for ev := 1; ev <= c.Events; ev++ {
+		if c.Leaves >= n {
+			return fmt.Errorf("%w: churn event %d removes %d agents from a population of %d",
+				ErrInvalidSpec, ev, c.Leaves, n)
+		}
+		n += c.Joins - c.Leaves
+		if _, err := Proto(spec.K).TargetCounts(n); err != nil {
+			return fmt.Errorf("%w: after churn event %d the population of %d has no stable signature: %v",
+				ErrInvalidSpec, ev, n, err)
+		}
+		if _, err := spec.Topology.Build(n); err != nil {
+			return fmt.Errorf("%w: topology %s at population %d: %v", ErrInvalidSpec, spec.Topology, n, err)
+		}
+	}
+	return nil
+}
+
+// The closed-form churn check makes the walk's decision, with the walk's
+// error text, on every small schedule of a grid.
+func TestChurnCheckMatchesWalk(t *testing.T) {
+	checked, rejected := 0, 0
+	for _, topo := range []TopologyKind{TopologyComplete, TopologyRing, TopologyStar} {
+		for n := 3; n <= 20; n++ {
+			for events := 1; events <= 8; events++ {
+				for joins := 0; joins <= 3; joins++ {
+					for leaves := 0; leaves <= 5; leaves++ {
+						if joins == 0 && leaves == 0 {
+							continue
+						}
+						spec := TrialSpec{N: n, K: 2 + n%3, MaxInteractions: 1000,
+							Topology: TopologySpec{Kind: topo},
+							Churn:    ChurnSpec{At: 10, Interval: 10, Events: events, Joins: joins, Leaves: leaves}}
+						got, want := ValidateSpec(spec), walkChurn(spec)
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("%s n=%d churn %s: closed form %v, walk %v", spec.Topology, n, spec.Churn, got, want)
+						}
+						checked++
+						if want != nil {
+							rejected++
+						}
+					}
+				}
+			}
+		}
+	}
+	if rejected == 0 || rejected == checked {
+		t.Fatalf("%d of %d schedules rejected; the grid must hold both outcomes", rejected, checked)
+	}
+}
+
+// A 2⁶²-event schedule whose population stays level is admitted, and its
+// event times are computed as the run reaches them: a run capped at 10⁵
+// interactions takes its 99 events and ends in the final segment.
+func TestHugeChurnScheduleRuns(t *testing.T) {
+	spec := TrialSpec{N: 30, K: 3, Seed: 1, MaxInteractions: 100_000,
+		Churn: ChurnSpec{At: 1000, Interval: 1000, Events: 1 << 62, Joins: 1, Leaves: 1}}
+	if err := ValidateSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunTrial(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FinalN != 30 || res.Interactions < 99_000 || res.Interactions > spec.MaxInteractions {
+		t.Fatalf("ended at %d interactions with %d agents, want 99000..100000 with 30", res.Interactions, res.FinalN)
+	}
+	// An event time that wraps past 2⁶⁴ is never reached.
+	c := ChurnSpec{At: 1<<63 - 1, Interval: 1<<63 - 1, Events: 3, Joins: 1}
+	if at, ok := c.eventTime(1, math.MaxUint64); !ok || at != 1<<64-2 {
+		t.Fatalf("event 1 at %d (reached %v), want %d", at, ok, uint64(1<<64-2))
+	}
+	if at, ok := c.eventTime(2, math.MaxUint64); ok {
+		t.Fatalf("event 2 wrapped to %d", at)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // POST /v1/trials body names a runnable trial: every small spec that
 // TrialRequest.Spec accepts must run, capped, without a panic or an
 // error. The corpus covers each request shape the API documents plus
-// the batch size that once wrapped past the 2·size <= n check; plain
+// the batch size that once wrapped past the 2·size <= n check and a
+// 2⁶²-event churn schedule that once took validation a walk; plain
 // `go test` replays it, and `go test -fuzz=FuzzTrialRequest
 // ./internal/serve` explores further.
 func FuzzTrialRequest(f *testing.F) {
@@ -24,6 +25,7 @@ func FuzzTrialRequest(f *testing.F) {
 		`{"n":12,"k":3,"max_interactions":2000,"topology":"grid:3x4"}`,
 		`{"n":12,"k":3,"max_interactions":2000,"topology":"regular:3@5"}`,
 		`{"n":24,"k":4,"engine":"batch","batch_size":9223372036854775808}`,
+		`{"n":30,"k":3,"max_interactions":2000,"churn":"at=1,every=1,events=4611686018427387904,join=1,leave=1"}`,
 	} {
 		f.Add(body)
 	}
@@ -32,13 +34,9 @@ func FuzzTrialRequest(f *testing.F) {
 		if json.Unmarshal([]byte(body), &req) != nil {
 			return
 		}
-		// Validating a spec builds and caches its 3k−2 state table, and
-		// walks its churn schedule event by event; keep both small so
-		// the fuzzer's memory and time stay bounded.
+		// Validating a spec builds and caches its 3k−2 state table; keep
+		// k small so the fuzzer's memory stays bounded.
 		if req.K > 64 {
-			return
-		}
-		if c, err := harness.ParseChurn(req.Churn); err == nil && (c.Events > 64 || c.Joins > 64) {
 			return
 		}
 		spec, err := req.Spec()
@@ -47,6 +45,12 @@ func FuzzTrialRequest(f *testing.F) {
 		}
 		if spec.MaxInteractions == 0 || spec.MaxInteractions > 20_000 {
 			spec.MaxInteractions = 20_000
+		}
+		// Churn takes at most one event per interaction, so within the
+		// cap the population grows to at most N + min(Events, 20,000)·
+		// (Joins − Leaves); keep that small too.
+		if c := spec.Churn; c.Joins > c.Leaves && min(c.Events, 20_000) > (1024-spec.N)/(c.Joins-c.Leaves) {
+			return
 		}
 		if _, err := harness.RunTrial(spec); err != nil {
 			t.Fatalf("admitted %s, but the trial failed: %v", body, err)
