@@ -179,8 +179,11 @@ func RunTrialCtx(ctx context.Context, spec TrialSpec, opts RunOptions) (res Tria
 		}
 	}
 	tsw := span.StartWall()
+	// ran stays false if runTrial panics, so the span still ends as an
+	// error while the panic goes on.
+	ran := false
 	defer func() {
-		if err != nil {
+		if err != nil || !ran {
 			tspan.SetAttr("outcome", "error")
 		} else {
 			tspan.SetAttr("outcome", "ok").
@@ -202,6 +205,7 @@ func RunTrialCtx(ctx context.Context, spec TrialSpec, opts RunOptions) (res Tria
 	}
 	start := time.Now()
 	res, err = runTrial(span.NewContext(tctx, tspan), spec, opts)
+	ran = true
 	observeTrial(reg, res, err, time.Since(start))
 	switch {
 	case err == nil:

@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -31,6 +32,12 @@ var (
 	ErrQueueFull = errors.New("serve: admission queue is full")
 	ErrDraining  = errors.New("serve: server is draining")
 )
+
+// ErrTrialPanic fails a job whose trial panicked; the error's text
+// carries the panic value. The pool recovers the panic so that it fails
+// only that job, not the process and every job in flight. The HTTP
+// layer answers it with 500.
+var ErrTrialPanic = errors.New("serve: trial panicked")
 
 // DefaultQueueDepth bounds the admission queue when a Config leaves it 0.
 const DefaultQueueDepth = 64
@@ -107,6 +114,7 @@ type Pool struct {
 	coalesced   obs.Counter
 	trialsRun   obs.Counter
 	trialErrors obs.Counter
+	trialPanics obs.Counter
 	journalErrs obs.Counter
 	depthGauge  obs.Gauge
 	inflightG   obs.Gauge
@@ -150,6 +158,7 @@ func NewPool(workers, queueDepth int, opts harness.RunOptions, journal *harness.
 		coalesced:   reg.Counter("serve/coalesced"),
 		trialsRun:   reg.Counter("serve/trials_run"),
 		trialErrors: reg.Counter("serve/trial_errors"),
+		trialPanics: reg.Counter("serve/trial_panics"),
 		journalErrs: reg.Counter("serve/journal_errors"),
 		depthGauge:  reg.Gauge("serve/queue_depth"),
 		inflightG:   reg.Gauge("serve/inflight"),
@@ -333,7 +342,7 @@ func (p *Pool) execute(j *Job) outcome {
 		ctx = span.NewContext(ctx, j.parent)
 	}
 	start := time.Now()
-	res, err := runTrialFn(ctx, j.Spec, p.opts)
+	res, err := p.runTrial(ctx, j.Spec)
 	wall := time.Since(start)
 	if err != nil {
 		p.trialErrors.Inc()
@@ -355,6 +364,19 @@ func (p *Pool) execute(j *Job) outcome {
 	}
 	p.evictions.Add(uint64(p.cache.Put(j.Key, body)))
 	return outcome{rec: rec, body: body}
+}
+
+// runTrial runs one trial, turning a panic into ErrTrialPanic (counted
+// in serve/trial_panics) so that execute fails the job without caching
+// or journaling anything.
+func (p *Pool) runTrial(ctx context.Context, spec harness.TrialSpec) (res harness.TrialResult, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			p.trialPanics.Inc()
+			err = fmt.Errorf("%w: %v", ErrTrialPanic, v)
+		}
+	}()
+	return runTrialFn(ctx, spec, p.opts)
 }
 
 // Depth reports the number of queued (not yet picked up) jobs.

@@ -209,6 +209,48 @@ func TestQueueFullAnswers429(t *testing.T) {
 	}
 }
 
+// TestTrialPanicFailsOnlyItsJob: a trial that panics fails its own
+// request with 500 and ErrTrialPanic, counted in serve/trial_panics,
+// and caches nothing; the server goes on serving, and a sweep that
+// holds the spec reports the panic in-band.
+func TestTrialPanicFailsOnlyItsJob(t *testing.T) {
+	old := runTrialFn
+	runTrialFn = func(ctx context.Context, spec harness.TrialSpec, opts harness.RunOptions) (harness.TrialResult, error) {
+		if spec.N == 13 {
+			panic("engine exploded")
+		}
+		return old(ctx, spec, opts)
+	}
+	defer func() { runTrialFn = old }()
+
+	reg := obs.New("test")
+	srv := New(Config{Workers: 1, Registry: reg})
+	defer srv.Shutdown()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, b := postJSON(t, ts.Client(), ts.URL+"/v1/trials", `{"n":13,"k":3,"seed":1}`)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(b), ErrTrialPanic.Error()+": engine exploded") {
+		t.Fatalf("panicking trial: status %d, body %s; want 500 naming the panic", resp.StatusCode, b)
+	}
+	if got := counterValue(t, reg, "serve/trial_panics"); got != 1 {
+		t.Fatalf("serve/trial_panics = %d, want 1", got)
+	}
+	if resp, b := postJSON(t, ts.Client(), ts.URL+"/v1/trials", `{"n":12,"k":3,"seed":1}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("trial after the panic: status %d (%s)", resp.StatusCode, b)
+	}
+	if resp, b := postJSON(t, ts.Client(), ts.URL+"/v1/trials", `{"n":13,"k":3,"seed":1}`); resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking trial again: status %d (%s); nothing may be cached", resp.StatusCode, b)
+	}
+
+	resp, b = postJSON(t, ts.Client(), ts.URL+"/v1/sweeps", `{"n":13,"k":3,"seed":1,"trials":2}`)
+	lines := nonEmptyLines(b)
+	if resp.StatusCode != http.StatusOK || len(lines) != 1 ||
+		!strings.Contains(lines[0], "sweep aborted at trial 0: "+ErrTrialPanic.Error()) {
+		t.Fatalf("sweep over a panicking spec: status %d, lines %q; want one in-band error line", resp.StatusCode, lines)
+	}
+}
+
 // TestShutdownDrainsAndJournalSurvivesRestart is the restart acceptance
 // test: a sweep is interrupted mid-flight by Shutdown, completed trials
 // are already journaled, and a server restarted on that journal answers
