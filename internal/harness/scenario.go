@@ -33,7 +33,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"strconv"
 	"strings"
 
@@ -353,83 +352,61 @@ func validateScenario(spec TrialSpec) error {
 		}
 	}
 	// The target signature and the graph must exist at every size the
-	// run will pass through: the initial size here, every later one in
-	// validateChurnSizes.
-	if err := sizeErr(spec.K, 0, spec.N); err != nil {
-		return err
-	}
+	// run passes through. The callers have checked the signature at the
+	// initial size; churnErr covers every later one.
 	if _, err := spec.Topology.Build(spec.N); err != nil {
 		return fmt.Errorf("%w: topology %s at population %d: %v", ErrInvalidSpec, spec.Topology, spec.N, err)
 	}
-	if c.Enabled() {
-		return validateChurnSizes(spec.K, spec.N, c)
-	}
-	return nil
+	return churnErr(spec.K, spec.N, c)
 }
 
-// sizeErr reports whether a population of n agents, reached after churn
-// event ev, lacks a stable signature.
-func sizeErr(k, ev, n int) error {
-	if _, err := Proto(k).TargetCounts(n); err != nil {
-		return fmt.Errorf("%w: after churn event %d the population of %d has no stable signature: %v",
-			ErrInvalidSpec, ev, n, err)
-	}
-	return nil
-}
-
-// validateChurnSizes finds the first churn event a population of n
-// agents cannot take, in O(1). After event e the population is
-// n + e·(Joins − Leaves), linear in e, so the first bad event is the
-// first whose leaves reach the population before it, or the first that
-// leaves fewer than 3 agents, the smallest size with a stable
-// signature. The complete graph, ring and star, the only topologies
-// churn composes with, exist at every such size. A schedule that grows
-// the population past the largest int is rejected too.
-func validateChurnSizes(k, n int, c ChurnSpec) error {
-	leavesErr := func(ev, before int) error {
-		return fmt.Errorf("%w: churn event %d removes %d agents from a population of %d",
-			ErrInvalidSpec, ev, c.Leaves, before)
-	}
-	growth := c.Joins - c.Leaves
-	if growth >= 0 {
-		if c.Leaves >= n {
-			return leavesErr(1, n)
-		}
-		if growth > 0 && c.Events > (math.MaxInt-n)/growth {
-			return fmt.Errorf("%w: %d churn events adding %d agents each overflow a population of %d",
-				ErrInvalidSpec, c.Events, growth, n)
-		}
+// churnErr finds, in O(1), the first churn event a population of n
+// agents cannot take. With g = Joins − Leaves, event e finds
+// n + (e−1)·g agents and leaves n + e·g, so the first bad event is the
+// first whose leaves reach the population it finds, or the first that
+// leaves fewer than 3 agents, the smallest size with a stable signature
+// (the complete graph, ring and star exist at every such size). A
+// schedule whose population would overflow an int is rejected too.
+func churnErr(k, n int, c ChurnSpec) error {
+	if !c.Enabled() {
 		return nil
 	}
-	shrink := -growth
-	// Event e finds n − (e−1)·shrink agents and leaves n − e·shrink.
-	leaveEv := 1
-	if c.Leaves < n {
-		leaveEv = 2 + (n-c.Leaves-1)/shrink
+	g := c.Joins - c.Leaves
+	leaveEv, smallEv := math.MaxInt, math.MaxInt
+	switch {
+	case c.Leaves >= n:
+		leaveEv = 1
+	case g < 0:
+		leaveEv = 2 + (n-c.Leaves-1)/-g
+	case g > 0 && c.Events > (math.MaxInt-n)/g:
+		return fmt.Errorf("%w: %d churn events adding %d agents each overflow a population of %d",
+			ErrInvalidSpec, c.Events, g, n)
 	}
-	smallEv := (n-3)/shrink + 1
+	if g < 0 {
+		smallEv = (n-3)/-g + 1
+	}
 	switch {
 	case min(leaveEv, smallEv) > c.Events:
 		return nil
 	case leaveEv <= smallEv:
-		return leavesErr(leaveEv, n-(leaveEv-1)*shrink)
+		return fmt.Errorf("%w: churn event %d removes %d agents from a population of %d",
+			ErrInvalidSpec, leaveEv, c.Leaves, n+(leaveEv-1)*g)
 	}
-	return sizeErr(k, smallEv, n-smallEv*shrink)
+	n += smallEv * g
+	_, err := Proto(k).TargetCounts(n)
+	return fmt.Errorf("%w: after churn event %d the population of %d has no stable signature: %v",
+		ErrInvalidSpec, smallEv, n, err)
 }
 
-// eventTime returns the interaction count of churn event i (0-based)
-// and whether the run reaches it: the schedule has an event i, and
-// At + i·Interval neither wraps nor reaches maxI.
+// eventTime returns the interaction count At + i·Interval of churn event
+// i (0-based), and false when the schedule has no event i or the event
+// falls at or past maxI (a time past 2⁶⁴ included).
 func (c ChurnSpec) eventTime(i int, maxI uint64) (uint64, bool) {
-	if !c.Enabled() || i >= c.Events {
+	if !c.Enabled() || i >= c.Events || c.At >= maxI ||
+		c.Interval > 0 && uint64(i) > (maxI-c.At-1)/c.Interval {
 		return 0, false
 	}
-	hi, lo := bits.Mul64(uint64(i), c.Interval)
-	t, carry := bits.Add64(c.At, lo, 0)
-	if hi != 0 || carry != 0 || t >= maxI {
-		return 0, false
-	}
-	return t, true
+	return c.At + uint64(i)*c.Interval, true
 }
 
 // Seed-stream tags of the scenario runner (see rng.StreamSeed): each

@@ -26,18 +26,15 @@ import (
 	"repro/internal/obs/span"
 )
 
-// Admission errors. The HTTP layer maps ErrQueueFull to 429 (with
-// Retry-After) and ErrDraining to 503.
+// Pool errors. The HTTP layer maps ErrQueueFull to 429 (with
+// Retry-After), ErrDraining to 503, and ErrTrialPanic to 500. A trial
+// panic is recovered so that it fails only its own job, with the panic
+// value in the error's text.
 var (
-	ErrQueueFull = errors.New("serve: admission queue is full")
-	ErrDraining  = errors.New("serve: server is draining")
+	ErrQueueFull  = errors.New("serve: admission queue is full")
+	ErrDraining   = errors.New("serve: server is draining")
+	ErrTrialPanic = errors.New("serve: trial panicked")
 )
-
-// ErrTrialPanic fails a job whose trial panicked; the error's text
-// carries the panic value. The pool recovers the panic so that it fails
-// only that job, not the process and every job in flight. The HTTP
-// layer answers it with 500.
-var ErrTrialPanic = errors.New("serve: trial panicked")
 
 // DefaultQueueDepth bounds the admission queue when a Config leaves it 0.
 const DefaultQueueDepth = 64
