@@ -126,8 +126,9 @@ func Proto(k int) *core.Protocol {
 // RunOptions is the execution policy of a trial or batch: deadline,
 // journaling, progress. It deliberately lives OUTSIDE TrialSpec — the
 // spec is a trial's reproducible identity (it is what the sweep journal
-// hashes), while RunOptions only decides whether and where a trial runs,
-// never what it returns. The zero value means: no deadline, no journal.
+// hashes), while RunOptions only shapes how a trial is run (its deadline,
+// its journal, its progress reports), never what it returns. The zero
+// value means: no deadline, no journal.
 type RunOptions struct {
 	// TrialTimeout is the per-trial wall deadline; a trial exceeding it
 	// fails with context.DeadlineExceeded. 0 means no wall deadline.

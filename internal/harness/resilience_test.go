@@ -132,8 +132,9 @@ func TestRunTrialCtxTimeoutCounted(t *testing.T) {
 	}
 }
 
-// An invalid spec fails with ErrInvalidSpec and counts as an error.
-func TestRunTrialCtxInvalidSpecFails(t *testing.T) {
+// An invalid spec fails with ErrInvalidSpec after one execution, counted
+// as an error.
+func TestRunTrialCtxInvalidSpecNotRetried(t *testing.T) {
 	reg := obs.New("test")
 	SetMetrics(reg)
 	defer SetMetrics(nil)
@@ -142,8 +143,8 @@ func TestRunTrialCtxInvalidSpecFails(t *testing.T) {
 	if !errors.Is(err, ErrInvalidSpec) {
 		t.Fatalf("got %v, want ErrInvalidSpec", err)
 	}
-	if got := reg.Counter("harness/errors").Value(); got != 1 {
-		t.Fatalf("errors counter = %d, want 1", got)
+	if trials, errs := reg.Counter("harness/trials").Value(), reg.Counter("harness/errors").Value(); trials != 1 || errs != 1 {
+		t.Fatalf("trials counter = %d, errors counter = %d, want 1 and 1", trials, errs)
 	}
 }
 

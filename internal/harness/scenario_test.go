@@ -261,9 +261,9 @@ func TestScenarioValidation(t *testing.T) {
 	}
 }
 
-// walkChurn is the reference for validateChurnSizes: it walks the
-// population through every churn event, checking the leaves, the
-// target signature and the graph at each size.
+// walkChurn is the reference for churnErr: it walks the population
+// through every churn event, checking the leaves, the target signature
+// and the graph at each size.
 func walkChurn(spec TrialSpec) error {
 	c, n := spec.Churn, spec.N
 	for ev := 1; ev <= c.Events; ev++ {
