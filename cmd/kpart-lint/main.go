@@ -1,24 +1,27 @@
 // kpart-lint is the repo's static-analysis gate: it runs the
 // internal/lint analyzer suite (stdlib go/ast + go/types only, no
-// external tooling) over the module and exits non-zero on any finding.
-// `make lint` runs it as part of `make check`. The suite spans
-// per-package checks (determinism, rngdiscipline, maporder,
-// atomicfield, errclose, tableclosure, docpresence) and the
-// interprocedural checks built on the whole-program call graph and fact
-// store (ctxflow, lockguard, goroutinelife) — see DESIGN.md §9 for how
-// those are constructed.
+// external tooling) over the non-test files of every package in the
+// module that contains the working directory, and exits non-zero on
+// any finding. `make lint` runs it as part of `make check`. The suite
+// spans per-package checks (determinism, rngdiscipline, maporder,
+// atomicfield, errclose, docpresence) and the interprocedural checks
+// built on the whole-program call graph and fact store (ctxflow,
+// lockguard, goroutinelife) — see DESIGN.md §9 for how those are
+// constructed.
 //
 // Usage:
 //
-//	kpart-lint [-json] [-sarif] [-list] [patterns ...]
+//	kpart-lint [-json] [-sarif] [-list]
 //
-// Patterns default to ./... (every package under the module root).
-// -sarif emits a SARIF 2.1.0 log for code-scanning consumers (`make
-// lint-sarif` writes it to lint.sarif). Suppress a finding with
-// `//lint:allow <analyzer> -- <reason>` on the offending line or the
-// line above — or, for the interprocedural analyzers, on the enclosing
-// function declaration; the reason is mandatory and unused or
-// misspelled suppressions are themselves findings.
+// It takes no package patterns: the interprocedural analyzers are sound
+// only over the whole program, so it always lints the whole module, and
+// any positional argument exits 2. -sarif emits a SARIF 2.1.0 log for
+// code-scanning consumers (`make lint-sarif` writes it to lint.sarif).
+// Suppress a finding with `//lint:allow <analyzer> -- <reason>` on the
+// offending line or the line above — or, for the interprocedural
+// analyzers, on the enclosing function declaration; the reason is
+// mandatory and unused or misspelled suppressions are themselves
+// findings.
 package main
 
 import (
@@ -35,10 +38,13 @@ func main() {
 	sarifOut := flag.Bool("sarif", false, "emit a SARIF 2.1.0 log instead of text (exit status unchanged)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: kpart-lint [-json] [-sarif] [-list] [patterns ...]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: kpart-lint [-json] [-sarif] [-list]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("takes no package patterns (got %q); it lints the whole module containing the working directory", flag.Args()))
+	}
 
 	suite := analyzers.All()
 	if *list {
@@ -48,50 +54,27 @@ func main() {
 		return
 	}
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
 	loader, err := lint.NewLoader(".")
 	if err != nil {
 		fatal(err)
 	}
-	seen := make(map[string]bool)
-	var pkgs []*lint.Package
-	for _, pat := range patterns {
-		dirs, err := loader.Dirs(pat)
+	dirs, err := loader.Dirs()
+	if err != nil {
+		fatal(err)
+	}
+	pkgs := make([]*lint.Package, 0, len(dirs))
+	for _, dir := range dirs {
+		pkg, err := loader.Load(dir)
 		if err != nil {
 			fatal(err)
 		}
-		for _, dir := range dirs {
-			if seen[dir] {
-				continue
-			}
-			seen[dir] = true
-			pkg, err := loader.Load(dir)
-			if err != nil {
-				fatal(err)
-			}
-			pkgs = append(pkgs, pkg)
-			// The external test package (package foo_test), when one
-			// exists, is a second compilation unit over the same
-			// directory and gets the same analysis.
-			xtest, err := loader.LoadExternalTest(dir)
-			if err != nil {
-				fatal(err)
-			}
-			if xtest != nil {
-				pkgs = append(pkgs, xtest)
-			}
-		}
+		pkgs = append(pkgs, pkg)
 	}
 
 	diags := lint.Run(pkgs, suite)
 	switch {
 	case *sarifOut:
-		root, _ := os.Getwd()
-		err = lint.WriteSARIF(os.Stdout, diags, suite, root)
+		err = lint.WriteSARIF(os.Stdout, diags, suite, loader.Root)
 	case *jsonOut:
 		err = lint.WriteJSON(os.Stdout, diags)
 	default:

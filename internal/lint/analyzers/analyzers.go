@@ -1,8 +1,10 @@
 // Package analyzers holds the repo-specific checks kpart-lint runs.
 // Each analyzer mechanizes one invariant the reproduction's claims rest
-// on; each has a golden testdata package with // want annotations under
-// testdata/, run by linttest. To add an analyzer: write the lint.
-// Analyzer in its own file, add a testdata package, and list it in
+// on that go vet, the race pass and the tests do not already check; each
+// has a golden testdata package with // want annotations under
+// testdata/, run by linttest. The analyzers see the non-test files of
+// every module package and nothing else. To add an analyzer: write the
+// lint.Analyzer in its own file, add a testdata package, and list it in
 // All() — the suppression machinery, driver, and Makefile pick it up
 // from there.
 package analyzers
@@ -26,7 +28,6 @@ func All() []*lint.Analyzer {
 		MapOrder,
 		AtomicField,
 		ErrClose,
-		TableClosure,
 		DocPresence,
 		CtxFlow,
 		LockGuard,

@@ -125,22 +125,6 @@ func TestErrCloseScopedToPersistencePaths(t *testing.T) {
 	}
 }
 
-func TestTableClosureGolden(t *testing.T) {
-	linttest.Run(t, "testdata/tableclosure", "repro/internal/protocols/testproto", analyzers.TableClosure)
-}
-
-// Outside the table-construction packages (core, protocols/...) the
-// same builder misuse is not this analyzer's business. (The testdata's
-// //lint:allow line correctly surfaces as an unused suppression there,
-// so only tableclosure's own findings are asserted on.)
-func TestTableClosureScopedToProtocolPackages(t *testing.T) {
-	for _, d := range loadAs(t, "testdata/tableclosure", "repro/internal/harness", analyzers.TableClosure) {
-		if d.Analyzer == analyzers.TableClosure.Name {
-			t.Fatalf("tableclosure fired outside its package scope: %v", d)
-		}
-	}
-}
-
 // internal/serve splits by file: the HTTP/executor edge (pool.go,
 // server.go) may read the clock, the deterministic half may not.
 func TestDeterminismServeEdgeSplit(t *testing.T) {
@@ -207,84 +191,6 @@ func TestDeterminismTwinScopes(t *testing.T) {
 // doc-presence coverage gets its own golden under the real import path.
 func TestDocPresenceTwinGolden(t *testing.T) {
 	linttest.Run(t, "testdata/docpresencetwin", "repro/internal/twin", analyzers.DocPresence)
-}
-
-// External test packages (package foo_test) are analysis units too.
-// atomicfield's whole-program pass sees every unit, so a plain read
-// from an external test of a field that the package writes atomically
-// is exactly the cross-unit race the xtest loader exists to catch —
-// and is invisible when only the in-package unit is analyzed.
-func TestAtomicFieldCoversExternalTestPackages(t *testing.T) {
-	root := t.TempDir()
-	write := func(rel, src string) {
-		t.Helper()
-		p := filepath.Join(root, filepath.FromSlash(rel))
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("go.mod", "module example.com/m\n\ngo 1.22\n")
-	write("p/p.go", `package p
-
-import "sync/atomic"
-
-type Counter struct{ N uint64 }
-
-func (c *Counter) Bump() { atomic.AddUint64(&c.N, 1) }
-`)
-	write("p/x_test.go", `package p_test
-
-import (
-	"testing"
-
-	"example.com/m/p"
-)
-
-func TestPlainRead(t *testing.T) {
-	var c p.Counter
-	c.Bump()
-	if c.N == 0 {
-		t.Fatal("no bump")
-	}
-}
-`)
-
-	dir := filepath.Join(root, "p")
-	loader, err := lint.NewLoader(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xtest, err := loader.LoadExternalTest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xtest == nil {
-		t.Fatal("LoadExternalTest returned nil for a dir with package p_test files")
-	}
-	if xtest.Path != "example.com/m/p" {
-		t.Fatalf("xtest unit path = %q, want the directory's canonical import path", xtest.Path)
-	}
-	if got := xtest.Pkg.Name(); got != "p_test" {
-		t.Fatalf("xtest package name = %q, want p_test", got)
-	}
-
-	if diags := lint.Run([]*lint.Package{pkg}, []*lint.Analyzer{analyzers.AtomicField}); len(diags) != 0 {
-		t.Fatalf("the in-package unit alone should be clean, got %v", diags)
-	}
-	diags := lint.Run([]*lint.Package{pkg, xtest}, []*lint.Analyzer{analyzers.AtomicField})
-	if len(diags) != 1 {
-		t.Fatalf("want exactly 1 atomicfield finding from the xtest unit, got %v", diags)
-	}
-	if !strings.Contains(diags[0].Pos.Filename, "x_test.go") {
-		t.Fatalf("finding should point into x_test.go, got %v", diags[0])
-	}
 }
 
 // --- interprocedural analyzers ---------------------------------------------
@@ -383,24 +289,5 @@ func TestGoroutineLifeScopedToLongLivedPackages(t *testing.T) {
 		if d.Analyzer == analyzers.GoroutineLife.Name {
 			t.Fatalf("goroutinelife fired outside its package scope: %v", d)
 		}
-	}
-}
-
-// A directory without external test files is not an xtest unit.
-func TestLoadExternalTestAbsent(t *testing.T) {
-	abs, err := filepath.Abs("testdata/determinism")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := lint.NewLoader(abs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xtest, err := loader.LoadExternalTest(abs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if xtest != nil {
-		t.Fatalf("want nil unit for a dir without package foo_test files, got %+v", xtest)
 	}
 }

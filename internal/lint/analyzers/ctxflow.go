@@ -53,7 +53,7 @@ func runCtxFlowProgram(pp *lint.ProgramPass) {
 	var roots []*lint.Func
 	rootOf := make(map[*lint.Func]*lint.Func)
 	for _, fn := range g.Funcs {
-		if fn.Decl == nil || fn.Obj == nil || pp.InTestFile(fn.Pos()) {
+		if fn.Decl == nil || fn.Obj == nil {
 			continue
 		}
 		path := fn.Pkg.Path
@@ -94,7 +94,7 @@ func runCtxFlowProgram(pp *lint.ProgramPass) {
 	}
 	sort.Slice(fns, func(i, j int) bool { return fns[i].Key() < fns[j].Key() })
 	for _, fn := range fns {
-		if fn.Body() == nil || pp.InTestFile(fn.Pos()) || !ctxflowScope(fn.Pkg.Path) {
+		if fn.Body() == nil || !ctxflowScope(fn.Pkg.Path) {
 			continue
 		}
 		blocks := blockingConstructs(fn)

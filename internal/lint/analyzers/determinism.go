@@ -27,8 +27,8 @@ var bannedTimeFuncs = map[string]bool{
 // and countsim results feed directly into the paper's Lemma 1 /
 // Theorem 1 evidence; those numbers must be a pure function of (spec,
 // seed). Timing belongs in the harness and cmd layers, which wrap the
-// engines. Test files are exempt — benchmarks and soak tests may time
-// themselves without touching what a run computes.
+// engines. Test files are never loaded, so benchmarks and soak tests
+// may time themselves without touching what a run computes.
 var Determinism = &lint.Analyzer{
 	Name:    "determinism",
 	Doc:     "no time.Now/Since/timers inside the deterministic engine packages",
@@ -58,9 +58,6 @@ var edgeFiles = map[string]map[string]bool{
 
 func runDeterminism(pass *lint.Pass) {
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		if ef := edgeFiles[pass.Path]; ef != nil &&
 			ef[filepath.Base(pass.Position(f.Pos()).Filename)] {
 			continue

@@ -8,7 +8,7 @@ import (
 )
 
 // DocPresence requires a doc comment on every exported package-level
-// symbol in non-test files: funcs, types, consts, vars, and methods on
+// symbol: funcs, types, consts, vars, and methods on
 // exported types. The repo's packages double as the reproduction's
 // documentation — an exported symbol without prose is API the next
 // reader has to reverse-engineer. Grouped const/var declarations are
@@ -35,9 +35,6 @@ func inDocumentedPkg(path string) bool {
 
 func runDocPresence(pass *lint.Pass) {
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:

@@ -21,7 +21,7 @@ var flushCloseNames = map[string]bool{
 // packages and the cmd/ binaries. `_ = f.Close()` is the sanctioned
 // explicit discard (visible in review), and deferred calls are exempt
 // (the idiomatic read-path `defer f.Close()`); everything else must
-// check. Test files are exempt.
+// check.
 var ErrClose = &lint.Analyzer{
 	Name:    "errclose",
 	Doc:     "no unchecked Close/Flush/Sync/Write errors in the persistence paths",
@@ -31,9 +31,6 @@ var ErrClose = &lint.Analyzer{
 
 func runErrClose(pass *lint.Pass) {
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			stmt, ok := n.(*ast.ExprStmt)
 			if !ok {

@@ -27,7 +27,6 @@ import (
 // resolve (function values) are assumed terminating — goroutinelife
 // kills the structural leak class behind the PR-6 race fixes (waiters
 // parked forever on channels nothing closes), not every liveness bug.
-// Test files are exempt.
 var GoroutineLife = &lint.Analyzer{
 	Name:            "goroutinelife",
 	Doc:             "every go statement in serve/harness/obs must have a provable exit path (ctx/done escape, closed channel, or return)",
@@ -101,7 +100,7 @@ func runGoroutineLifeProgram(pp *lint.ProgramPass) {
 	g := pp.Program.Graph
 	memo := make(map[*lint.Func]*divergence)
 	for _, site := range g.GoSites {
-		if !goroutineLifeScope(site.Pkg.Path) || pp.InTestFile(site.Stmt.Pos()) {
+		if !goroutineLifeScope(site.Pkg.Path) {
 			continue
 		}
 		if len(site.Targets) == 0 {

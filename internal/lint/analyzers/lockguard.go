@@ -24,7 +24,7 @@ import (
 // the held set whose effects do not survive the branch. Function
 // literals are analyzed as their own functions with an empty held set
 // (a literal may run on another goroutine or after the caller
-// returned). Accesses in _test.go files are exempt — tests may poke
+// returned). Test files are never loaded, so tests may poke
 // single-threaded state directly.
 //
 // Annotation hygiene (malformed grammar, unknown or non-mutex sibling,
@@ -58,9 +58,6 @@ func (*requiresLockFact) AFact() {}
 // runLockGuard collects and validates annotations, exporting facts.
 func runLockGuard(pass *lint.Pass) {
 	for _, file := range pass.Files {
-		if pass.InTestFile(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.StructType:
@@ -219,7 +216,7 @@ const (
 // calls.
 func runLockGuardProgram(pp *lint.ProgramPass) {
 	for _, fn := range pp.Program.Graph.Funcs {
-		if fn.Body() == nil || pp.InTestFile(fn.Pos()) {
+		if fn.Body() == nil {
 			continue
 		}
 		c := &lgChecker{pp: pp, pkg: fn.Pkg, fn: fn}

@@ -31,9 +31,6 @@ var MapOrder = &lint.Analyzer{
 
 func runMapOrder(pass *lint.Pass) {
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		var bodies []*ast.BlockStmt
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch fn := n.(type) {

@@ -22,8 +22,8 @@ const rngPkg = modPath + "/internal/rng"
 // RNGDiscipline confines math/rand and crypto/rand to internal/rng.
 // Every random draw in a trial must come from the seed-derived stream
 // so that (seed, spec) replays bit-for-bit; a stray math/rand import is
-// a second, unseeded entropy source. _test.go files are exempt —
-// throwaway generators in tests don't feed results.
+// a second, unseeded entropy source. Test files are never loaded, so
+// throwaway generators in tests, which don't feed results, pass.
 var RNGDiscipline = &lint.Analyzer{
 	Name: "rngdiscipline",
 	Doc:  "math/rand and crypto/rand may be imported only by internal/rng and _test.go files",
@@ -35,9 +35,6 @@ func runRNGDiscipline(pass *lint.Pass) {
 		return
 	}
 	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
 		for _, imp := range f.Imports {
 			path, err := strconv.Unquote(imp.Path.Value)
 			if err != nil || !bannedRandImports[path] {

@@ -1,5 +1,5 @@
-// Golden input for the atomicfield analyzer: a field touched by a
-// sync/atomic function anywhere must be touched that way everywhere.
+// Golden input for the atomicfield analyzer: sync/atomic's functions
+// are findings wherever they appear, its typed values never are.
 package counters
 
 import "sync/atomic"
@@ -7,28 +7,27 @@ import "sync/atomic"
 type Stats struct {
 	hits uint64
 	safe atomic.Uint64
+	last atomic.Pointer[string]
 }
 
 func (s *Stats) Incr() {
-	atomic.AddUint64(&s.hits, 1)
+	atomic.AddUint64(&s.hits, 1) // want `atomic.AddUint64 works on a plain variable`
 }
 
-func (s *Stats) RacyRead() uint64 {
-	return s.hits // want `accessed with sync/atomic`
+// Even a variable touched only through the functions is a finding: the
+// next edit can add a plain read, and nothing would stop it.
+func (s *Stats) Read() uint64 {
+	return atomic.LoadUint64(&s.hits) // want `atomic.LoadUint64`
 }
 
-func (s *Stats) RacyReset() {
-	s.hits = 0 // want `accessed with sync/atomic`
-}
+// A function value is as much a use as a call.
+var add = atomic.AddInt64 // want `atomic.AddInt64`
 
-func (s *Stats) GoodRead() uint64 {
-	return atomic.LoadUint64(&s.hits)
-}
-
-// atomic.Uint64-typed fields are safe by construction: every method is
-// atomic, so no diagnostics for safe.
+// The typed atomics are safe by construction: every method is atomic,
+// and a plain access does not compile.
 func (s *Stats) SafeIncr()        { s.safe.Add(1) }
 func (s *Stats) SafeRead() uint64 { return s.safe.Load() }
+func (s *Stats) Note(msg string)  { s.last.Store(&msg) }
 
 // A plain field never used atomically is none of this analyzer's
 // business.

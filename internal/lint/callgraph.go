@@ -11,19 +11,16 @@ package lint
 //     callee, found by its declaration position.
 //   - Interface method calls resolve to every method of every named
 //     type in the program that implements the interface (CHA). The
-//     implements check compares method names and signature strings, not
-//     types.Identical — the loader type-checks a package once as an
-//     analysis unit and once as a dependency, and the two universes'
-//     named types are distinct objects for the same source.
+//     implements check compares method names and signature strings
+//     (sigString), the same form the dynamic calls below match on.
 //   - Calls through function values resolve to every address-taken
 //     function with an identical signature string.
 //   - go and defer call sites produce edges like any other call, tagged
 //     with their kind so analyzers can treat goroutine launches
 //     specially.
 //
-// Nodes are keyed by declaration position (file:line:col), which is
-// stable across the loader's analysis and dependency type-checks of the
-// same source file.
+// Nodes are keyed by declaration position (file:line:col), the same key
+// the fact store uses (FactStore.ObjectKey).
 
 import (
 	"fmt"
@@ -164,19 +161,6 @@ type CallGraph struct {
 	byKey   map[string]*Func
 	callees map[*Func][]Edge
 	callers map[*Func][]Edge
-}
-
-// FuncAt resolves a *types.Func (from any of the loader's type-check
-// universes) to its node, or nil when the function has no body in the
-// program (stdlib, interface methods, bodyless decls).
-func (g *CallGraph) FuncAt(fset *token.FileSet, obj *types.Func) *Func {
-	if obj == nil {
-		return nil
-	}
-	if orig := obj.Origin(); orig != nil {
-		obj = orig
-	}
-	return g.byKey[fset.Position(obj.Pos()).String()]
 }
 
 // Callees returns f's outgoing edges in source order.
@@ -383,9 +367,10 @@ func (b *graphBuilder) indexCandidates(pkgs []*Package) {
 }
 
 // sigString renders a signature with package-path qualification, the
-// universe-stable comparison form. Parameter and result names are
-// stripped first: a declaration's signature carries them but a function
-// value's type usually does not, and the two must compare equal.
+// graph's comparison form for signatures. Parameter and result names
+// are stripped first: a declaration's signature carries them but a
+// function value's type usually does not, and the two must compare
+// equal.
 func sigString(t types.Type) string {
 	return types.TypeString(stripSigNames(t), func(p *types.Package) string { return p.Path() })
 }
@@ -555,7 +540,7 @@ func (b *graphBuilder) resolve(pkg *Package, call *ast.CallExpr) []resolvedCalle
 
 // resolveInterface returns every program method implementing the called
 // interface method (CHA). The implements test is structural by name and
-// signature string, robust to the loader's two type-check universes.
+// signature string.
 func (b *graphBuilder) resolveInterface(recv types.Type, m *types.Func) []resolvedCallee {
 	iface, ok := recv.Underlying().(*types.Interface)
 	if !ok {

@@ -175,9 +175,8 @@ func orphan() {}
 	_ = pkgs
 	root := findFunc(t, g, "b.Root")
 	leaf := findFunc(t, g, "a.Leaf")
-	// The static call crosses the package boundary: b's view of a.Leaf is
-	// a dependency-universe object, resolved to a's analysis node by
-	// declaration position.
+	// The static call crosses the package boundary: b's view of a.Leaf
+	// resolves to a's node by declaration position.
 	if !hasEdge(g, root, "static a.Leaf") {
 		t.Fatalf("cross-package static edge missing; has %v", calleeNames(g, root))
 	}

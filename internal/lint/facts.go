@@ -3,32 +3,19 @@ package lint
 // The cross-pass fact store. An analyzer's per-package Run pass exports
 // facts about objects (functions, struct fields, variables); its
 // RunProgram pass — possibly while checking a different package —
-// imports them. Facts are keyed by the object's declaration position,
-// which is stable across the loader's analysis and dependency
-// type-check universes, so a fact exported about harness.TrialSpec's
+// imports them. Facts are keyed by the object's declaration position
+// and the fact's type, so a fact exported about harness.TrialSpec's
 // Seed field while checking internal/harness is found again when
-// internal/serve's pass looks the field up through its imported
-// (canonical) types.Package.
-//
-// Facts must round-trip through encoding/json: the store validates
-// serializability at export time so a fact type that silently drops
-// state (unexported fields, channels, funcs) fails loudly in tests, not
-// quietly in CI. EncodeAll renders the full store deterministically for
-// golden tests and debugging.
+// internal/serve's pass looks the field up through its import.
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/token"
 	"go/types"
 	"reflect"
-	"sort"
-	"strings"
 )
 
 // Fact is a datum an analyzer attaches to an object. Implementations
-// must be pointers to structs with exported, JSON-serializable fields,
-// and must embed the marker method:
+// are pointers to structs and carry the marker method:
 //
 //	type mutexGuard struct{ Mutex string }
 //	func (*mutexGuard) AFact() {}
@@ -68,31 +55,13 @@ func (s *FactStore) ObjectKey(obj types.Object) string {
 }
 
 // ExportObjectFact records fact about obj, replacing any previous fact
-// of the same type. It panics if the fact is not a pointer-to-struct or
-// does not survive a JSON round trip — both are programming errors in
-// the analyzer, not data errors.
+// of the same type.
 func (s *FactStore) ExportObjectFact(obj types.Object, fact Fact) {
-	if obj == nil {
-		panic("lint: ExportObjectFact with nil object")
-	}
-	rv := reflect.ValueOf(fact)
-	if !rv.IsValid() || rv.Kind() != reflect.Pointer || rv.IsNil() || rv.Elem().Kind() != reflect.Struct {
-		panic(fmt.Sprintf("lint: fact %T must be a non-nil pointer to struct", fact))
-	}
-	blob, err := json.Marshal(fact)
-	if err != nil {
-		panic(fmt.Sprintf("lint: fact %T is not JSON-serializable: %v", fact, err))
-	}
-	probe := reflect.New(rv.Elem().Type()).Interface()
-	if err := json.Unmarshal(blob, probe); err != nil {
-		panic(fmt.Sprintf("lint: fact %T does not round-trip through JSON: %v", fact, err))
-	}
 	s.m[factKey{obj: s.ObjectKey(obj), typ: factTypeName(fact)}] = fact
 }
 
 // ImportObjectFact copies the stored fact of fact's type about obj into
-// fact, reporting whether one was found. obj may come from any
-// type-check universe.
+// fact, reporting whether one was found.
 func (s *FactStore) ImportObjectFact(obj types.Object, fact Fact) bool {
 	if obj == nil {
 		return false
@@ -103,47 +72,6 @@ func (s *FactStore) ImportObjectFact(obj types.Object, fact Fact) bool {
 	}
 	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(got).Elem())
 	return true
-}
-
-// ImportObjectFactAt is ImportObjectFact keyed directly by an object
-// key (from ObjectKey), for analyzers that carry keys across phases
-// instead of objects.
-func (s *FactStore) ImportObjectFactAt(objKey string, fact Fact) bool {
-	got, ok := s.m[factKey{obj: objKey, typ: factTypeName(fact)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(got).Elem())
-	return true
-}
-
-// Len reports the number of stored facts.
-func (s *FactStore) Len() int { return len(s.m) }
-
-// EncodeAll renders every fact as deterministic JSON lines
-// ("objPos factType json\n", sorted), for golden tests and -debug
-// output.
-func (s *FactStore) EncodeAll() string {
-	keys := make([]factKey, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].obj != keys[j].obj {
-			return keys[i].obj < keys[j].obj
-		}
-		return keys[i].typ < keys[j].typ
-	})
-	var b strings.Builder
-	for _, k := range keys {
-		blob, err := json.Marshal(s.m[k])
-		if err != nil {
-			// Validated at export; unreachable absent mutation after export.
-			blob = []byte(fmt.Sprintf("%q", err.Error()))
-		}
-		fmt.Fprintf(&b, "%s %s %s\n", k.obj, k.typ, blob)
-	}
-	return b.String()
 }
 
 func factTypeName(fact Fact) string {

@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 type testFact struct {
 	Label string
@@ -19,17 +15,10 @@ type otherFact struct {
 
 func (*otherFact) AFact() {}
 
-type badFact struct {
-	Ch chan int // not JSON-serializable
-}
-
-func (*badFact) AFact() {}
-
-// factFixture loads a two-universe view of one object: the analysis
-// unit's Leaf and, through a second package's import, the dependency
-// universe's Leaf — distinct types.Object values for the same source.
-func factFixture(t *testing.T) (*FactStore, *Package, *Package) {
-	t.Helper()
+// A fact exported on package a's Leaf is found again through package
+// b's import of a. The loader type-checks a once, so both views are one
+// object. A second export of the same fact type replaces the first.
+func TestFactStoreRoundTripAcrossUniverses(t *testing.T) {
 	_, pkgs := loadTestProgram(t, map[string]string{
 		"go.mod": "module example.com/m\n\ngo 1.22\n",
 		"a/a.go": `package a
@@ -44,34 +33,20 @@ import "example.com/m/a"
 func use() { a.Leaf() }
 `,
 	}, "a", "b")
-	return NewFactStore(pkgs[0].Fset), pkgs[0], pkgs[1]
-}
-
-func TestFactStoreRoundTripAcrossUniverses(t *testing.T) {
-	store, aPkg, bPkg := factFixture(t)
-	leafA := aPkg.Pkg.Scope().Lookup("Leaf")
+	store := NewFactStore(pkgs[0].Fset)
+	leafA := pkgs[0].Pkg.Scope().Lookup("Leaf")
 	if leafA == nil {
-		t.Fatal("no Leaf in analysis unit")
+		t.Fatal("no Leaf in package a")
 	}
 	store.ExportObjectFact(leafA, &testFact{Label: "x", N: 7})
 
-	// Import through the analysis-unit object.
+	leafB := pkgs[1].Pkg.Imports()[0].Scope().Lookup("Leaf")
+	if leafB != leafA {
+		t.Fatalf("b's import of a.Leaf is %v, want the object of a's own check", leafB)
+	}
 	var got testFact
-	if !store.ImportObjectFact(leafA, &got) || got.Label != "x" || got.N != 7 {
-		t.Fatalf("same-universe import = %+v, ok", got)
-	}
-
-	// Import through b's dependency-universe view of the same function.
-	leafB := bPkg.Pkg.Imports()[0].Scope().Lookup("Leaf")
-	if leafB == nil {
-		t.Fatal("no Leaf through b's import")
-	}
-	if leafB == leafA {
-		t.Fatal("fixture did not produce two universes")
-	}
-	got = testFact{}
-	if !store.ImportObjectFact(leafB, &got) || got.Label != "x" {
-		t.Fatalf("cross-universe import failed, got %+v", got)
+	if !store.ImportObjectFact(leafB, &got) || got.Label != "x" || got.N != 7 {
+		t.Fatalf("import through b = %+v", got)
 	}
 
 	// A different fact type about the same object is absent.
@@ -79,62 +54,10 @@ func TestFactStoreRoundTripAcrossUniverses(t *testing.T) {
 	if store.ImportObjectFact(leafA, &other) {
 		t.Fatal("otherFact should not be present")
 	}
-	// ImportObjectFactAt resolves by the same key.
-	got = testFact{}
-	if !store.ImportObjectFactAt(store.ObjectKey(leafB), &got) || got.N != 7 {
-		t.Fatalf("keyed import failed, got %+v", got)
-	}
-	if store.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", store.Len())
-	}
-}
 
-func TestFactStoreRejectsBadFacts(t *testing.T) {
-	store, aPkg, _ := factFixture(t)
-	leaf := aPkg.Pkg.Scope().Lookup("Leaf")
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: want panic", name)
-			}
-		}()
-		f()
-	}
-	mustPanic("nil object", func() { store.ExportObjectFact(nil, &testFact{}) })
-	mustPanic("non-serializable fact", func() { store.ExportObjectFact(leaf, &badFact{Ch: make(chan int)}) })
-	mustPanic("nil fact pointer", func() { store.ExportObjectFact(leaf, (*testFact)(nil)) })
-}
-
-func TestFactStoreEncodeAllDeterministic(t *testing.T) {
-	store, aPkg, _ := factFixture(t)
-	leaf := aPkg.Pkg.Scope().Lookup("Leaf")
-	store.ExportObjectFact(leaf, &testFact{Label: "x", N: 1})
-	store.ExportObjectFact(leaf, &otherFact{Flag: true})
-	enc := store.EncodeAll()
-	if enc != store.EncodeAll() {
-		t.Fatal("EncodeAll is not stable")
-	}
-	lines := strings.Split(strings.TrimSuffix(enc, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want 2 fact lines, got %q", enc)
-	}
-	for _, line := range lines {
-		if !strings.Contains(line, filepath.Join("a", "a.go")) {
-			t.Errorf("fact line %q lacks the declaring position", line)
-		}
-	}
-	if !strings.Contains(enc, `{"Label":"x","N":1}`) || !strings.Contains(enc, `{"Flag":true}`) {
-		t.Errorf("EncodeAll payloads wrong:\n%s", enc)
-	}
-	// Re-export replaces, not appends.
-	store.ExportObjectFact(leaf, &testFact{Label: "y", N: 2})
-	if store.Len() != 2 {
-		t.Fatalf("re-export changed Len to %d", store.Len())
-	}
-	var got testFact
-	store.ImportObjectFact(leaf, &got)
-	if got.Label != "y" {
+	// Re-export replaces.
+	store.ExportObjectFact(leafA, &testFact{Label: "y", N: 2})
+	if !store.ImportObjectFact(leafA, &got) || got.Label != "y" {
 		t.Fatalf("re-export did not replace: %+v", got)
 	}
 }

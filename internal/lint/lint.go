@@ -13,7 +13,9 @@
 //
 //   - Loader (load.go) discovers, parses, and type-checks module
 //     packages using only go/parser and go/types, with the stdlib
-//     resolved through go/importer's "source" compiler.
+//     resolved through go/importer's "source" compiler. An analysis
+//     unit is a package's non-test files, type-checked once and shared
+//     with every package that imports it; test files are never loaded.
 //   - Analyzer (this file) is one named check with an optional
 //     per-package Run pass and an optional whole-program RunProgram
 //     pass over the call graph (callgraph.go) and the facts its Run
@@ -32,7 +34,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // Diagnostic is one finding, positioned for file:line:col display.
@@ -72,11 +73,11 @@ type Analyzer struct {
 	// findings via pass.Reportf. It may export facts to pass.Facts.
 	Run func(pass *Pass)
 	// RunProgram, if non-nil, runs once after every Run pass with the
-	// whole-program view: every loaded package, the CHA call graph and
-	// the analyzer's fact store (facts exported by Run passes). It is
-	// for invariants no single package can decide, such as a field used
-	// atomically in one package and plainly in another. Setting it
-	// makes the runner build Program (callgraph.go).
+	// whole-program view: the CHA call graph over every loaded package
+	// and the analyzer's fact store (facts exported by Run passes). It is
+	// for invariants no single package can decide, such as a loop that
+	// matters only because a request handler three calls away reaches
+	// it. Setting it makes the runner build Program (callgraph.go).
 	RunProgram func(pp *ProgramPass)
 	// Interprocedural marks analyzers whose findings implicate whole
 	// call paths rather than single lines. Their diagnostics accept
@@ -117,21 +118,13 @@ func (p *Pass) Position(pos token.Pos) token.Position {
 	return p.Fset.Position(pos)
 }
 
-// InTestFile reports whether pos lies in a _test.go file. Several
-// analyzers relax their invariant there (tests may time things and seed
-// throwaway generators without touching reproducibility of runs).
-func (p *Pass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
-// Program is the whole-program view handed to RunProgram passes: every
-// loaded analysis package plus the CHA call graph over them. It is
-// built once per Run invocation (only when some analyzer asks for it)
-// and shared read-only by all RunProgram passes.
+// Program is the whole-program view handed to RunProgram passes: the
+// CHA call graph over every loaded package (each Func carries its
+// Package). It is built once per Run invocation (only when some
+// analyzer asks for it) and shared read-only by all RunProgram passes.
 type Program struct {
-	Fset     *token.FileSet
-	Packages []*Package
-	Graph    *CallGraph
+	Fset  *token.FileSet
+	Graph *CallGraph
 }
 
 // ProgramPass carries one analyzer's whole-program pass.
@@ -156,11 +149,6 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 // Position resolves a token.Pos against the program's file set.
 func (p *ProgramPass) Position(pos token.Pos) token.Position {
 	return p.Program.Fset.Position(pos)
-}
-
-// InTestFile reports whether pos lies in a _test.go file.
-func (p *ProgramPass) InTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Program.Fset.Position(pos).Filename, "_test.go")
 }
 
 // ErrorType is the universe error type, for signature checks.

@@ -18,6 +18,10 @@ import (
 // source under the module root; everything else goes through
 // go/importer's "source" compiler, which type-checks the standard
 // library straight from GOROOT. No golang.org/x/tools, no export data.
+//
+// Each module package is parsed and type-checked once, from its non-test
+// files, and the one result serves every use: the analysis unit Load
+// returns and the package every importer sees are the same objects.
 type Loader struct {
 	Fset *token.FileSet
 	// Module is the module path from go.mod ("repro").
@@ -26,22 +30,19 @@ type Loader struct {
 	Root string
 
 	std types.Importer
-	// canonical memoizes dependency-facing package loads (non-test
-	// files only, so in-package test imports can never induce a cycle).
-	canonical map[string]*canonicalPkg
+	// pkgs memoizes module packages by import path.
+	pkgs map[string]*loaded
 	// loading guards against import cycles during recursive loads.
 	loading map[string]bool
 }
 
-type canonicalPkg struct {
-	pkg *types.Package
+type loaded struct {
+	pkg *Package
 	err error
 }
 
-// Package is one fully loaded analysis unit: the package's non-test
-// files plus its in-package _test.go files, type-checked together.
-// External test packages (package foo_test) are not analysis units; see
-// Load.
+// Package is one type-checked module package: its non-test files and
+// the full type information the analyzers read.
 type Package struct {
 	// Path is the import path ("repro/internal/sim").
 	Path string
@@ -86,28 +87,19 @@ func NewLoader(dir string) (*Loader, error) {
 	}
 	fset := token.NewFileSet()
 	return &Loader{
-		Fset:      fset,
-		Module:    module,
-		Root:      root,
-		std:       importer.ForCompiler(fset, "source", nil),
-		canonical: make(map[string]*canonicalPkg),
-		loading:   make(map[string]bool),
+		Fset:    fset,
+		Module:  module,
+		Root:    root,
+		std:     importer.ForCompiler(fset, "source", nil),
+		pkgs:    make(map[string]*loaded),
+		loading: make(map[string]bool),
 	}, nil
 }
 
-// Dirs lists the package directories the pattern names. "./..." (or
-// "...") expands to every package directory under the module root;
-// anything else is taken as one directory. Directories named testdata,
-// hidden directories, and directories without non-test Go files are
-// skipped, mirroring the go tool.
-func (l *Loader) Dirs(pattern string) ([]string, error) {
-	if pattern != "./..." && pattern != "..." {
-		abs, err := filepath.Abs(pattern)
-		if err != nil {
-			return nil, err
-		}
-		return []string{abs}, nil
-	}
+// Dirs lists every package directory under the module root, sorted.
+// Directories named testdata, hidden directories, and directories
+// without non-test Go files are skipped, mirroring the go tool's ./...
+func (l *Loader) Dirs() ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.Root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -125,7 +117,7 @@ func (l *Loader) Dirs(pattern string) ([]string, error) {
 			return err
 		}
 		for _, e := range ents {
-			if isNonTestGoFile(e.Name()) {
+			if !e.IsDir() && isNonTestGoFile(e.Name()) {
 				dirs = append(dirs, path)
 				break
 			}
@@ -154,54 +146,23 @@ func (l *Loader) ImportPath(dir string) (string, error) {
 	return l.Module + "/" + filepath.ToSlash(rel), nil
 }
 
-// Load parses and type-checks the package in dir as an analysis unit:
-// non-test files plus in-package _test.go files. Files belonging to an
-// external test package (package foo_test) form a second compilation
-// unit; load them with LoadExternalTest.
+// Load returns the package in dir, type-checked from its non-test
+// files. A package already loaded, as an import of another or by an
+// earlier Load, is returned as is.
 func (l *Loader) Load(dir string) (*Package, error) {
 	path, err := l.ImportPath(dir)
 	if err != nil {
 		return nil, err
 	}
-	return l.LoadDirAs(dir, path)
+	return l.loadLocal(path)
 }
 
-// LoadExternalTest parses and type-checks dir's external test package
-// (package foo_test) as its own analysis unit. The returned Package
-// keeps the directory's canonical import path, so path-scoped Applies
-// functions treat the unit exactly like the package under test; the
-// go/types check itself runs under a "_test"-suffixed path because a
-// unit cannot import its own path. Directories without external test
-// files return (nil, nil).
-func (l *Loader) LoadExternalTest(dir string) (*Package, error) {
-	path, err := l.ImportPath(dir)
-	if err != nil {
-		return nil, err
-	}
-	files, err := l.parseXTestDir(dir)
-	if err != nil || len(files) == 0 {
-		return nil, err
-	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path+"_test", l.Fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s external tests: %w", path, err)
-	}
-	return &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Pkg: pkg, Info: info}, nil
-}
-
-// LoadDirAs loads the package in dir under an explicit import path.
-// The golden-test harness uses it to type-check testdata packages as if
-// they lived at real module paths, exercising path-scoped analyzers.
+// LoadDirAs type-checks the package in dir under an explicit import
+// path, without consulting or filling the memo. The golden-test harness
+// uses it to check testdata packages as if they lived at real module
+// paths, exercising path-scoped analyzers.
 func (l *Loader) LoadDirAs(dir, path string) (*Package, error) {
-	files, err := l.parseDir(dir, true)
+	files, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -230,16 +191,20 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 		return types.Unsafe, nil
 	}
 	if path == l.Module || strings.HasPrefix(path, l.Module+"/") {
-		return l.importLocal(path)
+		p, err := l.loadLocal(path)
+		if err != nil {
+			return nil, err
+		}
+		return p.Pkg, nil
 	}
 	return l.std.Import(path)
 }
 
-// importLocal type-checks a module package for dependency use: non-test
-// files only, memoized, cycle-checked.
-func (l *Loader) importLocal(path string) (*types.Package, error) {
-	if c, ok := l.canonical[path]; ok {
-		return c.pkg, c.err
+// loadLocal type-checks the module package at path once, memoized and
+// cycle-checked.
+func (l *Loader) loadLocal(path string) (*Package, error) {
+	if p, ok := l.pkgs[path]; ok {
+		return p.pkg, p.err
 	}
 	if l.loading[path] {
 		return nil, fmt.Errorf("lint: import cycle through %s", path)
@@ -248,112 +213,33 @@ func (l *Loader) importLocal(path string) (*types.Package, error) {
 	defer delete(l.loading, path)
 
 	dir := filepath.Join(l.Root, filepath.FromSlash(strings.TrimPrefix(path, l.Module)))
-	pkg, err := l.checkDepPackage(dir, path)
-	l.canonical[path] = &canonicalPkg{pkg: pkg, err: err}
+	pkg, err := l.LoadDirAs(dir, path)
+	l.pkgs[path] = &loaded{pkg: pkg, err: err}
 	return pkg, err
 }
 
-func (l *Loader) checkDepPackage(dir, path string) (*types.Package, error) {
-	files, err := l.parseDir(dir, false)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s (for import %q)", dir, path)
-	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.Fset, files, nil)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking dependency %s: %w", path, err)
-	}
-	return pkg, nil
-}
-
-// parseDir parses dir's Go files with comments. With includeTests, in-
-// package _test.go files are kept; external-test-package files are
-// always dropped.
-func (l *Loader) parseDir(dir string, includeTests bool) ([]*ast.File, error) {
+// parseDir parses dir's non-test Go files with comments.
+func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	var names []string
 	for _, e := range ents {
-		n := e.Name()
-		if !strings.HasSuffix(n, ".go") || e.IsDir() || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
-			continue
+		if !e.IsDir() && isNonTestGoFile(e.Name()) {
+			names = append(names, e.Name())
 		}
-		if !includeTests && strings.HasSuffix(n, "_test.go") {
-			continue
-		}
-		names = append(names, n)
 	}
 	sort.Strings(names)
 
 	var files []*ast.File
-	pkgName := ""
-	var tests []*ast.File
 	for _, n := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, n), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		if strings.HasSuffix(n, "_test.go") {
-			tests = append(tests, f)
-			continue
-		}
-		if pkgName == "" {
-			pkgName = f.Name.Name
-		} else if f.Name.Name != pkgName {
-			return nil, fmt.Errorf("lint: %s: mixed packages %s and %s", dir, pkgName, f.Name.Name)
-		}
-		files = append(files, f)
-	}
-	for _, f := range tests {
-		// Keep only in-package test files; package foo_test is a
-		// separate compilation unit the go tool builds against the
-		// compiled package, which a pure source loader cannot mimic
-		// without duplicating the universe.
-		if f.Name.Name == pkgName {
-			files = append(files, f)
-		}
-	}
-	return files, nil
-}
-
-// parseXTestDir parses the external-test-package files in dir: the
-// _test.go files whose package clause carries the "_test" suffix. The
-// in-package files those tests import resolve through importLocal like
-// any other dependency.
-func (l *Loader) parseXTestDir(dir string) ([]*ast.File, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, "_test.go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
-			continue
-		}
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
-	var files []*ast.File
-	pkgName := ""
-	for _, n := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, n), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		if !strings.HasSuffix(f.Name.Name, "_test") {
-			continue
-		}
-		if pkgName == "" {
-			pkgName = f.Name.Name
-		} else if f.Name.Name != pkgName {
-			return nil, fmt.Errorf("lint: %s: mixed external test packages %s and %s", dir, pkgName, f.Name.Name)
+		if len(files) > 0 && f.Name.Name != files[0].Name.Name {
+			return nil, fmt.Errorf("lint: %s: mixed packages %s and %s", dir, files[0].Name.Name, f.Name.Name)
 		}
 		files = append(files, f)
 	}

@@ -69,7 +69,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 			continue // no whole-program pass, or applied to no package
 		}
 		if prog == nil {
-			prog = &Program{Fset: fset, Packages: pkgs, Graph: BuildCallGraph(fset, pkgs)}
+			prog = &Program{Fset: fset, Graph: BuildCallGraph(fset, pkgs)}
 		}
 		a.RunProgram(&ProgramPass{
 			Analyzer: a,
