@@ -113,8 +113,9 @@ func knownNames(known map[string]bool) string {
 // ApplySuppressions drops suppressed diagnostics and reports unused
 // suppressions. Matching is two-pass so one directive silences at most
 // one line: same-line (trailing comment) matches win; a directive that
-// matched nothing on its own line then applies to the next line.
-// "suppress" diagnostics are never suppressible.
+// matched nothing on its own line then applies to the next line. Either
+// way it silences every finding of its analyzer on the one line it
+// covers. "suppress" diagnostics are never suppressible.
 //
 // Interprocedural findings (diagnostics carrying a scope line, set by
 // the runner for analyzers marked Interprocedural) get one more
@@ -152,12 +153,17 @@ func ApplySuppressions(diags []Diagnostic, sups []*Suppression) []Diagnostic {
 		}
 		pending = append(pending, d)
 	}
+	// A directive that silenced its own line covers no other.
+	ownLine := make(map[*Suppression]bool)
+	for _, s := range sups {
+		ownLine[s] = s.used
+	}
 	for _, d := range pending {
 		// Standalone form: directive on the line above, and only if
 		// that directive did not already silence its own line.
 		if d.Analyzer != SuppressName {
 			k := lineKey{d.Pos.Filename, d.Pos.Line - 1, d.Analyzer}
-			if ss := byLine[k]; len(ss) > 0 && !ss[0].used {
+			if ss := byLine[k]; len(ss) > 0 && !ownLine[ss[0]] {
 				ss[0].used = true
 				continue
 			}

@@ -52,9 +52,9 @@ func at(file string, line int) token.Position {
 	return token.Position{Filename: file, Line: line, Column: 1}
 }
 
-// One directive must silence exactly one diagnostic: with findings on
-// its own line and the next, the same-line match wins and the next-line
-// finding survives.
+// One directive must silence exactly one line: with findings on its own
+// line and the next, the same-line match wins and the next-line finding
+// survives.
 func TestApplySuppressionsExactlyOne(t *testing.T) {
 	diags := []Diagnostic{
 		{Analyzer: "errclose", Pos: at("f.go", 10), Message: "first"},
@@ -74,6 +74,21 @@ func TestApplySuppressionsNextLine(t *testing.T) {
 	sups := []*Suppression{{Analyzer: "maporder", Reason: "r", Pos: at("f.go", 4)}}
 	if out := ApplySuppressions(diags, sups); len(out) != 0 {
 		t.Fatalf("standalone suppression did not apply: %v", out)
+	}
+}
+
+// A standalone directive covers its one line whole: every finding of
+// its analyzer on the next line is silenced, and nothing further down.
+func TestApplySuppressionsNextLineWhole(t *testing.T) {
+	diags := []Diagnostic{
+		{Analyzer: "determinism", Pos: at("f.go", 11), Message: "first"},
+		{Analyzer: "determinism", Pos: at("f.go", 11), Message: "second"},
+		{Analyzer: "determinism", Pos: at("f.go", 12), Message: "third"},
+	}
+	sups := []*Suppression{{Analyzer: "determinism", Reason: "r", Pos: at("f.go", 10)}}
+	out := ApplySuppressions(diags, sups)
+	if len(out) != 1 || out[0].Message != "third" {
+		t.Fatalf("want only the line-12 diagnostic to survive, got %v", out)
 	}
 }
 
