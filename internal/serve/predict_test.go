@@ -81,11 +81,12 @@ func TestPredictInvalidSpecIs400(t *testing.T) {
 	defer ts.Close()
 
 	for _, body := range []string{
-		`{"n":0,"k":3}`,               // no population
-		`{"n":10,"k":1}`,              // k < 2
-		`{"n":-5,"k":2}`,              // negative population
-		`{"n":10,"k":3,"bogus":true}`, // unknown field (strict decode)
-		`{not json`,                   // malformed
+		`{"n":0,"k":3}`,                 // no population
+		`{"n":10,"k":1}`,                // k < 2
+		`{"n":-5,"k":2}`,                // negative population
+		`{"n":10,"k":3,"bogus":true}`,   // unknown field (strict decode)
+		`{not json`,                     // malformed
+		`{"n":24,"k":4}{"n":999,"k":4}`, // a second object after the first
 	} {
 		resp, b := postPredict(t, ts, body, "")
 		if resp.StatusCode != http.StatusBadRequest {

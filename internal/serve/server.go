@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -159,11 +160,18 @@ const maxRequestBody = 1 << 20
 
 // decodeJSON strictly decodes a bounded request body into v (unknown
 // fields are rejected so spec typos fail loudly instead of running a
-// default trial).
+// default trial, and anything but whitespace after the one JSON value
+// is rejected so a second object is never silently dropped).
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // cacheHeader is the response header reporting where a trial record

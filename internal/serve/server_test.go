@@ -123,11 +123,17 @@ func TestInvalidSpecRejectedBeforeAdmission(t *testing.T) {
 		`{"n":24,"k":4,"engine":"banana"}`, // unknown engine
 		`{"n":24,"k":4,"typo_field":1}`,    // unknown field (strict decode)
 		`{"n":`,                            // malformed JSON
+		`{"n":24,"k":4,"seed":1}{"n":999}`, // a second object after the first
 	} {
 		resp, b := postJSON(t, ts.Client(), ts.URL+"/v1/trials", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s: status %d, want 400 (%s)", body, resp.StatusCode, b)
 		}
+	}
+	// /v1/sweeps shares the strict decode.
+	const sweep = `{"n":24,"k":4,"seed":1,"trials":2} trailing garbage`
+	if resp, b := postJSON(t, ts.Client(), ts.URL+"/v1/sweeps", sweep); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("POST /v1/sweeps %s: status %d, want 400 (%s)", sweep, resp.StatusCode, b)
 	}
 	if got := counterValue(t, reg, "serve/admitted"); got != 0 {
 		t.Fatalf("invalid specs were admitted: serve/admitted = %d, want 0", got)
