@@ -48,6 +48,9 @@ var goldenCases = []goldenCase{
 		files: []string{"results/compare.csv", "results/scheduler.csv", "results/topology.csv"}},
 	{name: "experiments-fig3", steps: [][]string{argv("experiments -fig 3 -quick -trials 3")},
 		files: []string{"results/fig3.csv", "results/fig3.json"}},
+	// No n in [k+2, 7] for k = 6 and k = 8: their series stay, empty.
+	{name: "experiments-fig3-empty-k", steps: [][]string{argv("experiments -fig 3 -nmax 7 -trials 1")},
+		files: []string{"results/fig3.csv", "results/fig3.json"}},
 	{name: "experiments-all", steps: [][]string{argv("experiments -fig all -quick -trials 2 -engine count")},
 		files: []string{"results/fig3.csv", "results/fig4.csv", "results/fig4_k6.csv", "results/fig5.csv", "results/fig6.csv", "results/fig6.json"}},
 	{name: "experiments-aux", steps: [][]string{
