@@ -33,6 +33,9 @@ func exactCmd(_ context.Context, args []string) error {
 	if err := parseFlags(fs, args, map[string]int{"k": 2, "nmin": 3, "nmax": 3, "sim": 0}); err != nil {
 		return err
 	}
+	if *nmin > *nmax {
+		return usagef("-nmin %d exceeds -nmax %d", *nmin, *nmax)
+	}
 
 	p, err := core.New(*k)
 	if err != nil {

@@ -211,26 +211,49 @@ func (c campaign) save(name string, tbl *report.Table, doc *harness.ResultDoc) e
 	return nil
 }
 
+// grid runs a figure's grid of (n, k) cells with point IDs from first.
+// A figure's first ID must not move: SeedForCell derives every trial's
+// seed from its point's ID, and journals key trials by SpecKey, which
+// includes the seed.
+func (c campaign) grid(ctx context.Context, first uint64, grouping bool, cells [][2]int) ([]harness.Point, error) {
+	base := harness.SweepSpec{
+		TrialSpec: harness.TrialSpec{Seed: c.seed, Grouping: grouping, Engine: c.eng},
+		Trials:    c.trials, PointID: first, Workers: c.workers,
+	}
+	return harness.RunGridCtx(ctx, base, cells, c.opts)
+}
+
+// byK splits grid points into one series per k of ks, in order. A k
+// without points keeps its series, with nil Points.
+func byK(ks []int, pts []harness.Point) []harness.KSeries {
+	series := make([]harness.KSeries, len(ks))
+	for i, k := range ks {
+		series[i].K = k
+		for _, pt := range pts {
+			if pt.K == k {
+				series[i].Points = append(series[i].Points, pt)
+			}
+		}
+	}
+	return series
+}
+
 // fig6Points runs the Figure 6 grid: n = 960 and every k up to kmax
 // among the divisors of 960.
 func (c campaign) fig6Points(ctx context.Context, kmax int) ([]harness.Point, error) {
-	var ks []int
+	var cells [][2]int
 	for _, k := range []int{2, 3, 4, 5, 6, 8, 10, 12, 15, 16, 20, 24} {
 		if k <= kmax {
-			ks = append(ks, k)
+			cells = append(cells, [2]int{960, k})
 		}
 	}
-	cfg := harness.Fig6Config{Ks: ks, Trials: c.trials, Seed: c.seed, Workers: c.workers, Engine: c.eng}
-	return harness.RunFig6Ctx(ctx, cfg, c.opts)
+	return c.grid(ctx, 1<<21, false, cells)
 }
 
 // traj renders the auxiliary convergence-trajectory experiment: mean
 // group-size spread over elapsed interactions, per k.
 func traj(c campaign) error {
-	cfg := harness.TrajectoryConfig{N: 60, Ks: []int{3, 4, 6}, Trials: c.trials, Seed: c.seed}
-	if cfg.Trials > 30 {
-		cfg.Trials = 30
-	}
+	cfg := harness.TrajectoryConfig{N: 60, Ks: []int{3, 4, 6}, Trials: min(c.trials, 30), Seed: c.seed}
 	series, err := harness.RunTrajectory(cfg)
 	if err != nil {
 		return err
@@ -239,15 +262,22 @@ func traj(c campaign) error {
 	return c.save("trajectory", harness.TrajectoryTable(series), nil)
 }
 
+// fig3 draws Figure 3, or with grouping Figure 4: n from k+2 to nmax for
+// k in {4, 6, 8}. Below k+2 the first grouping leaves no remainder worth
+// plotting; the paper's curves start there.
 func fig3(ctx context.Context, c campaign, nmax int, grouping bool) error {
-	cfg := harness.Fig3Config{
-		Ks: []int{4, 6, 8}, NMax: nmax, NStep: 1,
-		Trials: c.trials, Seed: c.seed, Workers: c.workers, Grouping: grouping, Engine: c.eng,
+	ks := []int{4, 6, 8}
+	var cells [][2]int
+	for _, k := range ks {
+		for n := k + 2; n <= nmax; n++ {
+			cells = append(cells, [2]int{n, k})
+		}
 	}
-	series, err := harness.RunFig3Ctx(ctx, cfg, c.opts)
+	pts, err := c.grid(ctx, 0, grouping, cells)
 	if err != nil {
 		return err
 	}
+	series := byK(ks, pts)
 	name := "fig3"
 	if grouping {
 		name = "fig4"
@@ -274,16 +304,25 @@ func fig3(ctx context.Context, c campaign, nmax int, grouping bool) error {
 	return c.save(name, harness.SweepTable(series), &harness.ResultDoc{Series: series})
 }
 
+// fig5 draws Figure 5: n = 120·f for f = 1…8 (quick: 60·f for f = 1…4)
+// and k in {3, 4, 5, 6}, so every n is divisible by every k.
 func fig5(ctx context.Context, c campaign, quick bool) error {
-	cfg := harness.Fig5Config{Trials: c.trials, Seed: c.seed, Workers: c.workers, Engine: c.eng}
+	ks := []int{3, 4, 5, 6}
+	unit, factors := 120, 8
 	if quick {
-		cfg.Base = 60
-		cfg.NFactors = []int{1, 2, 3, 4}
+		unit, factors = 60, 4
 	}
-	series, err := harness.RunFig5Ctx(ctx, cfg, c.opts)
+	var cells [][2]int
+	for _, k := range ks {
+		for f := 1; f <= factors; f++ {
+			cells = append(cells, [2]int{unit * f, k})
+		}
+	}
+	pts, err := c.grid(ctx, 1<<20, false, cells)
 	if err != nil {
 		return err
 	}
+	series := byK(ks, pts)
 	chart := &report.LineChart{
 		Title:  "Figure 5: interactions vs n (n mod k = 0)",
 		XLabel: "n", YLabel: "mean interactions",

@@ -106,11 +106,35 @@ func TestSubcommandDispatch(t *testing.T) {
 		{[]string{"trace", "-k", "3"}, 2, "", "usage: kpart trace"},
 		{[]string{"bench-diff", "only-one.json"}, 2, "", "usage: kpart bench-diff"},
 		{[]string{"twin-check", "-baseline", "missing.json"}, 1, "", "kpart twin-check: reading baseline"},
+		{argv("exact -k 3 -nmin 8 -nmax 5 -sim 0"), 2, "", "kpart exact: -nmin 8 exceeds -nmax 5"},
 	} {
 		stdout, stderr, code := run(t, dir, c.args...)
 		if code != c.code || !strings.Contains(stdout, c.stdout) || !strings.Contains(stderr, c.stderr) {
 			t.Errorf("kpart %s: exit %d, stdout %q, stderr %q; want exit %d with %q on stdout and %q on stderr",
 				strings.Join(c.args, " "), code, stdout, stderr, c.code, c.stdout, c.stderr)
+		}
+	}
+}
+
+// kpart scale validates every k's spec before it opens the journal: a
+// spec no trial can run exits 2 with the reason and leaves no file.
+func TestScaleRefusesInvalidSpecs(t *testing.T) {
+	for _, a := range []string{
+		"scale -n 100 -k 2000 -trials 1",
+		"scale -engine batch -n 100 -k 4 -trials 1 -batch 60 -journal s.journal",
+		"scale -n 12 -k 3 -topology grid:3x5",
+		"scale -n 11 -k 3 -topology regular:3 -max 1000",
+		"scale -n 30 -k 3 -churn at=10,events=1,leave=40",
+	} {
+		dir := t.TempDir()
+		stdout, stderr, code := run(t, dir, argv(a)...)
+		files, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code != 2 || stdout != "" || !strings.HasPrefix(stderr, "kpart scale: harness: invalid trial spec: ") || len(files) != 0 {
+			t.Errorf("kpart %s: exit %d, stdout %q, stderr %q, %d files left; want exit 2 naming the invalid spec and no file",
+				a, code, stdout, stderr, len(files))
 		}
 	}
 }

@@ -169,11 +169,26 @@ func scaleCmd(ctx context.Context, args []string) error {
 			maxI = 50_000_000
 		}
 	}
+	base := harness.TrialSpec{
+		N:               *n,
+		MaxInteractions: maxI,
+		Engine:          eng,
+		BatchSize:       *batchSize,
+		Topology:        topo,
+		Fairness:        fair,
+		Churn:           churn,
+	}
 	var ks []int
 	for _, part := range strings.Split(*ksFlag, ",") {
 		k, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || k < 2 {
 			return usagef("bad k %q", part)
+		}
+		// A spec no trial can run is refused before the journal exists.
+		spec := base
+		spec.K = k
+		if err := harness.ValidateSpec(spec); err != nil {
+			return usageError{err}
 		}
 		ks = append(ks, k)
 	}
@@ -202,16 +217,8 @@ func scaleCmd(ctx context.Context, args []string) error {
 			var productive, interactions uint64
 			pt := pointDoc{N: *n, K: k, Trials: *trials}
 			for t := 0; t < *trials; t++ {
-				spec := harness.TrialSpec{
-					N: *n, K: k,
-					Seed:            rng.StreamSeed(*seed, uint64(ki), uint64(t)),
-					MaxInteractions: maxI,
-					Engine:          eng,
-					BatchSize:       *batchSize,
-					Topology:        topo,
-					Fairness:        fair,
-					Churn:           churn,
-				}
+				spec := base
+				spec.K, spec.Seed = k, rng.StreamSeed(*seed, uint64(ki), uint64(t))
 				res, wall, resumed, err := harness.RunTimedCtx(ctx, spec, opts)
 				if err != nil {
 					return err

@@ -18,16 +18,18 @@
 //   - internal/fairness   — fairness metering of execution prefixes
 //   - internal/protocols  — bipartition, repeated bipartition, the interval
 //     baseline, R-generalized partition, classic protocols
-//   - internal/harness    — the Figure 3–6 experiment harness and the
-//     scenario model (topology × fairness × churn; see DESIGN.md §8)
+//   - internal/harness    — the trial runner, the Figure 3–6 grid runner
+//     and renderers, and the scenario model (topology × fairness ×
+//     churn; see DESIGN.md §8)
 //
 // Binaries: cmd/kpart, one tool whose subcommands cover a single run
 // (run), the figures (experiments), the model checker (verify), the
 // ablations (compare), large-n sweeps and scenario runs (scale), the HTTP
 // trial service (serve) and the regression-gated benchmark suites (bench,
 // serve-bench, bench-diff, twin-check); and cmd/kpart-lint, the
-// repo-specific static analysis. Runnable examples live in examples/; examples/graphchurn
-// tours the scenario engine.
+// repo-specific static analysis. Runnable examples of the paper's
+// motivating applications live in examples/, and `go test ./examples`
+// runs them against their recorded output.
 //
 // The benchmarks in this package (bench_test.go) regenerate a
 // representative point of every figure of the paper's evaluation; the full

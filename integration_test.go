@@ -30,13 +30,16 @@ import (
 // data (small trials; the full version lives in `kpart experiments`).
 func TestMiniEvaluationPipeline(t *testing.T) {
 	// Mini Figure 3: k=4, n in 8..31, 10 trials.
-	series, err := harness.RunFig3Ctx(context.Background(), harness.Fig3Config{
-		Ks: []int{4}, NMin: 8, NMax: 31, NStep: 1, Trials: 10, Seed: 1234,
-	}, harness.RunOptions{})
+	var cells [][2]int
+	for n := 8; n <= 31; n++ {
+		cells = append(cells, [2]int{n, 4})
+	}
+	pts, err := harness.RunGridCtx(context.Background(), harness.SweepSpec{
+		TrialSpec: harness.TrialSpec{Seed: 1234}, Trials: 10,
+	}, cells, harness.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := series[0].Points
 	// Growth: last point well above first.
 	if pts[len(pts)-1].Mean < 3*pts[0].Mean {
 		t.Fatalf("no growth across the sweep: %v -> %v", pts[0].Mean, pts[len(pts)-1].Mean)
@@ -56,9 +59,13 @@ func TestMiniEvaluationPipeline(t *testing.T) {
 
 	// Mini Figure 6: n=120, k in {2,3,4,6,8,10}, 10 trials; exponential
 	// growth in k must beat the linear fit.
-	fig6, err := harness.RunFig6Ctx(context.Background(), harness.Fig6Config{
-		N: 120, Ks: []int{2, 3, 4, 6, 8, 10}, Trials: 10, Seed: 77,
-	}, harness.RunOptions{})
+	cells = nil
+	for _, k := range []int{2, 3, 4, 6, 8, 10} {
+		cells = append(cells, [2]int{120, k})
+	}
+	fig6, err := harness.RunGridCtx(context.Background(), harness.SweepSpec{
+		TrialSpec: harness.TrialSpec{Seed: 77}, Trials: 10, PointID: 1 << 21,
+	}, cells, harness.RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

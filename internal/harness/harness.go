@@ -1,7 +1,9 @@
 // Package harness runs the paper's experiments: it fans simulation trials
-// out over a worker pool, aggregates them into per-point statistics, and
-// hands the experiment binaries ready-to-render series for every figure of
-// Section 5 (and for the ablations DESIGN.md adds).
+// out over a worker pool, aggregates them into per-point statistics, runs
+// a figure's grid of (n, k) cells as one point per cell (RunGridCtx), and
+// renders points as the tables and charts of Section 5 (and of the
+// ablations DESIGN.md adds). Which cells a figure has is decided by
+// `kpart experiments`, which draws the figures.
 //
 // Seeding discipline: every trial's generator is derived as
 // StreamSeed(rootSeed, pointIndex, trialIndex), so any single cell of any
@@ -224,6 +226,10 @@ func RunTrialCtx(ctx context.Context, spec TrialSpec, opts RunOptions) (res Tria
 }
 
 func runTrial(ctx context.Context, spec TrialSpec, ropts RunOptions) (TrialResult, error) {
+	// Proto panics for a k outside the range ValidatePartition admits.
+	if spec.K < 2 || spec.K > MaxK {
+		return TrialResult{}, fmt.Errorf("%w: k=%d outside [2, %d]", ErrInvalidSpec, spec.K, MaxK)
+	}
 	p := Proto(spec.K)
 	target, err := p.TargetCounts(spec.N)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -183,69 +184,88 @@ func TestSweepPointAggregates(t *testing.T) {
 	}
 }
 
+// cellsOf lists the (n, k) cells of ns × ks, k-major.
+func cellsOf(ks, ns []int) [][2]int {
+	var cells [][2]int
+	for _, k := range ks {
+		for _, n := range ns {
+			cells = append(cells, [2]int{n, k})
+		}
+	}
+	return cells
+}
+
 func TestRunFig3Small(t *testing.T) {
-	series, err := RunFig3Ctx(context.Background(), Fig3Config{Ks: []int{3}, NMin: 5, NMax: 12, NStep: 1, Trials: 5, Seed: 3, Workers: 4}, RunOptions{})
+	base := SweepSpec{TrialSpec: TrialSpec{Seed: 3}, Trials: 5, Workers: 4}
+	pts, err := RunGridCtx(context.Background(), base, cellsOf([]int{3}, []int{5, 6, 7, 8, 9, 10, 11, 12}), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 1 || len(series[0].Points) != 8 {
-		t.Fatalf("series shape: %d / %d", len(series), len(series[0].Points))
+	if len(pts) != 8 {
+		t.Fatalf("%d points, want 8", len(pts))
 	}
-	for _, p := range series[0].Points {
-		if p.Mean <= 0 || p.Unconverged > 0 {
-			t.Fatalf("bad point %+v", p)
+	for i, p := range pts {
+		if p.N != 5+i || p.K != 3 || p.Trials != 5 || p.Mean <= 0 || p.Unconverged > 0 {
+			t.Fatalf("bad point %d: %+v", i, p)
 		}
 	}
 }
 
-func TestRunFig3DefaultsClampNMin(t *testing.T) {
-	series, err := RunFig3Ctx(context.Background(), Fig3Config{Ks: []int{6}, NMin: 2, NMax: 9, Trials: 2, Seed: 5}, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if series[0].Points[0].N != 8 { // k+2
-		t.Fatalf("first n = %d, want 8", series[0].Points[0].N)
-	}
-}
-
-func TestRunFig5RejectsBadDivisibility(t *testing.T) {
-	_, err := RunFig5Ctx(context.Background(), Fig5Config{Ks: []int{7}, Base: 120, NFactors: []int{1}, Trials: 1, Seed: 1}, RunOptions{})
-	if err == nil {
-		t.Fatal("120 %% 7 != 0 accepted")
-	}
-}
-
 func TestRunFig5Small(t *testing.T) {
-	series, err := RunFig5Ctx(context.Background(), Fig5Config{Ks: []int{3, 4}, Base: 12, NFactors: []int{1, 2}, Trials: 3, Seed: 11, Workers: 4}, RunOptions{})
+	base := SweepSpec{TrialSpec: TrialSpec{Seed: 11}, Trials: 3, PointID: 1 << 20, Workers: 4}
+	pts, err := RunGridCtx(context.Background(), base, cellsOf([]int{3, 4}, []int{12, 24}), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series) != 2 || len(series[0].Points) != 2 {
-		t.Fatal("series shape")
+	want := [][2]int{{12, 3}, {24, 3}, {12, 4}, {24, 4}}
+	if len(pts) != len(want) {
+		t.Fatalf("%d points, want %d", len(pts), len(want))
 	}
-	if series[0].Points[0].N != 12 || series[0].Points[1].N != 24 {
-		t.Fatalf("ns: %+v", series[0].Points)
+	for i, p := range pts {
+		if [2]int{p.N, p.K} != want[i] || p.Mean <= 0 {
+			t.Fatalf("point %d: %+v, want (n, k) = %v", i, p, want[i])
+		}
 	}
 }
 
 func TestRunFig6Small(t *testing.T) {
-	pts, err := RunFig6Ctx(context.Background(), Fig6Config{N: 24, Ks: []int{2, 3, 4}, Trials: 3, Seed: 13, Workers: 4}, RunOptions{})
+	base := SweepSpec{TrialSpec: TrialSpec{Seed: 13}, Trials: 3, PointID: 1 << 21, Workers: 4}
+	pts, err := RunGridCtx(context.Background(), base, cellsOf([]int{2, 3, 4}, []int{24}), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 3 {
-		t.Fatal("points")
+		t.Fatalf("%d points, want 3", len(pts))
 	}
-	for _, p := range pts {
-		if p.N != 24 || p.Mean <= 0 {
+	for i, p := range pts {
+		if p.N != 24 || p.K != 2+i || p.Mean <= 0 {
 			t.Fatalf("%+v", p)
 		}
 	}
 }
 
-func TestRunFig6RejectsBadDivisor(t *testing.T) {
-	if _, err := RunFig6Ctx(context.Background(), Fig6Config{N: 24, Ks: []int{5}, Trials: 1, Seed: 1}, RunOptions{}); err == nil {
-		t.Fatal("bad divisor accepted")
+// Cell i of a grid is the sweep point of base at the cell's (n, k) under
+// point ID base.PointID+i, and an empty grid has no points.
+func TestRunGridCellIsSweepPoint(t *testing.T) {
+	base := SweepSpec{TrialSpec: TrialSpec{Seed: 5, Grouping: true, Engine: EngineCount}, Trials: 4, PointID: 40, Workers: 2}
+	cells := [][2]int{{9, 4}, {7, 3}, {10, 4}}
+	pts, err := RunGridCtx(context.Background(), base, cells, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cell := range cells {
+		s := base
+		s.N, s.K, s.PointID = cell[0], cell[1], base.PointID+uint64(i)
+		want, err := SweepPointCtx(context.Background(), s, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pts[i], want) {
+			t.Errorf("cell %d: %+v, want %+v", i, pts[i], want)
+		}
+	}
+	if pts, err := RunGridCtx(context.Background(), base, nil, RunOptions{}); pts != nil || err != nil {
+		t.Errorf("empty grid: %v, %v; want nil, nil", pts, err)
 	}
 }
 
@@ -530,7 +550,7 @@ func TestEnginesAgreeOnMeans(t *testing.T) {
 }
 
 func TestRunTrajectory(t *testing.T) {
-	series, err := RunTrajectory(TrajectoryConfig{N: 24, Ks: []int{3, 4}, Trials: 6, Seed: 9, Samples: 10})
+	series, err := RunTrajectory(TrajectoryConfig{N: 24, Ks: []int{3, 4}, Trials: 6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +569,7 @@ func TestRunTrajectory(t *testing.T) {
 			t.Fatalf("k=%d: initial spread %v, want 24", s.K, s.MeanSpread[0])
 		}
 		// The final sample must be well below the initial spread and most
-		// trials stable by the horizon (HorizonFactor 1.2 of a pilot mean).
+		// trials stable by the horizon (1.2 × a pilot mean).
 		last := len(s.X) - 1
 		if s.MeanSpread[last] > 2 {
 			t.Fatalf("k=%d: final mean spread %v", s.K, s.MeanSpread[last])

@@ -148,6 +148,17 @@ func TestRunTrialCtxInvalidSpecNotRetried(t *testing.T) {
 	}
 }
 
+// A group count outside [2, MaxK] fails with ErrInvalidSpec before the
+// protocol table is built, so a caller that skips ValidateSpec gets an
+// error, not a panic.
+func TestRunTrialRejectsKOutOfRange(t *testing.T) {
+	for _, k := range []int{0, 1, MaxK + 1, 2000} {
+		if _, err := RunTrial(TrialSpec{N: 100, K: k, Seed: 1}); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("k=%d: RunTrial = %v, want ErrInvalidSpec", k, err)
+		}
+	}
+}
+
 // Batch cancellation is not a trial failure: the canceled counter
 // increments, and the context error surfaces unchanged.
 func TestRunTrialCtxCanceled(t *testing.T) {

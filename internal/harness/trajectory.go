@@ -24,33 +24,15 @@ type TrajectoryConfig struct {
 	Ks     []int
 	Trials int
 	Seed   uint64
-	// Samples is the number of equally spaced sample points; the horizon
-	// is per-k: HorizonFactor × (mean stabilization estimate from a pilot
-	// trial), so curves for different k are comparable.
-	Samples       int
-	HorizonFactor float64
 }
 
-func (c *TrajectoryConfig) fill() {
-	if c.N == 0 {
-		c.N = 60
-	}
-	if len(c.Ks) == 0 {
-		c.Ks = []int{3, 6}
-	}
-	if c.Trials == 0 {
-		c.Trials = 20
-	}
-	if c.Seed == 0 {
-		c.Seed = DefaultSeed
-	}
-	if c.Samples == 0 {
-		c.Samples = 40
-	}
-	if c.HorizonFactor == 0 {
-		c.HorizonFactor = 1.2
-	}
-}
+// Each curve has trajectorySamples+1 equally spaced samples. Its horizon
+// is per-k: trajectoryHorizon × a pilot estimate of the stabilization
+// time, so curves for different k are comparable.
+const (
+	trajectorySamples = 40
+	trajectoryHorizon = 1.2
+)
 
 // TrajectorySeries is one k's mean-spread curve.
 type TrajectorySeries struct {
@@ -64,7 +46,6 @@ type TrajectorySeries struct {
 
 // RunTrajectory executes the experiment.
 func RunTrajectory(cfg TrajectoryConfig) ([]TrajectorySeries, error) {
-	cfg.fill()
 	var out []TrajectorySeries
 	for ki, k := range cfg.Ks {
 		p := Proto(k)
@@ -82,19 +63,19 @@ func RunTrajectory(cfg TrajectoryConfig) ([]TrajectorySeries, error) {
 			}
 			pilot += res.Interactions
 		}
-		horizon := uint64(float64(pilot/3) * cfg.HorizonFactor)
-		if horizon < uint64(cfg.Samples) {
-			horizon = uint64(cfg.Samples)
+		horizon := uint64(float64(pilot/3) * trajectoryHorizon)
+		if horizon < trajectorySamples {
+			horizon = trajectorySamples
 		}
-		interval := horizon / uint64(cfg.Samples)
+		interval := horizon / trajectorySamples
 		if interval == 0 {
 			interval = 1
 		}
 
 		s := TrajectorySeries{K: k, Horizon: horizon}
-		sums := make([]float64, cfg.Samples+1)
-		stable := make([]float64, cfg.Samples+1)
-		counts := make([]int, cfg.Samples+1)
+		sums := make([]float64, trajectorySamples+1)
+		stable := make([]float64, trajectorySamples+1)
+		counts := make([]int, trajectorySamples+1)
 		for t := 0; t < cfg.Trials; t++ {
 			pop := population.New(p, cfg.N)
 			rec := &sim.SpreadRecorder{Interval: interval}
@@ -112,7 +93,7 @@ func RunTrajectory(cfg TrajectoryConfig) ([]TrajectorySeries, error) {
 				sim.After{N: horizon}, sim.Options{Hooks: []sim.Hook{rec, hook}}); err != nil {
 				return nil, err
 			}
-			for i := 0; i <= cfg.Samples && i < len(rec.Samples); i++ {
+			for i := 0; i <= trajectorySamples && i < len(rec.Samples); i++ {
 				sums[i] += float64(rec.Samples[i])
 				counts[i]++
 				if stableAt != 0 && uint64(i)*interval >= stableAt {
@@ -120,7 +101,7 @@ func RunTrajectory(cfg TrajectoryConfig) ([]TrajectorySeries, error) {
 				}
 			}
 		}
-		for i := 0; i <= cfg.Samples; i++ {
+		for i := 0; i <= trajectorySamples; i++ {
 			if counts[i] == 0 {
 				break
 			}
