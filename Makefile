@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet fmt-check lint lint-sarif test race perfbench fuzz-smoke bench bench-json serve-smoke serve-bench-json bench-diff bench-diff-report twin-check twin-check-report
+.PHONY: check build vet fmt-check lint lint-sarif test race perfbench fuzz-smoke bench bench-json serve-smoke bench-diff bench-diff-report twin-check twin-check-report
 
 check: build vet fmt-check lint test race perfbench bench-diff-report twin-check-report
 
@@ -84,9 +84,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBatchApply -fuzztime=5s ./internal/countsim
 	$(GO) test -run='^$$' -fuzz=FuzzGuardedBy -fuzztime=5s ./internal/lint/analyzers
 	$(GO) test -run='^$$' -fuzz=FuzzTrialRequest -fuzztime=5s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzJournalLoad -fuzztime=5s ./internal/harness
 
+# The Go benchmarks: kpart bench's suite and engine loop (cmd/kpart's
+# BenchmarkSuite and BenchmarkEngineThroughput) and the A1–A3 ablations
+# at the root.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$
+	$(GO) test -bench=. -benchmem -run='^$$' . ./cmd/kpart
 
 # Machine-readable perf trajectory; compare BENCH_kpart.json across PRs.
 bench-json:
@@ -98,26 +102,18 @@ bench-json:
 serve-smoke:
 	$(GO) run ./cmd/kpart serve -smoke
 
-# Service perf trajectory: req/s, latency quantiles, cache hit rate
-# under a fixed loopback mix; compare BENCH_serve.json across PRs.
-serve-bench-json:
-	$(GO) run ./cmd/kpart serve-bench -out BENCH_serve.json
-
-# Regression gate: run both benchmark suites fresh and diff them against
-# the committed BENCH_serve.json / BENCH_kpart.json baselines
-# (throughput-class metrics gate at 20%, latency-class at 75% —
-# internal/benchdiff holds the policy). The kpart suite includes the
+# Regression gate: run the benchmark suite fresh and diff the document
+# against the committed BENCH_kpart.json, point by point
+# (interactions_per_sec gates at a 20% drop, wall_ns_* at a 75% rise;
+# cmd/kpart/benchdiff.go holds the policy). The suite includes the
 # batched-engine points, so a sampler regression that slows the n=10⁸
 # headline shows up here. `bench-diff` fails the build on a regression;
 # `bench-diff-report` (the `check` flavor) prints the same comparison
-# without failing, so tier-1 stays green on noisy hardware. The kpart
-# binary is built once into the temp directory.
+# without failing, so tier-1 stays green on noisy hardware.
 BENCH_DIFF_FLAGS ?=
 bench-diff:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) build -o "$$tmp/kpart" ./cmd/kpart && \
-	"$$tmp/kpart" serve-bench -out "$$tmp/BENCH_serve.json" >/dev/null && \
-	"$$tmp/kpart" bench-diff $(BENCH_DIFF_FLAGS) BENCH_serve.json "$$tmp/BENCH_serve.json" && \
 	"$$tmp/kpart" bench -out "$$tmp/BENCH_kpart.json" >/dev/null && \
 	"$$tmp/kpart" bench-diff $(BENCH_DIFF_FLAGS) BENCH_kpart.json "$$tmp/BENCH_kpart.json"
 

@@ -1,21 +1,14 @@
 package main
 
-// kpart bench is the machine-readable companion to the bench_test.go
-// families: it runs a fixed suite of representative workload points (one
-// per figure of the paper's evaluation, plus a raw engine-throughput
-// probe) and writes BENCH_kpart.json, so successive changes have a perf
-// trajectory to compare against instead of eyeballing `go test -bench`
-// text output.
+// kpart bench runs the repository's benchmark suite, benchSuite: one
+// representative point per figure of the paper's evaluation, the batched
+// engine's headline, two scenario points, and a raw engine-throughput
+// probe. It writes BENCH_kpart.json, the perf trajectory kpart bench-diff
+// compares successive changes against. BenchmarkSuite and
+// BenchmarkEngineThroughput run the same table, seeds and loop under
+// `go test -bench`.
 //
 //	kpart bench [-out BENCH_kpart.json] [-trials 5] [-debug-addr :6060]
-//	kpart bench -resume [-trial-timeout 5m]
-//
-// The seeds match bench_test.go's (StreamSeed(0xbe9c4, n, k, trial)),
-// so interactions/run agrees with the benchmarks point for point.
-//
-// Completed suite trials are checkpointed to <out>.journal; after a
-// crash or SIGINT, -resume reuses them (including their recorded wall
-// times) instead of re-measuring from scratch.
 
 import (
 	"context"
@@ -65,14 +58,47 @@ type benchDoc struct {
 	Points     []benchPoint `json:"points"`
 }
 
+// benchEntry is one point of the suite.
+type benchEntry struct {
+	name string
+	spec harness.TrialSpec
+}
+
+// benchSeed roots the suite's seeds: trial t of a point runs under
+// rng.StreamSeed(benchSeed, n, k, t).
+const benchSeed = 0xbe9c4
+
+// benchSuite holds the representative points, kept small enough that the
+// suite finishes in well under a minute. The scale-batch point is the
+// headline of the batched engine: a hundred-million-agent population to
+// stability in about a second; its interaction budget must be explicit
+// because ~5·10¹⁶ interactions dwarf the harness default cap.
+var benchSuite = []benchEntry{
+	{"fig3/k=4/n=24", harness.TrialSpec{N: 24, K: 4, Engine: harness.EngineAgent}},
+	{"fig3/k=6/n=36", harness.TrialSpec{N: 36, K: 6, Engine: harness.EngineAgent}},
+	{"fig5/k=4/n=120", harness.TrialSpec{N: 120, K: 4, Engine: harness.EngineAgent}},
+	{"fig6/k=8/n=960", harness.TrialSpec{N: 960, K: 8, Engine: harness.EngineAgent}},
+	{"fig6-count/k=8/n=960", harness.TrialSpec{N: 960, K: 8, Engine: harness.EngineCount}},
+	{"fig6-count/k=12/n=960", harness.TrialSpec{N: 960, K: 12, Engine: harness.EngineCount}},
+	{"fig6-batch/k=8/n=960", harness.TrialSpec{N: 960, K: 8, Engine: harness.EngineBatch}},
+	{"scale-batch/k=8/n=1e8", harness.TrialSpec{N: 100_000_000, K: 8, Engine: harness.EngineBatch, MaxInteractions: 1 << 62}},
+	// Scenario points measure the scenario seam's overhead, not
+	// convergence speed: the ring point runs the edge scheduler plus
+	// the orbit-closure freeze detector to its (usually frozen) end;
+	// the weak point drives the adversary a fixed 500k interactions
+	// (it stalls by design, so wall/interaction is the metric).
+	{"scenario-ring/k=3/n=60", harness.TrialSpec{N: 60, K: 3, Engine: harness.EngineAgent,
+		MaxInteractions: 5_000_000, Topology: harness.TopologySpec{Kind: harness.TopologyRing}}},
+	{"scenario-weak/k=3/n=12", harness.TrialSpec{N: 12, K: 3, Engine: harness.EngineAgent,
+		MaxInteractions: 500_000, Fairness: harness.FairnessWeak}},
+}
+
 func benchCmd(ctx context.Context, args []string) error {
 	fs := newFlags()
 	var (
-		out          = fs.String("out", "BENCH_kpart.json", "output path for the benchmark document")
-		trials       = fs.Int("trials", 5, "trials per suite point")
-		debugAddr    = fs.String("debug-addr", "", "serve pprof and /debug/vars on this address (e.g. :6060)")
-		resume       = fs.Bool("resume", false, "resume from <out>.journal, reusing completed suite trials")
-		trialTimeout = fs.Duration("trial-timeout", 0, "per-trial wall deadline (0 = none)")
+		out       = fs.String("out", "BENCH_kpart.json", "output path for the benchmark document")
+		trials    = fs.Int("trials", 5, "trials per suite point")
+		debugAddr = fs.String("debug-addr", "", "serve pprof and /debug/vars on this address (e.g. :6060)")
 	)
 	if err := parseFlags(fs, args, map[string]int{"trials": 1}); err != nil {
 		return err
@@ -88,52 +114,15 @@ func benchCmd(ctx context.Context, args []string) error {
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-
-	// Representative points: one per benchmark family in bench_test.go,
-	// kept small enough that the suite finishes in well under a minute.
-	// The scale-batch point is the headline of the batched engine: a
-	// hundred-million-agent population to stability in about a second; its
-	// interaction budget must be explicit because ~5·10¹⁶ interactions
-	// dwarf the harness default cap.
-	suite := []struct {
-		name string
-		spec harness.TrialSpec
-	}{
-		{"fig3/k=4/n=24", harness.TrialSpec{N: 24, K: 4, Engine: harness.EngineAgent}},
-		{"fig3/k=6/n=36", harness.TrialSpec{N: 36, K: 6, Engine: harness.EngineAgent}},
-		{"fig5/k=4/n=120", harness.TrialSpec{N: 120, K: 4, Engine: harness.EngineAgent}},
-		{"fig6/k=8/n=960", harness.TrialSpec{N: 960, K: 8, Engine: harness.EngineAgent}},
-		{"fig6-count/k=8/n=960", harness.TrialSpec{N: 960, K: 8, Engine: harness.EngineCount}},
-		{"fig6-count/k=12/n=960", harness.TrialSpec{N: 960, K: 12, Engine: harness.EngineCount}},
-		{"fig6-batch/k=8/n=960", harness.TrialSpec{N: 960, K: 8, Engine: harness.EngineBatch}},
-		{"scale-batch/k=8/n=1e8", harness.TrialSpec{N: 100_000_000, K: 8, Engine: harness.EngineBatch, MaxInteractions: 1 << 62}},
-		// Scenario points measure the scenario seam's overhead, not
-		// convergence speed: the ring point runs the edge scheduler plus
-		// the orbit-closure freeze detector to its (usually frozen) end;
-		// the weak point drives the adversary a fixed 500k interactions
-		// (it stalls by design, so wall/interaction is the metric).
-		{"scenario-ring/k=3/n=60", harness.TrialSpec{N: 60, K: 3, Engine: harness.EngineAgent,
-			MaxInteractions: 5_000_000, Topology: harness.TopologySpec{Kind: harness.TopologyRing}}},
-		{"scenario-weak/k=3/n=12", harness.TrialSpec{N: 12, K: 3, Engine: harness.EngineAgent,
-			MaxInteractions: 500_000, Fairness: harness.FairnessWeak}},
-	}
-	meta := fmt.Sprintf("kpart-bench trials=%d", *trials)
-	err := journaled(*out+".journal", meta, *resume, func(j *harness.Journal) error {
-		opts := harness.RunOptions{TrialTimeout: *trialTimeout, Journal: j}
-		for _, s := range suite {
-			pt, err := runPoint(ctx, opts, s.name, s.spec, *trials)
-			if err != nil {
-				return err
-			}
-			doc.Points = append(doc.Points, pt)
-			fmt.Printf("%-24s %12.0f interactions/run  %12s/trial  %10.3g interactions/sec\n",
-				pt.Name, pt.MeanInteractions,
-				time.Duration(pt.WallNSMedian).Round(time.Microsecond), pt.InteractionsPerSec)
+	for _, e := range benchSuite {
+		pt, err := runPoint(ctx, e, *trials)
+		if err != nil {
+			return err
 		}
-		return nil
-	})
-	if err != nil {
-		return err
+		doc.Points = append(doc.Points, pt)
+		fmt.Printf("%-24s %12.0f interactions/run  %12s/trial  %10.3g interactions/sec\n",
+			pt.Name, pt.MeanInteractions,
+			time.Duration(pt.WallNSMedian).Round(time.Microsecond), pt.InteractionsPerSec)
 	}
 	tp, err := engineThroughput()
 	if err != nil {
@@ -149,37 +138,45 @@ func benchCmd(ctx context.Context, args []string) error {
 	return nil
 }
 
-// runPoint executes trials at one point, one at a time, and aggregates
-// wall times and interaction counts. Journaled trials (a -resume run)
-// contribute their recorded wall times instead of being re-measured.
-// Scenario points tolerate unconverged trials (freezes and stalls are
-// their workload); for everything else a failure to stabilize aborts the
-// suite.
-func runPoint(ctx context.Context, opts harness.RunOptions, name string, base harness.TrialSpec, trials int) (benchPoint, error) {
-	pt := benchPoint{Name: name, N: base.N, K: base.K, Engine: base.Engine.String(), Trials: trials}
-	scenarioPoint := base.HasScenario()
-	if scenarioPoint {
+// trial runs trial t of e and returns its result and wall time. A trial
+// that does not stabilize is an error, except on a scenario point, whose
+// runs may freeze or stall by design.
+func (e benchEntry) trial(ctx context.Context, t int) (harness.TrialResult, time.Duration, error) {
+	spec := e.spec
+	spec.Seed = rng.StreamSeed(benchSeed, uint64(spec.N), uint64(spec.K), uint64(t))
+	res, wall, _, err := harness.RunTimedCtx(ctx, spec, harness.RunOptions{})
+	switch {
+	case err != nil:
+		err = fmt.Errorf("%s trial %d: %w", e.name, t, err)
+	case !res.Converged && !spec.HasScenario():
+		err = fmt.Errorf("%s trial %d did not stabilize", e.name, t)
+	}
+	return res, wall, err
+}
+
+// runPoint executes trials of e, one at a time, and aggregates wall times
+// and interaction counts.
+func runPoint(ctx context.Context, e benchEntry, trials int) (benchPoint, error) {
+	base := e.spec
+	pt := benchPoint{Name: e.name, N: base.N, K: base.K, Engine: base.Engine.String(), Trials: trials}
+	if base.HasScenario() {
 		pt.Scenario = fmt.Sprintf("topology=%s fairness=%s", base.Topology, base.Fairness)
 	}
 	var wallNS, interactions []float64
 	var totalI uint64
 	var totalWall time.Duration
 	for t := 0; t < trials; t++ {
-		spec := base
-		spec.Seed = rng.StreamSeed(0xbe9c4, uint64(base.N), uint64(base.K), uint64(t))
-		res, wall, _, err := harness.RunTimedCtx(ctx, spec, opts)
+		res, wall, err := e.trial(ctx, t)
 		if err != nil {
-			return pt, fmt.Errorf("%s trial %d: %w", name, t, err)
+			return pt, err
 		}
-		if scenarioPoint {
+		if base.HasScenario() {
 			if res.Converged {
 				pt.Converged++
 			}
 			if res.Frozen {
 				pt.Frozen++
 			}
-		} else if !res.Converged {
-			return pt, fmt.Errorf("%s trial %d did not stabilize", name, t)
 		}
 		wallNS = append(wallNS, float64(wall.Nanoseconds()))
 		interactions = append(interactions, float64(res.Interactions))
@@ -196,31 +193,41 @@ func runPoint(ctx context.Context, opts harness.RunOptions, name string, base ha
 	return pt, nil
 }
 
-// engineThroughput measures the agent engine's cost per interaction on
-// the Figure 6 shape (n = 960, k = 8), mirroring BenchmarkEngineThroughput:
-// one sim.Run capped at a fixed interaction count under a CountTarget
-// that cannot fire, so it times the loop trials run, stop detection
-// included, with none of the harness around it.
-func engineThroughput() (benchPoint, error) {
-	const n, k, steps = 960, 8, 5_000_000
-	p := harness.Proto(k)
-	target, err := p.TargetCounts(n)
+// engineLoop runs steps interactions of the agent engine on the Figure 6
+// shape (n = 960, k = 8): one sim.Run capped at steps under a CountTarget
+// that cannot fire, so it is the loop trials run, stop detection included,
+// with none of the harness around it. It calls start between the set-up
+// and the run.
+func engineLoop(s sched.Scheduler, steps uint64, start func()) error {
+	p := harness.Proto(8)
+	target, err := p.TargetCounts(960)
 	if err != nil {
-		return benchPoint{}, err
+		return err
 	}
-	pop := population.New(p, n)
+	pop := population.New(p, 960)
 	// No slot of the target is occupied, so the condition never holds.
 	stop := sim.NewCountTarget(p.CanonMap(), make([]int, len(target)))
-	start := time.Now()
-	if _, err := sim.Run(pop, sched.NewRandom(1), stop, sim.Options{MaxInteractions: steps}); err != nil {
+	start()
+	res, err := sim.Run(pop, s, stop, sim.Options{MaxInteractions: steps})
+	if err == nil && res.Interactions != steps {
+		err = fmt.Errorf("ran %d of %d interactions", res.Interactions, steps)
+	}
+	return err
+}
+
+// engineThroughput times the agent engine's loop, as
+// BenchmarkEngineThroughput/fused does: its cost per interaction.
+func engineThroughput() (benchPoint, error) {
+	const steps = 5_000_000
+	var start time.Time
+	if err := engineLoop(sched.NewRandom(1), steps, func() { start = time.Now() }); err != nil {
 		return benchPoint{}, err
 	}
 	wall := time.Since(start)
+	perStep := float64(wall.Nanoseconds()) / steps
 	return benchPoint{
-		Name: "engine-throughput", N: n, K: k, Engine: "agent", Trials: 1,
-		WallNSMean:         float64(wall.Nanoseconds()) / steps,
-		WallNSMedian:       float64(wall.Nanoseconds()) / steps,
-		WallNSP90:          float64(wall.Nanoseconds()) / steps,
+		Name: "engine-throughput", N: 960, K: 8, Engine: "agent", Trials: 1,
+		WallNSMean: perStep, WallNSMedian: perStep, WallNSP90: perStep,
 		InteractionsPerSec: steps / wall.Seconds(),
 	}, nil
 }

@@ -44,7 +44,6 @@ var commands = []command{
 	{"pp", "run a protocol written in the text DSL", ppCmd, false},
 	{"serve", "the HTTP trial service", serveCmd, true},
 	{"bench", "the simulation benchmark suite (BENCH_kpart.json)", benchCmd, true},
-	{"serve-bench", "the service load test (BENCH_serve.json)", serveBenchCmd, false},
 	{"bench-diff", "the benchmark regression gate", benchDiffCmd, false},
 	{"twin-check", "the twin's accuracy gate (TWIN_baseline.json)", twinCheckCmd, false},
 }

@@ -25,14 +25,16 @@
 // Binaries: cmd/kpart, one tool whose subcommands cover a single run
 // (run), the figures (experiments), the model checker (verify), the
 // ablations (compare), large-n sweeps and scenario runs (scale), the HTTP
-// trial service (serve) and the regression-gated benchmark suites (bench,
-// serve-bench, bench-diff, twin-check); and cmd/kpart-lint, the
-// repo-specific static analysis. Runnable examples of the paper's
-// motivating applications live in examples/, and `go test ./examples`
-// runs them against their recorded output.
+// trial service (serve), the benchmark suite and its regression gate
+// (bench, bench-diff) and the twin's accuracy gate (twin-check); and
+// cmd/kpart-lint, the repo-specific static analysis. Runnable examples of
+// the paper's motivating applications live in examples/, and
+// `go test ./examples` runs them against their recorded output.
 //
-// The benchmarks in this package (bench_test.go) regenerate a
-// representative point of every figure of the paper's evaluation; the full
-// sweeps live in `kpart experiments`. See DESIGN.md for the system
-// inventory and EXPERIMENTS.md for paper-vs-measured results.
+// The benchmarks in this package (bench_test.go) are the DESIGN.md
+// ablations A1–A3. A representative point of every figure of the paper's
+// evaluation is kpart bench's suite, which cmd/kpart's BenchmarkSuite runs
+// under `go test -bench`; the full sweeps live in `kpart experiments`. See
+// DESIGN.md for the system inventory and EXPERIMENTS.md for
+// paper-vs-measured results.
 package repro

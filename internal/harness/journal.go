@@ -172,11 +172,13 @@ func (j *Journal) load(meta string) error {
 			continue
 		}
 		var rec journalRecord
-		if jerr := json.Unmarshal(line, &rec); jerr != nil || rec.Key == "" {
+		if jerr := json.Unmarshal(line, &rec); jerr != nil || rec.Key != SpecKey(rec.Result.Spec) {
 			// A torn append never carries its trailing newline (the write
 			// is a single call, so what's lost is a suffix), so a
 			// malformed COMPLETE line is real corruption, not a crash
-			// signature — refuse rather than silently drop trials.
+			// signature — refuse rather than silently drop trials. So is
+			// a record filed under another spec's key (or none): Lookup
+			// would answer that spec with this result.
 			return fmt.Errorf("harness: journal %s: corrupt record on line %d", j.path, lineNo)
 		}
 		j.done[rec.Key] = Entry{Result: rec.Result, WallUS: rec.WallUS}

@@ -144,6 +144,43 @@ func TestJournalCorruptMiddleRecordRefused(t *testing.T) {
 	}
 }
 
+// A record filed under another spec's key is refused: reopened, it would
+// answer Lookup for that spec with a result of a different trial.
+func TestJournalRefusesMiskeyedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trials.journal")
+	j, err := CreateJournal(path, "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunTrial(TrialSpec{N: 30, K: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(res, 0); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := SpecKey(TrialSpec{N: 24, K: 4, Seed: 1})
+	rekeyed := strings.Replace(string(data), SpecKey(res.Spec), other, 1)
+	if err := os.WriteFile(path, []byte(rekeyed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenJournal(path, "c")
+	if err == nil {
+		e, _ := j2.LookupKey(other)
+		j2.Close()
+		t.Fatalf("re-keyed record accepted: n=24 k=4 resolves to the n=%d k=%d result", e.Result.Spec.N, e.Result.Spec.K)
+	}
+	if !strings.Contains(err.Error(), "corrupt record on line 2") {
+		t.Fatalf("error %q does not name line 2", err)
+	}
+}
+
 // tearFinalRecord chops the journal's last line mid-record, exactly what a
 // crash during the final append leaves behind.
 func tearFinalRecord(t *testing.T, path string) {
