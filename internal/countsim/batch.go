@@ -428,10 +428,8 @@ func (b *Batch) stepMatching(limit uint64) error {
 				continue
 			}
 			out := s.result[base+q]
-			s.adjust(a, -t)
-			s.adjust(q, -t)
-			s.adjust(int(out.P), t)
-			s.adjust(int(out.Q), t)
+			s.move(a, int(out.P), t)
+			s.move(q, int(out.Q), t)
 			s.productive += uint64(t)
 		}
 	}
@@ -601,10 +599,8 @@ func (b *Batch) stepAggregate(limit uint64) error {
 				avail[q] -= t
 			}
 			out := s.result[cell]
-			s.adjust(a, -t)
-			s.adjust(q, -t)
-			s.adjust(int(out.P), t)
-			s.adjust(int(out.Q), t)
+			s.move(a, int(out.P), t)
+			s.move(q, int(out.Q), t)
 			s.productive += uint64(t)
 		}
 	}
@@ -632,10 +628,7 @@ func (b *Batch) stepAggregate(limit uint64) error {
 		pxy := px / sum * (1 - decay)
 		pyx := py / sum * (1 - decay)
 		newX := s.rand.Binomial(cx, 1-pxy) + s.rand.Binomial(cy, pyx)
-		if d := newX - cx; d != 0 {
-			s.adjust(x, d)
-			s.adjust(y, -d)
-		}
+		s.move(y, x, newX-cx)
 	}
 
 	s.interactions += m
@@ -777,8 +770,8 @@ func (b *Batch) participation() (pA, cmax int64) {
 
 // syncShadow brings the shadow up to the live counts and audits the
 // incremental null weight against it. It finds the states that moved by
-// diffing the live counts against the shadow's copy, never from what
-// adjust reports, and updates each class weight
+// diffing the live counts against the shadow's copy, never from the
+// moves Sim.Step made, and updates each class weight
 //
 //	F_M(c) = Σ_{a,b} M_ab·c_a·(c_b − [a = b])
 //
@@ -797,10 +790,10 @@ func (b *Batch) participation() (pA, cmax int64) {
 // The audit: by induction from the full recompute that opened the shadow,
 // its null weight equals the O(S²) recompute of auditNullWeight, so
 // comparing the incremental nullW against it is exactly as strong. The row
-// and column sums that adjust and Sim.Step work from must give the same
-// weight: Σ_a c_a·rowSum[a] and Σ_b c_b·colSum[b] both equal nullW plus
-// shDiag, the agents in states whose diagonal cell is null (kept, like the
-// class weights, by induction).
+// and column sums that Sim.move keeps and Sim.Step works from must give
+// the same weight: Σ_a c_a·rowSum[a] and Σ_b c_b·colSum[b] both equal
+// nullW plus shDiag, the agents in states whose diagonal cell is null
+// (kept, like the class weights, by induction).
 func (b *Batch) syncShadow() error {
 	s := b.sim
 	S := s.S

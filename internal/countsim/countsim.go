@@ -63,8 +63,8 @@ type Sim struct {
 	nullW  int64
 	// nonNull lists, for each state x, the states a with δ(a,x) non-null
 	// (nonNull[nonNullOff[2x]:nonNullOff[2x+1]]) and then the states b
-	// with δ(x,b) non-null (up to nonNullOff[2x+2]): the entries adjust
-	// takes back after adding a count change to every row and column sum.
+	// with δ(x,b) non-null (up to nonNullOff[2x+2]): the only row and
+	// column sums a move into or out of x changes.
 	nonNull    []protocol.State
 	nonNullOff []int32
 
@@ -173,39 +173,52 @@ func (s *Sim) auditNullWeight() int64 {
 	return w
 }
 
-// adjust changes state x's count by delta (any magnitude — the batched
-// engine applies whole cells at once), maintaining nullW, rowSum and
-// colSum in O(S).
+// move moves t agents from state x to state y (any magnitude and either
+// sign — the batched engine applies whole cells at once), maintaining
+// nullW, rowSum and colSum from the non-null lists of x and y alone. It
+// is a no-op when x == y or t == 0.
 //
 // Derivation: with B = Σ_{null(a,b)} c_a·c_b and D = Σ_{null(a,a)} c_a,
-// nullW = B − D. Changing c_x by δ changes
+// nullW = B − D. With d_s = [null(s,s)] and n_xy = [null(x,y)], moving t
+// agents changes
 //
-//	B by δ·(colSum[x] + rowSum[x]) + δ²·[null(x,x)]
-//	D by δ·[null(x,x)]
+//	B by t·(rowSum[y] + colSum[y] − rowSum[x] − colSum[x]) + t²·(d_x + d_y − n_xy − n_yx)
+//	D by t·(d_y − d_x)
 //
-// where the sums are taken BEFORE the update.
-func (s *Sim) adjust(x int, delta int64) {
-	rowSum, colSum := s.rowSum, s.colSum[:len(s.rowSum)]
-	diag := int64(0)
-	if s.nullPair[x*s.S+x] {
-		diag = 1
+// where the sums are taken BEFORE the update. rowSum[a] moves by
+// t·([null(a,y)] − [null(a,x)]), which is zero unless δ(a,x) or δ(a,y)
+// is non-null; likewise colSum[b].
+func (s *Sim) move(x, y int, t int64) {
+	if x == y || t == 0 {
+		return
 	}
-	s.nullW += delta*(colSum[x]+rowSum[x]) + delta*delta*diag - delta*diag
-	s.counts[x] += int(delta)
-	// rowSum[a] moves by delta for every a with null(a,x), colSum[b] for
-	// every b with null(x,b). Most cells are null, so add delta densely
-	// and take it back from the short non-null lists.
-	for a := range rowSum {
-		rowSum[a] += delta
-		colSum[a] += delta
+	rowSum, colSum := s.rowSum, s.colSum
+	dx, dy := s.null(x, x), s.null(y, y)
+	s.nullW += t*(rowSum[y]+colSum[y]-rowSum[x]-colSum[x]) +
+		t*t*(dx+dy-s.null(x, y)-s.null(y, x)) + t*(dx-dy)
+	s.counts[x] -= int(t)
+	s.counts[y] += int(t)
+	ox, oy := s.nonNullOff[2*x:2*x+3], s.nonNullOff[2*y:2*y+3]
+	for _, a := range s.nonNull[ox[0]:ox[1]] {
+		rowSum[a] += t
 	}
-	off := s.nonNullOff[2*x : 2*x+3]
-	for _, a := range s.nonNull[off[0]:off[1]] {
-		rowSum[a] -= delta
+	for _, a := range s.nonNull[oy[0]:oy[1]] {
+		rowSum[a] -= t
 	}
-	for _, b := range s.nonNull[off[1]:off[2]] {
-		colSum[b] -= delta
+	for _, b := range s.nonNull[ox[1]:ox[2]] {
+		colSum[b] += t
 	}
+	for _, b := range s.nonNull[oy[1]:oy[2]] {
+		colSum[b] -= t
+	}
+}
+
+// null returns 1 if δ(a,b) is the identity, else 0.
+func (s *Sim) null(a, b int) int64 {
+	if s.nullPair[a*s.S+b] {
+		return 1
+	}
+	return 0
 }
 
 // N returns the population size.
@@ -305,18 +318,9 @@ func (s *Sim) Step() (from, to protocol.Pair, err error) {
 
 func (s *Sim) apply(a, b int) (protocol.Pair, protocol.Pair, error) {
 	out := s.result[a*s.S+b]
-	from := protocol.Pair{P: protocol.State(a), Q: protocol.State(b)}
-	// adjust is exact, so an agent the rule leaves in its state (a flip
-	// moves only one of the two) needs no −1/+1 pair of updates.
-	if p := int(out.P); p != a {
-		s.adjust(a, -1)
-		s.adjust(p, +1)
-	}
-	if q := int(out.Q); q != b {
-		s.adjust(b, -1)
-		s.adjust(q, +1)
-	}
-	return from, out, nil
+	s.move(a, int(out.P), 1)
+	s.move(b, int(out.Q), 1)
+	return protocol.Pair{P: protocol.State(a), Q: protocol.State(b)}, out, nil
 }
 
 // RunUntil advances productive steps until pred(counts) reports true or

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/core"
 	"repro/internal/markov"
@@ -57,6 +58,65 @@ func TestNullWeightAudit(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// move must leave the counts, every row and column sum and the null
+// weight exactly where a from-scratch recompute puts them: for bulk moves
+// of either sign, as the batched engine makes them, and for the no-op
+// moves x == y and t == 0.
+func TestMoveKeepsSumsExact(t *testing.T) {
+	prop := func(kRaw uint8, raw [34]uint16, moves [24][3]uint16) bool {
+		p := core.MustNew(2 + int(kRaw)%11) // k in [2, 12]
+		S := p.NumStates()
+		counts := make([]int, S)
+		for i := range counts {
+			counts[i] = int(raw[i])
+		}
+		counts[0] += 2
+		s, err := FromCounts(p, counts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range moves {
+			x, y := int(m[0])%S, int(m[1])%S
+			frac := int64(m[2] >> 3) // 0..8191
+			var d int64
+			switch m[2] % 8 {
+			case 0:
+				y, d = x, frac+1
+			case 1:
+			case 2, 3, 4:
+				d = int64(counts[x]) * frac / 8191
+			default:
+				d = -int64(counts[y]) * frac / 8191
+			}
+			s.move(x, y, d)
+			if x != y {
+				counts[x] -= int(d)
+				counts[y] += int(d)
+			}
+			for a := 0; a < S; a++ {
+				var row, col int64
+				for b := 0; b < S; b++ {
+					row += s.null(a, b) * int64(counts[b])
+					col += s.null(b, a) * int64(counts[b])
+				}
+				if s.counts[a] != counts[a] || s.rowSum[a] != row || s.colSum[a] != col {
+					t.Logf("k=%d move %d (%d→%d, t=%d): state %d has count %d, rowSum %d, colSum %d; want %d, %d, %d",
+						p.K(), i, x, y, d, a, s.counts[a], s.rowSum[a], s.colSum[a], counts[a], row, col)
+					return false
+				}
+			}
+			if want := s.auditNullWeight(); s.nullW != want {
+				t.Logf("k=%d move %d (%d→%d, t=%d): nullW %d, recomputed %d", p.K(), i, x, y, d, s.nullW, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

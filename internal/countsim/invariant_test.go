@@ -19,7 +19,7 @@ import (
 // count-based engine, testing/quick style across randomized (n, k, seed).
 // The count engine reaches configurations through a completely different
 // code path (geometric null-run skipping plus incremental weight
-// bookkeeping), so an apply/adjust bug here would not be caught by the
+// bookkeeping), so an apply/move bug here would not be caught by the
 // agent-engine tests — the invariant must hold after EVERY productive
 // step it takes.
 func TestCountEngineInvariantAlongExecutions(t *testing.T) {
