@@ -55,6 +55,7 @@ type benchDoc struct {
 	GOOS       string       `json:"goos"`
 	GOARCH     string       `json:"goarch"`
 	GOMAXPROCS int          `json:"gomaxprocs"`
+	NProc      int          `json:"nproc,omitempty"` // host CPUs, runtime.NumCPU; older documents lack it
 	Points     []benchPoint `json:"points"`
 }
 
@@ -113,6 +114,7 @@ func benchCmd(ctx context.Context, args []string) error {
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NProc:      runtime.NumCPU(),
 	}
 	for _, e := range benchSuite {
 		pt, err := runPoint(ctx, e, *trials)

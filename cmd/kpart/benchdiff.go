@@ -49,11 +49,15 @@ type finding struct {
 	regressed bool
 }
 
-// numbers flattens d to its compared numbers by report path: "gomaxprocs"
-// and "points[<name>].<field>", a point without a name keyed by its
-// index. converged and frozen are absent when zero, as in the file.
+// numbers flattens d to its compared numbers by report path: "gomaxprocs",
+// "nproc" and "points[<name>].<field>", a point without a name keyed by
+// its index. nproc, converged and frozen are absent when zero, as in the
+// file.
 func (d benchDoc) numbers() map[string]float64 {
 	m := map[string]float64{"gomaxprocs": float64(d.GOMAXPROCS)}
+	if d.NProc != 0 {
+		m["nproc"] = float64(d.NProc)
+	}
 	for i, p := range d.Points {
 		key := p.Name
 		if key == "" {

@@ -44,6 +44,32 @@ func TestFlattenKpartDocNamesPoints(t *testing.T) {
 	}
 }
 
+// nproc is an info number like gomaxprocs, compared only when both
+// documents record it, so documents written before it replay unchanged.
+func TestNProcComparedOnlyWhenBothRecordIt(t *testing.T) {
+	nproc := func(base, cur benchDoc) (finding, bool) {
+		for _, f := range compareBench(base, cur) {
+			if f.path == "nproc" {
+				return f, true
+			}
+		}
+		return finding{}, false
+	}
+	base, cur := twoPoints(), twoPoints()
+	cur.NProc = 2
+	if _, ok := nproc(base, cur); ok {
+		t.Fatal("nproc compared against a document that lacks it")
+	}
+	base.NProc = 4
+	f, ok := nproc(base, cur)
+	if !ok || f.base != 4 || f.cur != 2 {
+		t.Fatalf("nproc 4 -> 2 not compared: %+v", f)
+	}
+	if f.gate.direction != "" || f.regressed {
+		t.Fatalf("nproc gates: %+v", f)
+	}
+}
+
 // An injected >20% throughput drop must come back regressed.
 func TestThroughputRegressionGates(t *testing.T) {
 	cur := twoPoints()

@@ -57,7 +57,7 @@
 // decomposition, and runs Check; the window policy reads the same weights
 // and makes bit for bit the decisions the full scan would. At the paper's
 // Figure 6 point (n = 960, k = 8), where nearly every step is a
-// final-approach step, a batch trial costs 1.6–2.5× a count-engine trial
+// final-approach step, a batch trial costs 1.8–2.3× a count-engine trial
 // depending on the seed set (4.2–4.6× with the O(S²) scan and audit per
 // step).
 package countsim

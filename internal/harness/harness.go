@@ -99,8 +99,8 @@ type TrialResult struct {
 	// agent's group again) WITHOUT reaching the uniform target — the
 	// star-graph failure mode, surfaced as data rather than a timeout.
 	Frozen bool `json:",omitempty"`
-	// FinalN is the population size at the end of a churn run (0 when
-	// the population never changed).
+	// FinalN is the population size at the end of a scenario trial, N
+	// unless churn changed it; 0 on a scenario-free trial.
 	FinalN int `json:",omitempty"`
 }
 

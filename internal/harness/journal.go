@@ -172,13 +172,14 @@ func (j *Journal) load(meta string) error {
 			continue
 		}
 		var rec journalRecord
-		if jerr := json.Unmarshal(line, &rec); jerr != nil || rec.Key != SpecKey(rec.Result.Spec) {
+		if jerr := json.Unmarshal(line, &rec); jerr != nil || !consistent(rec.Key, rec.Result) {
 			// A torn append never carries its trailing newline (the write
 			// is a single call, so what's lost is a suffix), so a
 			// malformed COMPLETE line is real corruption, not a crash
 			// signature — refuse rather than silently drop trials. So is
-			// a record filed under another spec's key (or none): Lookup
-			// would answer that spec with this result.
+			// a record filed under another spec's key (or none), or one
+			// whose result no trial of its spec can return: Lookup would
+			// answer that spec with it.
 			return fmt.Errorf("harness: journal %s: corrupt record on line %d", j.path, lineNo)
 		}
 		j.done[rec.Key] = Entry{Result: rec.Result, WallUS: rec.WallUS}
@@ -194,6 +195,27 @@ func (j *Journal) load(meta string) error {
 		return err
 	}
 	return nil
+}
+
+// consistent reports whether a record filed under key can be what a trial
+// of its result's spec returned: the key is the spec's, no more encounters
+// are productive than were scheduled, a converged result has Spread ≤ 1
+// and is not Frozen, and grouping marks appear only on a Grouping spec,
+// in non-decreasing order and no later than the last interaction.
+func consistent(key string, res TrialResult) bool {
+	if key != SpecKey(res.Spec) || res.Productive > res.Interactions ||
+		res.Converged && (res.Spread > 1 || res.Frozen) ||
+		len(res.Marks) > 0 && !res.Spec.Grouping {
+		return false
+	}
+	var prev uint64
+	for _, m := range res.Marks {
+		if m < prev || m > res.Interactions {
+			return false
+		}
+		prev = m
+	}
+	return true
 }
 
 // Lookup returns the journaled entry for spec, if any.

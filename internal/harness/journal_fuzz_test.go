@@ -4,16 +4,18 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
 
 // FuzzJournalLoad opens arbitrary bytes as a journal. Opening never
-// panics; every entry it accepts is filed under its own spec's key; and
-// a journal it accepts takes an Append that survives a reopen.
+// panics; every entry it accepts is filed under its own spec's key and
+// fits that spec (see consistent); and a journal it accepts takes an
+// Append that survives a reopen.
 func FuzzJournalLoad(f *testing.F) {
 	var results []TrialResult
-	for _, spec := range []TrialSpec{{N: 16, K: 4, Seed: 3}, {N: 16, K: 4, Seed: 4}, {N: 12, K: 3, Seed: 5}} {
+	for _, spec := range []TrialSpec{{N: 16, K: 4, Seed: 3}, {N: 16, K: 4, Seed: 4, Grouping: true}, {N: 12, K: 3, Seed: 5}} {
 		res, err := RunTrial(spec)
 		if err != nil {
 			f.Fatal(err)
@@ -53,8 +55,16 @@ func FuzzJournalLoad(f *testing.F) {
 			return
 		}
 		for key, e := range j.done {
-			if key != SpecKey(e.Result.Spec) {
-				t.Errorf("entry filed under %s, its spec's key is %s", key, SpecKey(e.Result.Spec))
+			r := e.Result
+			if key != SpecKey(r.Spec) {
+				t.Errorf("entry filed under %s, its spec's key is %s", key, SpecKey(r.Spec))
+			}
+			if r.Productive > r.Interactions || r.Converged && (r.Spread > 1 || r.Frozen) {
+				t.Errorf("accepted %d productive of %d interactions, converged=%t spread=%d frozen=%t",
+					r.Productive, r.Interactions, r.Converged, r.Spread, r.Frozen)
+			}
+			if len(r.Marks) > 0 && (!r.Spec.Grouping || !slices.IsSorted(r.Marks) || r.Marks[len(r.Marks)-1] > r.Interactions) {
+				t.Errorf("accepted marks %v of %d interactions on grouping=%t", r.Marks, r.Interactions, r.Spec.Grouping)
 			}
 		}
 		if err := j.Append(appended, time.Millisecond); err != nil {

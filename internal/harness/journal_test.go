@@ -181,6 +181,63 @@ func TestJournalRefusesMiskeyedRecord(t *testing.T) {
 	}
 }
 
+// A record whose result contradicts its own spec is refused, one rule a
+// row: reopened, the journal would answer that spec with a result no trial
+// returns. Each row's record is filed under its (edited) spec's key, so
+// only the rule under test can refuse it.
+func TestJournalRefusesContradictoryRecord(t *testing.T) {
+	base, err := RunTrial(TrialSpec{N: 30, K: 3, Seed: 1, Grouping: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !base.Converged || base.Spread > 1 || base.Frozen || len(base.Marks) < 2 || base.Marks[0] >= base.Marks[1] {
+		t.Fatalf("base trial does not fit the rules' edits: %+v", base)
+	}
+	rows := []struct {
+		name string
+		edit func(r *TrialResult)
+	}{
+		{"productive past interactions", func(r *TrialResult) { r.Productive = r.Interactions + 1 }},
+		{"converged with spread 2", func(r *TrialResult) { r.Spread = 2 }},
+		{"converged and frozen", func(r *TrialResult) { r.Frozen = true }},
+		{"marks without grouping", func(r *TrialResult) { r.Spec.Grouping = false }},
+		{"marks decrease", func(r *TrialResult) { r.Marks[0], r.Marks[1] = r.Marks[1], r.Marks[0] }},
+		{"mark past interactions", func(r *TrialResult) { r.Marks[len(r.Marks)-1] = r.Interactions + 1 }},
+		{"unedited", func(*TrialResult) {}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			res := base
+			res.Marks = append([]uint64(nil), base.Marks...)
+			row.edit(&res)
+			path := filepath.Join(t.TempDir(), "trials.journal")
+			j, err := CreateJournal(path, "c")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append(res, 0); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+			j2, err := OpenJournal(path, "c")
+			if row.name == "unedited" {
+				if err != nil {
+					t.Fatalf("the trial's own record is refused: %v", err)
+				}
+				j2.Close()
+				return
+			}
+			if err == nil {
+				j2.Close()
+				t.Fatal("contradictory record accepted")
+			}
+			if !strings.Contains(err.Error(), "corrupt record on line 2") {
+				t.Fatalf("error %q does not name line 2", err)
+			}
+		})
+	}
+}
+
 // tearFinalRecord chops the journal's last line mid-record, exactly what a
 // crash during the final append leaves behind.
 func tearFinalRecord(t *testing.T, path string) {

@@ -143,9 +143,9 @@ func (pop *Population) InteractUniform(x *rng.Xoshiro256, delta []protocol.Pair,
 		i := int(rng.Lemire(x, x.Uint64(), n))
 		j := int(rng.Lemire(x, x.Uint64(), n-1))
 		// Skip the initiator: j moves up one when j >= i. (j-i)>>63 is -1
-		// exactly when j < i, so this adds 1 or 0 without a branch. The
-		// branch would go either way at random, about every other
-		// encounter, and a mispredict costs more than a null encounter.
+		// exactly when j < i, so this adds 1 or 0 without a branch. A
+		// branch would go either way at random, and the CPU would
+		// mispredict it on about every other encounter, null ones too.
 		j += 1 + (j-i)>>63
 		p, q := states[i], states[j]
 		out := delta[int(p)*S+int(q)]
