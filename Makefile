@@ -76,15 +76,19 @@ perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Short exploratory pass over every fuzz target (the plain corpora run
-# under `test`); a real campaign raises -fuzztime.
+# under `test`); a real campaign raises -fuzztime. Go minimizes each new
+# interesting input for up to 60 s by default, longer than a 5 s pass:
+# FuzzJournalLoad, whose inputs each write and reopen a file, ran 7
+# inputs that way. -fuzzminimizetime=100x caps minimizing at 100 runs
+# per input; a failing input is still written, only shrunk less.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=5s ./internal/trace
-	$(GO) test -run='^$$' -fuzz=FuzzSuppression -fuzztime=5s ./internal/lint
-	$(GO) test -run='^$$' -fuzz=FuzzReadJSONL -fuzztime=5s ./internal/obs/span
-	$(GO) test -run='^$$' -fuzz=FuzzBatchApply -fuzztime=5s ./internal/countsim
-	$(GO) test -run='^$$' -fuzz=FuzzGuardedBy -fuzztime=5s ./internal/lint/analyzers
-	$(GO) test -run='^$$' -fuzz=FuzzTrialRequest -fuzztime=5s ./internal/serve
-	$(GO) test -run='^$$' -fuzz=FuzzJournalLoad -fuzztime=5s ./internal/harness
+	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=5s -fuzzminimizetime=100x ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzSuppression -fuzztime=5s -fuzzminimizetime=100x ./internal/lint
+	$(GO) test -run='^$$' -fuzz=FuzzReadJSONL -fuzztime=5s -fuzzminimizetime=100x ./internal/obs/span
+	$(GO) test -run='^$$' -fuzz=FuzzBatchApply -fuzztime=5s -fuzzminimizetime=100x ./internal/countsim
+	$(GO) test -run='^$$' -fuzz=FuzzGuardedBy -fuzztime=5s -fuzzminimizetime=100x ./internal/lint/analyzers
+	$(GO) test -run='^$$' -fuzz=FuzzTrialRequest -fuzztime=5s -fuzzminimizetime=100x ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzJournalLoad -fuzztime=5s -fuzzminimizetime=100x ./internal/harness
 
 # The Go benchmarks: kpart bench's suite and engine loop (cmd/kpart's
 # BenchmarkSuite and BenchmarkEngineThroughput) and the A1–A3 ablations

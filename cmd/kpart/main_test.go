@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/rng"
 )
 
 // kpartBin is the binary TestMain builds from this package.
@@ -91,6 +93,9 @@ func firstDiff(want, got string) string {
 
 func TestSubcommandDispatch(t *testing.T) {
 	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "n1.jsonl"), []byte(`{"protocol":"x","n":1,"states":10}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		args           []string
 		code           int
@@ -104,6 +109,7 @@ func TestSubcommandDispatch(t *testing.T) {
 		{[]string{"scale", "-resume"}, 2, "", "kpart scale: -resume requires -journal"},
 		{[]string{"scale", "-engine", "warp"}, 2, "", "kpart scale: "},
 		{[]string{"trace", "-k", "3"}, 2, "", "usage: kpart trace"},
+		{argv("trace -k 4 n1.jsonl"), 1, "", "replay validation failed: trace: replay diverged: trace has n = 1"},
 		{[]string{"bench-diff", "only-one.json"}, 2, "", "usage: kpart bench-diff"},
 		{[]string{"twin-check", "-baseline", "missing.json"}, 1, "", "kpart twin-check: reading baseline"},
 		{argv("exact -k 3 -nmin 8 -nmax 5 -sim 0"), 2, "", "kpart exact: -nmin 8 exceeds -nmax 5"},
@@ -212,11 +218,7 @@ func TestInterruptAndResume(t *testing.T) {
 			}},
 		{"experiments", "results/fig3.journal", argv("experiments -fig 3 -trials 150 -nmax 40"),
 			func(t *testing.T, dir, _ string) string {
-				data, err := os.ReadFile(filepath.Join(dir, "results", "fig3.csv"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return string(data)
+				return readFile(t, filepath.Join(dir, "results", "fig3.csv"))
 			}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -258,6 +260,75 @@ func TestInterruptAndResume(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A SIGKILL at any point costs at most the record being written: a
+// -resume rerun reuses every whole record the journal holds and writes
+// the CSV an uninterrupted run does. Trials are deterministic, so a
+// resume that re-ran every trial would write the same CSV too; the
+// harness/resumed counter tells the two apart.
+func TestKillAnywhereResume(t *testing.T) {
+	const total = 14_850 // trials in fig 3 at -trials 150 -nmax 40
+	args := argv("experiments -fig 3 -trials 150 -nmax 40")
+	ref := t.TempDir()
+	if _, _, code := run(t, ref, args...); code != 0 {
+		t.Fatalf("uninterrupted run: exit %d", code)
+	}
+	want := readFile(t, filepath.Join(ref, "results", "fig3.csv"))
+	draw := rng.New(0x6b696c6c)
+	for i := 0; i < 4; i++ {
+		// Kill well before the end, so the kill lands mid-run.
+		records := 1 + draw.Intn(total*9/10)
+		dir := t.TempDir()
+		cmd := kpartCmd(dir, args...)
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		waitForRecords(t, filepath.Join(dir, "results", "fig3.journal"), records)
+		if err := cmd.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		_ = cmd.Wait() // killed: no exit status to check
+		if _, _, code := run(t, dir, append(args, "-resume", "-metrics")...); code != 0 {
+			t.Fatalf("kill at %d records: resumed run exit %d", records, code)
+		}
+		resumed := counter(t, filepath.Join(dir, "results", "metrics.jsonl"), "harness/resumed")
+		t.Logf("killed at %d records; the rerun resumed %d of %d trials", records, resumed, total)
+		if resumed < uint64(records) {
+			t.Errorf("kill at %d records: resumed run reused %d trials", records, resumed)
+		}
+		if got := readFile(t, filepath.Join(dir, "results", "fig3.csv")); got != want {
+			t.Errorf("kill at %d records: resumed CSV differs from an uninterrupted run\n%s", records, firstDiff(want, got))
+		}
+	}
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// counter returns the named counter's value from a metrics snapshot
+// (JSON Lines: a header, then one metric a line); absent means zero.
+func counter(t *testing.T, path, name string) uint64 {
+	t.Helper()
+	for _, line := range strings.Split(strings.TrimSpace(readFile(t, path)), "\n") {
+		var m struct {
+			Name  string `json:"name"`
+			Value uint64 `json:"value"`
+		}
+		if err := json.Unmarshal([]byte(line), &m); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return 0
 }
 
 // waitForRecords polls a journal until it holds n trial records.

@@ -90,20 +90,19 @@ func TestTraceReplayFairnessRoundTrip(t *testing.T) {
 	p := core.MustNew(3)
 	const n = 12
 	pop := population.New(p, n)
-	rec := &trace.Recorder{}
+	var buf bytes.Buffer
+	w := &trace.Writer{W: &buf}
 	meter := fairness.NewMeter(n)
 	target, err := p.TargetCounts(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := sim.Run(pop, sched.NewRandom(5), sim.NewCountTarget(p.CanonMap(), target),
-		sim.Options{Hooks: []sim.Hook{rec, meter}})
+		sim.Options{Hooks: []sim.Hook{w, meter}})
 	if err != nil || !res.Converged {
 		t.Fatalf("%v %+v", err, res)
 	}
-
-	var buf bytes.Buffer
-	if err := rec.Encode(&buf); err != nil {
+	if err := w.Err(); err != nil {
 		t.Fatal(err)
 	}
 	hdr, events, err := trace.Decode(&buf)

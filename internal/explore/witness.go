@@ -1,15 +1,8 @@
 package explore
 
-import (
-	"fmt"
-	"io"
-	"strings"
-)
-
-// This file adds witness extraction and graph export to the model checker:
-// shortest configuration paths (e.g. "show me an execution from the
-// initial configuration to a stable one", or to a counterexample), and
-// Graphviz DOT rendering of small configuration graphs.
+// This file adds witness extraction to the model checker: shortest
+// configuration paths (e.g. "show me an execution from the initial
+// configuration to a stable one", or to a counterexample).
 
 // ShortestPath returns node ids of a shortest path from `from` to any node
 // with target[id] == true, by BFS. ok is false when unreachable. The path
@@ -67,66 +60,4 @@ func (g *Graph) WitnessToStable() ([]string, bool) {
 		out[i] = g.Nodes[id].Format(g.Proto)
 	}
 	return out, true
-}
-
-// Eccentricity returns the maximum over nodes of the BFS distance from
-// node 0 — how long the longest "detour" the adversary can force is, in
-// productive transitions.
-func (g *Graph) Eccentricity() int {
-	dist := make([]int, len(g.Nodes))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[0] = 0
-	queue := []int{0}
-	max := 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Succ[v] {
-			if dist[w] == -1 {
-				dist[w] = dist[v] + 1
-				if dist[w] > max {
-					max = dist[w]
-				}
-				queue = append(queue, w)
-			}
-		}
-	}
-	return max
-}
-
-// WriteDot renders the configuration graph as Graphviz DOT: stable nodes
-// are doubly circled, the initial node is bold, and each node is labelled
-// with its multiset. Intended for small graphs (it refuses > maxNodes to
-// keep output viewable).
-func (g *Graph) WriteDot(w io.Writer, maxNodes int) error {
-	if maxNodes <= 0 {
-		maxNodes = 200
-	}
-	if len(g.Nodes) > maxNodes {
-		return fmt.Errorf("explore: graph has %d nodes, above the %d-node DOT limit", len(g.Nodes), maxNodes)
-	}
-	stable := g.StableNodes()
-	var sb strings.Builder
-	sb.WriteString("digraph configurations {\n  node [shape=box, fontsize=10];\n")
-	for i, node := range g.Nodes {
-		attrs := ""
-		if stable[i] {
-			attrs = ", peripheries=2, style=filled, fillcolor=\"0.33,0.2,1.0\""
-		}
-		if i == 0 {
-			attrs += ", penwidth=2"
-		}
-		label := strings.ReplaceAll(node.Format(g.Proto), `"`, `\"`)
-		fmt.Fprintf(&sb, "  c%d [label=\"%s\"%s];\n", i, label, attrs)
-	}
-	for u, ss := range g.Succ {
-		for _, v := range ss {
-			fmt.Fprintf(&sb, "  c%d -> c%d;\n", u, v)
-		}
-	}
-	sb.WriteString("}\n")
-	_, err := io.WriteString(w, sb.String())
-	return err
 }

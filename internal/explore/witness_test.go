@@ -35,9 +35,15 @@ func TestShortestPathToStable(t *testing.T) {
 	}
 	// n=6, k=3: the fastest run is flip + rule5 + two feeds + second
 	// grouping = at least 2·(n/k) productive transitions... just bound it
-	// loosely: strictly more than 1 hop, at most eccentricity.
-	if len(path) < 3 || len(path)-1 > g.Eccentricity() {
-		t.Fatalf("suspicious path length %d (ecc %d)", len(path), g.Eccentricity())
+	// loosely: strictly more than 1 hop, and a shortest path meets no
+	// stable node before its last.
+	if len(path) < 3 {
+		t.Fatalf("suspicious path length %d", len(path))
+	}
+	for _, id := range path[:len(path)-1] {
+		if stable[id] {
+			t.Fatalf("path %v passes stable node %d before its end", path, id)
+		}
 	}
 }
 
@@ -85,39 +91,5 @@ func TestWitnessToStableReadable(t *testing.T) {
 	last := steps[len(steps)-1]
 	if !strings.Contains(last, "g3:2") {
 		t.Fatalf("witness ends at %q", last)
-	}
-}
-
-func TestEccentricityPositive(t *testing.T) {
-	p := core.MustNew(3)
-	g, err := Build(p, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ecc := g.Eccentricity(); ecc <= 0 {
-		t.Fatalf("eccentricity %d", ecc)
-	}
-}
-
-func TestWriteDotConfigurations(t *testing.T) {
-	p := core.MustNew(2)
-	g, err := Build(p, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := g.WriteDot(&sb, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "digraph") || !strings.Contains(out, "->") {
-		t.Fatalf("dot output %q", out)
-	}
-	if !strings.Contains(out, "peripheries=2") {
-		t.Fatal("no stable node rendered")
-	}
-	// Limit honored.
-	if err := g.WriteDot(&sb, 2); err == nil {
-		t.Fatal("node limit not enforced")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // This file implements the protocol-comparison ablations (DESIGN.md A1/A2):
@@ -115,8 +116,8 @@ func Compare(n, k, trials int, seed uint64, maxInteractions uint64) ([]CompareRe
 			}
 		}
 		if n := len(xs); n > 0 {
-			row.Mean = meanOf(xs)
-			row.CI95 = ci95Of(xs)
+			row.Mean = stats.Mean(xs)
+			row.CI95 = stats.CI95(xs)
 			row.MeanSpread /= float64(n)
 		}
 		out = append(out, row)
@@ -162,7 +163,7 @@ func RunSchedulerAblation(n, k, trials int, seed uint64, maxInteractions uint64)
 		}
 		xs = append(xs, float64(res.Interactions))
 	}
-	random.Mean, random.CI95 = meanOf(xs), ci95Of(xs)
+	random.Mean, random.CI95 = stats.Mean(xs), stats.CI95(xs)
 
 	sweep := SchedulerAblationRow{Scheduler: "sweep", N: n, K: k, Trials: 1}
 	pop := population.New(p, n)

@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -526,8 +525,8 @@ func Aggregate(n, k int, trials []TrialResult) Point {
 		}
 		xs = append(xs, float64(tr.Interactions))
 	}
-	pt.Mean = meanOf(xs)
-	pt.CI95 = ci95Of(xs)
+	pt.Mean = stats.Mean(xs)
+	pt.CI95 = stats.CI95(xs)
 	if len(xs) > 0 {
 		sorted := append([]float64(nil), xs...)
 		sort.Float64s(sorted)
@@ -572,31 +571,6 @@ func Aggregate(n, k int, trials []TrialResult) Point {
 		}
 	}
 	return pt
-}
-
-func meanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func ci95Of(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := meanOf(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	sd := ss / float64(len(xs)-1)
-	return 1.96 * math.Sqrt(sd/float64(len(xs)))
 }
 
 // SweepSpec describes one aggregated parameter point of a sweep: `Trials`

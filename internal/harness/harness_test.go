@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -399,6 +400,20 @@ func TestSeedForCellMatchesSweep(t *testing.T) {
 	}
 }
 
+// readDoc reads back a ResultDoc that SaveJSON wrote.
+func readDoc(t *testing.T, path string) ResultDoc {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc ResultDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
 func TestSaveLoadJSONRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	doc := ResultDoc{
@@ -411,10 +426,7 @@ func TestSaveLoadJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readDoc(t, path)
 	if got.Experiment != "fig6" || got.Seed != 42 || len(got.Points) != 1 {
 		t.Fatalf("%+v", got)
 	}
@@ -424,20 +436,6 @@ func TestSaveLoadJSONRoundTrip(t *testing.T) {
 	}
 	if got.CreatedAt == "" {
 		t.Fatal("CreatedAt not stamped")
-	}
-}
-
-func TestLoadJSONErrors(t *testing.T) {
-	if _, err := LoadJSON("/nonexistent/x.json"); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadJSON(bad); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 
@@ -455,10 +453,7 @@ func TestSaveJSONSeriesForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readDoc(t, path)
 	if len(got.Series) != 1 || len(got.Series[0].Points[0].MeanDeltas) != 2 {
 		t.Fatalf("%+v", got)
 	}

@@ -243,9 +243,6 @@ func (j *Journal) Len() int {
 	return len(j.done)
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Append records one completed trial under its spec's key; a result's
 // Spec is the trial as planned, so resume lookups match. The record is
 // written as a single newline-terminated write, the atomic unit of the

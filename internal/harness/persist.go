@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"time"
@@ -61,17 +60,4 @@ func SaveSnapshotJSONL(dir, name string, snap obs.Snapshot) (string, error) {
 		return "", err
 	}
 	return path, nil
-}
-
-// LoadJSON reads a ResultDoc back.
-func LoadJSON(path string) (ResultDoc, error) {
-	var doc ResultDoc
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return doc, err
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return doc, fmt.Errorf("harness: parsing %s: %w", path, err)
-	}
-	return doc, nil
 }

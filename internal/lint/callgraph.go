@@ -112,14 +112,6 @@ func (f *Func) Body() *ast.BlockStmt {
 	return f.Lit.Body
 }
 
-// Type returns the node's *ast.FuncType.
-func (f *Func) FuncType() *ast.FuncType {
-	if f.Decl != nil {
-		return f.Decl.Type
-	}
-	return f.Lit.Type
-}
-
 // Sig returns the type-checked signature, or nil when unavailable.
 func (f *Func) Sig() *types.Signature {
 	if f.Obj != nil {
@@ -160,21 +152,16 @@ type CallGraph struct {
 
 	byKey   map[string]*Func
 	callees map[*Func][]Edge
-	callers map[*Func][]Edge
 }
 
 // Callees returns f's outgoing edges in source order.
 func (g *CallGraph) Callees(f *Func) []Edge { return g.callees[f] }
-
-// Callers returns f's incoming edges in deterministic order.
-func (g *CallGraph) Callers(f *Func) []Edge { return g.callers[f] }
 
 // BuildCallGraph constructs the CHA call graph over the packages.
 func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 	g := &CallGraph{
 		byKey:   make(map[string]*Func),
 		callees: make(map[*Func][]Edge),
-		callers: make(map[*Func][]Edge),
 	}
 	b := &graphBuilder{fset: fset, g: g}
 	// Two passes: nodes (and CHA/dynamic candidate indexes) first, so
@@ -592,18 +579,12 @@ func (b *graphBuilder) addEdge(e Edge) {
 		return
 	}
 	b.g.callees[e.Caller] = append(b.g.callees[e.Caller], e)
-	b.g.callers[e.Callee] = append(b.g.callers[e.Callee], e)
 }
 
-// finish orders Funcs, GoSites, and caller edge lists deterministically.
+// finish orders Funcs and GoSites deterministically.
 func (b *graphBuilder) finish() {
 	sort.Slice(b.g.Funcs, func(i, j int) bool { return b.g.Funcs[i].key < b.g.Funcs[j].key })
 	sort.Slice(b.g.GoSites, func(i, j int) bool {
 		return b.keyOf(b.g.GoSites[i].Stmt.Pos()) < b.keyOf(b.g.GoSites[j].Stmt.Pos())
 	})
-	for f, edges := range b.g.callers {
-		es := edges
-		sort.Slice(es, func(i, j int) bool { return b.keyOf(es[i].Pos) < b.keyOf(es[j].Pos) })
-		b.g.callers[f] = es
-	}
 }

@@ -79,26 +79,15 @@ func (ch *Chain) HittingTimesTo(absorb []bool, tol float64, maxIter int) ([]floa
 	return nil, ErrNoConverge
 }
 
-// Milestones returns the exact expected number of interactions from the
-// all-initial configuration until #gk first reaches j, for j = 1..⌊n/k⌋
-// (index j−1 in the returned slice — the same layout as a simulated
-// trial's Marks). The final milestone is the completion of the
+// MilestonesFrom returns the exact expected number of interactions from
+// the all-initial configuration until #gk first reaches j, for
+// j = 1..⌊n/k⌋ (index j−1 in the returned slice — the same layout as a
+// simulated trial's Marks). The final milestone is the completion of the
 // last full group; the terminal stabilization time additionally pays for
-// settling the n mod k leftover agents, so Milestones[q−1] ≤
+// settling the n mod k leftover agents, so the last milestone is at most
 // ExpectedStabilization, with equality only when the last gk arrival
-// happens to coincide with stability.
-func Milestones(p *core.Protocol, n int) ([]float64, error) {
-	ch, err := New(p, n)
-	if err != nil {
-		return nil, err
-	}
-	return ch.MilestonesFrom(p, n)
-}
-
-// MilestonesFrom computes the per-milestone hitting times on an already
-// built chain (callers validating several things against one chain avoid
-// rebuilding the reachable graph per question). p and n must be the
-// protocol and population the chain was built with.
+// happens to coincide with stability. p and n must be the protocol and
+// population the chain was built with.
 func (ch *Chain) MilestonesFrom(p *core.Protocol, n int) ([]float64, error) {
 	q := n / p.K()
 	if q == 0 {

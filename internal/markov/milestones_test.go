@@ -9,16 +9,27 @@ import (
 	"repro/internal/rng"
 )
 
+// milestones solves the exact per-milestone hitting times of n agents.
+func milestones(t *testing.T, p *core.Protocol, n int) []float64 {
+	t.Helper()
+	ch, err := New(p, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := ch.MilestonesFrom(p, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
 // Milestones must be strictly increasing (each gk arrival strictly after
 // the previous), bounded above by the terminal stabilization time, and
 // solved consistently whether or not the chain is shared.
 func TestMilestonesShapeAndBounds(t *testing.T) {
 	for _, cse := range []struct{ n, k int }{{6, 3}, {7, 3}, {8, 4}, {9, 3}} {
 		p := core.MustNew(cse.k)
-		ms, err := Milestones(p, cse.n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ms := milestones(t, p, cse.n)
 		q := cse.n / cse.k
 		if len(ms) != q {
 			t.Fatalf("n=%d k=%d: %d milestones, want %d", cse.n, cse.k, len(ms), q)
@@ -47,10 +58,7 @@ func TestMilestonesShapeAndBounds(t *testing.T) {
 func TestLastMilestoneEqualsStabilizationWhenExact(t *testing.T) {
 	for _, cse := range []struct{ n, k int }{{6, 3}, {8, 4}, {9, 3}} {
 		p := core.MustNew(cse.k)
-		ms, err := Milestones(p, cse.n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ms := milestones(t, p, cse.n)
 		total, err := ExpectedStabilization(p, cse.n)
 		if err != nil {
 			t.Fatal(err)
@@ -105,10 +113,7 @@ func TestHittingTimesToRejectsBadMask(t *testing.T) {
 func TestMilestonesMatchSimulatedMarks(t *testing.T) {
 	const n, k, trials = 7, 3, 40000
 	p := core.MustNew(k)
-	ms, err := Milestones(p, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := milestones(t, p, n)
 	q := n / k
 	sums := make([]float64, q)
 	sumsqs := make([]float64, q)

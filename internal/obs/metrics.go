@@ -51,10 +51,6 @@ type Histogram interface {
 	Sum() uint64
 	// Buckets returns the per-bucket counts, index = bits.Len64(v).
 	Buckets() []uint64
-	// Quantile returns an approximation of the q-quantile (0 ≤ q ≤ 1),
-	// interpolated linearly inside the bucket the quantile lands in.
-	// NaN when the histogram is empty.
-	Quantile(q float64) float64
 }
 
 // numBuckets covers bits.Len64 of every uint64 (0..64).
@@ -70,14 +66,6 @@ func BucketBound(i int) uint64 {
 		return math.MaxUint64
 	}
 	return 1<<uint(i) - 1
-}
-
-// bucketLow returns the smallest value belonging to bucket i.
-func bucketLow(i int) uint64 {
-	if i <= 0 {
-		return 0
-	}
-	return 1 << uint(i-1)
 }
 
 // --- atomic implementations -------------------------------------------------
@@ -116,48 +104,6 @@ func (h *atomicHistogram) Buckets() []uint64 {
 	return out
 }
 
-func (h *atomicHistogram) Quantile(q float64) float64 {
-	return quantileOfBuckets(h.Buckets(), h.Count(), q)
-}
-
-// quantileOfBuckets walks cumulative bucket counts to the bucket the
-// q-quantile falls into and interpolates linearly inside it.
-func quantileOfBuckets(buckets []uint64, count uint64, q float64) float64 {
-	if count == 0 {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(count)
-	cum := 0.0
-	for i, c := range buckets {
-		if c == 0 {
-			continue
-		}
-		next := cum + float64(c)
-		if rank <= next || i == len(buckets)-1 {
-			lo, hi := float64(bucketLow(i)), float64(BucketBound(i))
-			if next == cum {
-				return hi
-			}
-			frac := (rank - cum) / (next - cum)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lo + frac*(hi-lo)
-		}
-		cum = next
-	}
-	return math.NaN()
-}
-
 // --- no-op implementations --------------------------------------------------
 
 type nopCounter struct{}
@@ -174,8 +120,7 @@ func (nopGauge) Value() int64 { return 0 }
 
 type nopHistogram struct{}
 
-func (nopHistogram) Observe(uint64)           {}
-func (nopHistogram) Count() uint64            { return 0 }
-func (nopHistogram) Sum() uint64              { return 0 }
-func (nopHistogram) Buckets() []uint64        { return nil }
-func (nopHistogram) Quantile(float64) float64 { return math.NaN() }
+func (nopHistogram) Observe(uint64)    {}
+func (nopHistogram) Count() uint64     { return 0 }
+func (nopHistogram) Sum() uint64       { return 0 }
+func (nopHistogram) Buckets() []uint64 { return nil }

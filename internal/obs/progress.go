@@ -38,7 +38,6 @@ type Progress struct {
 	start time.Time
 	lastT time.Time
 	lastI uint64
-	lines int
 }
 
 // DefaultProgressEvery is roughly a second of agent-engine work on
@@ -61,7 +60,6 @@ func (p *Progress) reset(interactions uint64) {
 	p.lastT = p.start
 	p.lastI = interactions
 	p.next = (interactions/p.Every + 1) * p.Every
-	p.lines = 0
 }
 
 // OnStep implements sim.Hook.
@@ -85,9 +83,6 @@ func (p *Progress) MaybeReport(interactions, productive uint64, spread func() in
 	}
 	p.report(interactions, productive, spread())
 }
-
-// Lines returns the number of report lines emitted since Init/reset.
-func (p *Progress) Lines() int { return p.lines }
 
 func (p *Progress) report(interactions, productive uint64, spread int) {
 	now := time.Now()
@@ -117,7 +112,6 @@ func (p *Progress) report(interactions, productive uint64, spread int) {
 		}
 	}
 	fmt.Fprintln(w, "progress:", line)
-	p.lines++
 	p.lastT = now
 	p.lastI = interactions
 	for p.next <= interactions {

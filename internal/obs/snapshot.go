@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/json"
 	"expvar"
-	"fmt"
 	"io"
 	"os"
 )
@@ -118,29 +117,6 @@ func (s Snapshot) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// ReadJSONL parses a snapshot written by WriteJSONL.
-func ReadJSONL(r io.Reader) (Snapshot, error) {
-	dec := json.NewDecoder(r)
-	var header struct {
-		Registry string `json:"registry"`
-		Metrics  int    `json:"metrics"`
-	}
-	if err := dec.Decode(&header); err != nil {
-		return Snapshot{}, fmt.Errorf("obs: reading snapshot header: %w", err)
-	}
-	snap := Snapshot{Registry: header.Registry}
-	for {
-		var m Metric
-		if err := dec.Decode(&m); err == io.EOF {
-			break
-		} else if err != nil {
-			return snap, fmt.Errorf("obs: reading snapshot metric: %w", err)
-		}
-		snap.Metrics = append(snap.Metrics, m)
-	}
-	return snap, nil
 }
 
 // PublishExpvar publishes the registry under its name in the process's

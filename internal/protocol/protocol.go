@@ -80,9 +80,6 @@ func (r Rule) String() string {
 	return fmt.Sprintf("(%d,%d) -> (%d,%d)", r.From.P, r.From.Q, r.To.P, r.To.Q)
 }
 
-// IsNull reports whether the rule changes neither participant.
-func (r Rule) IsNull() bool { return r.From == r.To }
-
 // IsSymmetric reports whether the rule satisfies the symmetry condition of
 // Section 2.1: a rule (p, q) → (p', q') is asymmetric iff p == q and
 // p' != q'; every other rule is symmetric.

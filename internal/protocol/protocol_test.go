@@ -84,11 +84,8 @@ func TestRuleIsSymmetric(t *testing.T) {
 	}
 }
 
-func TestRuleIsNullAndString(t *testing.T) {
+func TestRuleString(t *testing.T) {
 	r := Rule{Pair{1, 2}, Pair{1, 2}}
-	if !r.IsNull() {
-		t.Error("identity rule not null")
-	}
 	if s := r.String(); !strings.Contains(s, "->") {
 		t.Errorf("String = %q", s)
 	}
@@ -288,18 +285,6 @@ func TestOrderedRuleRejectedInSymmetricBuilder(t *testing.T) {
 	b.AddOrderedRule(x, y, y, x)
 	if _, err := b.Build(); !errors.Is(err, ErrAsymmetric) {
 		t.Fatalf("got %v, want ErrAsymmetric", err)
-	}
-}
-
-func TestNonNullRuleCount(t *testing.T) {
-	b := NewBuilder("toy", true)
-	a := b.AddState("a", 1)
-	c := b.AddState("c", 1)
-	b.SetInitial(a)
-	b.AddRule(a, c, c, a) // 1 explicit + 1 mirror = 2 ordered entries
-	tab := b.MustBuild()
-	if got := tab.NonNullRuleCount(); got != 2 {
-		t.Errorf("NonNullRuleCount = %d, want 2", got)
 	}
 }
 

@@ -108,30 +108,3 @@ func TestQuickSymmetricBuildsAreSymmetric(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Product pack/unpack is a bijection for arbitrary component sizes.
-func TestQuickProductPackUnpack(t *testing.T) {
-	mk := func(states int) *Table {
-		b := NewBuilder("c", true)
-		for i := 0; i < states; i++ {
-			b.AddState("", 1)
-		}
-		b.SetInitial(0)
-		return b.MustBuild()
-	}
-	f := func(aStates, bStates uint8, sa, sb uint16) bool {
-		na := 1 + int(aStates)%20
-		nb := 1 + int(bStates)%20
-		p, err := NewProduct(mk(na), mk(nb))
-		if err != nil {
-			return false
-		}
-		xa := State(int(sa) % na)
-		xb := State(int(sb) % nb)
-		ga, gb := p.Unpack(p.Pack(xa, xb))
-		return ga == xa && gb == xb
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}

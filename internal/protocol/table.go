@@ -190,15 +190,3 @@ func (t *Table) StateName(s State) string {
 	}
 	return fmt.Sprintf("state#%d", s)
 }
-
-// NonNullRuleCount returns the number of ordered pairs covered by a
-// non-null rule; a cheap structural fingerprint used in tests.
-func (t *Table) NonNullRuleCount() int {
-	c := 0
-	for i, f := range t.fired {
-		if f && t.delta[i] != (Pair{State(i / t.numStates), State(i % t.numStates)}) {
-			c++
-		}
-	}
-	return c
-}

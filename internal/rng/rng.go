@@ -11,12 +11,9 @@
 //     generator, so distinct seeds give distinct streams).
 //   - Xoshiro256** : Blackman & Vigna (2018). The workhorse generator used
 //     by simulation trials.
-//   - PCG32 (XSH-RR 64/32): O'Neill (2014). A second family used by tests
-//     to make sure nothing in the codebase depends on a particular
-//     generator's quirks.
 //
 // All generators implement the Source interface. None of them are safe for
-// concurrent use; parallel workers must each own a Source (see Split).
+// concurrent use; parallel workers must each own a Source.
 package rng
 
 import "math/bits"
@@ -97,53 +94,6 @@ func (x *Xoshiro256) Uint64() uint64 {
 	s3 ^= s1
 	x.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
 	return result
-}
-
-// PCG32 is the PCG XSH-RR 64/32 generator: 64-bit LCG state, 32-bit output.
-type PCG32 struct {
-	state uint64
-	inc   uint64 // stream selector; always odd
-}
-
-// NewPCG32 returns a PCG32 on stream seq seeded with seed. Different seq
-// values select statistically independent streams.
-func NewPCG32(seed, seq uint64) *PCG32 {
-	p := &PCG32{inc: seq<<1 | 1}
-	p.state = 0
-	p.next()
-	p.state += seed
-	p.next()
-	return p
-}
-
-func (p *PCG32) next() uint32 {
-	old := p.state
-	p.state = old*6364136223846793005 + p.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint(old >> 59)
-	return xorshifted>>rot | xorshifted<<((32-rot)&31)
-}
-
-// Uint32 returns the next 32 bits of the stream.
-func (p *PCG32) Uint32() uint32 { return p.next() }
-
-// Uint64 returns the next 64 bits, composed of two 32-bit outputs.
-func (p *PCG32) Uint64() uint64 {
-	hi := uint64(p.next())
-	lo := uint64(p.next())
-	return hi<<32 | lo
-}
-
-// Split derives n independent Sources from seed. Stream i is a Xoshiro256
-// seeded with Mix64(seed) + i mixed again, so streams are decorrelated even
-// for adjacent i. It is the standard way harness code hands one generator
-// to each parallel trial.
-func Split(seed uint64, n int) []Source {
-	out := make([]Source, n)
-	for i := range out {
-		out[i] = NewXoshiro256(Mix64(seed ^ Mix64(uint64(i)+1)))
-	}
-	return out
 }
 
 // StreamSeed deterministically derives a sub-seed for a named stream, e.g.

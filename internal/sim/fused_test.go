@@ -201,7 +201,7 @@ func TestRunPicksLoopFromInputs(t *testing.T) {
 		{"evaluation model", func(*inputs) {}, true},
 		{"scheduler behind sched.Func", func(in *inputs) { in.sched = general(sched.NewRandom(seed)) }, false},
 		{"non-xoshiro generator", func(in *inputs) {
-			in.sched = sched.NewRandomFrom(rng.FromSource(rng.NewPCG32(seed, 1)))
+			in.sched = sched.NewRandomFrom(rng.FromSource(rng.NewSplitMix64(seed)))
 		}, false},
 		{"stop condition not a CountTarget", func(in *inputs) { in.stop = sim.Any{in.stop} }, false},
 		{"invariant checks", func(in *inputs) {

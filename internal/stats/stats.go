@@ -106,60 +106,20 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// MeanUint64 averages a uint64 sample (the engine's interaction counters).
-func MeanUint64(xs []uint64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += float64(x)
-	}
-	return sum / float64(len(xs))
-}
-
 // CI95 returns the half-width of the 95% confidence interval of the mean
-// under the normal approximation (1.96·s/√n). For the ~100-trial samples
-// of the paper's setup the normal approximation is adequate; callers
-// wanting small-sample rigor can widen with StudentT97_5.
+// under the normal approximation (1.96·√(s²/n)). For the ~100-trial
+// samples of the paper's setup the normal approximation is adequate.
 func CI95(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
-	s, _ := Summarize(xs)
-	return 1.96 * s.Std / math.Sqrt(float64(s.N))
-}
-
-// StudentT97_5 returns the two-sided 95% Student-t critical value for the
-// given degrees of freedom, from the standard table with interpolation;
-// it converges to 1.96 for large df.
-func StudentT97_5(df int) float64 {
-	table := map[int]float64{
-		1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571,
-		6: 2.447, 7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228,
-		15: 2.131, 20: 2.086, 30: 2.042, 60: 2.000, 120: 1.980,
+	m := Mean(xs)
+	ss := 0.0
+	for _, x := range xs {
+		d := x - m
+		ss += d * d
 	}
-	if df < 1 {
-		return math.NaN()
-	}
-	if v, ok := table[df]; ok {
-		return v
-	}
-	keys := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 20, 30, 60, 120}
-	if df > 120 {
-		return 1.96
-	}
-	lo, hi := 1, 120
-	for _, k := range keys {
-		if k < df && k > lo {
-			lo = k
-		}
-		if k > df && k < hi {
-			hi = k
-		}
-	}
-	f := float64(df-lo) / float64(hi-lo)
-	return table[lo]*(1-f) + table[hi]*f
+	return Z95 * math.Sqrt(ss/float64(len(xs)-1)/float64(len(xs)))
 }
 
 // ChiSquare returns Pearson's goodness-of-fit statistic Σ(obs−exp)²/exp
@@ -303,39 +263,4 @@ func (g GrowthFit) BestModel() string {
 		name = "exponential"
 	}
 	return name
-}
-
-// Histogram bins xs into equal-width buckets over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram builds a histogram with the given number of buckets. It
-// returns ErrEmpty for empty input or non-positive bucket count.
-func NewHistogram(xs []float64, buckets int) (Histogram, error) {
-	if len(xs) == 0 || buckets <= 0 {
-		return Histogram{}, ErrEmpty
-	}
-	h := Histogram{Min: xs[0], Max: xs[0], Counts: make([]int, buckets)}
-	for _, x := range xs {
-		if x < h.Min {
-			h.Min = x
-		}
-		if x > h.Max {
-			h.Max = x
-		}
-	}
-	span := h.Max - h.Min
-	for _, x := range xs {
-		idx := 0
-		if span > 0 {
-			idx = int((x - h.Min) / span * float64(buckets))
-			if idx >= buckets {
-				idx = buckets - 1
-			}
-		}
-		h.Counts[idx]++
-	}
-	return h, nil
 }

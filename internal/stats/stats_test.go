@@ -67,15 +67,6 @@ func TestQuantilePanicsEmpty(t *testing.T) {
 	Quantile(nil, 0.5)
 }
 
-func TestMeanUint64(t *testing.T) {
-	if got := MeanUint64([]uint64{10, 20, 30}); !approx(got, 20, 1e-12) {
-		t.Fatalf("got %v", got)
-	}
-	if MeanUint64(nil) != 0 {
-		t.Fatal("empty mean nonzero")
-	}
-}
-
 func TestCI95ShrinksWithN(t *testing.T) {
 	r := rng.New(1)
 	small := make([]float64, 10)
@@ -91,22 +82,6 @@ func TestCI95ShrinksWithN(t *testing.T) {
 	}
 	if CI95([]float64{1}) != 0 {
 		t.Fatal("CI of single sample nonzero")
-	}
-}
-
-func TestStudentT(t *testing.T) {
-	if !approx(StudentT97_5(1), 12.706, 1e-9) {
-		t.Fatal("df=1")
-	}
-	if !approx(StudentT97_5(1000), 1.96, 1e-9) {
-		t.Fatal("df large")
-	}
-	v := StudentT97_5(12) // interpolated between 10 and 15
-	if v >= StudentT97_5(10) || v <= StudentT97_5(15) {
-		t.Fatalf("interpolation out of bracket: %v", v)
-	}
-	if !math.IsNaN(StudentT97_5(0)) {
-		t.Fatal("df=0 should be NaN")
 	}
 }
 
@@ -220,25 +195,5 @@ func TestFitGrowthRejectsNonPositive(t *testing.T) {
 	}
 	if _, err := FitGrowth([]float64{-1, 2}, []float64{1, 3}); err == nil {
 		t.Fatal("negative x accepted")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range h.Counts {
-		if c != 2 {
-			t.Fatalf("bucket %d has %d, want 2: %v", i, c, h.Counts)
-		}
-	}
-	if _, err := NewHistogram(nil, 5); err == nil {
-		t.Fatal("empty accepted")
-	}
-	// All-equal sample lands in bucket 0.
-	h, _ = NewHistogram([]float64{4, 4, 4}, 3)
-	if h.Counts[0] != 3 {
-		t.Fatalf("constant sample: %v", h.Counts)
 	}
 }

@@ -12,8 +12,7 @@ import "math"
 // Welford accumulates a sample's count, mean, and variance in one pass
 // using Welford's update (numerically stable: the M2 term sums squared
 // deviations from the RUNNING mean, never the raw squares). The zero value
-// is an empty accumulator, ready to use. Not safe for concurrent use;
-// merge per-worker accumulators with Merge instead.
+// is an empty accumulator, ready to use. Not safe for concurrent use.
 type Welford struct {
 	n    int
 	mean float64
@@ -49,36 +48,6 @@ func (w *Welford) Variance() float64 {
 // Std returns the sample standard deviation (n−1 denominator).
 func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
 
-// RelStd returns the coefficient of variation Std/|Mean|, the
-// dimensionless dispersion the twin's calibrated error bars carry across
-// (n, k) points. It returns 0 when the mean is 0.
-func (w *Welford) RelStd() float64 {
-	if w.mean == 0 {
-		return 0
-	}
-	return w.Std() / math.Abs(w.mean)
-}
-
-// Merge folds another accumulator into w using the parallel-variance
-// combination (Chan et al.): the merged state is identical (up to float
-// rounding) to having Added both samples into one accumulator. Welford
-// accumulators are not concurrency-safe, so parallel reducers keep one per
-// worker and Merge at the barrier.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.n = n
-}
-
 // Interval is a symmetric confidence interval for a mean.
 type Interval struct {
 	Center float64
@@ -91,11 +60,6 @@ func (iv Interval) Low() float64 { return iv.Center - iv.Half }
 
 // High returns the interval's upper endpoint.
 func (iv Interval) High() float64 { return iv.Center + iv.Half }
-
-// Contains reports whether x lies inside the interval (inclusive).
-func (iv Interval) Contains(x float64) bool {
-	return x >= iv.Low() && x <= iv.High()
-}
 
 // Z95 is the two-sided 95% standard-normal critical value used by the
 // normal-approximation intervals here and in CI95.

@@ -6,8 +6,8 @@ import (
 )
 
 // The Welford accumulator must agree with the two-pass Summarize and with
-// hand-computed closed forms, including after Merge — the twin calibration
-// leans on it for every grid point.
+// hand-computed closed forms — the twin calibration leans on it for every
+// grid point.
 
 func almostEq(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
@@ -33,9 +33,6 @@ func TestWelfordClosedForm(t *testing.T) {
 	}
 	if !almostEq(w.Std(), math.Sqrt(wantVar), 1e-12) {
 		t.Errorf("Std = %g, want %g", w.Std(), math.Sqrt(wantVar))
-	}
-	if !almostEq(w.RelStd(), math.Sqrt(wantVar)/wantMean, 1e-12) {
-		t.Errorf("RelStd = %g, want %g", w.RelStd(), math.Sqrt(wantVar)/wantMean)
 	}
 }
 
@@ -65,7 +62,7 @@ func TestWelfordMatchesSummarize(t *testing.T) {
 
 func TestWelfordSmallSamples(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.Std() != 0 || w.RelStd() != 0 {
+	if w.Mean() != 0 || w.Variance() != 0 || w.Std() != 0 {
 		t.Errorf("empty accumulator not all-zero: %+v", w)
 	}
 	w.Add(42)
@@ -97,31 +94,6 @@ func TestWelfordNumericalStability(t *testing.T) {
 	}
 }
 
-func TestWelfordMerge(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11.5, -3}
-	for split := 0; split <= len(xs); split++ {
-		var a, b, all Welford
-		for i, x := range xs {
-			if i < split {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-			all.Add(x)
-		}
-		a.Merge(b)
-		if a.N() != all.N() {
-			t.Fatalf("split %d: merged N = %d, want %d", split, a.N(), all.N())
-		}
-		if !almostEq(a.Mean(), all.Mean(), 1e-12) {
-			t.Errorf("split %d: merged Mean = %g, want %g", split, a.Mean(), all.Mean())
-		}
-		if !almostEq(a.Variance(), all.Variance(), 1e-12) {
-			t.Errorf("split %d: merged Variance = %g, want %g", split, a.Variance(), all.Variance())
-		}
-	}
-}
-
 func TestWelfordAddUint64(t *testing.T) {
 	var a, b Welford
 	a.AddUint64(7)
@@ -137,9 +109,6 @@ func TestNormalInterval(t *testing.T) {
 	iv := NormalInterval(10, 2, 100, Z95)
 	if !almostEq(iv.Half, 1.96*2/10, 1e-12) {
 		t.Errorf("Half = %g, want %g", iv.Half, 1.96*2/10)
-	}
-	if !iv.Contains(10) || !iv.Contains(iv.Low()) || iv.Contains(iv.Low()-1e-9) {
-		t.Errorf("Contains misbehaves on %+v", iv)
 	}
 	if iv := NormalInterval(5, 2, 1, Z95); iv.Half != 0 || iv.Center != 5 {
 		t.Errorf("n=1 interval = %+v, want degenerate", iv)

@@ -38,51 +38,6 @@ type Header struct {
 	States   int    `json:"states"`
 }
 
-// Recorder is a sim.Hook that appends every interaction to an in-memory
-// trace. For very long runs, prefer Writer, which streams.
-type Recorder struct {
-	Header Header
-	Events []Event
-}
-
-// Init implements sim.Hook.
-func (r *Recorder) Init(pop *population.Population) {
-	r.Header = Header{
-		Protocol: pop.Protocol().Name(),
-		N:        pop.N(),
-		States:   pop.Protocol().NumStates(),
-	}
-	r.Events = r.Events[:0]
-}
-
-// OnStep implements sim.Hook.
-func (r *Recorder) OnStep(pop *population.Population, s sim.StepInfo) {
-	r.Events = append(r.Events, Event{
-		Step:    pop.Interactions(),
-		I:       s.I,
-		J:       s.J,
-		BeforeP: s.Before.P,
-		BeforeQ: s.Before.Q,
-		AfterP:  s.After.P,
-		AfterQ:  s.After.Q,
-	})
-}
-
-// Encode writes the trace as JSON Lines: one header line, then one line
-// per event.
-func (r *Recorder) Encode(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(r.Header); err != nil {
-		return err
-	}
-	for i := range r.Events {
-		if err := enc.Encode(&r.Events[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Decode reads a JSONL trace.
 func Decode(rd io.Reader) (Header, []Event, error) {
 	sc := bufio.NewScanner(rd)
@@ -118,6 +73,9 @@ var ErrDiverged = errors.New("trace: replay diverged")
 func Replay(proto protocol.Protocol, hdr Header, events []Event) (*population.Population, error) {
 	if hdr.States != proto.NumStates() {
 		return nil, fmt.Errorf("%w: trace has %d states, protocol %d", ErrDiverged, hdr.States, proto.NumStates())
+	}
+	if hdr.N < 2 {
+		return nil, fmt.Errorf("%w: trace has n = %d, a population needs 2 agents", ErrDiverged, hdr.N)
 	}
 	pop := population.New(proto, hdr.N)
 	for idx, e := range events {

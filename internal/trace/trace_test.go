@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -12,54 +13,66 @@ import (
 	"repro/internal/sim"
 )
 
-func record(t *testing.T, n, k int, steps uint64) (*core.Protocol, *Recorder, sim.Result) {
-	t.Helper()
-	p := core.MustNew(k)
-	pop := population.New(p, n)
-	rec := &Recorder{}
-	res, err := sim.Run(pop, sched.NewRandom(42), sim.After{N: steps},
-		sim.Options{Hooks: []sim.Hook{rec}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, rec, res
+// recorded is one seeded run of the k-partition protocol streamed
+// through a Writer: the JSONL it wrote, and that JSONL decoded.
+type recorded struct {
+	p      *core.Protocol
+	raw    []byte
+	hdr    Header
+	events []Event
 }
 
-func TestRecorderCapturesAll(t *testing.T) {
-	_, rec, res := record(t, 10, 3, 500)
-	if uint64(len(rec.Events)) != res.Interactions {
-		t.Fatalf("recorded %d events for %d interactions", len(rec.Events), res.Interactions)
+func record(t *testing.T, n, k int, steps uint64) recorded {
+	t.Helper()
+	r := recorded{p: core.MustNew(k)}
+	var buf bytes.Buffer
+	w := &Writer{W: &buf}
+	if _, err := sim.Run(population.New(r.p, n), sched.NewRandom(42), sim.After{N: steps},
+		sim.Options{Hooks: []sim.Hook{w}}); err != nil {
+		t.Fatal(err)
 	}
-	if rec.Header.N != 10 || rec.Header.Protocol != "uniform-3-partition" {
-		t.Fatalf("header %+v", rec.Header)
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
 	}
-	for i, e := range rec.Events {
+	r.raw = buf.Bytes()
+	var err error
+	if r.hdr, r.events, err = Decode(bytes.NewReader(r.raw)); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func TestWriterCapturesAll(t *testing.T) {
+	rec := record(t, 10, 3, 500)
+	if len(rec.events) != 500 {
+		t.Fatalf("recorded %d events for 500 interactions", len(rec.events))
+	}
+	if rec.hdr.N != 10 || rec.hdr.Protocol != "uniform-3-partition" {
+		t.Fatalf("header %+v", rec.hdr)
+	}
+	for i, e := range rec.events {
 		if e.Step != uint64(i+1) {
 			t.Fatalf("event %d has step %d", i, e.Step)
 		}
 	}
 }
 
+// Decode loses nothing: encoding what it returns reproduces the stream
+// byte for byte.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	_, rec, _ := record(t, 8, 3, 300)
+	rec := record(t, 8, 3, 300)
 	var buf bytes.Buffer
-	if err := rec.Encode(&buf); err != nil {
+	enc := json.NewEncoder(&buf)
+	if err := enc.Encode(rec.hdr); err != nil {
 		t.Fatal(err)
 	}
-	hdr, events, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr != rec.Header {
-		t.Fatalf("header mismatch: %+v vs %+v", hdr, rec.Header)
-	}
-	if len(events) != len(rec.Events) {
-		t.Fatalf("event count %d vs %d", len(events), len(rec.Events))
-	}
-	for i := range events {
-		if events[i] != rec.Events[i] {
-			t.Fatalf("event %d mismatch: %+v vs %+v", i, events[i], rec.Events[i])
+	for _, e := range rec.events {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if !bytes.Equal(buf.Bytes(), rec.raw) {
+		t.Fatal("re-encoded trace differs from the stream the Writer wrote")
 	}
 }
 
@@ -76,8 +89,8 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestReplayMatches(t *testing.T) {
-	p, rec, _ := record(t, 9, 4, 1000)
-	pop, err := Replay(p, rec.Header, rec.Events)
+	rec := record(t, 9, 4, 1000)
+	pop, err := Replay(rec.p, rec.hdr, rec.events)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,31 +100,41 @@ func TestReplayMatches(t *testing.T) {
 }
 
 func TestReplayDetectsTampering(t *testing.T) {
-	p, rec, _ := record(t, 9, 4, 200)
+	rec := record(t, 9, 4, 200)
+	p := rec.p
 
 	// Wrong protocol size.
-	if _, err := Replay(core.MustNew(5), rec.Header, rec.Events); !errors.Is(err, ErrDiverged) {
+	if _, err := Replay(core.MustNew(5), rec.hdr, rec.events); !errors.Is(err, ErrDiverged) {
 		t.Errorf("state-count mismatch not detected: %v", err)
 	}
 
+	// A population below two agents, which population.New refuses.
+	for _, n := range []int{1, 0, -5} {
+		hdr := rec.hdr
+		hdr.N = n
+		if _, err := Replay(p, hdr, nil); !errors.Is(err, ErrDiverged) {
+			t.Errorf("n = %d not detected: %v", n, err)
+		}
+	}
+
 	// Tamper with an event's before-state.
-	ev := append([]Event(nil), rec.Events...)
+	ev := append([]Event(nil), rec.events...)
 	ev[50].BeforeP ^= 1
-	if _, err := Replay(p, rec.Header, ev); !errors.Is(err, ErrDiverged) {
+	if _, err := Replay(p, rec.hdr, ev); !errors.Is(err, ErrDiverged) {
 		t.Errorf("before-state tamper not detected: %v", err)
 	}
 
 	// Tamper with an after-state.
-	ev = append([]Event(nil), rec.Events...)
+	ev = append([]Event(nil), rec.events...)
 	ev[10].AfterP = ev[10].BeforeP ^ 1
-	if _, err := Replay(p, rec.Header, ev); !errors.Is(err, ErrDiverged) {
+	if _, err := Replay(p, rec.hdr, ev); !errors.Is(err, ErrDiverged) {
 		t.Errorf("after-state tamper not detected: %v", err)
 	}
 
 	// Invalid pair.
-	ev = append([]Event(nil), rec.Events...)
+	ev = append([]Event(nil), rec.events...)
 	ev[0].J = ev[0].I
-	if _, err := Replay(p, rec.Header, ev); !errors.Is(err, ErrDiverged) {
+	if _, err := Replay(p, rec.hdr, ev); !errors.Is(err, ErrDiverged) {
 		t.Errorf("self pair not detected: %v", err)
 	}
 }
@@ -143,14 +166,9 @@ func TestWriterStreamsEquivalentTrace(t *testing.T) {
 // Determinism: the same seed must produce bit-identical traces — the
 // reproducibility contract EXPERIMENTS.md relies on.
 func TestSameSeedSameTrace(t *testing.T) {
-	_, rec1, _ := record(t, 12, 4, 600)
-	_, rec2, _ := record(t, 12, 4, 600)
-	if len(rec1.Events) != len(rec2.Events) {
-		t.Fatal("trace lengths differ for identical seeds")
-	}
-	for i := range rec1.Events {
-		if rec1.Events[i] != rec2.Events[i] {
-			t.Fatalf("event %d differs across identical runs", i)
-		}
+	rec1 := record(t, 12, 4, 600)
+	rec2 := record(t, 12, 4, 600)
+	if !bytes.Equal(rec1.raw, rec2.raw) {
+		t.Fatal("traces differ across identical runs")
 	}
 }

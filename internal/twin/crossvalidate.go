@@ -194,9 +194,8 @@ func SimBaseline(s Spec, trials int, root uint64) (BaselinePoint, error) {
 }
 
 // CompareBaseline answers the baseline point's spec with the model and
-// reports the disagreement against the committed simulation statistics,
-// under the same metric CrossValidateSim uses. This is the enforcement
-// half of the accuracy gate: it never simulates.
+// reports the disagreement against the committed simulation statistics.
+// This is the enforcement half of the accuracy gate: it never simulates.
 func CompareBaseline(model Model, bp BaselinePoint) (SimReport, error) {
 	s := bp.Spec()
 	rep := SimReport{N: s.N, K: s.K, Trials: bp.Trials, Model: model.Name()}
@@ -221,23 +220,4 @@ func CompareBaseline(model Model, bp BaselinePoint) (SimReport, error) {
 		}
 	}
 	return rep, nil
-}
-
-// CrossValidateSim answers the spec with the given model, runs trials
-// seeded from root via rng.StreamSeed, and reports predicted vs simulated.
-// It is the rung 2 leg of the accuracy gate; the gate asserts
-// RelErr ≤ RelErrFluid at every grid point. It composes the gate's two
-// halves: SimBaseline to generate the reference, CompareBaseline to
-// judge against it.
-func CrossValidateSim(model Model, s Spec, trials int, root uint64) (SimReport, error) {
-	bp, err := SimBaseline(s, trials, root)
-	if err != nil {
-		return SimReport{N: s.N, K: s.K, Trials: trials, Model: model.Name()}, err
-	}
-	if !s.Milestones {
-		// A milestone-free spec must stay milestone-free in the
-		// comparison even if the sim recorded none anyway.
-		bp.SimMilestones = nil
-	}
-	return CompareBaseline(model, bp)
 }

@@ -713,9 +713,6 @@ func (l *Lumped) Name() string { return "lumped" }
 // Fidelity implements Model.
 func (l *Lumped) Fidelity() Fidelity { return FidelityExact }
 
-// Supports implements Model.
-func (l *Lumped) Supports(n, k int) bool { return LumpedFits(n, k, l.budget) }
-
 // Predict implements Model: exact expectation, exact variance, and (on
 // request) exact per-milestone times, all from one chain build.
 func (l *Lumped) Predict(s Spec) (Prediction, error) {

@@ -426,11 +426,6 @@ func (m *MeanField) Name() string { return "meanfield" }
 // Fidelity implements Model.
 func (m *MeanField) Fidelity() Fidelity { return FidelityFluid }
 
-// Supports implements Model: the fluid answers for any valid (n, k).
-func (m *MeanField) Supports(n, k int) bool {
-	return Spec{N: n, K: k}.Validate() == nil
-}
-
 // chooseEndgame picks the deepest handoff level whose sub-chain
 // (#gk >= cStop) fits the budget AND whose floor level — the largest of
 // the sub-chain, since levels shrink as #gk grows — fits the dense solver

@@ -229,7 +229,11 @@ func TestCrossValidateSimWithinBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation trials are slow in -short mode")
 	}
-	rep, err := CrossValidateSim(NewMeanField(), Spec{N: 90, K: 3, Milestones: true}, 30, 0xC0FFEE)
+	bp, err := SimBaseline(Spec{N: 90, K: 3, Milestones: true}, 30, 0xC0FFEE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := CompareBaseline(NewMeanField(), bp)
 	if err != nil {
 		t.Fatal(err)
 	}

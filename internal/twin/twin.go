@@ -89,9 +89,6 @@ type Model interface {
 	Name() string
 	// Fidelity tags the rung's accuracy class.
 	Fidelity() Fidelity
-	// Supports reports whether the rung can answer for (n, k) within its
-	// cost envelope. Specs must already be valid.
-	Supports(n, k int) bool
 	// Predict answers the spec. Invalid specs fail with an error wrapping
 	// harness.ErrInvalidSpec.
 	Predict(s Spec) (Prediction, error)
