@@ -91,10 +91,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzJournalLoad -fuzztime=5s -fuzzminimizetime=100x ./internal/harness
 
 # The Go benchmarks: kpart bench's suite and engine loop (cmd/kpart's
-# BenchmarkSuite and BenchmarkEngineThroughput) and the A1–A3 ablations
-# at the root.
+# BenchmarkSuite and BenchmarkEngineThroughput), the A1–A3 ablations
+# at the root, and the count engines' per-step costs (internal/countsim:
+# BenchmarkFig6Step times a count step against a batch fallback step at
+# n = 960, k = 8; BenchmarkCountStep a count step at n = 961).
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' . ./cmd/kpart
+	$(GO) test -bench=. -benchmem -run='^$$' . ./cmd/kpart ./internal/countsim
 
 # Machine-readable perf trajectory; compare BENCH_kpart.json across PRs.
 bench-json:

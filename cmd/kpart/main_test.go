@@ -93,8 +93,14 @@ func firstDiff(want, got string) string {
 
 func TestSubcommandDispatch(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "n1.jsonl"), []byte(`{"protocol":"x","n":1,"states":10}`+"\n"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, f := range []struct {
+		name string
+		n    int
+	}{{"n1.jsonl", 1}, {"n1e7.jsonl", 10_000_000}} {
+		hdr := fmt.Sprintf(`{"protocol":"x","n":%d,"states":10}`+"\n", f.n)
+		if err := os.WriteFile(filepath.Join(dir, f.name), []byte(hdr), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, c := range []struct {
 		args           []string
@@ -110,6 +116,7 @@ func TestSubcommandDispatch(t *testing.T) {
 		{[]string{"scale", "-engine", "warp"}, 2, "", "kpart scale: "},
 		{[]string{"trace", "-k", "3"}, 2, "", "usage: kpart trace"},
 		{argv("trace -k 4 n1.jsonl"), 1, "", "replay validation failed: trace: replay diverged: trace has n = 1"},
+		{argv("trace -k 4 n1e7.jsonl"), 1, "", "trace has n = 10000000, above the replay bound trace.MaxN = 2048"},
 		{[]string{"bench-diff", "only-one.json"}, 2, "", "usage: kpart bench-diff"},
 		{[]string{"twin-check", "-baseline", "missing.json"}, 1, "", "kpart twin-check: reading baseline"},
 		{argv("exact -k 3 -nmin 8 -nmax 5 -sim 0"), 2, "", "kpart exact: -nmin 8 exceeds -nmax 5"},

@@ -3,7 +3,9 @@ package main
 // kpart trace analyzes a JSONL interaction trace produced by
 // `kpart run -trace`: it re-validates the trace by deterministic replay,
 // tallies the Algorithm 1 rule families, and reports scheduler-fairness
-// metrics (pair-coverage dispersion, starvation gaps).
+// metrics (pair-coverage dispersion, starvation gaps). The per-pair
+// fairness tables take 12·n(n−1) bytes, so replay refuses a trace whose
+// header n exceeds trace.MaxN (2048 agents, ≈ 50 MB).
 //
 //	kpart run -n 24 -k 4 -trace run.jsonl
 //	kpart trace -k 4 run.jsonl

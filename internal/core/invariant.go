@@ -24,20 +24,22 @@ func (p *Protocol) CheckInvariant(counts []int) error {
 	if len(counts) != p.NumStates() {
 		return fmt.Errorf("core: counts has %d entries, protocol has %d states", len(counts), p.NumStates())
 	}
+	// The dense layout of New, indexed directly: g_x = 1+x, m_x = k+x and
+	// d_x = 2k−1+x. The batch engine runs this after every fallback step.
 	k := p.k
-	gk := counts[p.G(k)]
+	gk := counts[1+k]
 	// Suffix sums over M and D, accumulated while x descends from k to 1.
 	mSuffix := 0 // Σ_{p=x+1}^{k-1} #mp
 	dSuffix := 0 // Σ_{q=x}^{k-2} #dq
 	for x := k; x >= 1; x-- {
 		if x+1 <= k-1 {
-			mSuffix += counts[p.M(x+1)]
+			mSuffix += counts[k+x+1]
 		}
 		if x <= k-2 {
-			dSuffix += counts[p.D(x)]
+			dSuffix += counts[2*k-1+x]
 		}
 		want := mSuffix + dSuffix + gk
-		if got := counts[p.G(x)]; got != want {
+		if got := counts[1+x]; got != want {
 			return fmt.Errorf("core: Lemma 1 violated at x=%d: #g%d=%d, want %d (mSuffix=%d dSuffix=%d #gk=%d)",
 				x, x, got, want, mSuffix, dSuffix, gk)
 		}
@@ -119,26 +121,23 @@ func (p *Protocol) IsStable(counts []int) bool {
 }
 
 // StableChecker returns an allocation-free predicate equivalent to
-// IsStable for a FIXED population size n: the canonicalization and target
-// signature are computed once and reused. Use it on hot paths (the count
-// engine's per-productive-step stop predicate); the returned closure is
-// not safe for concurrent use.
+// IsStable for a FIXED population size n: the target signature is computed
+// once, and each call compares the free count #initial + #initial' (slot 0
+// of CanonMap) and then every other state against it, returning at the
+// first mismatch. Use it on hot paths (the count engine's
+// per-productive-step stop predicate).
 func (p *Protocol) StableChecker(n int) (func(counts []int) bool, error) {
 	target, err := p.TargetCounts(n)
 	if err != nil {
 		return nil, err
 	}
-	canon := p.CanonMap()
-	scratch := make([]int, len(target))
+	free, rest := target[0], target[1:]
 	return func(counts []int) bool {
-		for i := range scratch {
-			scratch[i] = 0
+		if counts[0]+counts[1] != free {
+			return false
 		}
-		for s, c := range counts {
-			scratch[canon[s]] += c
-		}
-		for i := range scratch {
-			if scratch[i] != target[i] {
+		for i, want := range rest {
+			if counts[i+2] != want {
 				return false
 			}
 		}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +28,87 @@ func TestCheckInvariantRejectsWrongLength(t *testing.T) {
 	p := core.MustNew(4)
 	if err := p.CheckInvariant(make([]int, 3)); err == nil {
 		t.Error("short counts accepted")
+	}
+}
+
+// checkInvariantByAccessors is CheckInvariant written with the
+// range-checked G, M and D accessors: the reference the direct-indexing
+// form must match, error text included.
+func checkInvariantByAccessors(p *core.Protocol, counts []int) error {
+	if len(counts) != p.NumStates() {
+		return fmt.Errorf("core: counts has %d entries, protocol has %d states", len(counts), p.NumStates())
+	}
+	k := p.K()
+	gk := counts[p.G(k)]
+	mSuffix, dSuffix := 0, 0
+	for x := k; x >= 1; x-- {
+		if x+1 <= k-1 {
+			mSuffix += counts[p.M(x+1)]
+		}
+		if x <= k-2 {
+			dSuffix += counts[p.D(x)]
+		}
+		want := mSuffix + dSuffix + gk
+		if got := counts[p.G(x)]; got != want {
+			return fmt.Errorf("core: Lemma 1 violated at x=%d: #g%d=%d, want %d (mSuffix=%d dSuffix=%d #gk=%d)",
+				x, x, got, want, mSuffix, dSuffix, gk)
+		}
+	}
+	return nil
+}
+
+// CheckInvariant returns what the accessor form returns, error text
+// included, on random count vectors for k = 2…12: vectors that satisfy
+// Lemma 1 by construction, the same with one entry changed, and vectors
+// of the wrong length.
+func TestCheckInvariantMatchesAccessorForm(t *testing.T) {
+	r := rng.New(0x1e44a1)
+	for k := 2; k <= 12; k++ {
+		p := core.MustNew(k)
+		S := p.NumStates()
+		violations := 0
+		const trials = 400
+		for trial := 0; trial < trials; trial++ {
+			counts := make([]int, S)
+			counts[p.Initial()] = int(r.Uint64n(20))
+			counts[p.InitialBar()] = int(r.Uint64n(20))
+			for i := 2; i <= k-1; i++ {
+				counts[p.M(i)] = int(r.Uint64n(4))
+			}
+			for i := 1; i <= k-2; i++ {
+				counts[p.D(i)] = int(r.Uint64n(4))
+			}
+			counts[p.G(k)] = int(r.Uint64n(10))
+			mSuffix, dSuffix := 0, 0
+			for x := k - 1; x >= 1; x-- {
+				if x+1 <= k-1 {
+					mSuffix += counts[p.M(x+1)]
+				}
+				if x <= k-2 {
+					dSuffix += counts[p.D(x)]
+				}
+				counts[p.G(x)] = mSuffix + dSuffix + counts[p.G(k)]
+			}
+			if trial%4 != 0 {
+				counts[r.Uint64n(uint64(S))] += int(r.Uint64n(7)) - 3
+			}
+			got, want := p.CheckInvariant(counts), checkInvariantByAccessors(p, counts)
+			if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+				t.Fatalf("k=%d counts %v: CheckInvariant %v, accessor form %v", k, counts, got, want)
+			}
+			if got != nil {
+				violations++
+			}
+		}
+		if violations == 0 || violations == trials {
+			t.Errorf("k=%d: %d of %d vectors violate Lemma 1; want both verdicts", k, violations, trials)
+		}
+		for _, n := range []int{S - 1, S + 1} {
+			counts := make([]int, n)
+			if got, want := p.CheckInvariant(counts), checkInvariantByAccessors(p, counts); got == nil || got.Error() != want.Error() {
+				t.Errorf("k=%d length %d: CheckInvariant %v, accessor form %v", k, n, got, want)
+			}
+		}
 	}
 }
 
@@ -358,6 +440,79 @@ func TestStableCheckerMatchesIsStable(t *testing.T) {
 		}
 	}
 	t.Fatal("never stabilized")
+}
+
+// On count vectors at and next to the stable signature, for k = 2…12 and
+// several n, the one-pass StableChecker returns IsStable's verdict. Each
+// vector splits the free agents at random between initial and initial',
+// and every other one then moves one agent between two random states.
+func TestStableCheckerMatchesIsStableOnRandomVectors(t *testing.T) {
+	r := rng.New(0x57ab1e)
+	for k := 2; k <= 12; k++ {
+		p := core.MustNew(k)
+		S := p.NumStates()
+		for _, n := range []int{3, k + 1, 5*k + 2, 7*k + 1, 960} {
+			check, err := p.StableChecker(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			target, err := p.TargetCounts(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const trials = 200
+			stable := 0
+			for trial := 0; trial < trials; trial++ {
+				counts := make([]int, S)
+				free := int(r.Uint64n(uint64(target[0] + 1)))
+				counts[p.Initial()], counts[p.InitialBar()] = free, target[0]-free
+				for x := 2; x < S; x++ {
+					counts[x] = target[x-1]
+				}
+				if trial%2 == 1 {
+					a, b := r.Uint64n(uint64(S)), r.Uint64n(uint64(S))
+					if counts[a] > 0 {
+						counts[a]--
+						counts[b]++
+					}
+				}
+				got, want := check(counts), p.IsStable(counts)
+				if got != want {
+					t.Fatalf("k=%d n=%d counts %v: checker %v, IsStable %v", k, n, counts, got, want)
+				}
+				if want {
+					stable++
+				}
+			}
+			if stable == 0 || stable == trials {
+				t.Errorf("k=%d n=%d: IsStable was %v on all %d vectors", k, n, stable > 0, trials)
+			}
+		}
+	}
+}
+
+// The stop predicate allocates nothing per call, whether it returns at the
+// first slot or compares every one.
+func TestStableCheckerAllocs(t *testing.T) {
+	p := core.MustNew(8)
+	check, err := p.StableChecker(960)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make([]int, p.NumStates())
+	start[p.Initial()] = 960
+	stable := make([]int, p.NumStates())
+	for x := 1; x <= 8; x++ {
+		stable[p.G(x)] = 120
+	}
+	for _, counts := range [][]int{start, stable} {
+		if allocs := testing.AllocsPerRun(100, func() { check(counts) }); allocs != 0 {
+			t.Errorf("checker allocates %v times per call, want 0", allocs)
+		}
+	}
+	if check(start) || !check(stable) {
+		t.Error("checker verdicts wrong on the initial and the stable configuration")
+	}
 }
 
 func TestStableCheckerRejectsTinyN(t *testing.T) {

@@ -210,8 +210,7 @@ func (p *Protocol) D(i int) protocol.State {
 }
 
 // outOfRange panics on a state-family index outside its range. It is kept
-// out of G, M and D so that G and M, called per check on the batch
-// engine's hot path, stay cheap enough to inline.
+// out of G, M and D so that they stay cheap enough to inline.
 //
 //go:noinline
 func (p *Protocol) outOfRange(family string, i int) {

@@ -55,11 +55,14 @@
 // recompute the shadow's null weight is the O(S²) audit's value, so every
 // step still checks the incremental null weight against it, checks the
 // decomposition, and runs Check; the window policy reads the same weights
-// and makes bit for bit the decisions the full scan would. At the paper's
-// Figure 6 point (n = 960, k = 8), where nearly every step is a
-// final-approach step, a batch trial costs 1.8–2.3× a count-engine trial
-// depending on the seed set (4.2–4.6× with the O(S²) scan and audit per
-// step).
+// and makes bit for bit the decisions the full scan would. States with
+// the same null, flip and progress cells in their rows and columns (class
+// twins, like initial and initial') share their line sums, so a flip
+// between them updates the weights without summing a line. At the
+// paper's Figure 6 point (n = 960, k = 8), where nearly every step is a
+// final-approach step, a fallback step costs 3.2–3.6× a Sim.Step and a
+// batch trial 2.3–2.8× a count-engine trial; the rest of the step is its
+// O(S) pass and Check.
 package countsim
 
 import (
@@ -148,10 +151,10 @@ type Batch struct {
 	progDraws   []int64
 	rates       []int64 // per-state per-agent flip pair counts R[x]
 	avail       []int64
-	scrA        []int64
+	scrA        []int64 // scrA, scrB, scrRow and pairDraws: matching mode only
 	scrB        []int64
 	scrRow      []int64
-	pairDraws   []int64 // matching mode: last batch's per-cell draw counts
+	pairDraws   []int64 // last batch's per-cell draw counts
 
 	// Final-approach shadow (adaptive mode), allocated when the engine first
 	// falls back. While it takes exact sequential steps, the engine keeps
@@ -173,8 +176,13 @@ type Batch struct {
 	cellClass []uint8
 	lines     []protocol.State
 	lineOff   []int32
-	touched   []int  // syncShadow scratch: states whose count moved
-	crossed   []bool // syncShadow scratch: states whose count crossed 0, 1 or 2
+	// classTwin[x] is the least state whose four segments of lines equal
+	// x's: class twins have the same flip, progress and null cells in
+	// their rows and columns, so the same line sums.
+	classTwin []protocol.State
+	touched   []int   // syncShadow scratch: states whose count moved
+	crossed   []bool  // syncShadow scratch: states whose count crossed 0, 1 or 2
+	net       []int64 // syncShadow scratch: net count change per class-twin group
 
 	// Introspection counters.
 	batches  uint64
@@ -211,10 +219,10 @@ func BatchFromCounts(p protocol.Protocol, counts []int, seed uint64, opts BatchO
 	b.progDraws = make([]int64, len(b.progCells))
 	b.rates = make([]int64, S)
 	b.avail = make([]int64, S)
-	b.scrA = make([]int64, S)
-	b.scrB = make([]int64, S)
-	b.scrRow = make([]int64, S)
 	if opts.Size > 0 {
+		b.scrA = make([]int64, S)
+		b.scrB = make([]int64, S)
+		b.scrRow = make([]int64, S)
 		b.pairDraws = make([]int64, S*S)
 	}
 	return b, nil
@@ -685,6 +693,7 @@ func (b *Batch) openShadow(progW, flipW int64) {
 		b.shLive = make([]int64, S)
 		b.touched = make([]int, 0, S)
 		b.crossed = make([]bool, S)
+		b.net = make([]int64, S)
 		b.buildLines()
 	}
 	b.shDiag = 0
@@ -706,7 +715,8 @@ func (b *Batch) openShadow(progW, flipW int64) {
 	b.shadowOn = true
 }
 
-// buildLines fills cellClass, lines and lineOff from the classification.
+// buildLines fills cellClass, lines, lineOff and classTwin from the
+// classification.
 func (b *Batch) buildLines() {
 	s := b.sim
 	S := s.S
@@ -739,6 +749,7 @@ func (b *Batch) buildLines() {
 			}
 		}
 	}
+	b.classTwin = twinIDs(b.lines, b.lineOff, 4)
 }
 
 // seqStep takes one exact sequential step of the final approach, brings
@@ -781,9 +792,13 @@ func (b *Batch) participation() (pA, cmax int64) {
 //	ΔF_M = dᵀM·o + oᵀM·d + dᵀM·d − Σ_t M_tt·d_t.
 //
 // The flip and progress cells of a row or column are the few listed in
-// lines; its null cells take the rest of Σo. A progress cell's liveness
-// (both ends present) changes only where a count crosses 0, 1 or 2, so
-// only those states' progress cells are re-examined. Cost O(S) per moved
+// lines; its null cells take the rest of Σo. Row t and column t enter the
+// first two terms only through d_t times their class sums, and class
+// twins have equal ones, so those terms are summed once per class-twin
+// group with a nonzero net change. The T×T term dᵀM·d and the diagonal
+// stay per state. A progress cell's liveness (both ends present) changes
+// only where a count crosses 0, 1 or 2, so only those states' progress
+// cells are re-examined. Cost O(S) per moved group, O(|T|) per moved
 // state, plus one O(S) pass that also gathers the audit's sums and the
 // window policy's pA and cmax.
 //
@@ -817,18 +832,16 @@ func (b *Batch) syncShadow() error {
 	}
 	var dW [3]int64
 	crossed := false
+	net := b.net[:len(o)]
 	for _, t := range T {
-		off := b.lineOff[4*t : 4*t+5]
+		d := int64(counts[t]) - o[t]
+		net[b.classTwin[t]] += d
 		var acc [3]int64
-		acc[classFlip] = lineSum(o, b.lines[off[0]:off[2]])
-		acc[classProg] = lineSum(o, b.lines[off[2]:off[4]])
-		acc[classNull] = 2*total - acc[classFlip] - acc[classProg]
 		row := b.cellClass[t*S : t*S+S]
 		for _, u := range T {
 			acc[row[u]] += int64(counts[u]) - o[u]
 		}
 		acc[row[t]]--
-		d := int64(counts[t]) - o[t]
 		for k, v := range acc {
 			dW[k] += d * v
 		}
@@ -839,6 +852,23 @@ func (b *Batch) syncShadow() error {
 			b.crossed[t] = true
 			crossed = true
 		}
+	}
+	// The line terms dᵀM·o + oᵀM·d, once per class-twin group: its members
+	// share every line, so the group's net change weighs one member's line
+	// sums, and a flip between class twins sums no line at all.
+	for _, t := range T {
+		g := b.classTwin[t]
+		d := net[g]
+		if d == 0 {
+			continue
+		}
+		net[g] = 0
+		off := b.lineOff[4*t : 4*t+5]
+		flip := lineSum(o, b.lines[off[0]:off[2]])
+		prog := lineSum(o, b.lines[off[2]:off[4]])
+		dW[classFlip] += d * flip
+		dW[classProg] += d * prog
+		dW[classNull] += d * (2*total - flip - prog)
 	}
 	if crossed {
 		// A cell with both ends crossed is re-examined once, from its row.

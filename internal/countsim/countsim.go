@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -67,6 +68,14 @@ type Sim struct {
 	// column sums a move into or out of x changes.
 	nonNull    []protocol.State
 	nonNullOff []int32
+	// twin[x] is the least state whose two non-null lists equal x's: its
+	// null twin. A move between twins changes no row or column sum and
+	// not nullW (see move).
+	twin []protocol.State
+	// lnQ caches ln(nullW/W) for Step's geometric skip, computed at the
+	// null weight lnQFor; twin moves leave nullW, and so lnQ, unchanged.
+	lnQ    float64
+	lnQFor int64
 
 	interactions uint64
 	productive   uint64
@@ -136,6 +145,7 @@ func FromCounts(p protocol.Protocol, counts []int, seed uint64) (*Sim, error) {
 		}
 		s.nonNullOff = append(s.nonNullOff, int32(len(s.nonNull)))
 	}
+	s.twin = twinIDs(s.nonNull, s.nonNullOff, 2)
 	s.nullW = s.auditNullWeight()
 	for a := 0; a < S; a++ {
 		for b := 0; b < S; b++ {
@@ -146,6 +156,54 @@ func FromCounts(p protocol.Protocol, counts []int, seed uint64) (*Sim, error) {
 		}
 	}
 	return s, nil
+}
+
+// twinIDs groups the states whose per consecutive segments of lines are
+// all equal — state x's segments are delimited by off[per*x : per*x+per+1]
+// — and returns each state's group id, the least state of its group. Each
+// state is hashed over its segments into an open-addressing table of
+// group representatives, and a probe counts as a hit only once the
+// segments compare equal, so the cost is linear in len(lines) rather
+// than the O(S·len(lines)) of comparing every pair of states.
+func twinIDs(lines []protocol.State, off []int32, per int) []protocol.State {
+	S := (len(off) - 1) / per
+	mask := uint64(1)
+	for mask < uint64(2*S) {
+		mask <<= 1
+	}
+	mask--
+	reps := make([]protocol.State, mask+1) // a representative state plus one; 0 is empty (S <= MaxStates)
+	ids := make([]protocol.State, S)
+	for x := range ids {
+		seg := off[per*x : per*x+per+1]
+		h := uint64(14695981039346656037) // FNV-1a over segment lengths and entries
+		for _, end := range seg[1:] {
+			h = (h ^ uint64(end-seg[0])) * 1099511628211
+		}
+		for _, y := range lines[seg[0]:seg[per]] {
+			h = (h ^ uint64(y)) * 1099511628211
+		}
+		i := (h ^ h>>32) & mask // the high half mixes every bit of every entry
+		for reps[i] != 0 && !sameSegments(lines, off[per*int(reps[i]-1):][:per+1], seg) {
+			i = (i + 1) & mask
+		}
+		if reps[i] == 0 {
+			reps[i] = protocol.State(x) + 1
+		}
+		ids[x] = reps[i] - 1
+	}
+	return ids
+}
+
+// sameSegments reports whether the segments of lines delimited by the
+// offsets a and b have the same lengths and entries.
+func sameSegments(lines []protocol.State, a, b []int32) bool {
+	for j := range a {
+		if a[j]-a[0] != b[j]-b[0] {
+			return false
+		}
+	}
+	return slices.Equal(lines[a[0]:a[len(a)-1]], lines[b[0]:b[len(b)-1]])
 }
 
 // auditNullWeight recomputes the null weight from scratch in O(S²); used
@@ -175,8 +233,8 @@ func (s *Sim) auditNullWeight() int64 {
 
 // move moves t agents from state x to state y (any magnitude and either
 // sign — the batched engine applies whole cells at once), maintaining
-// nullW, rowSum and colSum from the non-null lists of x and y alone. It
-// is a no-op when x == y or t == 0.
+// nullW, rowSum and colSum from the non-null lists of x and y alone.
+// Between twins, x == y included, it moves only the counts.
 //
 // Derivation: with B = Σ_{null(a,b)} c_a·c_b and D = Σ_{null(a,a)} c_a,
 // nullW = B − D. With d_s = [null(s,s)] and n_xy = [null(x,y)], moving t
@@ -188,16 +246,24 @@ func (s *Sim) auditNullWeight() int64 {
 // where the sums are taken BEFORE the update. rowSum[a] moves by
 // t·([null(a,y)] − [null(a,x)]), which is zero unless δ(a,x) or δ(a,y)
 // is non-null; likewise colSum[b].
+//
+// Twins: x and y are twins when their non-null lists are equal, that is
+// null(a,x) = null(a,y) and null(x,b) = null(y,b) for every a and b.
+// Taking a = x, b = y and a = y gives d_x = n_xy = d_y = n_yx, and the
+// equal rows and columns give rowSum[x] = rowSum[y] and colSum[x] =
+// colSum[y]. So B and D do not change, and neither does any rowSum[a] or
+// colSum[b]. Algorithm 1's parity flips initial ↔ initial' (rules 1–4)
+// and its m_i → m_(i+1) climbs (rule 6) are twin moves.
 func (s *Sim) move(x, y int, t int64) {
-	if x == y || t == 0 {
+	s.counts[x] -= int(t)
+	s.counts[y] += int(t)
+	if s.twin[x] == s.twin[y] || t == 0 {
 		return
 	}
 	rowSum, colSum := s.rowSum, s.colSum
 	dx, dy := s.null(x, x), s.null(y, y)
 	s.nullW += t*(rowSum[y]+colSum[y]-rowSum[x]-colSum[x]) +
 		t*t*(dx+dy-s.null(x, y)-s.null(y, x)) + t*(dx-dy)
-	s.counts[x] -= int(t)
-	s.counts[y] += int(t)
 	ox, oy := s.nonNullOff[2*x:2*x+3], s.nonNullOff[2*y:2*y+3]
 	for _, a := range s.nonNull[ox[0]:ox[1]] {
 		rowSum[a] += t
@@ -270,12 +336,15 @@ func (s *Sim) Step() (from, to protocol.Pair, err error) {
 	if s.nullW > 0 {
 		// K ~ Geometric: P(K = j) = q^j·(1−q) with q = nullW/W;
 		// inverse-CDF sampling via K = ⌊ln U / ln q⌋.
-		q := float64(s.nullW) / float64(W)
+		if s.nullW != s.lnQFor {
+			s.lnQ = math.Log(float64(s.nullW) / float64(W))
+			s.lnQFor = s.nullW
+		}
 		u := s.rand.Float64()
 		if u <= 0 {
 			u = math.SmallestNonzeroFloat64
 		}
-		s.interactions += uint64(math.Log(u) / math.Log(q))
+		s.interactions += uint64(math.Log(u) / s.lnQ)
 	}
 	s.interactions++
 	s.productive++

@@ -64,10 +64,13 @@ func TestNullWeightAudit(t *testing.T) {
 // move must leave the counts, every row and column sum and the null
 // weight exactly where a from-scratch recompute puts them: for bulk moves
 // of either sign, as the batched engine makes them, and for the no-op
-// moves x == y and t == 0.
+// moves x == y and t == 0. The protocols are the paper's at k = 2…12 and
+// every other one the repo builds; on a protocol with twins, half the
+// moves go between twins, which move only the counts.
 func TestMoveKeepsSumsExact(t *testing.T) {
+	protos := allProtocols()
 	prop := func(kRaw uint8, raw [34]uint16, moves [24][3]uint16) bool {
-		p := core.MustNew(2 + int(kRaw)%11) // k in [2, 12]
+		p := protos[int(kRaw)%len(protos)]
 		S := p.NumStates()
 		counts := make([]int, S)
 		for i := range counts {
@@ -78,8 +81,20 @@ func TestMoveKeepsSumsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var twins [][2]int
+		for x := 0; x < S; x++ {
+			for y := 0; y < S; y++ {
+				if x != y && s.twin[x] == s.twin[y] {
+					twins = append(twins, [2]int{x, y})
+				}
+			}
+		}
 		for i, m := range moves {
 			x, y := int(m[0])%S, int(m[1])%S
+			if len(twins) > 0 && m[1]&1 == 0 {
+				pair := twins[int(m[0])%len(twins)]
+				x, y = pair[0], pair[1]
+			}
 			frac := int64(m[2] >> 3) // 0..8191
 			var d int64
 			switch m[2] % 8 {
@@ -103,13 +118,13 @@ func TestMoveKeepsSumsExact(t *testing.T) {
 					col += s.null(b, a) * int64(counts[b])
 				}
 				if s.counts[a] != counts[a] || s.rowSum[a] != row || s.colSum[a] != col {
-					t.Logf("k=%d move %d (%d→%d, t=%d): state %d has count %d, rowSum %d, colSum %d; want %d, %d, %d",
-						p.K(), i, x, y, d, a, s.counts[a], s.rowSum[a], s.colSum[a], counts[a], row, col)
+					t.Logf("%s move %d (%d→%d, t=%d): state %d has count %d, rowSum %d, colSum %d; want %d, %d, %d",
+						p.Name(), i, x, y, d, a, s.counts[a], s.rowSum[a], s.colSum[a], counts[a], row, col)
 					return false
 				}
 			}
 			if want := s.auditNullWeight(); s.nullW != want {
-				t.Logf("k=%d move %d (%d→%d, t=%d): nullW %d, recomputed %d", p.K(), i, x, y, d, s.nullW, want)
+				t.Logf("%s move %d (%d→%d, t=%d): nullW %d, recomputed %d", p.Name(), i, x, y, d, s.nullW, want)
 				return false
 			}
 		}

@@ -67,15 +67,25 @@ func Decode(rd io.Reader) (Header, []Event, error) {
 // protocol's dynamics.
 var ErrDiverged = errors.New("trace: replay diverged")
 
+// MaxN is the largest population a trace header may declare. Replay
+// builds an n-agent population, and `kpart trace` then sizes a
+// fairness.Meter from the same n: three n(n−1)/2-entry uint64 tables,
+// 12·n(n−1) bytes, ≈ 50 MB at MaxN. Nothing else bounds the header's n.
+const MaxN = 2048
+
 // Replay re-executes a trace against proto from the all-initial
 // configuration, verifying every event's before/after states. It returns
-// the final population.
+// the final population. A header n outside [2, MaxN] is refused with
+// ErrDiverged before anything is allocated.
 func Replay(proto protocol.Protocol, hdr Header, events []Event) (*population.Population, error) {
 	if hdr.States != proto.NumStates() {
 		return nil, fmt.Errorf("%w: trace has %d states, protocol %d", ErrDiverged, hdr.States, proto.NumStates())
 	}
 	if hdr.N < 2 {
 		return nil, fmt.Errorf("%w: trace has n = %d, a population needs 2 agents", ErrDiverged, hdr.N)
+	}
+	if hdr.N > MaxN {
+		return nil, fmt.Errorf("%w: trace has n = %d, above the replay bound trace.MaxN = %d", ErrDiverged, hdr.N, MaxN)
 	}
 	pop := population.New(proto, hdr.N)
 	for idx, e := range events {

@@ -108,13 +108,19 @@ func TestReplayDetectsTampering(t *testing.T) {
 		t.Errorf("state-count mismatch not detected: %v", err)
 	}
 
-	// A population below two agents, which population.New refuses.
-	for _, n := range []int{1, 0, -5} {
+	// A population below two agents, which population.New refuses, or
+	// above MaxN, which kpart trace's fairness meter could not afford.
+	for _, n := range []int{1, 0, -5, MaxN + 1, 10_000_000} {
 		hdr := rec.hdr
 		hdr.N = n
 		if _, err := Replay(p, hdr, nil); !errors.Is(err, ErrDiverged) {
 			t.Errorf("n = %d not detected: %v", n, err)
 		}
+	}
+	hdr := rec.hdr
+	hdr.N = MaxN
+	if _, err := Replay(p, hdr, nil); err != nil {
+		t.Errorf("n = MaxN refused: %v", err)
 	}
 
 	// Tamper with an event's before-state.
