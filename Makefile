@@ -92,11 +92,13 @@ fuzz-smoke:
 
 # The Go benchmarks: kpart bench's suite and engine loop (cmd/kpart's
 # BenchmarkSuite and BenchmarkEngineThroughput), the A1–A3 ablations
-# at the root, and the count engines' per-step costs (internal/countsim:
+# at the root, the count engines' per-step costs (internal/countsim:
 # BenchmarkFig6Step times a count step against a batch fallback step at
-# n = 960, k = 8; BenchmarkCountStep a count step at n = 961).
+# n = 960, k = 8; BenchmarkCountStep a count step at n = 961), and the
+# twin's cold answer (internal/twin: BenchmarkColdPredict answers a
+# serve-mix-shaped grid of 16 questions, each on a fresh MeanField).
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' . ./cmd/kpart ./internal/countsim
+	$(GO) test -bench=. -benchmem -run='^$$' . ./cmd/kpart ./internal/countsim ./internal/twin
 
 # Machine-readable perf trajectory; compare BENCH_kpart.json across PRs.
 bench-json:

@@ -1,10 +1,9 @@
 package twin
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -53,9 +52,15 @@ type lchain struct {
 	n, k int
 	cMin int
 
-	nodes [][]int32 // reduced vectors
-	index map[string]int
-	out   [][]ledge // per node, sorted by To; targets never at lower levels
+	// vecs holds the reduced vectors, vecLen(k) entries per node id;
+	// slots is an open-addressing table over them (id + 1, 0 if empty),
+	// at most half full.
+	vecs  []int32
+	slots []int32
+	// Node i's outgoing edges are edges[off[i]:off[i+1]], sorted by To;
+	// targets are never at lower levels.
+	off   []int32
+	edges []ledge
 	self  []float64 // self-loop probability per node
 	// outMass[i] = Σ out edge probabilities = 1 − self[i], but summed
 	// directly: at large n, self approaches 1 and computing 1 − self
@@ -63,6 +68,7 @@ type lchain struct {
 	// full precision. Every solver divides by this.
 	outMass []float64
 	stable  []bool
+	lvl     []int32 // #gk per node
 	// levels[c − cMin] lists node ids with #gk = c, in build order.
 	levels [][]int
 	start  int // node id of the all-initial configuration; −1 for endgame chains
@@ -77,15 +83,6 @@ type lchain struct {
 // vecLen returns the reduced-vector length for k: a, b, k−2 m-counts,
 // k−2 d-counts, c.
 func vecLen(k int) int { return 2*k - 1 }
-
-// vecKey serializes a reduced vector for map lookup.
-func vecKey(vec []int32) string {
-	buf := make([]byte, 4*len(vec))
-	for i, v := range vec {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
-	}
-	return string(buf)
-}
 
 // decodeFull expands a reduced vector into a dense state-count vector,
 // reconstructing the g-counts through the Lemma 1 identity.
@@ -129,58 +126,97 @@ func encodeReduced(p *core.Protocol, counts []int, vec []int32) {
 	vec[2*k-2] = int32(counts[p.G(k)])
 }
 
-// level returns a reduced vector's #gk.
-func level(vec []int32) int { return int(vec[len(vec)-1]) }
+// size returns the number of nodes.
+func (ch *lchain) size() int { return len(ch.vecs) / vecLen(ch.k) }
 
-// transitions computes a node's lumped outgoing distribution: self-loop
-// probability plus edges to other canonical vectors, in deterministic
-// discovery order (targets slice) with weights in dist.
-func (ch *lchain) transitions(vec []int32, counts, next []int, rvec []int32) (self float64, targets []string, dist map[string]float64, tvecs map[string][]int32) {
-	p := ch.p
-	decodeFull(p, vec, counts)
-	total := float64(ch.n) * float64(ch.n-1)
-	dist = make(map[string]float64)
-	tvecs = make(map[string][]int32)
-	S := p.NumStates()
-	cur := vecKey(vec)
-	for s1 := 0; s1 < S; s1++ {
-		c1 := counts[s1]
-		if c1 == 0 {
-			continue
+// vec returns node i's reduced vector.
+func (ch *lchain) vec(i int) []int32 {
+	L := vecLen(ch.k)
+	return ch.vecs[i*L : (i+1)*L : (i+1)*L]
+}
+
+// outOf returns node i's outgoing edges.
+func (ch *lchain) outOf(i int) []ledge { return ch.edges[ch.off[i]:ch.off[i+1]] }
+
+// find returns vec's node id, or −1 and the empty slot it would take.
+func (ch *lchain) find(vec []int32) (id, slot int) {
+	h := uint64(14695981039346656037) // FNV-1a over the entries
+	for _, v := range vec {
+		h = (h ^ uint64(uint32(v))) * 1099511628211
+	}
+	mask := uint64(len(ch.slots) - 1)
+	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask { // the high half mixes every entry
+		s := ch.slots[i]
+		if s == 0 {
+			return -1, int(i)
 		}
-		for s2 := 0; s2 < S; s2++ {
-			c2 := counts[s2]
-			if s2 == s1 {
-				c2--
-			}
-			if c2 <= 0 {
-				continue
-			}
-			w := float64(c1) * float64(c2) / total
-			out, _ := p.Delta(protocol.State(s1), protocol.State(s2))
-			if int(out.P) == s1 && int(out.Q) == s2 {
-				self += w
-				continue
-			}
-			copy(next, counts)
-			next[s1]--
-			next[s2]--
-			next[out.P]++
-			next[out.Q]++
-			encodeReduced(p, next, rvec)
-			key := vecKey(rvec)
-			if key == cur {
-				self += w
-				continue
-			}
-			if _, seen := dist[key]; !seen {
-				targets = append(targets, key)
-				tvecs[key] = append([]int32(nil), rvec...)
-			}
-			dist[key] += w
+		if slices.Equal(ch.vec(int(s-1)), vec) {
+			return int(s - 1), int(i)
 		}
 	}
-	return self, targets, dist, tvecs
+}
+
+// lookup returns vec's node id.
+func (ch *lchain) lookup(vec []int32) (int, bool) {
+	id, _ := ch.find(vec)
+	return id, id >= 0
+}
+
+// intern returns vec's node id, appending vec as a new node if absent.
+func (ch *lchain) intern(vec []int32) int {
+	id, slot := ch.find(vec)
+	if id >= 0 {
+		return id
+	}
+	id = ch.size()
+	ch.vecs = append(ch.vecs, vec...)
+	ch.slots[slot] = int32(id + 1)
+	if 2*(id+1) > len(ch.slots) {
+		ch.slots = make([]int32, 2*len(ch.slots))
+		for j := 0; j <= id; j++ {
+			_, slot := ch.find(ch.vec(j))
+			ch.slots[slot] = int32(j + 1)
+		}
+	}
+	return id
+}
+
+// reducedMoves tabulates what each ordered state pair does to the
+// reduced vector. Encoding is linear in the counts, so a rule moves the
+// vector by the same delta at every node: move[s1·S+s2] is −1 when the
+// pair leaves the vector unchanged (a null or identity rule), else an
+// index into deltas, which lists each distinct nonzero delta once.
+func reducedMoves(p *core.Protocol) (move []int32, deltas [][]int32) {
+	S := p.NumStates()
+	L := vecLen(p.K())
+	move = make([]int32, S*S)
+	unit := make([]int, S)
+	d := make([]int32, L)
+	for s1 := 0; s1 < S; s1++ {
+		for s2 := 0; s2 < S; s2++ {
+			move[s1*S+s2] = -1
+			out, _ := p.Delta(protocol.State(s1), protocol.State(s2))
+			if int(out.P) == s1 && int(out.Q) == s2 {
+				continue
+			}
+			clear(unit)
+			unit[s1]--
+			unit[s2]--
+			unit[out.P]++
+			unit[out.Q]++
+			encodeReduced(p, unit, d)
+			if !slices.ContainsFunc(d, func(v int32) bool { return v != 0 }) {
+				continue
+			}
+			g := slices.IndexFunc(deltas, func(e []int32) bool { return slices.Equal(e, d) })
+			if g < 0 {
+				g = len(deltas)
+				deltas = append(deltas, slices.Clone(d))
+			}
+			move[s1*S+s2] = int32(g)
+		}
+	}
+	return move, deltas
 }
 
 // buildLumped builds the reachable lumped chain from the all-initial
@@ -254,75 +290,100 @@ func enumerateLevel(p *core.Protocol, n, c int) [][]int32 {
 }
 
 // grow explores from the seed vectors, building nodes, edges, levels and
-// the stability mask. Transitions must never descend below a node's level
-// (the #gk monotonicity the solvers rely on); grow checks that instead of
-// assuming it.
+// the stability mask. A node's lumped out-distribution sums its pair
+// weights c1·(c2 − [s1 = s2])/(n(n−1)) by reduced move, in (s1, s2)
+// order; targets get ids in the order their first pair is met, which
+// with BFS numbers the nodes deterministically. Transitions must never
+// descend below a node's level (the #gk monotonicity the solvers rely
+// on); grow checks that instead of assuming it.
 func (ch *lchain) grow(seeds [][]int32, budget int) error {
-	p, n := ch.p, ch.n
-	index := make(map[string]int)
-	ch.index = index
+	p, n, L := ch.p, ch.n, vecLen(ch.k)
+	ch.slots = make([]int32, 64)
+	for len(ch.slots) < 2*len(seeds) {
+		ch.slots = make([]int32, 2*len(ch.slots))
+	}
 	for _, s := range seeds {
-		key := vecKey(s)
-		if _, ok := index[key]; ok {
-			continue
-		}
-		index[key] = len(ch.nodes)
-		ch.nodes = append(ch.nodes, s)
+		ch.intern(s)
 	}
 	isStable, err := p.StableChecker(n)
 	if err != nil {
 		return fmt.Errorf("twin: %v", err)
 	}
-	counts := make([]int, p.NumStates())
-	next := make([]int, p.NumStates())
-	rvec := make([]int32, vecLen(ch.k))
-	for i := 0; i < len(ch.nodes); i++ {
-		if budget > 0 && len(ch.nodes) > budget {
+	move, deltas := reducedMoves(p)
+	S := p.NumStates()
+	counts := make([]int, S)
+	cur := make([]int32, L)
+	target := make([]int32, L)
+	acc := make([]float64, len(deltas)) // weight per move at the current node; 0 = not met yet
+	var met []int32                     // moves met at the current node, in (s1, s2) order
+	total := float64(n) * float64(n-1)
+	ch.off = append(ch.off, 0)
+	for i := 0; i < ch.size(); i++ {
+		if budget > 0 && ch.size() > budget {
 			return fmt.Errorf("twin: lumped chain for n=%d k=%d exceeds the %d-state budget", n, ch.k, budget)
 		}
-		vec := ch.nodes[i]
-		self, targets, dist, tvecs := ch.transitions(vec, counts, next, rvec)
-		ch.self = append(ch.self, self)
-		decodeFull(p, vec, counts)
-		ch.stable = append(ch.stable, isStable(counts))
-		edges := make([]ledge, 0, len(targets))
-		for _, key := range targets {
-			id, ok := index[key]
-			if !ok {
-				id = len(ch.nodes)
-				index[key] = id
-				ch.nodes = append(ch.nodes, tvecs[key])
+		copy(cur, ch.vec(i))
+		decodeFull(p, cur, counts)
+		self := 0.0
+		met = met[:0]
+		for s1, c1 := range counts {
+			if c1 == 0 {
+				continue
 			}
-			edges = append(edges, ledge{To: id, P: dist[key]})
+			for s2, mv := range move[s1*S : (s1+1)*S] {
+				c2 := counts[s2]
+				if s2 == s1 {
+					c2--
+				}
+				if c2 <= 0 {
+					continue
+				}
+				w := float64(c1) * float64(c2) / total
+				if mv < 0 {
+					self += w
+					continue
+				}
+				if acc[mv] == 0 {
+					met = append(met, mv)
+				}
+				acc[mv] += w
+			}
 		}
-		ch.out = append(ch.out, edges)
+		for _, mv := range met {
+			for j, d := range deltas[mv] {
+				target[j] = cur[j] + d
+			}
+			ch.edges = append(ch.edges, ledge{To: ch.intern(target), P: acc[mv]})
+			acc[mv] = 0
+		}
+		ch.off = append(ch.off, int32(len(ch.edges)))
+		ch.self = append(ch.self, self)
+		ch.stable = append(ch.stable, isStable(counts))
 	}
 	// Levels and the monotonicity check; then sort edges for determinism
 	// of the float sums (same reason markov.New sorts).
+	N := ch.size()
+	ch.lvl = make([]int32, N)
 	maxLevel := 0
-	for _, v := range ch.nodes {
-		if l := level(v); l > maxLevel {
-			maxLevel = l
-		}
+	for id := range ch.lvl {
+		l := int(ch.vecs[id*L+L-1])
+		ch.lvl[id] = int32(l)
+		maxLevel = max(maxLevel, l)
 	}
 	ch.levels = make([][]int, maxLevel-ch.cMin+1)
-	for id, v := range ch.nodes {
-		l := level(v)
-		if l < ch.cMin {
+	ch.outMass = make([]float64, N)
+	for id, l := range ch.lvl {
+		if int(l) < ch.cMin {
 			return fmt.Errorf("twin: node %d at level %d below floor %d", id, l, ch.cMin)
 		}
-		ch.levels[l-ch.cMin] = append(ch.levels[l-ch.cMin], id)
-		for _, e := range ch.out[id] {
-			if level(ch.nodes[e.To]) < l {
+		ch.levels[int(l)-ch.cMin] = append(ch.levels[int(l)-ch.cMin], id)
+		out := ch.outOf(id)
+		slices.SortFunc(out, func(a, b ledge) int { return a.To - b.To })
+		sum := 0.0
+		for _, e := range out {
+			if ch.lvl[e.To] < l {
 				return fmt.Errorf("twin: #gk decreased on edge %d->%d — lumping is broken", id, e.To)
 			}
-		}
-		sort.Slice(ch.out[id], func(a, b int) bool { return ch.out[id][a].To < ch.out[id][b].To })
-	}
-	ch.outMass = make([]float64, len(ch.nodes))
-	for id, edges := range ch.out {
-		sum := 0.0
-		for _, e := range edges {
 			sum += e.P
 		}
 		ch.outMass[id] = sum
@@ -331,81 +392,119 @@ func (ch *lchain) grow(seeds [][]int32, budget int) error {
 }
 
 // Solver parameters: levels up to denseLevelCap transient nodes solve by
-// dense LU (exact, immune to slow mixing within a level); larger levels
-// fall back to Gauss–Seidel sweeps. The fallback is only safe at moderate
-// n, where in-level transition rates are not vanishingly small — at large
-// n the level sub-chains mix on the 1/n² rate scale and GS contracts too
-// slowly to terminate. Endgame chains therefore never rely on it:
-// chooseEndgame rejects any handoff whose floor level exceeds the dense
-// cap.
+// an exact sparse LU (sparseLU: immune to slow mixing within a level);
+// larger levels fall back to Gauss–Seidel sweeps. The fallback is only
+// safe at moderate n, where in-level transition rates are not vanishingly
+// small — at large n the level sub-chains mix on the 1/n² rate scale and
+// GS contracts too slowly to terminate. Endgame chains therefore never
+// rely on it: chooseEndgame rejects any handoff whose floor level exceeds
+// the cap.
 const (
 	lumpedTol     = 1e-12
 	lumpedMaxIter = 200_000
 	denseLevelCap = 800
 )
 
-// solveLevel solves one level's linear system
+// levelSolver solves a chain's level systems
 //
 //	outMass_i·x_i − Σ_{j ∈ level, transient} P_ij·x_j = rhs_i
 //
-// (or its transpose, for the forward occupancy pass) for the transient
-// node ids in trans, writing results into the global x slice. rhs is
-// indexed like trans.
-func (ch *lchain) solveLevel(trans []int, rhs []float64, x []float64, transpose bool) error {
+// (or their transposes, for the forward occupancy pass) for one Predict
+// call. Each level's factorization is kept for the solver's lifetime and
+// reused by every later pass over the same transient set — the hitting,
+// second-moment and occupancy passes and each milestone's hitting pass —
+// so a cached chain retains no factors between calls.
+type levelSolver struct {
+	ch    *lchain
+	local []int32     // node id → index among the level's transient nodes, −1 elsewhere
+	lu    []*sparseLU // by level index, nil until the level is factored
+	sc    luScratch
+	// The level matrix's off-diagonal rows, rebuilt per factorization.
+	rowOff, cols []int32
+	vals, diag   []float64
+}
+
+func newLevelSolver(ch *lchain) *levelSolver {
+	return &levelSolver{ch: ch, lu: make([]*sparseLU, len(ch.levels))}
+}
+
+// solve solves level li's system over its transient node ids trans,
+// writing the results into the global x slice. rhs is indexed like
+// trans.
+func (s *levelSolver) solve(li int, trans []int, rhs, x []float64, transpose bool) error {
 	m := len(trans)
 	if m == 0 {
 		return nil
 	}
-	local := make(map[int]int, m)
-	for li, id := range trans {
-		local[id] = li
+	if s.local == nil {
+		s.local = make([]int32, s.ch.size())
+		for i := range s.local {
+			s.local[i] = -1
+		}
 	}
-	if m <= denseLevelCap {
-		// Dense LU with partial pivoting. The diagonal is the exact
-		// out-mass; off-diagonals are the negated in-level transition
-		// probabilities between transient nodes.
-		A := make([][]float64, m)
-		b := make([]float64, m)
-		for li, id := range trans {
-			A[li] = make([]float64, m)
-			A[li][li] = ch.outMass[id]
-			b[li] = rhs[li]
+	for i, id := range trans {
+		s.local[id] = int32(i)
+	}
+	defer func() {
+		for _, id := range trans {
+			s.local[id] = -1
 		}
-		for li, id := range trans {
-			lvl := level(ch.nodes[id])
-			for _, e := range ch.out[id] {
-				if level(ch.nodes[e.To]) != lvl {
-					continue
-				}
-				if lj, ok := local[e.To]; ok {
-					if transpose {
-						A[lj][li] -= e.P
-					} else {
-						A[li][lj] -= e.P
-					}
-				}
-			}
-		}
-		sol, err := denseSolve(A, b)
-		if err != nil {
+	}()
+	if m > denseLevelCap {
+		return s.gaussSeidel(trans, rhs, x, transpose)
+	}
+	f := s.lu[li]
+	if f == nil || !slices.Equal(f.ids, trans) {
+		var err error
+		if f, err = s.factor(trans); err != nil {
 			return err
 		}
-		for li, id := range trans {
-			x[id] = sol[li]
-		}
-		return nil
+		s.lu[li] = f
 	}
-	// Gauss–Seidel fallback for large levels.
+	for t, i := range f.perm {
+		f.b[t] = rhs[i]
+	}
+	if transpose {
+		f.solveT()
+	} else {
+		f.solve()
+	}
+	for t, i := range f.perm {
+		x[trans[i]] = f.b[t]
+	}
+	return nil
+}
+
+// factor assembles and factors the level matrix over trans: the exact
+// out-mass on the diagonal, the negated in-level transition probabilities
+// between transient nodes off it.
+func (s *levelSolver) factor(trans []int) (*sparseLU, error) {
+	ch := s.ch
+	s.rowOff = append(s.rowOff[:0], 0)
+	s.cols, s.vals, s.diag = s.cols[:0], s.vals[:0], s.diag[:0]
+	for _, id := range trans {
+		for _, e := range ch.outOf(id) {
+			if lj := s.local[e.To]; lj >= 0 {
+				s.cols = append(s.cols, lj)
+				s.vals = append(s.vals, -e.P)
+			}
+		}
+		s.rowOff = append(s.rowOff, int32(len(s.cols)))
+		s.diag = append(s.diag, ch.outMass[id])
+	}
+	return factorLevel(trans, s.diag, s.rowOff, s.cols, s.vals, &s.sc)
+}
+
+// gaussSeidel is the fallback for levels above denseLevelCap.
+func (s *levelSolver) gaussSeidel(trans []int, rhs, x []float64, transpose bool) error {
+	ch := s.ch
+	m := len(trans)
 	var in [][]ledge
 	if transpose {
 		in = make([][]ledge, m)
 		for li, id := range trans {
-			lvl := level(ch.nodes[id])
-			for _, e := range ch.out[id] {
-				if level(ch.nodes[e.To]) != lvl {
-					continue
-				}
-				if lj, ok := local[e.To]; ok {
+			for _, e := range ch.outOf(id) {
+				if lj := s.local[e.To]; lj >= 0 {
 					in[lj] = append(in[lj], ledge{To: li, P: e.P})
 				}
 			}
@@ -420,12 +519,9 @@ func (ch *lchain) solveLevel(trans []int, rhs []float64, x []float64, transpose 
 					sum += e.P * x[trans[e.To]]
 				}
 			} else {
-				lvl := level(ch.nodes[id])
-				for _, e := range ch.out[id] {
-					if level(ch.nodes[e.To]) == lvl {
-						if _, ok := local[e.To]; ok {
-							sum += e.P * x[e.To]
-						}
+				for _, e := range ch.outOf(id) {
+					if s.local[e.To] >= 0 {
+						sum += e.P * x[e.To]
 					}
 				}
 			}
@@ -449,49 +545,11 @@ func (ch *lchain) solveLevel(trans []int, rhs []float64, x []float64, transpose 
 	return fmt.Errorf("twin: level with %d nodes did not converge in %d sweeps", m, lumpedMaxIter)
 }
 
-// denseSolve is Gaussian elimination with partial pivoting, in place.
-func denseSolve(A [][]float64, b []float64) ([]float64, error) {
-	m := len(A)
-	for col := 0; col < m; col++ {
-		piv := col
-		for r := col + 1; r < m; r++ {
-			if math.Abs(A[r][col]) > math.Abs(A[piv][col]) {
-				piv = r
-			}
-		}
-		if A[piv][col] == 0 {
-			return nil, fmt.Errorf("twin: singular level system at column %d", col)
-		}
-		A[col], A[piv] = A[piv], A[col]
-		b[col], b[piv] = b[piv], b[col]
-		inv := 1 / A[col][col]
-		for r := col + 1; r < m; r++ {
-			f := A[r][col] * inv
-			if f == 0 {
-				continue
-			}
-			A[r][col] = 0
-			for c := col + 1; c < m; c++ {
-				A[r][c] -= f * A[col][c]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	for r := m - 1; r >= 0; r-- {
-		sum := b[r]
-		for c := r + 1; c < m; c++ {
-			sum -= A[r][c] * b[c]
-		}
-		b[r] = sum / A[r][r]
-	}
-	return b, nil
-}
-
 // solveHitting returns the expected number of interactions from every
 // node to the absorb set, processing levels top-down so each level's
 // system only involves itself and already-solved higher levels.
-func (ch *lchain) solveHitting(absorb []bool) ([]float64, error) {
-	E := make([]float64, len(ch.nodes))
+func (ch *lchain) solveHitting(s *levelSolver, absorb []bool) ([]float64, error) {
+	E := make([]float64, ch.size())
 	for li := len(ch.levels) - 1; li >= 0; li-- {
 		var trans []int
 		var rhs []float64
@@ -501,39 +559,33 @@ func (ch *lchain) solveHitting(absorb []bool) ([]float64, error) {
 			}
 			// rhs = 1 + mass flowing to already-solved higher levels.
 			sum := 1.0
-			lvl := level(ch.nodes[i])
-			for _, e := range ch.out[i] {
-				if level(ch.nodes[e.To]) > lvl {
+			for _, e := range ch.outOf(i) {
+				if ch.lvl[e.To] > ch.lvl[i] {
 					sum += e.P * E[e.To]
 				}
 			}
 			trans = append(trans, i)
 			rhs = append(rhs, sum)
 		}
-		if err := ch.solveLevel(trans, rhs, E, false); err != nil {
+		if err := s.solve(li, trans, rhs, E, false); err != nil {
 			return nil, fmt.Errorf("%w (hitting, level %d)", err, li+ch.cMin)
 		}
 	}
 	return E, nil
 }
 
-// hitStable returns expected interactions to the stable configuration.
-func (ch *lchain) hitStable() ([]float64, error) {
-	return ch.solveHitting(ch.stable)
-}
-
 // momentsCached returns the stable-hitting first and second moments,
 // solving once and memoizing — cached endgame chains are reused across
 // Predict calls (and goroutines), and the solve is the expensive part.
-func (ch *lchain) momentsCached() (E, M []float64, err error) {
+func (ch *lchain) momentsCached(s *levelSolver) (E, M []float64, err error) {
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	if ch.solvedE == nil {
-		E, err := ch.solveHitting(ch.stable)
+		E, err := ch.solveHitting(s, ch.stable)
 		if err != nil {
 			return nil, nil, err
 		}
-		M, err := ch.secondMoments(E)
+		M, err := ch.secondMoments(s, E)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -543,19 +595,21 @@ func (ch *lchain) momentsCached() (E, M []float64, err error) {
 }
 
 // hitLevel returns expected interactions until #gk first reaches j.
-func (ch *lchain) hitLevel(j int) ([]float64, error) {
-	absorb := make([]bool, len(ch.nodes))
-	for i, v := range ch.nodes {
-		absorb[i] = level(v) >= j
+// Stable nodes sit at the top level only, so the transient set of every
+// level below j is the one the stable-hitting pass factored.
+func (ch *lchain) hitLevel(s *levelSolver, j int) ([]float64, error) {
+	absorb := make([]bool, ch.size())
+	for i, l := range ch.lvl {
+		absorb[i] = int(l) >= j
 	}
-	return ch.solveHitting(absorb)
+	return ch.solveHitting(s, absorb)
 }
 
 // secondMoments solves E[T²] for the stable-set hitting time given the
 // first moments, with the same level-ordered passes (the system shares
 // the chain's matrix — see markov.SecondMoments for the derivation).
-func (ch *lchain) secondMoments(E []float64) ([]float64, error) {
-	M := make([]float64, len(ch.nodes))
+func (ch *lchain) secondMoments(s *levelSolver, E []float64) ([]float64, error) {
+	M := make([]float64, ch.size())
 	for li := len(ch.levels) - 1; li >= 0; li-- {
 		var trans []int
 		var rhs []float64
@@ -564,17 +618,16 @@ func (ch *lchain) secondMoments(E []float64) ([]float64, error) {
 				continue
 			}
 			sum := 1.0 + 2*ch.self[i]*E[i]
-			lvl := level(ch.nodes[i])
-			for _, e := range ch.out[i] {
+			for _, e := range ch.outOf(i) {
 				sum += 2 * e.P * E[e.To]
-				if level(ch.nodes[e.To]) > lvl {
+				if ch.lvl[e.To] > ch.lvl[i] {
 					sum += e.P * M[e.To]
 				}
 			}
 			trans = append(trans, i)
 			rhs = append(rhs, sum)
 		}
-		if err := ch.solveLevel(trans, rhs, M, false); err != nil {
+		if err := s.solve(li, trans, rhs, M, false); err != nil {
 			return nil, fmt.Errorf("%w (second moments, level %d)", err, li+ch.cMin)
 		}
 	}
@@ -585,12 +638,12 @@ func (ch *lchain) secondMoments(E []float64) ([]float64, error) {
 // while the chain sits at node i, from unit mass at the start node — a
 // forward pass, level by level (mass only flows upward). Stable nodes are
 // absorbing: mass entering them leaves the accounting.
-func (ch *lchain) occupancy() ([]float64, error) {
+func (ch *lchain) occupancy(s *levelSolver) ([]float64, error) {
 	if ch.start < 0 {
 		return nil, fmt.Errorf("twin: occupancy needs a chain built from the initial configuration")
 	}
-	nu := make([]float64, len(ch.nodes))
-	entry := make([]float64, len(ch.nodes))
+	nu := make([]float64, ch.size())
+	entry := make([]float64, ch.size())
 	entry[ch.start] = 1
 	for li := 0; li < len(ch.levels); li++ {
 		var trans []int
@@ -604,14 +657,13 @@ func (ch *lchain) occupancy() ([]float64, error) {
 		}
 		// The occupancy system is the hitting system transposed: mass
 		// flows along edges instead of expectations flowing against them.
-		if err := ch.solveLevel(trans, rhs, nu, true); err != nil {
+		if err := s.solve(li, trans, rhs, nu, true); err != nil {
 			return nil, fmt.Errorf("%w (occupancy, level %d)", err, li+ch.cMin)
 		}
 		// Push the level's settled mass to higher levels.
 		for _, i := range trans {
-			lvl := level(ch.nodes[i])
-			for _, e := range ch.out[i] {
-				if level(ch.nodes[e.To]) > lvl {
+			for _, e := range ch.outOf(i) {
+				if ch.lvl[e.To] > ch.lvl[i] {
 					entry[e.To] += e.P * nu[i]
 				}
 			}
@@ -623,8 +675,8 @@ func (ch *lchain) occupancy() ([]float64, error) {
 // milestoneTimes returns the expected interactions until #gk reaches j,
 // for j = 1..⌊n/k⌋, via one occupancy pass: milestone j is the total
 // expected time spent at levels below j, and levels are left for good.
-func (ch *lchain) milestoneTimes() ([]float64, error) {
-	nu, err := ch.occupancy()
+func (ch *lchain) milestoneTimes(s *levelSolver) ([]float64, error) {
+	nu, err := ch.occupancy(s)
 	if err != nil {
 		return nil, err
 	}
@@ -727,11 +779,12 @@ func (l *Lumped) Predict(s Spec) (Prediction, error) {
 	if err != nil {
 		return Prediction{}, err
 	}
-	E, err := ch.hitStable()
+	sol := newLevelSolver(ch)
+	E, err := ch.solveHitting(sol, ch.stable)
 	if err != nil {
 		return Prediction{}, err
 	}
-	M, err := ch.secondMoments(E)
+	M, err := ch.secondMoments(sol, E)
 	if err != nil {
 		return Prediction{}, err
 	}
@@ -746,10 +799,10 @@ func (l *Lumped) Predict(s Spec) (Prediction, error) {
 		ExpectedInteractions: E[ch.start],
 		StdInteractions:      math.Sqrt(variance),
 		RelErrBudget:         RelErrExact,
-		States:               len(ch.nodes),
+		States:               ch.size(),
 	}
 	if s.Milestones {
-		ms, err := ch.milestoneTimes()
+		ms, err := ch.milestoneTimes(sol)
 		if err != nil {
 			return Prediction{}, err
 		}

@@ -2,6 +2,7 @@ package twin
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/harness"
@@ -103,7 +104,7 @@ func TestEnumerateLevelConsistent(t *testing.T) {
 		seen := make(map[string]bool, len(vecs))
 		counts := make([]int, p.NumStates())
 		for _, vec := range vecs {
-			key := vecKey(vec)
+			key := fmt.Sprint(vec)
 			if seen[key] {
 				t.Fatalf("level %d: duplicate vector %v", c, vec)
 			}

@@ -42,8 +42,9 @@ func fluidLen(k int) int { return 2*k - 2 }
 // fluid evaluates the finite-n drift of the reduced vector: expected
 // change per interaction, E[ΔY | Y], with exact ordered-pair counts.
 type fluid struct {
-	k int
-	t float64 // n(n−1), the ordered-pair normalizer
+	k    int
+	t    float64   // n(n−1), the ordered-pair normalizer
+	gSuf []float64 // drift's scratch
 }
 
 func (f *fluid) mIdx(i int) int { return i - 1 }       // i in 2..k−1
@@ -61,7 +62,10 @@ func (f *fluid) drift(y, dy []float64) {
 	c := y[f.cIdx()]
 	// g_i via Lemma 1: suffix sums of m and d over levels >= i.
 	// gSuf[i] = g_i for i = 1..k−1 (only rules 9/10 need them).
-	gSuf := make([]float64, k+1)
+	if len(f.gSuf) != k+1 {
+		f.gSuf = make([]float64, k+1)
+	}
+	gSuf := f.gSuf
 	gSuf[k] = c
 	for i := k - 1; i >= 1; i-- {
 		g := gSuf[i+1]
@@ -339,7 +343,7 @@ func entryDist(ch *lchain, f *fluid, y []float64) (ids []int, ws []float64) {
 	k := f.k
 	total := 0.0
 	for _, id := range floor {
-		vec := ch.nodes[id]
+		vec := ch.vec(id)
 		w := 1.0
 		for i := 2; i <= k-1; i++ {
 			w *= poissonPMF(y[f.mIdx(i)], int(vec[i]))
@@ -539,7 +543,7 @@ func (m *MeanField) Predict(s Spec) (Prediction, error) {
 		// not a parity-mixed smoothing of it, and the answer is exact.
 		entry := make([]int32, vecLen(k))
 		entry[0] = int32(n)
-		entryID, found := ch.index[vecKey(entry)]
+		entryID, found := ch.lookup(entry)
 		if !found {
 			return Prediction{}, fmt.Errorf("twin: entry state %v missing from endgame chain", entry)
 		}
@@ -549,14 +553,15 @@ func (m *MeanField) Predict(s Spec) (Prediction, error) {
 		if len(ids) == 0 {
 			// Degenerate weights; fall back to the rounded point mass.
 			entry := f.entryVec(fr.y, n, cStop)
-			entryID, found := ch.index[vecKey(entry)]
+			entryID, found := ch.lookup(entry)
 			if !found {
 				return Prediction{}, fmt.Errorf("twin: entry state %v missing from endgame chain", entry)
 			}
 			ids, ws = []int{entryID}, []float64{1}
 		}
 	}
-	E, M, err := ch.momentsCached()
+	sol := newLevelSolver(ch)
+	E, M, err := ch.momentsCached(sol)
 	if err != nil {
 		return Prediction{}, err
 	}
@@ -581,13 +586,13 @@ func (m *MeanField) Predict(s Spec) (Prediction, error) {
 		ExpectedInteractions: fr.tau + entryE,
 		StdInteractions:      math.Sqrt(endVar + fStd*fStd),
 		RelErrBudget:         RelErrFluid,
-		States:               len(ch.nodes),
+		States:               ch.size(),
 	}
 	if s.Milestones {
 		ms := make([]float64, q)
 		copy(ms, fr.crossings)
 		for j := cStop + 1; j <= q; j++ {
-			Ej, err := ch.hitLevel(j)
+			Ej, err := ch.hitLevel(sol, j)
 			if err != nil {
 				return Prediction{}, err
 			}

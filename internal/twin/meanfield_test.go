@@ -2,6 +2,8 @@ package twin
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/harness"
@@ -166,6 +168,49 @@ func TestMeanFieldDeterministicAndCached(t *testing.T) {
 	}
 }
 
+// One MeanField answers from several goroutines at once, as the
+// /v1/predict request goroutines share Auto's. Repeated and distinct
+// questions, with and without milestones, meet on the endgame-chain
+// cache and on each cached chain's memoized moments, and every answer
+// equals the one a fresh rung gives sequentially.
+func TestMeanFieldConcurrentPredict(t *testing.T) {
+	specs := []Spec{
+		{N: 200, K: 4}, {N: 960, K: 4, Milestones: true}, {N: 1000, K: 5}, {N: 611, K: 6},
+		{N: 300, K: 3, Milestones: true}, {N: 2503, K: 4}, {N: 4242, K: 6, Milestones: true}, {N: 500, K: 8},
+	}
+	want := make([]Prediction, len(specs))
+	for i, s := range specs {
+		pr, err := NewMeanField().Predict(s)
+		if err != nil {
+			t.Fatalf("Predict(%+v): %v", s, err)
+		}
+		want[i] = pr
+	}
+	m := NewMeanField()
+	const workers, rounds = 4, 2
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for j := range specs {
+					i := (j + 3*w) % len(specs) // each worker starts elsewhere
+					got, err := m.Predict(specs[i])
+					if err != nil {
+						t.Errorf("worker %d: Predict(%+v): %v", w, specs[i], err)
+						return
+					}
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("worker %d round %d: Predict(%+v) = %+v, sequentially %+v", w, r, specs[i], got, want[i])
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 func TestMeanFieldMilestonesShape(t *testing.T) {
 	pr, err := NewMeanField().Predict(Spec{N: 2000, K: 3, Milestones: true})
 	if err != nil {
@@ -215,7 +260,7 @@ func TestEntryDistNormalized(t *testing.T) {
 		if w < 0 {
 			t.Fatalf("negative weight %g", w)
 		}
-		if lv := level(ch.nodes[ids[i]]); lv != cStop {
+		if lv := int(ch.lvl[ids[i]]); lv != cStop {
 			t.Fatalf("entry state at level %d, want floor %d", lv, cStop)
 		}
 		sum += w

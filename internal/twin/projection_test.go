@@ -30,7 +30,7 @@ func TestLumpedProjectionIsExact(t *testing.T) {
 		proj := make([]int, len(ch.Graph.Nodes))
 		for i, node := range ch.Graph.Nodes {
 			encodeReduced(p, node.Counts, rvec)
-			id, ok := lch.index[vecKey(rvec)]
+			id, ok := lch.lookup(rvec)
 			if !ok {
 				t.Fatalf("n=%d k=%d: full node %d (%v) projects to unknown reduced vector %v",
 					fx.n, fx.k, i, node.Counts, rvec)
@@ -56,7 +56,7 @@ func TestLumpedProjectionIsExact(t *testing.T) {
 				t.Errorf("n=%d k=%d: node %d: self-loop %g vs %g", fx.n, fx.k, i, wantSelf, lch.self[li])
 			}
 			got := make(map[int]float64)
-			for _, e := range lch.out[li] {
+			for _, e := range lch.outOf(li) {
 				got[e.To] = e.P
 			}
 			if len(got) != len(want) {
