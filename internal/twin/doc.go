@@ -16,19 +16,26 @@
 //     back-substitution instead of whole-graph iteration), ALL ⌊n/k⌋
 //     milestones come from one forward occupancy pass instead of one
 //     solve each, and exact variances come from the same layered second-
-//     moment pass. That makes exact milestone curves practical at
+//     moment pass. Each level of up to 800 states is factored once per
+//     answer by a sparse LU in minimum-degree order (sparselu.go), and
+//     every one of those passes reuses the factor; larger levels run
+//     Gauss–Seidel. That makes exact milestone curves practical at
 //     populations where internal/markov's per-milestone solves are not.
 //     Its dispersion is that exact second moment.
 //
 //   - Rung 2 (MeanField, FidelityFluid): the finite-n mean-field drift of
 //     the same reduced vector, integrated as an ODE with adaptive RK4,
 //     plus an exact "endgame" sub-chain for the last few #gk levels where
-//     integer effects dominate and the fluid limit is blind. Answers in
-//     microseconds for arbitrary n; accuracy is a documented contract
-//     (see RelErrBudget), enforced in CI by `make twin-check` against
-//     recorded simulation means. Its dispersion is the fluid phase's
-//     Kurtz 1/√n spread added in quadrature with the endgame's exact
-//     variance.
+//     integer effects dominate and the fluid limit is blind. A cold
+//     answer takes milliseconds for n up to 10⁶ (BenchmarkColdPredict:
+//     ~3 ms mean on serve-mix's question grid on a 2-vCPU host) and up
+//     to about half a second at n = 10⁶, k = 8, almost all of it fluid
+//     integration; a repeat on the same MeanField reuses the endgame
+//     chain and its moments but integrates the fluid again. Accuracy is
+//     a documented contract (see RelErrBudget), enforced in CI by
+//     `make twin-check` against recorded simulation means. Its
+//     dispersion is the fluid phase's Kurtz 1/√n spread added in
+//     quadrature with the endgame's exact variance.
 //
 // Auto picks the highest-fidelity rung whose cost fits a state budget;
 // CrossValidate* are the hooks the accuracy gate and the tests use to

@@ -196,9 +196,6 @@ func reducedMoves(p *core.Protocol) (move []int32, deltas [][]int32) {
 		for s2 := 0; s2 < S; s2++ {
 			move[s1*S+s2] = -1
 			out, _ := p.Delta(protocol.State(s1), protocol.State(s2))
-			if int(out.P) == s1 && int(out.Q) == s2 {
-				continue
-			}
 			clear(unit)
 			unit[s1]--
 			unit[s2]--

@@ -408,7 +408,7 @@ type MeanField struct {
 
 // Endgame sizing defaults: 8 exact levels when they fit, shrinking to
 // whatever does; the budget keeps a cold prediction fast and the cache
-// keeps a warm one microseconds-fast.
+// spares a warm one the chain build and solve.
 const (
 	defaultEndgameLevels = 8
 	defaultEndgameBudget = 20_000
@@ -432,10 +432,10 @@ func (m *MeanField) Fidelity() Fidelity { return FidelityFluid }
 
 // chooseEndgame picks the deepest handoff level whose sub-chain
 // (#gk >= cStop) fits the budget AND whose floor level — the largest of
-// the sub-chain, since levels shrink as #gk grows — fits the dense solver
-// cap. The second condition keeps every endgame solve on the exact LU
-// path; the Gauss–Seidel fallback does not converge on the near-degenerate
-// level systems that large populations produce. cStop ranges from
+// the sub-chain, since levels shrink as #gk grows — fits the direct
+// solver's cap. The second condition keeps every endgame solve on the
+// exact sparse LU path; the Gauss–Seidel fallback does not converge on
+// the near-degenerate level systems that large populations produce. cStop ranges from
 // q − endgameLevels up to q−1 (the fluid's #gk tends to q, so any level
 // below q is crossed in finite time); q = 0 means the "endgame" is the
 // whole chain and the prediction is exact. ok=false means even one exact
