@@ -295,10 +295,11 @@ func enumerateLevel(p *core.Protocol, n, c int) [][]int32 {
 // on); grow checks that instead of assuming it.
 func (ch *lchain) grow(seeds [][]int32, budget int) error {
 	p, n, L := ch.p, ch.n, vecLen(ch.k)
-	ch.slots = make([]int32, 64)
-	for len(ch.slots) < 2*len(seeds) {
-		ch.slots = make([]int32, 2*len(ch.slots))
+	size := 64
+	for size < 2*len(seeds) {
+		size *= 2
 	}
+	ch.slots = make([]int32, size)
 	for _, s := range seeds {
 		ch.intern(s)
 	}
