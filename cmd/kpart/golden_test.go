@@ -39,7 +39,10 @@ var goldenCases = []goldenCase{
 	{name: "run-capped", steps: [][]string{argv("run -n 960 -k 8 -max 1000")}},
 	{name: "run-too-small", steps: [][]string{argv("run -n 2 -k 2")}},
 	{name: "verify", steps: [][]string{argv("verify -kmax 3 -nmax 6 -v")}},
-	{name: "exact", steps: [][]string{argv("exact -k 3 -nmax 6 -sim 50")}},
+	{name: "exact", steps: [][]string{
+		argv("exact -k 3 -nmax 6 -sim 50"),
+		argv("exact -k 5 -nmax 14 -sim 0"),
+	}},
 	{name: "predict", steps: [][]string{
 		argv("predict -n 960 -k 4 -milestones"),
 		argv("predict -n 960 -k 4 -milestones -json"),
