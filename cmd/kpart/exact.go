@@ -2,9 +2,13 @@ package main
 
 // kpart exact computes EXACT expected stabilization times for small
 // populations by solving the configuration Markov chain under the
-// uniform-random scheduler (internal/markov), and optionally contrasts
-// them with simulation means — a bias check for the whole simulation
-// stack, and the exact version of Figure 3 at small n.
+// uniform-random scheduler, and optionally contrasts them with simulation
+// means — a bias check for the whole simulation stack, and the exact
+// version of Figure 3 at small n. The chain is the twin's exact rung
+// (internal/twin's Lumped): the configuration chain with the g-counts
+// dropped, which Lemma 1 makes isomorphic to the full one, so `configs`
+// counts configurations either way. A population whose chain exceeds
+// twin.DefaultStateBudget states fails.
 //
 //	kpart exact -k 3 -nmax 12 [-sim 2000] [-seed 5]
 
@@ -13,12 +17,11 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/markov"
 	"repro/internal/report"
 	"repro/internal/rng"
 	"repro/internal/stats"
+	"repro/internal/twin"
 )
 
 func exactCmd(_ context.Context, args []string) error {
@@ -36,22 +39,18 @@ func exactCmd(_ context.Context, args []string) error {
 	if *nmin > *nmax {
 		return usagef("-nmin %d exceeds -nmax %d", *nmin, *nmax)
 	}
-
-	p, err := core.New(*k)
-	if err != nil {
+	if err := harness.ValidatePartition(*nmin, *k); err != nil {
 		return usageError{err}
 	}
+
+	rung := twin.NewLumped()
 	tbl := report.NewTable("n", "configs", "exact_E[interactions]", "sim_mean", "sim_ci95", "zscore")
 	for n := *nmin; n <= *nmax; n++ {
-		ch, err := markov.New(p, n)
+		pr, err := rung.Predict(twin.Spec{N: n, K: *k})
 		if err != nil {
 			return err
 		}
-		E, err := ch.HittingTimes(1e-10, 0)
-		if err != nil {
-			return fmt.Errorf("n=%d: %w", n, err)
-		}
-		exact := E[0]
+		exact := pr.ExpectedInteractions
 		simMean, simCI := "", ""
 		z := ""
 		if *trials > 0 {
@@ -73,7 +72,7 @@ func exactCmd(_ context.Context, args []string) error {
 				z = report.FormatFloat((s.Mean - exact) / (ci / 1.96))
 			}
 		}
-		tbl.AddRow(n, len(ch.Graph.Nodes), exact, simMean, simCI, z)
+		tbl.AddRow(n, pr.States, exact, simMean, simCI, z)
 	}
 	fmt.Printf("Exact expected interactions to stability, k=%d (uniform-random scheduler)\n", *k)
 	tbl.WriteTo(os.Stdout)

@@ -48,7 +48,7 @@ func relErr(got, want float64) float64 {
 // agreement is at solver tolerance, ~1e−9).
 func CrossValidateExact(n, k int) (ExactReport, error) {
 	rep := ExactReport{N: n, K: k}
-	pr, err := NewLumped(DefaultStateBudget).Predict(Spec{N: n, K: k, Milestones: true})
+	pr, err := NewLumped().Predict(Spec{N: n, K: k, Milestones: true})
 	if err != nil {
 		return rep, err
 	}

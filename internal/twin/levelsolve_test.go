@@ -137,11 +137,11 @@ func levelChains(t *testing.T) []levelChain {
 		chains = append(chains, levelChain{fmt.Sprintf("lumped n=%d k=%d", fx.n, fx.k), ch})
 	}
 	for _, fx := range []struct{ n, k int }{{200, 4}, {377, 5}, {2000, 3}, {4242, 6}, {100_000, 8}, {1_000_000, 4}} {
-		cStop, ok := NewMeanField().chooseEndgame(fx.n, fx.k, fx.n/fx.k)
+		cStop, ok := chooseEndgame(fx.n, fx.k, fx.n/fx.k)
 		if !ok {
 			t.Fatalf("n=%d k=%d: no endgame fits", fx.n, fx.k)
 		}
-		ch, err := buildEndgame(harness.Proto(fx.k), fx.n, cStop, 0)
+		ch, err := buildEndgame(harness.Proto(fx.k), fx.n, cStop)
 		if err != nil {
 			t.Fatal(err)
 		}

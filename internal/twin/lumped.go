@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/protocol"
@@ -72,17 +71,28 @@ type lchain struct {
 	// levels[c − cMin] lists node ids with #gk = c, in build order.
 	levels [][]int
 	start  int // node id of the all-initial configuration; −1 for endgame chains
-
-	// Lazily solved first/second moments of the stable hitting time,
-	// shared across Predict calls on a cached chain.
-	mu      sync.Mutex
-	solvedE []float64
-	solvedM []float64
 }
 
 // vecLen returns the reduced-vector length for k: a, b, k−2 m-counts,
 // k−2 d-counts, c.
 func vecLen(k int) int { return 2*k - 1 }
+
+// slotWeights returns each reduced-vector slot's weight in the population
+// identity n = a + b + Σ i·m_i + Σ (i+1)·d_i + k·c, in vector order: a
+// and b weigh 1, m_i weighs i (itself plus the i−1 g-agents its Lemma 1
+// terms imply), d_i weighs i+1 and c weighs k.
+func slotWeights(k int) []int {
+	w := make([]int, vecLen(k))
+	w[0], w[1] = 1, 1
+	for i := 2; i <= k-1; i++ {
+		w[i] = i
+	}
+	for i := 1; i <= k-2; i++ {
+		w[k+i-1] = i + 1
+	}
+	w[2*k-2] = k
+	return w
+}
 
 // decodeFull expands a reduced vector into a dense state-count vector,
 // reconstructing the g-counts through the Lemma 1 identity.
@@ -231,15 +241,16 @@ func buildLumped(p *core.Protocol, n, budget int) (*lchain, error) {
 // Lemma-1-consistent state with #gk >= cMin — the states the chain can
 // occupy once the fluid phase has filled all but the last few groups.
 // Seeding with ALL states of level cMin (not just reachable ones) is
-// deliberate: the mean-field handoff enters at whichever state the fluid
-// trajectory rounds to.
-func buildEndgame(p *core.Protocol, n, cMin, budget int) (*lchain, error) {
+// deliberate: the mean-field handoff enters at a distribution over the
+// whole floor level. The caller sizes cMin (chooseEndgame), so the build
+// takes no budget.
+func buildEndgame(p *core.Protocol, n, cMin int) (*lchain, error) {
 	ch := &lchain{p: p, n: n, k: p.K(), cMin: cMin, start: -1}
 	seeds := enumerateLevel(p, n, cMin)
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("twin: no states at level %d for n=%d k=%d", cMin, n, p.K())
 	}
-	return ch, ch.grow(seeds, budget)
+	return ch, ch.grow(seeds, 0)
 }
 
 // enumerateLevel lists every reduced vector with #gk = c: all (a, b, m, d)
@@ -252,22 +263,15 @@ func enumerateLevel(p *core.Protocol, n, c int) [][]int32 {
 	if residual < 0 {
 		return nil
 	}
-	// Weighted positions beyond (a, b): m_i costs i (itself plus the i−1
-	// g-agents its Lemma 1 terms imply), d_i costs i+1.
-	type slot struct{ idx, w int }
-	var slots []slot
-	for i := 2; i <= k-1; i++ {
-		slots = append(slots, slot{i, i})
-	}
-	for i := 1; i <= k-2; i++ {
-		slots = append(slots, slot{k + i - 1, i + 1})
-	}
+	// The m and d slots, 2..L−2, take every count their weight allows;
+	// a and b split what is left.
+	w := slotWeights(k)
 	var out [][]int32
 	vec := make([]int32, L)
 	vec[L-1] = int32(c)
-	var rec func(si, left int)
-	rec = func(si, left int) {
-		if si == len(slots) {
+	var rec func(idx, left int)
+	rec = func(idx, left int) {
+		if idx == L-1 {
 			for a := 0; a <= left; a++ {
 				v := append([]int32(nil), vec...)
 				v[0], v[1] = int32(a), int32(left-a)
@@ -275,15 +279,43 @@ func enumerateLevel(p *core.Protocol, n, c int) [][]int32 {
 			}
 			return
 		}
-		s := slots[si]
-		for cnt := 0; cnt*s.w <= left; cnt++ {
-			vec[s.idx] = int32(cnt)
-			rec(si+1, left-cnt*s.w)
+		for cnt := 0; cnt*w[idx] <= left; cnt++ {
+			vec[idx] = int32(cnt)
+			rec(idx+1, left-cnt*w[idx])
 		}
-		vec[s.idx] = 0
+		vec[idx] = 0
 	}
-	rec(0, residual)
+	rec(2, residual)
 	return out
+}
+
+// levelCounts returns, for every residual weight r = 0..maxResidual, the
+// number of (a, b, m, d) splits of r — the states of a #gk level whose
+// non-gk agents weigh r — each saturating at limit. It is one DP over the
+// slot weights but c, counting the non-negative solutions of Σ w_i·x_i =
+// r; a saturated entry is exactly min(count, limit).
+func levelCounts(k, maxResidual, limit int) []int {
+	w := slotWeights(k)
+	dp := make([]int, maxResidual+1)
+	dp[0] = 1
+	for _, w := range w[:len(w)-1] {
+		for s := w; s <= maxResidual; s++ {
+			dp[s] = min(dp[s]+dp[s-w], limit)
+		}
+	}
+	return dp
+}
+
+// endgameCount counts the reduced states with #gk >= cStop, saturating
+// at limit; endgameCount(n, k, 0, limit) counts every reduced vector of
+// (n, k).
+func endgameCount(n, k, cStop, limit int) int {
+	counts := levelCounts(k, n-k*cStop, limit)
+	total := 0
+	for c := cStop; k*c <= n; c++ {
+		total = min(total+counts[n-k*c], limit)
+	}
+	return total
 }
 
 // grow explores from the seed vectors, building nodes, edges, levels and
@@ -411,7 +443,7 @@ const (
 // call. Each level's factorization is kept for the solver's lifetime and
 // reused by every later pass over the same transient set — the hitting,
 // second-moment and occupancy passes and each milestone's hitting pass —
-// so a cached chain retains no factors between calls.
+// and goes with the solver when the call returns.
 type levelSolver struct {
 	ch    *lchain
 	local []int32     // node id → index among the level's transient nodes, −1 elsewhere
@@ -572,24 +604,16 @@ func (ch *lchain) solveHitting(s *levelSolver, absorb []bool) ([]float64, error)
 	return E, nil
 }
 
-// momentsCached returns the stable-hitting first and second moments,
-// solving once and memoizing — cached endgame chains are reused across
-// Predict calls (and goroutines), and the solve is the expensive part.
-func (ch *lchain) momentsCached(s *levelSolver) (E, M []float64, err error) {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if ch.solvedE == nil {
-		E, err := ch.solveHitting(s, ch.stable)
-		if err != nil {
-			return nil, nil, err
-		}
-		M, err := ch.secondMoments(s, E)
-		if err != nil {
-			return nil, nil, err
-		}
-		ch.solvedE, ch.solvedM = E, M
+// moments returns the first and second moments of the stable hitting
+// time from every node.
+func (ch *lchain) moments(s *levelSolver) (E, M []float64, err error) {
+	if E, err = ch.solveHitting(s, ch.stable); err != nil {
+		return nil, nil, err
 	}
-	return ch.solvedE, ch.solvedM, nil
+	if M, err = ch.secondMoments(s, E); err != nil {
+		return nil, nil, err
+	}
+	return E, M, nil
 }
 
 // hitLevel returns expected interactions until #gk first reaches j.
@@ -708,54 +732,16 @@ func LumpedFits(n, k, budget int) bool {
 	if n >= k && n*(n/k)/2 > budget {
 		return false
 	}
-	return lumpedCount(n, k, budget+1) <= budget
-}
-
-// lumpedCount counts reduced vectors for (n, k), saturating at limit: the
-// non-negative solutions of the population identity, a DP over its slot
-// weights (a and b weigh 1, m_i weighs i, d_i weighs i+1, c weighs k).
-func lumpedCount(n, k, limit int) int {
-	w := []int{1, 1} // a and b
-	for i := 2; i <= k-1; i++ {
-		w = append(w, i)
-	}
-	for i := 1; i <= k-2; i++ {
-		w = append(w, i+1)
-	}
-	w = append(w, k) // c
-	return countSolutions(n, w, limit)
-}
-
-// countSolutions counts non-negative integer solutions of Σ w_i·x_i = n,
-// saturating at limit (the caller only needs "≤ budget or not").
-func countSolutions(n int, weights []int, limit int) int {
-	dp := make([]int, n+1)
-	dp[0] = 1
-	for _, w := range weights {
-		for s := w; s <= n; s++ {
-			dp[s] += dp[s-w]
-			if dp[s] > limit {
-				dp[s] = limit
-			}
-		}
-	}
-	return dp[n]
+	return endgameCount(n, k, 0, budget+1) <= budget
 }
 
 // Lumped is rung 1 of the ladder: exact expectations from the lumped
-// chain for every (n, k) whose reduced state space fits its budget.
-type Lumped struct {
-	budget int
-}
+// chain for every (n, k) whose reduced state space fits
+// DefaultStateBudget. It holds no state.
+type Lumped struct{}
 
-// NewLumped returns the exact rung with the given state budget (<= 0
-// means DefaultStateBudget).
-func NewLumped(budget int) *Lumped {
-	if budget <= 0 {
-		budget = DefaultStateBudget
-	}
-	return &Lumped{budget: budget}
-}
+// NewLumped returns the exact rung.
+func NewLumped() *Lumped { return &Lumped{} }
 
 // Name implements Model.
 func (l *Lumped) Name() string { return "lumped" }
@@ -773,16 +759,12 @@ func (l *Lumped) Predict(s Spec) (Prediction, error) {
 	if err != nil {
 		return Prediction{}, fmt.Errorf("twin: %v", err)
 	}
-	ch, err := buildLumped(p, s.N, l.budget)
+	ch, err := buildLumped(p, s.N, DefaultStateBudget)
 	if err != nil {
 		return Prediction{}, err
 	}
 	sol := newLevelSolver(ch)
-	E, err := ch.solveHitting(sol, ch.stable)
-	if err != nil {
-		return Prediction{}, err
-	}
-	M, err := ch.secondMoments(sol, E)
+	E, M, err := ch.moments(sol)
 	if err != nil {
 		return Prediction{}, err
 	}

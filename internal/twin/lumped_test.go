@@ -32,7 +32,7 @@ func TestLumpedMatchesMarkovExactly(t *testing.T) {
 }
 
 func TestLumpedMilestonesShape(t *testing.T) {
-	pr, err := NewLumped(DefaultStateBudget).Predict(Spec{N: 13, K: 3, Milestones: true})
+	pr, err := NewLumped().Predict(Spec{N: 13, K: 3, Milestones: true})
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
@@ -59,7 +59,7 @@ func TestLumpedMilestonesShape(t *testing.T) {
 // disagree.
 func TestLumpedBijectsOntoFullChain(t *testing.T) {
 	for _, fx := range exactFixtures {
-		pr, err := NewLumped(DefaultStateBudget).Predict(Spec{N: fx.n, K: fx.k})
+		pr, err := NewLumped().Predict(Spec{N: fx.n, K: fx.k})
 		if err != nil {
 			t.Fatalf("Predict(%d, %d): %v", fx.n, fx.k, err)
 		}
@@ -71,9 +71,10 @@ func TestLumpedBijectsOntoFullChain(t *testing.T) {
 			t.Errorf("n=%d k=%d: lumped %d states, full chain %d — projection is not a bijection",
 				fx.n, fx.k, pr.States, full)
 		}
-		// lumpedCount enumerates all Lemma-1-consistent vectors, a superset
-		// of the reachable set, so it must upper-bound the built chain.
-		if cap := lumpedCount(fx.n, fx.k, 1<<30); pr.States > cap {
+		// endgameCount from level 0 counts all Lemma-1-consistent vectors,
+		// a superset of the reachable set, so it must upper-bound the
+		// built chain.
+		if cap := endgameCount(fx.n, fx.k, 0, 1<<30); pr.States > cap {
 			t.Errorf("n=%d k=%d: built %d states above enumeration bound %d",
 				fx.n, fx.k, pr.States, cap)
 		}
@@ -81,7 +82,7 @@ func TestLumpedBijectsOntoFullChain(t *testing.T) {
 }
 
 func TestLumpedBudgetExceeded(t *testing.T) {
-	_, err := NewLumped(3).Predict(Spec{N: 30, K: 3})
+	_, err := buildLumped(harness.Proto(3), 30, 3)
 	if err == nil {
 		t.Fatal("expected budget error, got nil")
 	}
@@ -89,7 +90,7 @@ func TestLumpedBudgetExceeded(t *testing.T) {
 
 func TestLumpedRejectsInvalidSpec(t *testing.T) {
 	for _, s := range []Spec{{N: 0, K: 3}, {N: 10, K: 1}, {N: -2, K: 2}} {
-		_, err := NewLumped(DefaultStateBudget).Predict(s)
+		_, err := NewLumped().Predict(s)
 		if !errors.Is(err, harness.ErrInvalidSpec) {
 			t.Errorf("Predict(%+v): err = %v, want ErrInvalidSpec", s, err)
 		}
@@ -125,13 +126,13 @@ func TestEnumerateLevelConsistent(t *testing.T) {
 }
 
 func TestSelectPicksRungByBudget(t *testing.T) {
-	if m := Select(10, 3, DefaultStateBudget); m.Name() != "lumped" {
+	if m := Select(10, 3); m.Name() != "lumped" {
 		t.Errorf("Select(10, 3) = %s, want lumped", m.Name())
 	}
-	if m := Select(100_000, 3, DefaultStateBudget); m.Name() != "meanfield" {
+	if m := Select(100_000, 3); m.Name() != "meanfield" {
 		t.Errorf("Select(100000, 3) = %s, want meanfield", m.Name())
 	}
-	if m := Select(10, 3, 1); m.Name() != "meanfield" {
-		t.Errorf("Select(10, 3, budget 1) = %s, want meanfield", m.Name())
+	if LumpedFits(10, 3, 1) {
+		t.Error("LumpedFits(10, 3, budget 1) = true, want false")
 	}
 }

@@ -3,8 +3,6 @@ package twin
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 
 	"repro/internal/core"
 )
@@ -271,60 +269,6 @@ func (f *fluid) integrate(n, cStop int) (fluidResult, error) {
 	return res, fmt.Errorf("twin: fluid did not reach #gk=%d within %d steps (stalled at %g)", cStop, fluidMaxSteps, y[ci])
 }
 
-// entryVec rounds the fluid state at the handoff to a canonical reduced
-// vector at level cStop with the exact residual population: m and d round
-// to nearest (greedily trimmed if the weighted sum overshoots), the
-// leftover becomes free agents split as evenly as parity mixing leaves
-// them.
-func (f *fluid) entryVec(y []float64, n, cStop int) []int32 {
-	k := f.k
-	vec := make([]int32, vecLen(k))
-	vec[2*k-2] = int32(cStop)
-	residual := n - k*cStop
-	type slot struct {
-		idx int // position in vec
-		w   int
-		val float64
-	}
-	var slots []slot
-	for i := 2; i <= k-1; i++ {
-		slots = append(slots, slot{idx: i, w: i, val: y[f.mIdx(i)]})
-	}
-	for i := 1; i <= k-2; i++ {
-		slots = append(slots, slot{idx: k + i - 1, w: i + 1, val: y[f.dIdx(i)]})
-	}
-	used := 0
-	for _, s := range slots {
-		cnt := int(math.Round(s.val))
-		if cnt < 0 {
-			cnt = 0
-		}
-		vec[s.idx] = int32(cnt)
-		used += cnt * s.w
-	}
-	// Trim overshoot, heaviest slots first, so free agents stay >= 0.
-	if used > residual {
-		sort.Slice(slots, func(a, b int) bool { return slots[a].w > slots[b].w })
-		for used > residual {
-			trimmed := false
-			for _, s := range slots {
-				for vec[s.idx] > 0 && used > residual {
-					vec[s.idx]--
-					used -= s.w
-					trimmed = true
-				}
-			}
-			if !trimmed {
-				break
-			}
-		}
-	}
-	free := residual - used
-	vec[0] = int32((free + 1) / 2)
-	vec[1] = int32(free / 2)
-	return vec
-}
-
 // entryDist approximates the configuration distribution at the moment
 // #gk first reaches the handoff level, as weights over the endgame
 // chain's floor-level states: independent Poisson marginals for each m/d
@@ -393,36 +337,20 @@ func binomialHalfPMF(a, b int) float64 {
 }
 
 // MeanField is rung 2 of the ladder: fluid bulk dynamics plus the exact
-// endgame sub-chain, for arbitrary populations. Safe for concurrent use;
-// built endgame chains are cached per (n, k).
-type MeanField struct {
-	// endgameLevels is the preferred number of exactly-solved #gk levels
-	// (J); the effective J shrinks if the sub-chain would exceed
-	// endgameBudget states.
-	endgameLevels int
-	endgameBudget int
+// endgame sub-chain, for arbitrary populations. It holds no state: every
+// answer builds and solves its own endgame chain.
+type MeanField struct{}
 
-	mu    sync.Mutex
-	cache map[[2]int]*lchain // keyed by (n, k); cleared when it outgrows cacheCap
-}
-
-// Endgame sizing defaults: 8 exact levels when they fit, shrinking to
-// whatever does; the budget keeps a cold prediction fast and the cache
-// spares a warm one the chain build and solve.
+// Endgame sizing: endgameLevels exactly-solved #gk levels (J) when they
+// fit, fewer when the sub-chain would exceed endgameBudget states; the
+// budget keeps a cold prediction fast.
 const (
-	defaultEndgameLevels = 8
-	defaultEndgameBudget = 20_000
-	meanFieldCacheCap    = 32
+	endgameLevels = 8
+	endgameBudget = 20_000
 )
 
-// NewMeanField returns the mean-field rung with default endgame sizing.
-func NewMeanField() *MeanField {
-	return &MeanField{
-		endgameLevels: defaultEndgameLevels,
-		endgameBudget: defaultEndgameBudget,
-		cache:         make(map[[2]int]*lchain),
-	}
-}
+// NewMeanField returns the mean-field rung.
+func NewMeanField() *MeanField { return &MeanField{} }
 
 // Name implements Model.
 func (m *MeanField) Name() string { return "meanfield" }
@@ -440,74 +368,19 @@ func (m *MeanField) Fidelity() Fidelity { return FidelityFluid }
 // below q is crossed in finite time); q = 0 means the "endgame" is the
 // whole chain and the prediction is exact. ok=false means even one exact
 // level is too big (extreme k) and the caller must fall back.
-func (m *MeanField) chooseEndgame(n, k, q int) (cStop int, ok bool) {
-	lo := q - m.endgameLevels
-	if lo < 0 {
-		lo = 0
-	}
-	hi := q - 1
-	if q == 0 {
-		hi = 0
-	}
+func chooseEndgame(n, k, q int) (cStop int, ok bool) {
+	lo := max(q-endgameLevels, 0)
+	hi := max(q-1, 0)
 	for stop := lo; stop <= hi; stop++ {
-		if levelCount(n-k*stop, k, denseLevelCap+1) > denseLevelCap {
+		floor := n - k*stop
+		if levelCounts(k, floor, denseLevelCap+1)[floor] > denseLevelCap {
 			continue
 		}
-		if endgameCount(n, k, stop, m.endgameBudget+1) <= m.endgameBudget {
+		if endgameCount(n, k, stop, endgameBudget+1) <= endgameBudget {
 			return stop, true
 		}
 	}
 	return 0, false
-}
-
-// endgameCount counts reduced states with #gk >= cStop, saturating at
-// limit.
-func endgameCount(n, k, cStop, limit int) int {
-	total := 0
-	for c := cStop; k*c <= n; c++ {
-		residual := n - k*c
-		total += levelCount(residual, k, limit)
-		if total > limit {
-			return limit
-		}
-	}
-	return total
-}
-
-// levelCount counts the (a, b, m, d) splits of a residual weight — the
-// states of one #gk level.
-func levelCount(residual, k, limit int) int {
-	w := []int{1, 1} // a and b
-	for i := 2; i <= k-1; i++ {
-		w = append(w, i)
-	}
-	for i := 1; i <= k-2; i++ {
-		w = append(w, i+1)
-	}
-	return countSolutions(residual, w, limit)
-}
-
-// endgameChain returns the (possibly cached) endgame sub-chain for (n, k)
-// at the given floor level.
-func (m *MeanField) endgameChain(p *core.Protocol, n, cStop int) (*lchain, error) {
-	key := [2]int{n, p.K()}
-	m.mu.Lock()
-	ch, ok := m.cache[key]
-	m.mu.Unlock()
-	if ok && ch.cMin == cStop {
-		return ch, nil
-	}
-	ch, err := buildEndgame(p, n, cStop, 0)
-	if err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	if len(m.cache) >= meanFieldCacheCap {
-		m.cache = make(map[[2]int]*lchain)
-	}
-	m.cache[key] = ch
-	m.mu.Unlock()
-	return ch, nil
 }
 
 // Predict implements Model: integrate the fluid to the handoff level,
@@ -524,7 +397,7 @@ func (m *MeanField) Predict(s Spec) (Prediction, error) {
 	n, k := s.N, s.K
 	q := n / k
 	f := &fluid{k: k, t: float64(n) * float64(n-1)}
-	cStop, ok := m.chooseEndgame(n, k, q)
+	cStop, ok := chooseEndgame(n, k, q)
 	if !ok {
 		return m.predictFluidOnly(s, f, q)
 	}
@@ -532,7 +405,7 @@ func (m *MeanField) Predict(s Spec) (Prediction, error) {
 	if err != nil {
 		return Prediction{}, err
 	}
-	ch, err := m.endgameChain(p, n, cStop)
+	ch, err := buildEndgame(p, n, cStop)
 	if err != nil {
 		return Prediction{}, err
 	}
@@ -548,20 +421,11 @@ func (m *MeanField) Predict(s Spec) (Prediction, error) {
 			return Prediction{}, fmt.Errorf("twin: entry state %v missing from endgame chain", entry)
 		}
 		ids, ws = []int{entryID}, []float64{1}
-	} else {
-		ids, ws = entryDist(ch, f, fr.y)
-		if len(ids) == 0 {
-			// Degenerate weights; fall back to the rounded point mass.
-			entry := f.entryVec(fr.y, n, cStop)
-			entryID, found := ch.lookup(entry)
-			if !found {
-				return Prediction{}, fmt.Errorf("twin: entry state %v missing from endgame chain", entry)
-			}
-			ids, ws = []int{entryID}, []float64{1}
-		}
+	} else if ids, ws = entryDist(ch, f, fr.y); ids == nil {
+		return Prediction{}, fmt.Errorf("twin: no entry weight on level %d for n=%d k=%d", cStop, n, k)
 	}
 	sol := newLevelSolver(ch)
-	E, M, err := ch.momentsCached(sol)
+	E, M, err := ch.moments(sol)
 	if err != nil {
 		return Prediction{}, err
 	}

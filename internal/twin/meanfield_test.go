@@ -22,7 +22,7 @@ func TestMeanFieldTracksExact(t *testing.T) {
 	for _, fx := range []struct{ n, k int }{
 		{20, 2}, {40, 2}, {30, 3}, {60, 3}, {24, 4}, {32, 4}, {25, 5}, {30, 5},
 	} {
-		ex, err := NewLumped(DefaultStateBudget).Predict(Spec{N: fx.n, K: fx.k})
+		ex, err := NewLumped().Predict(Spec{N: fx.n, K: fx.k})
 		if err != nil {
 			t.Fatalf("lumped(%d, %d): %v", fx.n, fx.k, err)
 		}
@@ -151,9 +151,8 @@ func TestMeanFieldFluidOnlyFallback(t *testing.T) {
 	}
 }
 
-// Warm predictions reuse the cached endgame chain and its solved moments;
-// byte-identical spec → identical prediction.
-func TestMeanFieldDeterministicAndCached(t *testing.T) {
+// Two answers to one spec are identical.
+func TestMeanFieldDeterministic(t *testing.T) {
 	m := NewMeanField()
 	a, err := m.Predict(Spec{N: 5000, K: 3, Milestones: false})
 	if err != nil {
@@ -164,15 +163,16 @@ func TestMeanFieldDeterministicAndCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.ExpectedInteractions != b.ExpectedInteractions || a.StdInteractions != b.StdInteractions {
-		t.Errorf("warm prediction diverged: %+v vs %+v", a, b)
+		t.Errorf("repeat prediction diverged: %+v vs %+v", a, b)
 	}
 }
 
 // One MeanField answers from several goroutines at once, as the
-// /v1/predict request goroutines share Auto's. Repeated and distinct
-// questions, with and without milestones, meet on the endgame-chain
-// cache and on each cached chain's memoized moments, and every answer
-// equals the one a fresh rung gives sequentially.
+// /v1/predict request goroutines share Auto's rungs. Repeated and
+// distinct questions, with and without milestones, run side by side, so
+// any mutable state the rung shares across calls shows up under the race
+// detector, and every answer equals the one a fresh rung gives
+// sequentially.
 func TestMeanFieldConcurrentPredict(t *testing.T) {
 	specs := []Spec{
 		{N: 200, K: 4}, {N: 960, K: 4, Milestones: true}, {N: 1000, K: 5}, {N: 611, K: 6},
@@ -236,9 +236,8 @@ func TestMeanFieldMilestonesShape(t *testing.T) {
 // whose mean residual composition tracks the fluid state it smooths.
 func TestEntryDistNormalized(t *testing.T) {
 	n, k := 2000, 3
-	m := NewMeanField()
 	q := n / k
-	cStop, ok := m.chooseEndgame(n, k, q)
+	cStop, ok := chooseEndgame(n, k, q)
 	if !ok || cStop == 0 {
 		t.Fatalf("chooseEndgame(%d, %d) = %d, %v", n, k, cStop, ok)
 	}
@@ -247,7 +246,7 @@ func TestEntryDistNormalized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, err := m.endgameChain(harness.Proto(k), n, cStop)
+	ch, err := buildEndgame(harness.Proto(k), n, cStop)
 	if err != nil {
 		t.Fatal(err)
 	}

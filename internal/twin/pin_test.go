@@ -57,7 +57,7 @@ type pinnedPrediction struct {
 func predictPinned(rung string, s Spec) (Prediction, error) {
 	switch rung {
 	case "lumped":
-		return NewLumped(DefaultStateBudget).Predict(s)
+		return NewLumped().Predict(s)
 	case "meanfield":
 		return NewMeanField().Predict(s)
 	}

@@ -94,40 +94,29 @@ type Model interface {
 	Predict(s Spec) (Prediction, error)
 }
 
-// DefaultStateBudget is the largest lumped chain Auto is willing to solve
-// exactly before dropping to the mean-field rung: 200k states keeps the
-// exact answer under ~1 s while covering populations far beyond
-// internal/markov's full configuration graph.
+// DefaultStateBudget is the largest lumped chain the exact rung solves:
+// Lumped.Predict fails above it, and Auto drops to the mean-field rung
+// instead. 200k states keeps the exact answer under ~1 s while covering
+// populations far beyond internal/markov's full configuration graph.
 const DefaultStateBudget = 200_000
 
-// The shared default rungs: Lumped is stateless, MeanField caches its
-// endgame chains, so Auto's repeat questions stay warm.
-var (
-	defaultLumped    = NewLumped(DefaultStateBudget)
-	defaultMeanField = NewMeanField()
-)
-
-// Select returns the highest-fidelity rung that can answer (n, k) within
-// the given state budget: the lumped chain when the reduced state space
-// fits, the mean-field model otherwise.
-func Select(n, k, budget int) Model {
-	if LumpedFits(n, k, budget) {
-		if budget == DefaultStateBudget {
-			return defaultLumped
-		}
-		return NewLumped(budget)
+// Select returns the highest-fidelity rung that can answer (n, k): the
+// lumped chain when the reduced state space fits DefaultStateBudget, the
+// mean-field model otherwise.
+func Select(n, k int) Model {
+	if LumpedFits(n, k, DefaultStateBudget) {
+		return NewLumped()
 	}
-	return defaultMeanField
+	return NewMeanField()
 }
 
-// Auto validates the spec, picks the rung with Select under the default
-// budget, and answers. This is what POST /v1/predict and `kpart predict`
-// call.
+// Auto validates the spec, picks the rung with Select, and answers. This
+// is what POST /v1/predict and `kpart predict` call.
 func Auto(s Spec) (Prediction, error) {
 	if err := s.Validate(); err != nil {
 		return Prediction{}, err
 	}
-	return Select(s.N, s.K, DefaultStateBudget).Predict(s)
+	return Select(s.N, s.K).Predict(s)
 }
 
 // finishPrediction fills the derived interval fields from the mean and
