@@ -191,36 +191,79 @@ func (ch *lchain) intern(vec []int32) int {
 	return id
 }
 
+// vecDelta is what one interaction does to the reduced vector: an agent
+// leaves each slot of from and joins each slot of to (−1: no slot, for
+// the g-states below gk, which the vector leaves out). A slot on both
+// sides cancels and each side is sorted, so equal deltas are equal values.
+type vecDelta struct{ from, to [2]int32 }
+
+func newVecDelta(from, to [2]int32) vecDelta {
+	for i := range from {
+		for j := range to {
+			if from[i] >= 0 && from[i] == to[j] {
+				from[i], to[j] = -1, -1
+				break
+			}
+		}
+	}
+	if from[0] > from[1] {
+		from[0], from[1] = from[1], from[0]
+	}
+	if to[0] > to[1] {
+		to[0], to[1] = to[1], to[0]
+	}
+	return vecDelta{from, to}
+}
+
+// apply writes vec moved by d into out.
+func (d vecDelta) apply(vec, out []int32) {
+	copy(out, vec)
+	for i := range d.from {
+		if d.from[i] >= 0 {
+			out[d.from[i]]--
+		}
+		if d.to[i] >= 0 {
+			out[d.to[i]]++
+		}
+	}
+}
+
 // reducedMoves tabulates what each ordered state pair does to the
-// reduced vector. Encoding is linear in the counts, so a rule moves the
-// vector by the same delta at every node: move[s1·S+s2] is −1 when the
-// pair leaves the vector unchanged (a null or identity rule), else an
-// index into deltas, which lists each distinct nonzero delta once.
-func reducedMoves(p *core.Protocol) (move []int32, deltas [][]int32) {
+// reduced vector. Encoding is linear in the counts, and each state counts
+// in at most one slot, so a rule moves the vector by the same sparse
+// delta at every node: move[s1·S+s2] is −1 when the pair leaves the
+// vector unchanged (a null or identity rule), else an index into deltas,
+// which lists each distinct nonzero delta once. The table costs O(1) per
+// pair, so even k = harness.MaxK tabulates in about a second.
+func reducedMoves(p *core.Protocol) (move []int32, deltas []vecDelta) {
 	S := p.NumStates()
-	L := vecLen(p.K())
-	move = make([]int32, S*S)
+	slot := make([]int32, S) // the slot each state counts in, −1 for none
 	unit := make([]int, S)
-	d := make([]int32, L)
+	vec := make([]int32, vecLen(p.K()))
+	for s := range slot {
+		clear(unit)
+		unit[s] = 1
+		encodeReduced(p, unit, vec)
+		slot[s] = int32(slices.Index(vec, 1))
+	}
+	index := make(map[vecDelta]int32)
+	none := vecDelta{[2]int32{-1, -1}, [2]int32{-1, -1}}
+	move = make([]int32, S*S)
 	for s1 := 0; s1 < S; s1++ {
 		for s2 := 0; s2 < S; s2++ {
-			move[s1*S+s2] = -1
 			out, _ := p.Delta(protocol.State(s1), protocol.State(s2))
-			clear(unit)
-			unit[s1]--
-			unit[s2]--
-			unit[out.P]++
-			unit[out.Q]++
-			encodeReduced(p, unit, d)
-			if !slices.ContainsFunc(d, func(v int32) bool { return v != 0 }) {
+			d := newVecDelta([2]int32{slot[s1], slot[s2]}, [2]int32{slot[out.P], slot[out.Q]})
+			if d == none {
+				move[s1*S+s2] = -1
 				continue
 			}
-			g := slices.IndexFunc(deltas, func(e []int32) bool { return slices.Equal(e, d) })
-			if g < 0 {
-				g = len(deltas)
-				deltas = append(deltas, slices.Clone(d))
+			g, ok := index[d]
+			if !ok {
+				g = int32(len(deltas))
+				index[d] = g
+				deltas = append(deltas, d)
 			}
-			move[s1*S+s2] = int32(g)
+			move[s1*S+s2] = g
 		}
 	}
 	return move, deltas
@@ -380,9 +423,7 @@ func (ch *lchain) grow(seeds [][]int32, budget int) error {
 			}
 		}
 		for _, mv := range met {
-			for j, d := range deltas[mv] {
-				target[j] = cur[j] + d
-			}
+			deltas[mv].apply(cur, target)
 			ch.edges = append(ch.edges, ledge{To: ch.intern(target), P: acc[mv]})
 			acc[mv] = 0
 		}

@@ -81,6 +81,30 @@ func TestLumpedBijectsOntoFullChain(t *testing.T) {
 	}
 }
 
+// A k above n only relabels the chain: no group completes and no m-state
+// past m_n appears, so n = 12 has the same answer at k = 13 and at the
+// largest k. There the move table spans 4096² state pairs and about a
+// million distinct deltas; it must tabulate in O(1) per pair, where a
+// linear search for each pair's delta took hours.
+func TestLumpedLargeK(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the largest k's move table takes about a second")
+	}
+	want, err := NewLumped().Predict(Spec{N: 12, K: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewLumped().Predict(Spec{N: 12, K: harness.MaxK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.States != want.States ||
+		relErr(got.ExpectedInteractions, want.ExpectedInteractions) > 1e-12 ||
+		relErr(got.StdInteractions, want.StdInteractions) > 1e-12 {
+		t.Errorf("n=12: k=%d answers %+v, k=13 %+v", harness.MaxK, got, want)
+	}
+}
+
 func TestLumpedBudgetExceeded(t *testing.T) {
 	_, err := buildLumped(harness.Proto(3), 30, 3)
 	if err == nil {
