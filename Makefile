@@ -53,9 +53,10 @@ test:
 # drive (countsim includes the batched engine and its seed-stability
 # trajectory test; rng the samplers it draws from),
 # and the HTTP serving layer (worker pool + admission queue + shared
-# LRU). internal/twin runs here because its mean-field rung shares a
-# mutex-guarded endgame-chain cache across /v1/predict request
-# goroutines. The scenario layer (topology, fairness meters, the weak
+# LRU). internal/twin runs here because every /v1/predict request
+# goroutine answers through the same rungs: they hold no state, and
+# TestMeanFieldConcurrentPredict must catch any shared state that comes
+# back. The scenario layer (topology, fairness meters, the weak
 # adversary) is sequential by design but runs here too: its types are
 # shared across harness workers, so the race detector exercises that
 # sharing through the harness tests. -short skips the minutes-long

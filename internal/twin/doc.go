@@ -30,14 +30,18 @@
 //     answer takes milliseconds for n up to 10⁶ (BenchmarkColdPredict:
 //     ~3 ms mean on serve-mix's question grid on a 2-vCPU host) and up
 //     to about half a second at n = 10⁶, k = 8, almost all of it fluid
-//     integration; a repeat on the same MeanField reuses the endgame
-//     chain and its moments but integrates the fluid again. Accuracy is
-//     a documented contract (see RelErrBudget), enforced in CI by
-//     `make twin-check` against recorded simulation means. Its
-//     dispersion is the fluid phase's Kurtz 1/√n spread added in
-//     quadrature with the endgame's exact variance.
+//     integration. Accuracy is a documented contract (see
+//     RelErrBudget), enforced in CI by `make twin-check` against
+//     recorded simulation means. Its dispersion is the fluid phase's
+//     Kurtz 1/√n spread added in quadrature with the endgame's exact
+//     variance.
 //
-// Auto picks the highest-fidelity rung whose cost fits a state budget;
-// CrossValidate* are the hooks the accuracy gate and the tests use to
-// compare rungs against internal/markov and against trial data.
+// Every answer is cold: neither rung keeps state between calls, so one
+// value serves any number of goroutines, and repeats are the caller's to
+// cache (/v1/predict keeps an LRU of whole answers).
+//
+// Auto picks the highest-fidelity rung whose cost fits DefaultStateBudget;
+// `kpart exact` calls the lumped rung directly. CrossValidate* are the
+// hooks the accuracy gate and the tests use to compare rungs against
+// internal/markov and against trial data.
 package twin

@@ -279,7 +279,11 @@ func (f *fluid) integrate(n, cStop int) (fluidResult, error) {
 // the fluid's blindness to spread — hitting times are convex in the
 // entry state, so averaging over a distribution matters (the measured
 // point-mass bias at k = 3 was ~3%, an order of magnitude above what
-// this leaves).
+// this leaves). The weights never all vanish: the drift conserves the
+// population, so the rounded-down fluid means of m and d weigh at most
+// the floor level's residual, buildEndgame seeds that state with every
+// a/b split of the rest, and its weight is positive. Predict reports an
+// all-zero total (nil ids) as an error.
 func entryDist(ch *lchain, f *fluid, y []float64) (ids []int, ws []float64) {
 	floor := ch.levels[0]
 	ws = make([]float64, 0, len(floor))
