@@ -121,6 +121,7 @@ func TestSubcommandDispatch(t *testing.T) {
 		{[]string{"twin-check", "-baseline", "missing.json"}, 1, "", "kpart twin-check: reading baseline"},
 		{argv("exact -k 3 -nmin 8 -nmax 5 -sim 0"), 2, "", "kpart exact: -nmin 8 exceeds -nmax 5"},
 		{argv("exact -k 3 -nmin 100 -nmax 100 -sim 0"), 1, "", "exceeds the 200000-state budget"},
+		{argv("exact -k 1367 -sim 0"), 2, "", "kpart exact: "},
 	} {
 		stdout, stderr, code := run(t, dir, c.args...)
 		if code != c.code || !strings.Contains(stdout, c.stdout) || !strings.Contains(stderr, c.stderr) {
