@@ -1,8 +1,9 @@
 // kpart-lint is the repo's static-analysis gate: it runs the
-// internal/lint analyzer suite (stdlib go/ast + go/types only, no
-// external tooling) over the non-test files of every package in the
-// module that contains the working directory, and exits non-zero on
-// any finding. `make lint` runs it as part of `make check`. The suite
+// internal/lint analyzer suite (stdlib go/ast + go/types only, with the
+// standard library's export data from the go command on PATH) over the
+// non-test files of every package in the module that contains the
+// working directory, and exits non-zero on any finding. `make lint`
+// runs it as part of `make check`. The suite
 // spans per-package checks (determinism, rngdiscipline, maporder,
 // atomicfield, errclose, docpresence) and the interprocedural checks
 // built on the whole-program call graph and fact store (ctxflow,

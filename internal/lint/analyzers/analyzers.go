@@ -10,10 +10,18 @@
 package analyzers
 
 import (
+	"go/types"
 	"strings"
 
 	"repro/internal/lint"
 )
+
+// isNamed reports whether t is the named type name declared in the
+// package with import path pkgPath.
+func isNamed(t types.Type, pkgPath, name string) bool {
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == name
+}
 
 // modPath is this module's path. The analyzer scopes are repo-specific
 // by design (kpart-lint is this repo's linter, not a general tool), so

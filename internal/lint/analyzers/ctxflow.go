@@ -92,7 +92,7 @@ func runCtxFlowProgram(pp *lint.ProgramPass) {
 	for fn := range rootOf {
 		fns = append(fns, fn)
 	}
-	sort.Slice(fns, func(i, j int) bool { return fns[i].Key() < fns[j].Key() })
+	sort.Slice(fns, func(i, j int) bool { return fns[i].Pos() < fns[j].Pos() })
 	for _, fn := range fns {
 		if fn.Body() == nil || !ctxflowScope(fn.Pkg.Path) {
 			continue
@@ -190,7 +190,7 @@ func carriesCtx(t types.Type) bool {
 	if t == nil {
 		return false
 	}
-	if isContextType(t) || typePathString(t) == "*net/http.Request" {
+	if isContextType(t) || isRequestPtr(t) {
 		return true
 	}
 	if p, ok := t.Underlying().(*types.Pointer); ok {
@@ -209,11 +209,12 @@ func carriesCtx(t types.Type) bool {
 }
 
 func isContextType(t types.Type) bool {
-	return t != nil && typePathString(t) == "context.Context"
+	return isNamed(t, "context", "Context")
 }
 
-func typePathString(t types.Type) string {
-	return types.TypeString(t, func(p *types.Package) string { return p.Path() })
+func isRequestPtr(t types.Type) bool {
+	p, ok := t.(*types.Pointer)
+	return ok && isNamed(p.Elem(), "net/http", "Request")
 }
 
 // blockingConstruct is one potentially-unbounded wait in a function.
@@ -294,8 +295,8 @@ func isHandlerSig(sig *types.Signature) bool {
 	if sig == nil || sig.Params().Len() != 2 || sig.Results().Len() != 0 {
 		return false
 	}
-	return typePathString(sig.Params().At(0).Type()) == "net/http.ResponseWriter" &&
-		typePathString(sig.Params().At(1).Type()) == "*net/http.Request"
+	return isNamed(sig.Params().At(0).Type(), "net/http", "ResponseWriter") &&
+		isRequestPtr(sig.Params().At(1).Type())
 }
 
 // inspectSkippingLits walks n without entering nested function

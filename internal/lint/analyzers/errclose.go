@@ -77,18 +77,10 @@ func receiverType(pass *lint.Pass, e ast.Expr) types.Type {
 }
 
 func isStringsBuilder(t types.Type) bool {
-	if t == nil {
-		return false
-	}
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "strings" && obj.Name() == "Builder"
+	return isNamed(t, "strings", "Builder")
 }
 
 // returnsError reports whether any result of the call is exactly error.

@@ -185,14 +185,10 @@ func typeHasMutexField(t types.Type, mutex string) bool {
 }
 
 func isMutexType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	s := types.TypeString(t, func(p *types.Package) string { return p.Path() })
-	return s == "sync.Mutex" || s == "sync.RWMutex"
+	return isNamed(t, "sync", "Mutex") || isNamed(t, "sync", "RWMutex")
 }
 
 func mutexBaseName(t types.Type) string {
@@ -220,7 +216,7 @@ func runLockGuardProgram(pp *lint.ProgramPass) {
 			continue
 		}
 		c := &lgChecker{pp: pp, pkg: fn.Pkg, fn: fn}
-		held := make(map[string]uint8)
+		held := make(map[heldKey]uint8)
 		// A method annotated `// guarded by mu` is checked assuming the
 		// receiver's mutex held on entry.
 		if fn.Obj != nil && fn.Decl != nil && fn.Decl.Recv != nil && len(fn.Decl.Recv.List) > 0 {
@@ -228,13 +224,27 @@ func runLockGuardProgram(pp *lint.ProgramPass) {
 			if pp.Facts.ImportObjectFact(fn.Obj, &req) {
 				if names := fn.Decl.Recv.List[0].Names; len(names) > 0 {
 					if recv, ok := fn.Pkg.Info.Defs[names[0]].(*types.Var); ok {
-						held[pp.Facts.ObjectKey(recv)+"."+req.Mutex] = heldRead | heldWrite
+						held[heldKey{root: recv}.field(req.Mutex)] = heldRead | heldWrite
 					}
 				}
 			}
 		}
 		c.stmts(fn.Body().List, held)
 	}
+}
+
+// heldKey identifies a mutex or guarded field by the object of the
+// expression's root variable and the field path selected from it
+// (".inner.mu").
+type heldKey struct {
+	root types.Object
+	path string
+}
+
+// field returns the key of field name selected from k.
+func (k heldKey) field(name string) heldKey {
+	k.path += "." + name
+	return k
 }
 
 // lgChecker walks one function body tracking the held-mutex set.
@@ -246,15 +256,15 @@ type lgChecker struct {
 
 // stmts processes a statement sequence, threading the held set through
 // and returning its final state.
-func (c *lgChecker) stmts(list []ast.Stmt, held map[string]uint8) map[string]uint8 {
+func (c *lgChecker) stmts(list []ast.Stmt, held map[heldKey]uint8) map[heldKey]uint8 {
 	for _, s := range list {
 		held = c.stmt(s, held)
 	}
 	return held
 }
 
-func copyHeld(held map[string]uint8) map[string]uint8 {
-	out := make(map[string]uint8, len(held))
+func copyHeld(held map[heldKey]uint8) map[heldKey]uint8 {
+	out := make(map[heldKey]uint8, len(held))
 	for k, v := range held {
 		out[k] = v
 	}
@@ -264,7 +274,7 @@ func copyHeld(held map[string]uint8) map[string]uint8 {
 // stmt processes one statement, returning the held set after it.
 // Branch bodies run on copies: their lock-state effects conservatively
 // do not survive the branch.
-func (c *lgChecker) stmt(s ast.Stmt, held map[string]uint8) map[string]uint8 {
+func (c *lgChecker) stmt(s ast.Stmt, held map[heldKey]uint8) map[heldKey]uint8 {
 	switch s := s.(type) {
 	case nil:
 		return held
@@ -392,8 +402,8 @@ func (c *lgChecker) stmt(s ast.Stmt, held map[string]uint8) map[string]uint8 {
 	}
 }
 
-func applyLockOp(held map[string]uint8, key, op string) map[string]uint8 {
-	if key == "" {
+func applyLockOp(held map[heldKey]uint8, key heldKey, op string) map[heldKey]uint8 {
+	if key.root == nil {
 		return held
 	}
 	switch op {
@@ -409,63 +419,60 @@ func applyLockOp(held map[string]uint8, key, op string) map[string]uint8 {
 
 // lockOp recognizes expr as a call to (sync.Mutex).Lock and friends,
 // returning the held-set key of the mutex expression.
-func (c *lgChecker) lockOp(expr ast.Expr) (key, op string, ok bool) {
+func (c *lgChecker) lockOp(expr ast.Expr) (key heldKey, op string, ok bool) {
 	call, isCall := ast.Unparen(expr).(*ast.CallExpr)
 	if !isCall {
-		return "", "", false
+		return heldKey{}, "", false
 	}
 	fn := lint.CalleeFunc(c.pkg.Info, call)
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
+		return heldKey{}, "", false
 	}
 	switch fn.Name() {
 	case "Lock", "RLock", "Unlock", "RUnlock":
 	default:
-		return "", "", false
+		return heldKey{}, "", false
 	}
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return "", "", false
+		return heldKey{}, "", false
 	}
 	return c.exprKey(sel.X), fn.Name(), true
 }
 
-// exprKey renders a stable identity for the expression holding a mutex
-// or guarded field: the root object's declaration position followed by
-// the selected field path. Empty when the expression is too complex to
-// identify (map index, function result, ...).
-func (c *lgChecker) exprKey(e ast.Expr) string {
+// exprKey returns the held-set key of the expression holding a mutex or
+// guarded field: its root variable's object and the selected field
+// path. The root is nil when the expression is too complex to identify
+// (map index, function result, ...).
+func (c *lgChecker) exprKey(e ast.Expr) heldKey {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		if obj := c.pkg.Info.Uses[e]; obj != nil {
-			return c.pp.Facts.ObjectKey(obj)
+			return heldKey{root: obj}
 		}
-		if obj := c.pkg.Info.Defs[e]; obj != nil {
-			return c.pp.Facts.ObjectKey(obj)
-		}
-		return ""
+		return heldKey{root: c.pkg.Info.Defs[e]}
 	case *ast.SelectorExpr:
 		base := c.exprKey(e.X)
-		if base == "" {
-			return ""
+		if base.root == nil {
+			return heldKey{}
 		}
-		return base + "." + e.Sel.Name
+		return base.field(e.Sel.Name)
 	case *ast.StarExpr:
 		return c.exprKey(e.X)
 	case *ast.UnaryExpr:
 		if e.Op == token.AND {
 			return c.exprKey(e.X)
 		}
-		return ""
+		return heldKey{}
 	default:
-		return ""
+		return heldKey{}
 	}
 }
 
 // scan checks every guarded-field access and lock-requiring call in the
 // expression, without descending into function literals (they are
 // separate call-graph nodes, analyzed with an empty held set).
-func (c *lgChecker) scan(e ast.Expr, held map[string]uint8, write bool) {
+func (c *lgChecker) scan(e ast.Expr, held map[heldKey]uint8, write bool) {
 	if e == nil {
 		return
 	}
@@ -520,7 +527,7 @@ func writeTarget(e ast.Expr) *ast.SelectorExpr {
 
 // checkAccess reports sel when it selects a guarded field without the
 // required lock held.
-func (c *lgChecker) checkAccess(sel *ast.SelectorExpr, held map[string]uint8, write bool) {
+func (c *lgChecker) checkAccess(sel *ast.SelectorExpr, held map[heldKey]uint8, write bool) {
 	s, ok := c.pkg.Info.Selections[sel]
 	if !ok || s.Kind() != types.FieldVal {
 		return
@@ -534,12 +541,11 @@ func (c *lgChecker) checkAccess(sel *ast.SelectorExpr, held map[string]uint8, wr
 		return
 	}
 	base := c.exprKey(sel.X)
-	if base == "" {
+	if base.root == nil {
 		c.pp.Reportf(sel.Sel.Pos(), "field %s is guarded by %s but the holder expression is too complex to prove the lock held; bind it to a variable first", fv.Name(), guard.Mutex)
 		return
 	}
-	key := base + "." + guard.Mutex
-	state := held[key]
+	state := held[base.field(guard.Mutex)]
 	if write && state&heldWrite == 0 {
 		if state&heldRead != 0 {
 			c.pp.Reportf(sel.Sel.Pos(), "field %s (guarded by %s) written while only read-locked; Lock %s for writes", fv.Name(), guard.Mutex, guard.Mutex)
@@ -555,7 +561,7 @@ func (c *lgChecker) checkAccess(sel *ast.SelectorExpr, held map[string]uint8, wr
 
 // checkCallContract reports calls to methods annotated `// guarded by
 // <mu>` made without the receiver's mutex fully held.
-func (c *lgChecker) checkCallContract(call *ast.CallExpr, held map[string]uint8) {
+func (c *lgChecker) checkCallContract(call *ast.CallExpr, held map[heldKey]uint8) {
 	fn := lint.CalleeFunc(c.pkg.Info, call)
 	if fn == nil {
 		return
@@ -569,11 +575,11 @@ func (c *lgChecker) checkCallContract(call *ast.CallExpr, held map[string]uint8)
 		return
 	}
 	base := c.exprKey(sel.X)
-	if base == "" {
+	if base.root == nil {
 		c.pp.Reportf(call.Pos(), "call to %s requires %s held but the receiver expression is too complex to prove it; bind it to a variable first", fn.Name(), req.Mutex)
 		return
 	}
-	if held[base+"."+req.Mutex]&heldWrite == 0 {
+	if held[base.field(req.Mutex)]&heldWrite == 0 {
 		c.pp.Reportf(call.Pos(), "call to %s requires the receiver's %s held (declared `// guarded by %s`), not held on this path", fn.Name(), req.Mutex, req.Mutex)
 	}
 }

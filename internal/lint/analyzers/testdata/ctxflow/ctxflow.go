@@ -90,6 +90,22 @@ func (c carrier) spinViaField() {
 	}
 }
 
+// step is a named function type.
+type step func(ctx context.Context)
+
+// RunStepCtx is a second root; it reaches spinViaNamed only by calling
+// through step.
+func RunStepCtx(ctx context.Context) {
+	var f step = spinViaNamed
+	f(ctx)
+}
+
+func spinViaNamed(ctx context.Context) {
+	_ = ctx
+	for { // want `harness\.spinViaNamed is reachable from harness\.RunStepCtx and contains a loop with no condition but never polls its context`
+	}
+}
+
 // orphan is not reachable from any root; its loop is out of scope.
 func orphan() {
 	for {

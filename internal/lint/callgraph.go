@@ -8,25 +8,28 @@ package lint
 // Resolution policy, most to least precise:
 //
 //   - Static calls (direct function or method calls) resolve to the one
-//     callee, found by its declaration position.
-//   - Interface method calls resolve to every method of every named
-//     type in the program that implements the interface (CHA). The
-//     implements check compares method names and signature strings
-//     (sigString), the same form the dynamic calls below match on.
+//     callee, found by its *types.Func.
+//   - Interface method calls resolve to the method of every named type
+//     in the program whose pointer implements the interface (CHA,
+//     types.Implements).
 //   - Calls through function values resolve to every address-taken
-//     function with an identical signature string.
+//     function whose signature is types.Identical to the value's,
+//     through a named function type as well as a literal one.
 //   - go and defer call sites produce edges like any other call, tagged
 //     with their kind so analyzers can treat goroutine launches
 //     specially.
 //
-// Nodes are keyed by declaration position (file:line:col), the same key
-// the fact store uses (FactStore.ObjectKey).
+// A call site has one edge per callee, however many ways resolution
+// finds it. Nodes are indexed by their object (declared functions,
+// Origin-normalized) or their *ast.FuncLit (literals); the loader gives
+// every package the same objects, so no string stands in for one.
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 )
 
@@ -84,16 +87,12 @@ type Func struct {
 	// functions and for literals in package-level initializers).
 	Parent *Func
 
-	key  string
 	name string
 }
 
-// Name returns a printable identity: "pkg.Func", "pkg.(T).Method", or
+// Name returns a printable name: "pkg.Func", "pkg.(T).Method", or
 // "pkg.Func$lit@line" for literals.
 func (f *Func) Name() string { return f.name }
-
-// Key is the node's stable identity: the declaration position.
-func (f *Func) Key() string { return f.key }
 
 // Pos returns the declaration or literal position.
 func (f *Func) Pos() token.Pos {
@@ -145,12 +144,13 @@ type GoSite struct {
 
 // CallGraph is the program-wide CHA call graph.
 type CallGraph struct {
-	// Funcs lists every function node in deterministic (position) order.
+	// Funcs lists every function node in position order.
 	Funcs []*Func
-	// GoSites lists every `go` statement in deterministic order.
+	// GoSites lists every `go` statement in position order.
 	GoSites []*GoSite
 
-	byKey   map[string]*Func
+	byObj   map[*types.Func]*Func
+	byLit   map[*ast.FuncLit]*Func
 	callees map[*Func][]Edge
 }
 
@@ -160,7 +160,8 @@ func (g *CallGraph) Callees(f *Func) []Edge { return g.callees[f] }
 // BuildCallGraph constructs the CHA call graph over the packages.
 func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 	g := &CallGraph{
-		byKey:   make(map[string]*Func),
+		byObj:   make(map[*types.Func]*Func),
+		byLit:   make(map[*ast.FuncLit]*Func),
 		callees: make(map[*Func][]Edge),
 	}
 	b := &graphBuilder{fset: fset, g: g}
@@ -171,10 +172,11 @@ func BuildCallGraph(fset *token.FileSet, pkgs []*Package) *CallGraph {
 		b.collectNodes(pkg)
 	}
 	b.indexCandidates(pkgs)
-	for _, pkg := range pkgs {
-		b.collectEdges(pkg)
+	for _, fn := range g.Funcs {
+		b.collectEdges(fn)
 	}
-	b.finish()
+	sort.Slice(g.Funcs, func(i, j int) bool { return g.Funcs[i].Pos() < g.Funcs[j].Pos() })
+	sort.Slice(g.GoSites, func(i, j int) bool { return g.GoSites[i].Stmt.Pos() < g.GoSites[j].Stmt.Pos() })
 	return g
 }
 
@@ -182,21 +184,13 @@ type graphBuilder struct {
 	fset *token.FileSet
 	g    *CallGraph
 
-	// addrTaken maps signature strings to the functions whose address
-	// escapes (referenced outside call position), the CallDynamic
-	// candidate set.
-	addrTaken map[string][]*Func
-	// methods maps "TypeName.Method" candidate implementations for CHA,
-	// per signature-independent name; resolution filters by signature.
-	concrete []concreteType
+	// addrTaken lists the functions whose address escapes (referenced
+	// outside call position), the CallDynamic candidates.
+	addrTaken []*Func
+	// named lists the program's package-level named types, the CHA
+	// candidates of an interface call.
+	named []*types.Named
 }
-
-type concreteType struct {
-	named *types.Named
-	pkg   *Package
-}
-
-func (b *graphBuilder) keyOf(pos token.Pos) string { return b.fset.Position(pos).String() }
 
 // collectNodes registers every declared function and function literal
 // in pkg as a node.
@@ -212,10 +206,11 @@ func (b *graphBuilder) collectNodes(pkg *Package) {
 				Obj:  obj,
 				Decl: fd,
 				Pkg:  pkg,
-				key:  b.keyOf(fd.Name.Pos()),
 				name: declName(pkg, fd),
 			}
-			b.g.byKey[n.key] = n
+			if obj != nil {
+				b.g.byObj[obj] = n
+			}
 			b.g.Funcs = append(b.g.Funcs, n)
 			if fd.Body != nil {
 				b.collectLits(pkg, n, fd.Body)
@@ -250,10 +245,9 @@ func (b *graphBuilder) collectLits(pkg *Package, parent *Func, root ast.Node) {
 			Lit:    lit,
 			Pkg:    pkg,
 			Parent: parent,
-			key:    b.keyOf(lit.Pos()),
 			name:   fmt.Sprintf("%s$lit@%d", pname, b.fset.Position(lit.Pos()).Line),
 		}
-		b.g.byKey[node.key] = node
+		b.g.byLit[lit] = node
 		b.g.Funcs = append(b.g.Funcs, node)
 		ast.Inspect(lit.Body, func(m ast.Node) bool {
 			if m == lit.Body {
@@ -288,9 +282,8 @@ func declName(pkg *Package, fd *ast.FuncDecl) string {
 }
 
 // indexCandidates builds the CHA candidate indexes: address-taken
-// functions by signature string, and named types with method sets.
+// functions and named types.
 func (b *graphBuilder) indexCandidates(pkgs []*Package) {
-	b.addrTaken = make(map[string][]*Func)
 	for _, pkg := range pkgs {
 		// Named types for interface resolution.
 		scope := pkg.Pkg.Scope()
@@ -300,7 +293,7 @@ func (b *graphBuilder) indexCandidates(pkgs []*Package) {
 				continue
 			}
 			if named, ok := tn.Type().(*types.Named); ok {
-				b.concrete = append(b.concrete, concreteType{named: named, pkg: pkg})
+				b.named = append(b.named, named)
 			}
 		}
 		// Address-taken functions: any use of a function identifier
@@ -325,16 +318,11 @@ func (b *graphBuilder) indexCandidates(pkgs []*Package) {
 				if !ok || callFuns[id] {
 					return true
 				}
-				fn, ok := pkg.Info.Uses[id].(*types.Func)
-				if !ok {
-					return true
+				if fn, ok := pkg.Info.Uses[id].(*types.Func); ok {
+					if node := b.g.byObj[fn.Origin()]; node != nil {
+						b.addrTaken = append(b.addrTaken, node)
+					}
 				}
-				node := b.g.byKey[b.keyOf(fn.Pos())]
-				if node == nil {
-					return true
-				}
-				sig := sigString(fn.Type())
-				b.addrTaken[sig] = append(b.addrTaken[sig], node)
 				return true
 			})
 		}
@@ -344,138 +332,88 @@ func (b *graphBuilder) indexCandidates(pkgs []*Package) {
 	// call is address-taken by construction. Conservatively include
 	// every literal node.
 	for _, f := range b.g.Funcs {
-		if f.Lit == nil {
+		if f.Lit != nil {
+			b.addrTaken = append(b.addrTaken, f)
+		}
+	}
+}
+
+// collectEdges resolves every call, go, and defer site in fn's body.
+// A nested literal's body belongs to the literal's own node; fn gets a
+// static edge to the literal itself.
+func (b *graphBuilder) collectEdges(fn *Func) {
+	body := fn.Body()
+	if body == nil {
+		return
+	}
+	// handled marks calls already resolved by their go or defer
+	// statement and literals already reached as the function of a call,
+	// so the generic cases do not add a second (wrongly-kinded) edge for
+	// the same site.
+	handled := make(map[ast.Node]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			// A literal is "called" by its enclosing function for
+			// reachability purposes (it runs — immediately, later, or on
+			// another goroutine) — unless a call site already claimed it
+			// with a more precise kind.
+			if !handled[n] {
+				b.addEdge(fn, b.g.byLit[n], CallStatic, n.Pos())
+			}
+			return false
+		case *ast.GoStmt:
+			handled[n.Call] = true
+			targets := b.addCall(fn, n.Call, CallGo, handled)
+			b.g.GoSites = append(b.g.GoSites, &GoSite{Stmt: n, Caller: fn, Pkg: fn.Pkg, Targets: targets})
+		case *ast.DeferStmt:
+			handled[n.Call] = true
+			b.addCall(fn, n.Call, CallDefer, handled)
+		case *ast.CallExpr:
+			if !handled[n] {
+				b.addCall(fn, n, CallStatic, handled)
+			}
+		}
+		// Continue into the arguments and the call's function: nested
+		// calls get edges of their own, literals the case above.
+		return true
+	})
+}
+
+// addCall adds one edge from caller to each callee call may reach and
+// returns the callees. A go or defer site keeps its launch kind; how
+// the callee was found (interface set, address-taken set) matters less
+// than that the call is a launch or deferral.
+func (b *graphBuilder) addCall(caller *Func, call *ast.CallExpr, launch CallKind, handled map[ast.Node]bool) []*Func {
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
+		handled[lit] = true
+	}
+	kind, callees := b.resolve(caller.Pkg, call)
+	if launch != CallStatic {
+		kind = launch
+	}
+	var targets []*Func
+	for _, callee := range callees {
+		if callee == nil || slices.Contains(targets, callee) {
 			continue
 		}
-		if sig := f.Sig(); sig != nil {
-			b.addrTaken[sigString(sig)] = append(b.addrTaken[sigString(sig)], f)
-		}
+		targets = append(targets, callee)
+		b.addEdge(caller, callee, kind, call.Pos())
 	}
+	return targets
 }
 
-// sigString renders a signature with package-path qualification, the
-// graph's comparison form for signatures. Parameter and result names
-// are stripped first: a declaration's signature carries them but a
-// function value's type usually does not, and the two must compare
-// equal.
-func sigString(t types.Type) string {
-	return types.TypeString(stripSigNames(t), func(p *types.Package) string { return p.Path() })
-}
-
-func stripSigNames(t types.Type) types.Type {
-	sig, ok := t.(*types.Signature)
-	if !ok {
-		return t
-	}
-	strip := func(tup *types.Tuple) *types.Tuple {
-		if tup == nil {
-			return nil
-		}
-		vars := make([]*types.Var, tup.Len())
-		for i := range vars {
-			vars[i] = types.NewVar(token.NoPos, nil, "", stripSigNames(tup.At(i).Type()))
-		}
-		return types.NewTuple(vars...)
-	}
-	return types.NewSignatureType(nil, nil, nil, strip(sig.Params()), strip(sig.Results()), sig.Variadic())
-}
-
-// collectEdges resolves every call, go, and defer site in pkg.
-func (b *graphBuilder) collectEdges(pkg *Package) {
-	for _, file := range pkg.Files {
-		// handled marks call expressions already resolved by an
-		// enclosing go/defer statement, and literals already reached by
-		// resolving a call, so the generic cases do not add a second
-		// (wrongly-kinded) edge for the same site.
-		handledCall := make(map[*ast.CallExpr]bool)
-		handledLit := make(map[*ast.FuncLit]bool)
-		// enclosing tracks the current function node during the walk.
-		var walk func(n ast.Node, enclosing *Func)
-		handleCall := func(call *ast.CallExpr, enclosing *Func, launch CallKind) []*Func {
-			var targets []*Func
-			for _, rc := range b.resolve(pkg, call) {
-				kind := rc.kind
-				// A go/defer site keeps its launch kind; how the callee
-				// was found (interface set, address-taken set) matters
-				// less than that the call is a launch/deferral.
-				if launch == CallGo || launch == CallDefer {
-					kind = launch
-				}
-				if rc.fn.Lit != nil {
-					handledLit[rc.fn.Lit] = true
-				}
-				b.addEdge(Edge{Caller: enclosing, Callee: rc.fn, Kind: kind, Pos: call.Pos()})
-				targets = append(targets, rc.fn)
-			}
-			return targets
-		}
-		walk = func(n ast.Node, enclosing *Func) {
-			ast.Inspect(n, func(m ast.Node) bool {
-				switch m := m.(type) {
-				case *ast.FuncDecl:
-					if m.Body == nil {
-						return false
-					}
-					walk(m.Body, b.g.byKey[b.keyOf(m.Name.Pos())])
-					return false
-				case *ast.FuncLit:
-					if m.Pos() == n.Pos() {
-						return true // the node we were asked to walk
-					}
-					lnode := b.g.byKey[b.keyOf(m.Pos())]
-					// A literal is "called" by its enclosing function for
-					// reachability purposes (it runs — immediately, later,
-					// or on another goroutine) — unless a call site already
-					// claimed it with a more precise kind.
-					if lnode != nil && !handledLit[m] {
-						b.addEdge(Edge{Caller: enclosing, Callee: lnode, Kind: CallStatic, Pos: m.Pos()})
-					}
-					walk(m.Body, lnode)
-					return false
-				case *ast.GoStmt:
-					handledCall[m.Call] = true
-					targets := handleCall(m.Call, enclosing, CallGo)
-					b.g.GoSites = append(b.g.GoSites, &GoSite{Stmt: m, Caller: enclosing, Pkg: pkg, Targets: targets})
-					// Continue into args and the call fun (literals inside
-					// are handled by the FuncLit case).
-					return true
-				case *ast.DeferStmt:
-					handledCall[m.Call] = true
-					handleCall(m.Call, enclosing, CallDefer)
-					return true
-				case *ast.CallExpr:
-					if !handledCall[m] {
-						handleCall(m, enclosing, CallStatic)
-					}
-					return true
-				}
-				return true
-			})
-		}
-		walk(file, nil)
-	}
-}
-
-// resolvedCallee is one callee with the kind its resolution implies.
-type resolvedCallee struct {
-	fn   *Func
-	kind CallKind
-}
-
-// resolve returns the callee nodes a call may reach, each tagged
-// static/interface/dynamic by how it was found.
-func (b *graphBuilder) resolve(pkg *Package, call *ast.CallExpr) []resolvedCallee {
+// resolve returns the callee nodes a call may reach and the kind
+// (static, interface or dynamic) by which they were found.
+func (b *graphBuilder) resolve(pkg *Package, call *ast.CallExpr) (CallKind, []*Func) {
 	fun := ast.Unparen(call.Fun)
 	// Immediately invoked literal.
 	if lit, ok := fun.(*ast.FuncLit); ok {
-		if n := b.g.byKey[b.keyOf(lit.Pos())]; n != nil {
-			return []resolvedCallee{{fn: n, kind: CallStatic}}
-		}
-		return nil
+		return CallStatic, []*Func{b.g.byLit[lit]}
 	}
 	// Conversions T(x) resolve to nothing.
 	if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
-		return nil
+		return CallStatic, nil
 	}
 	// Static resolution (direct function/method).
 	if fn := CalleeFunc(pkg.Info, call); fn != nil {
@@ -483,25 +421,26 @@ func (b *graphBuilder) resolve(pkg *Package, call *ast.CallExpr) []resolvedCalle
 		if sel, ok := fun.(*ast.SelectorExpr); ok {
 			if s, ok := pkg.Info.Selections[sel]; ok && s.Kind() == types.MethodVal {
 				if types.IsInterface(s.Recv()) {
-					return b.resolveInterface(s.Recv(), fn)
+					return CallInterface, b.implementations(s.Recv(), fn)
 				}
 			}
 		}
-		if n := b.g.byKey[b.keyOf(fn.Pos())]; n != nil {
-			return []resolvedCallee{{fn: n, kind: CallStatic}}
+		if n := b.g.byObj[fn.Origin()]; n != nil {
+			return CallStatic, []*Func{n}
 		}
-		return nil
+		return CallStatic, nil
 	}
 	// Builtins resolve to nothing.
 	if id, ok := fun.(*ast.Ident); ok {
 		if _, isBuiltin := pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
-			return nil
+			return CallStatic, nil
 		}
 	}
 	// Dynamic call through a function value: every address-taken
-	// function with the same signature string. Info.Types may omit bare
-	// identifiers (go/types records those in Uses/Defs), so fall back to
-	// the object's type.
+	// function whose signature is identical to the value's underlying
+	// one (a named function type's calls match too). Info.Types may
+	// omit bare identifiers (go/types records those in Uses/Defs), so
+	// fall back to the object's type.
 	var funType types.Type
 	if tv, ok := pkg.Info.Types[call.Fun]; ok {
 		funType = tv.Type
@@ -513,78 +452,46 @@ func (b *graphBuilder) resolve(pkg *Package, call *ast.CallExpr) []resolvedCalle
 		}
 	}
 	if funType == nil {
-		return nil
+		return CallDynamic, nil
 	}
-	if _, isSig := funType.Underlying().(*types.Signature); !isSig {
-		return nil
+	sig, ok := funType.Underlying().(*types.Signature)
+	if !ok {
+		return CallDynamic, nil
 	}
-	var out []resolvedCallee
-	for _, fn := range b.addrTaken[sigString(funType)] {
-		out = append(out, resolvedCallee{fn: fn, kind: CallDynamic})
+	var out []*Func
+	for _, fn := range b.addrTaken {
+		if types.Identical(fn.Sig(), sig) {
+			out = append(out, fn)
+		}
 	}
-	return out
+	return CallDynamic, out
 }
 
-// resolveInterface returns every program method implementing the called
-// interface method (CHA). The implements test is structural by name and
-// signature string.
-func (b *graphBuilder) resolveInterface(recv types.Type, m *types.Func) []resolvedCallee {
+// implementations returns the method m of every named type in the
+// program whose pointer implements the called interface (CHA).
+func (b *graphBuilder) implementations(recv types.Type, m *types.Func) []*Func {
 	iface, ok := recv.Underlying().(*types.Interface)
 	if !ok {
 		return nil
 	}
-	var out []resolvedCallee
-	for _, ct := range b.concrete {
-		if !implementsByString(ct.named, iface) {
+	var out []*Func
+	for _, named := range b.named {
+		ptr := types.NewPointer(named)
+		if !types.Implements(ptr, iface) {
 			continue
 		}
-		ms := types.NewMethodSet(types.NewPointer(ct.named))
-		for i := 0; i < ms.Len(); i++ {
-			cand, ok := ms.At(i).Obj().(*types.Func)
-			if !ok || cand.Name() != m.Name() {
-				continue
-			}
-			if n := b.g.byKey[b.keyOf(cand.Pos())]; n != nil {
-				out = append(out, resolvedCallee{fn: n, kind: CallInterface})
+		if sel := types.NewMethodSet(ptr).Lookup(m.Pkg(), m.Name()); sel != nil {
+			if n := b.g.byObj[sel.Obj().(*types.Func).Origin()]; n != nil {
+				out = append(out, n)
 			}
 		}
 	}
 	return out
 }
 
-// implementsByString reports whether *T satisfies iface, comparing
-// method names and signature strings (parameter/result types rendered
-// with package-path qualification) instead of object identity.
-func implementsByString(named *types.Named, iface *types.Interface) bool {
-	ms := types.NewMethodSet(types.NewPointer(named))
-	for i := 0; i < iface.NumMethods(); i++ {
-		want := iface.Method(i)
-		sel := ms.Lookup(want.Pkg(), want.Name())
-		if sel == nil {
-			return false
-		}
-		got, ok := sel.Obj().(*types.Func)
-		if !ok {
-			return false
-		}
-		if sigString(got.Type()) != sigString(want.Type()) {
-			return false
-		}
-	}
-	return iface.NumMethods() > 0
-}
-
-func (b *graphBuilder) addEdge(e Edge) {
-	if e.Caller == nil || e.Callee == nil {
+func (b *graphBuilder) addEdge(caller, callee *Func, kind CallKind, pos token.Pos) {
+	if callee == nil {
 		return
 	}
-	b.g.callees[e.Caller] = append(b.g.callees[e.Caller], e)
-}
-
-// finish orders Funcs and GoSites deterministically.
-func (b *graphBuilder) finish() {
-	sort.Slice(b.g.Funcs, func(i, j int) bool { return b.g.Funcs[i].key < b.g.Funcs[j].key })
-	sort.Slice(b.g.GoSites, func(i, j int) bool {
-		return b.keyOf(b.g.GoSites[i].Stmt.Pos()) < b.keyOf(b.g.GoSites[j].Stmt.Pos())
-	})
+	b.g.callees[caller] = append(b.g.callees[caller], Edge{Caller: caller, Callee: callee, Kind: kind, Pos: pos})
 }

@@ -33,7 +33,7 @@ import "example.com/m/a"
 func use() { a.Leaf() }
 `,
 	}, "a", "b")
-	store := NewFactStore(pkgs[0].Fset)
+	store := NewFactStore()
 	leafA := pkgs[0].Pkg.Scope().Lookup("Leaf")
 	if leafA == nil {
 		t.Fatal("no Leaf in package a")

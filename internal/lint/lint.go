@@ -12,10 +12,13 @@
 // The moving parts:
 //
 //   - Loader (load.go) discovers, parses, and type-checks module
-//     packages using only go/parser and go/types, with the stdlib
-//     resolved through go/importer's "source" compiler. An analysis
-//     unit is a package's non-test files, type-checked once and shared
-//     with every package that imports it; test files are never loaded.
+//     packages using only go/parser and go/types, with the stdlib read
+//     from the go command's export data through one go/importer "gc"
+//     importer. An analysis unit is a package's non-test files,
+//     type-checked once and shared with every package that imports it;
+//     test files are never loaded. Every package sees the same objects,
+//     and the whole-program layer identifies functions, fields and
+//     types by them.
 //   - Analyzer (this file) is one named check with an optional
 //     per-package Run pass and an optional whole-program RunProgram
 //     pass over the call graph (callgraph.go) and the facts its Run

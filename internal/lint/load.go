@@ -1,27 +1,35 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Loader parses and type-checks module packages with the standard
 // library alone. Module-local imports are resolved recursively from
-// source under the module root; everything else goes through
-// go/importer's "source" compiler, which type-checks the standard
-// library straight from GOROOT. No golang.org/x/tools, no export data.
+// source under the module root; every other import is a standard-library
+// package, read from the compiler's export data by one go/importer "gc"
+// importer for the whole run (stdExport names the files). No
+// golang.org/x/tools.
 //
 // Each module package is parsed and type-checked once, from its non-test
 // files, and the one result serves every use: the analysis unit Load
-// returns and the package every importer sees are the same objects.
+// returns and the package every importer sees are the same objects. The
+// one importer reads each standard-library package once, so every
+// package sees the same stdlib objects too, which types.Identical and
+// types.Implements rely on across packages.
 type Loader struct {
 	Fset *token.FileSet
 	// Module is the module path from go.mod ("repro").
@@ -54,8 +62,32 @@ type Package struct {
 	Info  *types.Info
 }
 
+// stdExport maps every standard-library import path to the file holding
+// its export data, from one `go list -export std` per process. It covers
+// all of std, not only the module's imports, because a golden fixture
+// may import a package the module never does. On a cold build cache the
+// go command compiles the standard library first.
+var stdExport = sync.OnceValues(func() (map[string]string, error) {
+	out, err := exec.Command("go", "list", "-export", "-f", "{{.ImportPath}} {{.Export}}", "std").Output()
+	if err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			err = fmt.Errorf("%w: %s", err, strings.TrimSpace(string(exit.Stderr)))
+		}
+		return nil, fmt.Errorf("lint: go list -export std: %w", err)
+	}
+	files := make(map[string]string)
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok && file != "" {
+			files[path] = file
+		}
+	}
+	return files, nil
+})
+
 // NewLoader creates a Loader rooted at the module containing dir,
-// reading the module path from go.mod.
+// reading the module path from go.mod. It fails when the go command
+// cannot list the standard library's export data.
 func NewLoader(dir string) (*Loader, error) {
 	root, err := filepath.Abs(dir)
 	if err != nil {
@@ -85,12 +117,23 @@ func NewLoader(dir string) (*Loader, error) {
 	if module == "" {
 		return nil, fmt.Errorf("lint: no module line in %s/go.mod", root)
 	}
+	exports, err := stdExport()
+	if err != nil {
+		return nil, err
+	}
+	lookup := func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("lint: %s is neither in module %s nor in the standard library", path, module)
+		}
+		return os.Open(file)
+	}
 	fset := token.NewFileSet()
 	return &Loader{
 		Fset:    fset,
 		Module:  module,
 		Root:    root,
-		std:     importer.ForCompiler(fset, "source", nil),
+		std:     importer.ForCompiler(fset, "gc", lookup),
 		pkgs:    make(map[string]*loaded),
 		loading: make(map[string]bool),
 	}, nil

@@ -45,7 +45,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 				continue
 			}
 			if facts[a.Name] == nil {
-				facts[a.Name] = NewFactStore(pkg.Fset)
+				facts[a.Name] = NewFactStore()
 			}
 			if a.Run == nil {
 				continue
