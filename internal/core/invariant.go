@@ -70,11 +70,11 @@ func (p *Protocol) CanonMap() []int {
 //	r = 1:  #gx = q for all x, and one free agent (slot 0).
 //	r >= 2: #gx = q+1 for x <= r−1, #gx = q for x >= r, and #m_r = 1.
 //
-// The same formulas cover n < k (then q = 0, r = n). It returns an error
-// for n < 3, where the symmetric protocol cannot stabilize (Section 2.1).
+// The same formulas cover n < k (then q = 0, r = n). It returns
+// CheckPopulation's error for n < 3.
 func (p *Protocol) TargetCounts(n int) ([]int, error) {
-	if n < 3 {
-		return nil, fmt.Errorf("core: uniform k-partition undefined for n=%d < 3", n)
+	if err := CheckPopulation(n); err != nil {
+		return nil, err
 	}
 	k := p.k
 	q, r := n/k, n%k
@@ -94,6 +94,17 @@ func (p *Protocol) TargetCounts(n int) ([]int, error) {
 		target[canon[p.M(r)]] = 1
 	}
 	return target, nil
+}
+
+// CheckPopulation returns an error for a population of n < 3 agents,
+// where the symmetric protocol cannot stabilize (Section 2.1), whatever
+// k. It needs no protocol table, so admission can reject such a
+// population before building one.
+func CheckPopulation(n int) error {
+	if n < 3 {
+		return fmt.Errorf("core: uniform k-partition undefined for n=%d < 3", n)
+	}
+	return nil
 }
 
 // IsStable reports whether the raw state-count vector is the stable

@@ -112,8 +112,18 @@ type protoCache struct {
 
 var cache = protoCache{m: make(map[int]*core.Protocol)}
 
-// Proto returns the shared uniform k-partition protocol instance for k.
+// protoCacheMaxK is the largest k whose table the cache keeps. The
+// tables for k ≤ 64 take about 4 MB together; one for a larger k takes
+// (3k−2)² cells of 5 bytes, ~84 MB at MaxK, so a request for each k
+// would otherwise keep gigabytes for the life of the process.
+const protoCacheMaxK = 64
+
+// Proto returns the uniform k-partition protocol instance for k, shared
+// for k ≤ protoCacheMaxK and built afresh for a larger k.
 func Proto(k int) *core.Protocol {
+	if k > protoCacheMaxK {
+		return core.MustNew(k)
+	}
 	cache.mu.Lock()
 	defer cache.mu.Unlock()
 	if p, ok := cache.m[k]; ok {

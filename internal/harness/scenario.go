@@ -357,7 +357,7 @@ func validateScenario(spec TrialSpec) error {
 	if _, err := spec.Topology.Build(spec.N); err != nil {
 		return fmt.Errorf("%w: topology %s at population %d: %v", ErrInvalidSpec, spec.Topology, spec.N, err)
 	}
-	return churnErr(spec.K, spec.N, c)
+	return churnErr(spec.N, c)
 }
 
 // churnErr finds, in O(1), the first churn event a population of n
@@ -367,7 +367,7 @@ func validateScenario(spec TrialSpec) error {
 // leaves fewer than 3 agents, the smallest size with a stable signature
 // (the complete graph, ring and star exist at every such size). A
 // schedule whose population would overflow an int is rejected too.
-func churnErr(k, n int, c ChurnSpec) error {
+func churnErr(n int, c ChurnSpec) error {
 	if !c.Enabled() {
 		return nil
 	}
@@ -393,9 +393,8 @@ func churnErr(k, n int, c ChurnSpec) error {
 			ErrInvalidSpec, leaveEv, c.Leaves, n+(leaveEv-1)*g)
 	}
 	n += smallEv * g
-	_, err := Proto(k).TargetCounts(n)
 	return fmt.Errorf("%w: after churn event %d the population of %d has no stable signature: %v",
-		ErrInvalidSpec, smallEv, n, err)
+		ErrInvalidSpec, smallEv, n, core.CheckPopulation(n))
 }
 
 // eventTime returns the interaction count At + i·Interval of churn event

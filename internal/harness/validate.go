@@ -55,9 +55,7 @@ func ValidatePartition(n, k int) error {
 		return fmt.Errorf("%w: k=%d exceeds the %d-state table bound (max k %d)",
 			ErrInvalidSpec, k, protocol.MaxStates, MaxK)
 	}
-	// Proto is safe now that k is in range; TargetCounts rejects
-	// populations with no stable signature (n < 3).
-	if _, err := Proto(k).TargetCounts(n); err != nil {
+	if err := core.CheckPopulation(n); err != nil {
 		return fmt.Errorf("%w: n=%d k=%d: %v", ErrInvalidSpec, n, k, err)
 	}
 	return nil
@@ -81,7 +79,7 @@ func ValidateSpec(spec TrialSpec) error {
 	// BatchSize is a mode selector of the batched engine only; on any
 	// other engine a non-zero value would silently change the spec's
 	// content hash without changing the run. n is positive here (the
-	// TargetCounts check passed), so the conversion is safe; the bound
+	// population check passed), so the conversion is safe; the bound
 	// divides n rather than doubling the size, which would wrap for
 	// sizes of 2⁶³ and above.
 	if spec.BatchSize != 0 {

@@ -74,3 +74,20 @@ func TestValidateSpecRejectsEachField(t *testing.T) {
 		}
 	}
 }
+
+// Admission builds no protocol table, and Proto keeps none for k above
+// protoCacheMaxK, so requests at many large k do not pin ~84 MB each.
+func TestLargeKTableNotCached(t *testing.T) {
+	if err := ValidatePartition(1, MaxK); !errors.Is(err, ErrInvalidSpec) {
+		t.Fatalf("ValidatePartition(1, MaxK) = %v, want ErrInvalidSpec", err)
+	}
+	if got := Proto(MaxK).K(); got != MaxK {
+		t.Fatalf("Proto(MaxK).K() = %d, want %d", got, MaxK)
+	}
+	cache.mu.Lock()
+	_, kept := cache.m[MaxK]
+	cache.mu.Unlock()
+	if kept {
+		t.Fatal("the protocol cache keeps the MaxK table")
+	}
+}
