@@ -3,8 +3,8 @@ package main
 // kpart compare runs the protocol-comparison ablations (DESIGN.md
 // A1–A3): the paper's exact uniform k-partition protocol against the
 // repeated-bipartition construction (k = 2^h) and the approximate
-// interval-splitting baseline, plus the scheduler-sensitivity ablation
-// and the topology survey.
+// interval-splitting baseline, plus the scheduler-sensitivity ablation.
+// The topology ablation (A4) is `kpart experiments -fig scenarios`.
 //
 //	kpart compare [-n 64] [-k 4] [-trials 20] [-seed 7] [-out results]
 
@@ -28,6 +28,9 @@ func compareCmd(_ context.Context, args []string) error {
 	if err := parseFlags(fs, args, map[string]int{"n": 3, "k": 2, "trials": 1}); err != nil {
 		return err
 	}
+	if err := harness.ValidatePartition(*n, *k); err != nil {
+		return usageError{err}
+	}
 
 	// section prints one table under its heading and saves it as CSV.
 	section := func(heading, csv string, tbl *report.Table) error {
@@ -40,7 +43,7 @@ func compareCmd(_ context.Context, args []string) error {
 		fmt.Println("wrote", path)
 		return nil
 	}
-	rows, err := harness.Compare(*n, *k, *trials, *seed, 0)
+	rows, err := harness.Compare(*n, *k, *trials, *seed)
 	if err != nil {
 		return err
 	}
@@ -48,18 +51,10 @@ func compareCmd(_ context.Context, args []string) error {
 		"compare.csv", harness.CompareTable(rows)); err != nil {
 		return err
 	}
-	srows, err := harness.RunSchedulerAblation(*n, *k, *trials, *seed, 0)
+	srows, err := harness.RunSchedulerAblation(*n, *k, *trials, *seed)
 	if err != nil {
 		return err
 	}
-	if err := section(fmt.Sprintf("\n=== Scheduler ablation at n=%d, k=%d ===\n", *n, *k),
-		"scheduler.csv", harness.SchedulerTable(srows)); err != nil {
-		return err
-	}
-	trows, err := harness.RunTopologySurvey(*n, *k, *trials, *seed, 0)
-	if err != nil {
-		return err
-	}
-	return section(fmt.Sprintf("\n=== Topology survey at n=%d, k=%d (does the complete-graph assumption matter?) ===\n", *n, *k),
-		"topology.csv", harness.TopologyTable(trows))
+	return section(fmt.Sprintf("\n=== Scheduler ablation at n=%d, k=%d ===\n", *n, *k),
+		"scheduler.csv", harness.SchedulerTable(srows))
 }

@@ -55,7 +55,7 @@ func experimentsCmd(ctx context.Context, args []string) error {
 		nmax         = fs.Int("nmax", 60, "fig3/4: maximum n")
 		fig6max      = fs.Int("fig6max", 12, "fig6: largest k (divisor of 960)")
 		engine       = fs.String("engine", "agent", "simulation backend: agent, count or batch (count skips null runs, same distribution; batch aggregates interactions per batch, fastest at large n)")
-		debugAddr    = fs.String("debug-addr", "", "serve pprof and /debug/vars on this address (e.g. :6060)")
+		debugAddr    = fs.String("debug-addr", "", "serve pprof, /debug/vars and /metrics on this address (e.g. :6060)")
 		metrics      = fs.Bool("metrics", false, "record harness metrics; snapshot written to <out>/metrics.jsonl")
 		resume       = fs.Bool("resume", false, "resume from existing <out>/<fig>.journal files instead of starting fresh")
 		trialTimeout = fs.Duration("trial-timeout", 0, "per-trial wall deadline (0 = none)")
@@ -100,8 +100,8 @@ func experimentsCmd(ctx context.Context, args []string) error {
 	// Observability: with -metrics or -debug-addr the parallel trial
 	// runner records per-trial wall times, interaction histograms,
 	// convergence counters, and the resilience counters
-	// (timeouts/canceled/resumed); /debug/vars exposes them live
-	// during a long sweep, and the snapshot lands next to the CSV/JSON
+	// (timeouts/canceled/resumed); /debug/vars and /metrics expose them
+	// live during a long sweep, and the snapshot lands next to the CSV/JSON
 	// results — including on an interrupted exit.
 	reg := registry("kpart_experiments", *metrics || *debugAddr != "")
 	if reg.Enabled() {
@@ -419,7 +419,9 @@ type scenarioCombo struct {
 // scenariosExp sweeps topology × fairness at a fixed (n, k) and tallies
 // outcomes: converged, frozen (the detector proved no productive
 // interaction can change a group again), or capped (the run burned the
-// interaction budget — the weak adversary's stall shows up here).
+// interaction budget — the weak adversary's stall shows up here). Of the
+// frozen trials it counts those left non-uniform (spread > 1) and the
+// worst spread: ablation A4, the complete-graph assumption at work.
 func scenariosExp(ctx context.Context, c campaign) error {
 	const (
 		n    = 12
@@ -454,10 +456,10 @@ func scenariosExp(ctx context.Context, c campaign) error {
 		return err
 	}
 
-	tbl := report.NewTable("scenario", "trials", "converged", "frozen", "capped", "mean_interactions")
-	csv := report.NewTable("scenario", "topology", "fairness", "trials", "converged", "frozen", "capped", "mean_interactions")
+	tbl := report.NewTable("scenario", "trials", "converged", "frozen", "nonuniform", "worst_spread", "capped", "mean_interactions")
+	csv := report.NewTable("scenario", "topology", "fairness", "trials", "converged", "frozen", "nonuniform", "worst_spread", "capped", "mean_interactions")
 	for ci, sc := range combos {
-		var converged, frozen int
+		var converged, frozen, nonuniform, worst int
 		var sumI uint64
 		for t := 0; t < trials; t++ {
 			r := results[ci*trials+t]
@@ -466,13 +468,17 @@ func scenariosExp(ctx context.Context, c campaign) error {
 			}
 			if r.Frozen {
 				frozen++
+				if r.Spread > 1 {
+					nonuniform++
+				}
+				worst = max(worst, r.Spread)
 			}
 			sumI += r.Interactions
 		}
 		capped := trials - converged - frozen
 		meanI := float64(sumI) / float64(trials)
-		tbl.AddRow(sc.label, trials, converged, frozen, capped, meanI)
-		csv.AddRow(sc.label, sc.topo.String(), sc.fair.String(), trials, converged, frozen, capped, meanI)
+		tbl.AddRow(sc.label, trials, converged, frozen, nonuniform, worst, capped, meanI)
+		csv.AddRow(sc.label, sc.topo.String(), sc.fair.String(), trials, converged, frozen, nonuniform, worst, capped, meanI)
 	}
 	fmt.Printf("topology × fairness at n=%d k=%d (cap %d interactions/trial)\n", n, k, capI)
 	tbl.WriteTo(os.Stdout)

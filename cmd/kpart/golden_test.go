@@ -48,7 +48,7 @@ var goldenCases = []goldenCase{
 		argv("predict -n 960 -k 4 -milestones -json"),
 	}},
 	{name: "compare", steps: [][]string{argv("compare -n 24 -k 4 -trials 4")},
-		files: []string{"results/compare.csv", "results/scheduler.csv", "results/topology.csv"}},
+		files: []string{"results/compare.csv", "results/scheduler.csv"}},
 	{name: "experiments-fig3", steps: [][]string{argv("experiments -fig 3 -quick -trials 3")},
 		files: []string{"results/fig3.csv", "results/fig3.json"}},
 	// No n in [k+2, 7] for k = 6 and k = 8: their series stay, empty.

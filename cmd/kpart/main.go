@@ -35,7 +35,7 @@ var commands = []command{
 	{"run", "one simulation: interactions to stability, final groups", runCmd, false},
 	{"scale", "large-n sweeps on the count engines, and scenario runs", scaleCmd, true},
 	{"experiments", "regenerate the evaluation figures as CSV and charts", experimentsCmd, true},
-	{"compare", "protocol-comparison, scheduler and topology ablations", compareCmd, false},
+	{"compare", "protocol-comparison and scheduler ablations", compareCmd, false},
 	{"exact", "exact expected stabilization times from the Markov chain", exactCmd, false},
 	{"verify", "model-check Theorem 1 for small populations", verifyCmd, false},
 	{"trace", "replay and analyze a `kpart run -trace` file", traceCmd, false},

@@ -122,6 +122,7 @@ func TestSubcommandDispatch(t *testing.T) {
 		{argv("exact -k 3 -nmin 8 -nmax 5 -sim 0"), 2, "", "kpart exact: -nmin 8 exceeds -nmax 5"},
 		{argv("exact -k 3 -nmin 100 -nmax 100 -sim 0"), 1, "", "exceeds the 200000-state budget"},
 		{argv("exact -k 1367 -sim 0"), 2, "", "kpart exact: "},
+		{argv("compare -k 1367"), 2, "", "kpart compare: harness: invalid trial spec"},
 	} {
 		stdout, stderr, code := run(t, dir, c.args...)
 		if code != c.code || !strings.Contains(stdout, c.stdout) || !strings.Contains(stderr, c.stderr) {

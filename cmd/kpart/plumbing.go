@@ -150,13 +150,14 @@ func writeJSON(path string, v any) error {
 }
 
 // registry returns the obs registry name, enabled and published on
-// /debug/vars, when on; otherwise the no-op registry.
+// /debug/vars and /metrics, when on; otherwise the no-op registry.
 func registry(name string, on bool) *obs.Registry {
 	if !on {
 		return obs.Nop()
 	}
 	reg := obs.New(name)
 	reg.PublishExpvar()
+	reg.PublishPrometheus()
 	return reg
 }
 

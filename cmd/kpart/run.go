@@ -9,10 +9,10 @@ package main
 //
 // -metrics writes an internal/obs snapshot (per-rule firing counts,
 // phase timings, engine totals) as JSONL after the run; -debug-addr
-// serves live pprof and /debug/vars while the run is hot; -v adds the
-// obs Progress reporter, the per-grouping marks and the rule-family
-// tally. The run fails (exit 1) if it hits the interaction cap before
-// stabilizing.
+// serves live pprof, /debug/vars and /metrics while the run is hot; -v
+// adds the obs Progress reporter, the per-grouping marks and the
+// rule-family tally. The run fails (exit 1) if it hits the interaction
+// cap before stabilizing.
 
 import (
 	"context"
@@ -41,7 +41,7 @@ func runCmd(_ context.Context, args []string) error {
 		tracePath = fs.String("trace", "", "write a JSONL interaction trace to this file")
 		verbose   = fs.Bool("v", false, "print live progress and per-grouping marks")
 		metrics   = fs.String("metrics", "", "write an obs metrics snapshot (JSONL) to this file")
-		debugAddr = fs.String("debug-addr", "", "serve pprof and /debug/vars on this address (e.g. :6060)")
+		debugAddr = fs.String("debug-addr", "", "serve pprof, /debug/vars and /metrics on this address (e.g. :6060)")
 		progressN = fs.Uint64("progress", 0, "interactions between progress reports (0 = auto with -v)")
 	)
 	if err := parseFlags(fs, args, map[string]int{"n": 3, "k": 2}); err != nil {

@@ -79,9 +79,9 @@ func serveCmd(ctx context.Context, args []string) error {
 	}
 
 	// A service is always instrumented: the registry feeds /healthz's
-	// richer sibling /debug/vars and the per-endpoint counters.
+	// richer siblings /debug/vars and /metrics and the per-endpoint
+	// counters.
 	reg := registry("kpart_serve", true)
-	reg.PublishPrometheus()
 	harness.SetMetrics(reg)
 
 	var spans *span.Collector

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/population"
@@ -84,7 +85,7 @@ type CompareResult struct {
 
 // Compare runs every supporting contender at (n, k) for the given number
 // of trials and returns one row per contender.
-func Compare(n, k, trials int, seed uint64, maxInteractions uint64) ([]CompareResult, error) {
+func Compare(n, k, trials int, seed uint64) ([]CompareResult, error) {
 	var out []CompareResult
 	for ci, c := range Contenders() {
 		if !c.Supports(k) {
@@ -100,7 +101,7 @@ func Compare(n, k, trials int, seed uint64, maxInteractions uint64) ([]CompareRe
 			row.States = proto.NumStates()
 			pop := population.New(proto, n)
 			s := sched.NewRandom(rng.StreamSeed(seed, uint64(ci)<<32|uint64(n)<<8|uint64(k), uint64(t)))
-			res, err := sim.Run(pop, s, stop, sim.Options{MaxInteractions: maxInteractions})
+			res, err := sim.Run(pop, s, stop, sim.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("compare %q: %w", c.Name, err)
 			}
@@ -139,36 +140,25 @@ type SchedulerAblationRow struct {
 	Unconverged int
 }
 
-// RunSchedulerAblation executes the ablation. The sweep scheduler is
+// RunSchedulerAblation executes the ablation. The random row is a sweep
+// point (PointID 99) on the agent engine. The sweep scheduler is
 // deterministic, so its "trials" differ only in nothing — it runs once.
-func RunSchedulerAblation(n, k, trials int, seed uint64, maxInteractions uint64) ([]SchedulerAblationRow, error) {
+func RunSchedulerAblation(n, k, trials int, seed uint64) ([]SchedulerAblationRow, error) {
+	pt, err := SweepPointCtx(context.Background(),
+		SweepSpec{TrialSpec: TrialSpec{N: n, K: k, Seed: seed}, Trials: trials, PointID: 99}, RunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	random := SchedulerAblationRow{Scheduler: "random", N: n, K: k, Trials: trials,
+		Mean: pt.Mean, CI95: pt.CI95, Unconverged: pt.Unconverged}
+
 	p := Proto(k)
 	tgt, err := p.TargetCounts(n)
 	if err != nil {
 		return nil, err
 	}
-
-	random := SchedulerAblationRow{Scheduler: "random", N: n, K: k, Trials: trials}
-	var xs []float64
-	for t := 0; t < trials; t++ {
-		pop := population.New(p, n)
-		res, err := sim.Run(pop, sched.NewRandom(rng.StreamSeed(seed, 99, uint64(t))),
-			sim.NewCountTarget(p.CanonMap(), tgt), sim.Options{MaxInteractions: maxInteractions})
-		if err != nil {
-			return nil, err
-		}
-		if !res.Converged {
-			random.Unconverged++
-			continue
-		}
-		xs = append(xs, float64(res.Interactions))
-	}
-	random.Mean, random.CI95 = stats.Mean(xs), stats.CI95(xs)
-
 	sweep := SchedulerAblationRow{Scheduler: "sweep", N: n, K: k, Trials: 1}
-	pop := population.New(p, n)
-	res, err := sim.Run(pop, sched.NewSweep(), sim.NewCountTarget(p.CanonMap(), tgt),
-		sim.Options{MaxInteractions: maxInteractions})
+	res, err := sim.Run(population.New(p, n), sched.NewSweep(), sim.NewCountTarget(p.CanonMap(), tgt), sim.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -271,7 +271,7 @@ func TestRunGridCellIsSweepPoint(t *testing.T) {
 }
 
 func TestCompareRunsAllContenders(t *testing.T) {
-	rows, err := Compare(16, 4, 3, 21, 0)
+	rows, err := Compare(16, 4, 3, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestCompareRunsAllContenders(t *testing.T) {
 }
 
 func TestCompareSkipsUnsupported(t *testing.T) {
-	rows, err := Compare(15, 5, 2, 22, 0)
+	rows, err := Compare(15, 5, 2, 22)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestCompareSkipsUnsupported(t *testing.T) {
 }
 
 func TestSchedulerAblation(t *testing.T) {
-	rows, err := RunSchedulerAblation(12, 3, 4, 31, 0)
+	rows, err := RunSchedulerAblation(12, 3, 4, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,33 +456,6 @@ func TestSaveJSONSeriesForm(t *testing.T) {
 	got := readDoc(t, path)
 	if len(got.Series) != 1 || len(got.Series[0].Points[0].MeanDeltas) != 2 {
 		t.Fatalf("%+v", got)
-	}
-}
-
-func TestTopologySurvey(t *testing.T) {
-	rows, err := RunTopologySurvey(9, 3, 6, 13, 20_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) < 3 {
-		t.Fatalf("only %d graphs surveyed", len(rows))
-	}
-	byName := map[string]TopologyRow{}
-	for _, r := range rows {
-		byName[r.Graph] = r
-		if r.Uniform+r.NonUniform+r.Unfrozen != r.Trials {
-			t.Fatalf("%s: outcome counts don't add up: %+v", r.Graph, r)
-		}
-	}
-	complete, ok := byName["complete-9"]
-	if !ok {
-		t.Fatal("complete graph missing from survey")
-	}
-	if complete.NonUniform != 0 || complete.Uniform == 0 {
-		t.Fatalf("complete graph misbehaved: %+v", complete)
-	}
-	if tb := TopologyTable(rows); len(tb.Rows) != len(rows) {
-		t.Fatal("table rows")
 	}
 }
 

@@ -47,10 +47,7 @@ func goroutineLifeScope(path string) bool {
 
 // chanClosedFact marks a channel-valued object (field, variable, or
 // parameter) as closed somewhere in the program.
-type chanClosedFact struct {
-	// At is the close site, for diagnostics.
-	At string
-}
+type chanClosedFact struct{}
 
 func (*chanClosedFact) AFact() {}
 
@@ -71,7 +68,7 @@ func runGoroutineLife(pass *lint.Pass) {
 				return true
 			}
 			if obj := chanObject(pass.Info, call.Args[0]); obj != nil {
-				pass.Facts.ExportObjectFact(obj, &chanClosedFact{At: pass.Position(call.Pos()).String()})
+				pass.Facts.ExportObjectFact(obj, &chanClosedFact{})
 			}
 			return true
 		})

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-// loadTestProgram writes a scratch module, loads each package dir as an
-// analysis unit, and builds its call graph.
-func loadTestProgram(t *testing.T, files map[string]string, pkgDirs ...string) (*CallGraph, []*Package) {
+// writeModule writes files, keyed by slash-separated relative path, under
+// a fresh temporary directory and returns it.
+func writeModule(t *testing.T, files map[string]string) string {
 	t.Helper()
 	root := t.TempDir()
 	for rel, src := range files {
@@ -22,6 +22,14 @@ func loadTestProgram(t *testing.T, files map[string]string, pkgDirs ...string) (
 			t.Fatal(err)
 		}
 	}
+	return root
+}
+
+// loadTestProgram writes a scratch module, loads each package dir as an
+// analysis unit, and builds its call graph.
+func loadTestProgram(t *testing.T, files map[string]string, pkgDirs ...string) (*CallGraph, []*Package) {
+	t.Helper()
+	root := writeModule(t, files)
 	loader, err := NewLoader(root)
 	if err != nil {
 		t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -140,8 +141,9 @@ func NewLoader(dir string) (*Loader, error) {
 }
 
 // Dirs lists every package directory under the module root, sorted.
-// Directories named testdata, hidden directories, and directories
-// without non-test Go files are skipped, mirroring the go tool's ./...
+// Directories named testdata, hidden directories, nested modules (a
+// directory with its own go.mod) and directories without non-test Go
+// files are skipped, mirroring the go tool's ./...
 func (l *Loader) Dirs() ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(l.Root, func(path string, d os.DirEntry, err error) error {
@@ -158,6 +160,9 @@ func (l *Loader) Dirs() ([]string, error) {
 		ents, err := os.ReadDir(path)
 		if err != nil {
 			return err
+		}
+		if path != l.Root && slices.ContainsFunc(ents, func(e os.DirEntry) bool { return e.Name() == "go.mod" }) {
+			return filepath.SkipDir
 		}
 		for _, e := range ents {
 			if !e.IsDir() && isNonTestGoFile(e.Name()) {

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -45,5 +47,31 @@ func M() int { return p.N() }
 	}
 	if len(q.Pkg.Imports()) != 1 || q.Pkg.Imports()[0] != p.Pkg {
 		t.Fatalf("q imports %v, want Load(p).Pkg %p", q.Pkg.Imports(), p.Pkg)
+	}
+}
+
+// Dirs stops at a nested module, as the go tool's ./... does: a
+// directory with its own go.mod, and everything under it, is another
+// module's to lint.
+func TestDirsSkipsNestedModules(t *testing.T) {
+	root := writeModule(t, map[string]string{
+		"go.mod":           "module example.com/m\n\ngo 1.22\n",
+		"m.go":             "package m\n",
+		"p/p.go":           "package p\n",
+		"bench/go.mod":     "module example.com/m/bench\n\ngo 1.22\n",
+		"bench/bench.go":   "package main\n",
+		"bench/sub/sub.go": "package sub\n",
+	})
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs, err := loader.Dirs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{root, filepath.Join(root, "p")}
+	if !slices.Equal(dirs, want) {
+		t.Fatalf("Dirs() = %v, want %v", dirs, want)
 	}
 }
