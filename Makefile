@@ -54,9 +54,10 @@ test:
 # trajectory test; rng the samplers it draws from),
 # and the HTTP serving layer (worker pool + admission queue + shared
 # LRU). internal/twin runs here because every /v1/predict request
-# goroutine answers through the same rungs: they hold no state, and
-# TestMeanFieldConcurrentPredict must catch any shared state that comes
-# back. The scenario layer (topology, fairness meters, the weak
+# goroutine answers through the same rungs, and the mean-field rung
+# shares one cache of endgame shapes across them:
+# TestMeanFieldConcurrentPredict has goroutines miss, build and hit the
+# same cache keys at once. The scenario layer (topology, fairness meters, the weak
 # adversary) is sequential by design but runs here too: its types are
 # shared across harness workers, so the race detector exercises that
 # sharing through the harness tests. -short skips the minutes-long
@@ -96,8 +97,10 @@ fuzz-smoke:
 # at the root, the count engines' per-step costs (internal/countsim:
 # BenchmarkFig6Step times a count step against a batch fallback step at
 # n = 960, k = 8; BenchmarkCountStep a count step at n = 961), and the
-# twin's cold answer (internal/twin: BenchmarkColdPredict answers a
-# serve-mix-shaped grid of 16 questions, each on a fresh MeanField).
+# twin's answers (internal/twin: BenchmarkColdPredict answers a
+# serve-mix-shaped grid of 16 questions, each on a fresh MeanField with
+# an empty shape cache; BenchmarkWarmPredict the same grid on cached
+# shapes, serve-mix's steady state).
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' . ./cmd/kpart ./internal/countsim ./internal/twin
 

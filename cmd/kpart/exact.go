@@ -19,12 +19,10 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/report"
-	"repro/internal/rng"
-	"repro/internal/stats"
 	"repro/internal/twin"
 )
 
-func exactCmd(_ context.Context, args []string) error {
+func exactCmd(ctx context.Context, args []string) error {
 	fs := newFlags()
 	var (
 		k      = fs.Int("k", 3, "number of groups")
@@ -54,22 +52,20 @@ func exactCmd(_ context.Context, args []string) error {
 		simMean, simCI := "", ""
 		z := ""
 		if *trials > 0 {
-			xs := make([]float64, *trials)
-			for t := 0; t < *trials; t++ {
-				res, err := harness.RunTrial(harness.TrialSpec{
-					N: n, K: *k, Seed: rng.StreamSeed(*seed, uint64(n), uint64(t)),
-				})
-				if err != nil {
-					return err
-				}
-				xs[t] = float64(res.Interactions)
+			// Trial t of population n runs on seed SeedForCell(seed, n, t).
+			pt, err := harness.SweepPointCtx(ctx, harness.SweepSpec{
+				TrialSpec: harness.TrialSpec{N: n, K: *k, Seed: *seed}, Trials: *trials, PointID: uint64(n),
+			}, harness.RunOptions{})
+			if err != nil {
+				return err
 			}
-			s, _ := stats.Summarize(xs)
-			ci := stats.CI95(xs)
-			simMean = report.FormatFloat(s.Mean)
-			simCI = report.FormatFloat(ci)
-			if ci > 0 {
-				z = report.FormatFloat((s.Mean - exact) / (ci / 1.96))
+			if pt.Unconverged > 0 {
+				return fmt.Errorf("n=%d: %d of %d simulation trials did not converge", n, pt.Unconverged, *trials)
+			}
+			simMean = report.FormatFloat(pt.Mean)
+			simCI = report.FormatFloat(pt.CI95)
+			if pt.CI95 > 0 {
+				z = report.FormatFloat((pt.Mean - exact) / (pt.CI95 / 1.96))
 			}
 		}
 		tbl.AddRow(n, pr.States, exact, simMean, simCI, z)

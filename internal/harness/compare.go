@@ -65,7 +65,9 @@ func Contenders() []Contender {
 				}
 				return p, sim.NewCountsPredicate(p.Stable), nil
 			},
-			Supports: func(k int) bool { return k >= 2 },
+			// One state per interval [lo, hi] of 1..k: k(k+1)/2 of them,
+			// more than protocol.MaxStates from k = 91 on.
+			Supports: func(k int) bool { return k >= 2 && k*(k+1)/2 <= protocol.MaxStates },
 		},
 	}
 }

@@ -306,6 +306,20 @@ func TestCompareSkipsUnsupported(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("%d rows", len(rows))
 	}
+	// The interval baseline's k(k+1)/2 states exceed protocol.MaxStates
+	// from k = 91 on: only the paper's protocol runs.
+	rows, err = Compare(5, 91, 1, 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0].Name != "k-partition (paper)" {
+		t.Fatalf("k=91: rows %+v, want the paper's protocol alone", rows)
+	}
+	for _, c := range Contenders() {
+		if c.Name == "interval baseline" && (!c.Supports(90) || c.Supports(91)) {
+			t.Errorf("interval baseline supports k=90: %v, k=91: %v; want true, false", c.Supports(90), c.Supports(91))
+		}
+	}
 }
 
 func TestSchedulerAblation(t *testing.T) {

@@ -13,20 +13,46 @@ var coldGrid = []Spec{
 
 var coldSink float64
 
-// BenchmarkColdPredict answers coldGrid with a fresh MeanField per
-// question, so every answer integrates the fluid, builds its endgame
-// chain and solves it: one op is the whole grid, and ms/answer the mean
-// cold answer.
+// BenchmarkColdPredict answers coldGrid with a fresh MeanField and an
+// empty shape cache per question, so every answer integrates the fluid,
+// builds its endgame chain's shape, fills and solves it: one op is the
+// whole grid, and ms/answer the mean cold answer.
 func BenchmarkColdPredict(b *testing.B) {
+	defer shapes.reset()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, s := range coldGrid {
-			pr, err := NewMeanField().Predict(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			coldSink += pr.ExpectedInteractions
+			shapes.reset()
+			predictGridAnswer(b, s)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*len(coldGrid)), "ms/answer")
+}
+
+// BenchmarkWarmPredict is BenchmarkColdPredict with every shape of the
+// grid in the cache, as it is for most of serve-mix's questions: each
+// answer integrates the fluid and fills and solves its chain on a
+// cached shape.
+func BenchmarkWarmPredict(b *testing.B) {
+	defer shapes.reset()
+	shapes.reset()
+	for _, s := range coldGrid {
+		predictGridAnswer(b, s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range coldGrid {
+			predictGridAnswer(b, s)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*len(coldGrid)), "ms/answer")
+}
+
+func predictGridAnswer(b *testing.B, s Spec) {
+	pr, err := NewMeanField().Predict(s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	coldSink += pr.ExpectedInteractions
 }

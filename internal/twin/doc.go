@@ -30,15 +30,22 @@
 //     answer takes milliseconds for n up to 10⁶ (BenchmarkColdPredict:
 //     ~3 ms mean on serve-mix's question grid on a 2-vCPU host) and up
 //     to about half a second at n = 10⁶, k = 8, almost all of it fluid
-//     integration. Accuracy is a documented contract (see
+//     integration. Endgame chain shapes repeat across populations and
+//     are cached (shapecache.go), so an answer whose shape is cached
+//     skips the chain exploration and the symbolic factorization
+//     (BenchmarkWarmPredict). Accuracy is a documented contract (see
 //     RelErrBudget), enforced in CI by `make twin-check` against
 //     recorded simulation means. Its dispersion is the fluid phase's
 //     Kurtz 1/√n spread added in quadrature with the endgame's exact
 //     variance.
 //
-// Every answer is cold: neither rung keeps state between calls, so one
-// value serves any number of goroutines, and repeats are the caller's to
-// cache (/v1/predict keeps an LRU of whole answers).
+// Neither rung keeps an answer between calls: each one integrates,
+// fills and solves its own chain, and repeats are the caller's to cache
+// (/v1/predict keeps an LRU of whole answers). What the mean-field rung
+// shares is the package's cache of endgame shapes, which depend only on
+// (k, n mod k, depth) and never change the answer; it is safe for
+// concurrent use, so one value of either rung serves any number of
+// goroutines.
 //
 // Auto picks the highest-fidelity rung whose cost fits DefaultStateBudget;
 // `kpart exact` calls the lumped rung directly. CrossValidate* are the

@@ -62,12 +62,13 @@ func levelMatrix(ch *lchain, trans []int, transpose bool) [][]float64 {
 		A[li][li] = ch.outMass[id]
 	}
 	for li, id := range trans {
-		for _, e := range ch.outOf(id) {
-			if lj, ok := local[e.To]; ok {
+		out, P := ch.outOf(id)
+		for j, e := range out {
+			if lj, ok := local[int(e.to)]; ok {
 				if transpose {
-					A[lj][li] -= e.P
+					A[lj][li] -= P[j]
 				} else {
-					A[li][lj] -= e.P
+					A[li][lj] -= P[j]
 				}
 			}
 		}

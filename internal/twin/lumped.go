@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/harness"
 	"repro/internal/protocol"
 )
 
@@ -37,40 +38,64 @@ import (
 // occupancy pass yields EVERY milestone at once, because the time until
 // #gk reaches j is exactly the total time spent in levels c < j.
 
-// ledge is one outgoing lumped transition.
-type ledge struct {
-	To int
-	P  float64
-}
+// A lumped chain is built in two phases. The first explores the states
+// and records the chain's shape: nodes, edges, levels, the stable set and
+// each level's LU pattern. The second fills one population's transition
+// probabilities into that shape. Both rungs use the same two phases;
+// the mean-field rung also shares endgame shapes across populations
+// (shapecache.go).
 
-// lchain is the lumped chain, built either from the initial configuration
-// (cMin = 0, reachable states only, via BFS) or as the level-restricted
-// endgame sub-chain c ≥ cMin used by the mean-field rung's handoff.
-type lchain struct {
-	p    *core.Protocol
-	n, k int
-	cMin int
-
+// chainShape is a lumped chain without its numbers. Node vectors store
+// #gk relative to ⌊n/k⌋ (a last entry ≤ 0) and lvl counts levels up from
+// the floor cMin, so an endgame shape with cMin ≥ 2 depends on n only
+// through (k, n mod k, ⌊n/k⌋ − cMin): level c's residual weight is
+// n mod k + k·(⌊n/k⌋ − c) at every such n, and with every g-count at
+// least cMin ≥ 2 a pair fires at a node exactly when it fires at the
+// node with the same relative vector. A shape is immutable once built.
+type chainShape struct {
+	k int
 	// vecs holds the reduced vectors, vecLen(k) entries per node id;
 	// slots is an open-addressing table over them (id + 1, 0 if empty),
 	// at most half full.
 	vecs  []int32
 	slots []int32
-	// Node i's outgoing edges are edges[off[i]:off[i+1]], sorted by To;
-	// targets are never at lower levels.
-	off   []int32
-	edges []ledge
-	self  []float64 // self-loop probability per node
+	// Node i's outgoing edges are edges[off[i]:off[i+1]], sorted by
+	// target; targets are never at lower levels.
+	off    []int32
+	edges  []shapeEdge
+	stable []bool
+	lvl    []int32 // level index #gk − cMin per node
+	// levels[li] lists the node ids at level index li, in build order.
+	levels [][]int
+	start  int // node id of the all-initial configuration; −1 for endgame chains
+	// move is reducedMoves's table: the reduced move of each ordered
+	// state pair, −1 for none; moves counts the distinct moves.
+	move  []int32
+	moves int
+	// pat[li] is the LU pattern of level li's transient (non-stable)
+	// nodes, nil when it has none or more than denseLevelCap.
+	pat []*luPattern
+}
+
+// shapeEdge is one outgoing lumped transition: its target, and the
+// reduced move whose pairs it sums.
+type shapeEdge struct{ to, mv int32 }
+
+// lchain is the lumped chain of one population: a shape and the
+// transition probabilities, built either from the initial configuration
+// (cMin = 0, reachable states only, via BFS) or as the level-restricted
+// endgame sub-chain c ≥ cMin used by the mean-field rung's handoff.
+type lchain struct {
+	*chainShape
+	n, cMin int
+
+	P    []float64 // probability per edge, parallel to edges
+	self []float64 // self-loop probability per node
 	// outMass[i] = Σ out edge probabilities = 1 − self[i], but summed
 	// directly: at large n, self approaches 1 and computing 1 − self
 	// cancels away most of the significand, while the direct sum keeps
 	// full precision. Every solver divides by this.
 	outMass []float64
-	stable  []bool
-	lvl     []int32 // #gk per node
-	// levels[c − cMin] lists node ids with #gk = c, in build order.
-	levels [][]int
-	start  int // node id of the all-initial configuration; −1 for endgame chains
 }
 
 // vecLen returns the reduced-vector length for k: a, b, k−2 m-counts,
@@ -94,9 +119,10 @@ func slotWeights(k int) []int {
 	return w
 }
 
-// decodeFull expands a reduced vector into a dense state-count vector,
+// decodeFull expands a reduced vector whose #gk entry is relative to q
+// (0 for an absolute one) into a dense state-count vector,
 // reconstructing the g-counts through the Lemma 1 identity.
-func decodeFull(p *core.Protocol, vec []int32, counts []int) {
+func decodeFull(p *core.Protocol, vec []int32, q int, counts []int) {
 	k := p.K()
 	for i := range counts {
 		counts[i] = 0
@@ -109,7 +135,7 @@ func decodeFull(p *core.Protocol, vec []int32, counts []int) {
 	for i := 1; i <= k-2; i++ {
 		counts[p.D(i)] = int(vec[k+i-1])
 	}
-	c := int(vec[2*k-2])
+	c := q + int(vec[2*k-2])
 	mSuffix, dSuffix := 0, 0
 	for x := k; x >= 1; x-- {
 		if x+1 <= k-1 {
@@ -137,55 +163,60 @@ func encodeReduced(p *core.Protocol, counts []int, vec []int32) {
 }
 
 // size returns the number of nodes.
-func (ch *lchain) size() int { return len(ch.vecs) / vecLen(ch.k) }
+func (sh *chainShape) size() int { return len(sh.vecs) / vecLen(sh.k) }
 
-// vec returns node i's reduced vector.
-func (ch *lchain) vec(i int) []int32 {
-	L := vecLen(ch.k)
-	return ch.vecs[i*L : (i+1)*L : (i+1)*L]
+// vec returns node i's reduced vector, #gk relative to ⌊n/k⌋.
+func (sh *chainShape) vec(i int) []int32 {
+	L := vecLen(sh.k)
+	return sh.vecs[i*L : (i+1)*L : (i+1)*L]
 }
 
-// outOf returns node i's outgoing edges.
-func (ch *lchain) outOf(i int) []ledge { return ch.edges[ch.off[i]:ch.off[i+1]] }
+// outOf returns node i's outgoing edges and their probabilities.
+func (ch *lchain) outOf(i int) ([]shapeEdge, []float64) {
+	lo, hi := ch.off[i], ch.off[i+1]
+	return ch.edges[lo:hi], ch.P[lo:hi]
+}
 
 // find returns vec's node id, or −1 and the empty slot it would take.
-func (ch *lchain) find(vec []int32) (id, slot int) {
+func (sh *chainShape) find(vec []int32) (id, slot int) {
 	h := uint64(14695981039346656037) // FNV-1a over the entries
 	for _, v := range vec {
 		h = (h ^ uint64(uint32(v))) * 1099511628211
 	}
-	mask := uint64(len(ch.slots) - 1)
+	mask := uint64(len(sh.slots) - 1)
 	for i := (h ^ h>>32) & mask; ; i = (i + 1) & mask { // the high half mixes every entry
-		s := ch.slots[i]
+		s := sh.slots[i]
 		if s == 0 {
 			return -1, int(i)
 		}
-		if slices.Equal(ch.vec(int(s-1)), vec) {
+		if slices.Equal(sh.vec(int(s-1)), vec) {
 			return int(s - 1), int(i)
 		}
 	}
 }
 
-// lookup returns vec's node id.
+// lookup returns the node id of vec, a reduced vector with #gk absolute.
 func (ch *lchain) lookup(vec []int32) (int, bool) {
-	id, _ := ch.find(vec)
+	rel := slices.Clone(vec)
+	rel[len(rel)-1] -= int32(ch.n / ch.k)
+	id, _ := ch.find(rel)
 	return id, id >= 0
 }
 
 // intern returns vec's node id, appending vec as a new node if absent.
-func (ch *lchain) intern(vec []int32) int {
-	id, slot := ch.find(vec)
+func (sh *chainShape) intern(vec []int32) int {
+	id, slot := sh.find(vec)
 	if id >= 0 {
 		return id
 	}
-	id = ch.size()
-	ch.vecs = append(ch.vecs, vec...)
-	ch.slots[slot] = int32(id + 1)
-	if 2*(id+1) > len(ch.slots) {
-		ch.slots = make([]int32, 2*len(ch.slots))
+	id = sh.size()
+	sh.vecs = append(sh.vecs, vec...)
+	sh.slots[slot] = int32(id + 1)
+	if 2*(id+1) > len(sh.slots) {
+		sh.slots = make([]int32, 2*len(sh.slots))
 		for j := 0; j <= id; j++ {
-			_, slot := ch.find(ch.vec(j))
-			ch.slots[slot] = int32(j + 1)
+			_, slot := sh.find(sh.vec(j))
+			sh.slots[slot] = int32(j + 1)
 		}
 	}
 	return id
@@ -275,27 +306,41 @@ func reducedMoves(p *core.Protocol) (move []int32, deltas []vecDelta) {
 // configuration by BFS. It fails once the node count exceeds budget, so
 // rung selection can probe cheaply.
 func buildLumped(p *core.Protocol, n, budget int) (*lchain, error) {
-	ch := &lchain{p: p, n: n, k: p.K(), start: 0}
-	L := vecLen(ch.k)
-	init := make([]int32, L)
+	sh := &chainShape{k: p.K(), start: 0}
+	init := make([]int32, vecLen(sh.k))
 	init[0] = int32(n)
-	return ch, ch.grow([][]int32{init}, budget)
+	if err := sh.grow(p, n, 0, [][]int32{init}, budget); err != nil {
+		return nil, err
+	}
+	return newChain(sh, p, n, 0)
 }
 
 // buildEndgame builds the level-restricted sub-chain of every
 // Lemma-1-consistent state with #gk >= cMin — the states the chain can
 // occupy once the fluid phase has filled all but the last few groups.
-// Seeding with ALL states of level cMin (not just reachable ones) is
-// deliberate: the mean-field handoff enters at a distribution over the
-// whole floor level. The caller sizes cMin (chooseEndgame), so the build
-// takes no budget.
 func buildEndgame(p *core.Protocol, n, cMin int) (*lchain, error) {
-	ch := &lchain{p: p, n: n, k: p.K(), cMin: cMin, start: -1}
+	sh, err := buildEndgameShape(p, n, cMin)
+	if err != nil {
+		return nil, err
+	}
+	return newChain(sh, p, n, cMin)
+}
+
+// buildEndgameShape builds the shape of buildEndgame's chain. Seeding
+// with ALL states of level cMin (not just reachable ones) is deliberate:
+// the mean-field handoff enters at a distribution over the whole floor
+// level. The caller sizes cMin (chooseEndgame), so the build takes no
+// budget.
+func buildEndgameShape(p *core.Protocol, n, cMin int) (*chainShape, error) {
+	sh := &chainShape{k: p.K(), start: -1}
 	seeds := enumerateLevel(p, n, cMin)
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("twin: no states at level %d for n=%d k=%d", cMin, n, p.K())
 	}
-	return ch, ch.grow(seeds, 0)
+	if err := sh.grow(p, n, cMin, seeds, 0); err != nil {
+		return nil, err
+	}
+	return sh, nil
 }
 
 // enumerateLevel lists every reduced vector with #gk = c: all (a, b, m, d)
@@ -363,49 +408,160 @@ func endgameCount(n, k, cStop, limit int) int {
 	return total
 }
 
-// grow explores from the seed vectors, building nodes, edges, levels and
-// the stability mask. A node's lumped out-distribution sums its pair
-// weights c1·(c2 − [s1 = s2])/(n(n−1)) by reduced move, in (s1, s2)
-// order; targets get ids in the order their first pair is met, which
-// with BFS numbers the nodes deterministically. Transitions must never
-// descend below a node's level (the #gk monotonicity the solvers rely
-// on); grow checks that instead of assuming it.
-func (ch *lchain) grow(seeds [][]int32, budget int) error {
-	p, n, L := ch.p, ch.n, vecLen(ch.k)
+// grow explores from the seed vectors (#gk absolute), building nodes,
+// edges, levels, the stability mask and the level patterns. A node's
+// edges are its reduced moves that some ordered pair (s1, s2) with
+// c1·(c2 − [s1 = s2]) > 0 makes, met in (s1, s2) order; targets get ids
+// in the order their first pair is met, which with BFS numbers the nodes
+// deterministically. Transitions must never descend below a node's
+// level (the #gk monotonicity the solvers rely on); grow checks that
+// instead of assuming it.
+func (sh *chainShape) grow(p *core.Protocol, n, cMin int, seeds [][]int32, budget int) error {
+	L, q := vecLen(sh.k), n/sh.k
 	size := 64
 	for size < 2*len(seeds) {
 		size *= 2
 	}
-	ch.slots = make([]int32, size)
+	sh.slots = make([]int32, size)
 	for _, s := range seeds {
-		ch.intern(s)
+		s[L-1] -= int32(q)
+		sh.intern(s)
 	}
 	isStable, err := p.StableChecker(n)
 	if err != nil {
 		return fmt.Errorf("twin: %v", err)
 	}
 	move, deltas := reducedMoves(p)
+	sh.move, sh.moves = move, len(deltas)
 	S := p.NumStates()
 	counts := make([]int, S)
+	nz := make([]int, 0, S)
 	cur := make([]int32, L)
 	target := make([]int32, L)
-	acc := make([]float64, len(deltas)) // weight per move at the current node; 0 = not met yet
-	var met []int32                     // moves met at the current node, in (s1, s2) order
-	total := float64(n) * float64(n-1)
-	ch.off = append(ch.off, 0)
-	for i := 0; i < ch.size(); i++ {
-		if budget > 0 && ch.size() > budget {
-			return fmt.Errorf("twin: lumped chain for n=%d k=%d exceeds the %d-state budget", n, ch.k, budget)
+	seen := make([]int32, len(deltas)) // per move, 1 + the last node that met it
+	var met []int32                    // moves met at the current node, in (s1, s2) order
+	sh.off = append(sh.off, 0)
+	for i := 0; i < sh.size(); i++ {
+		if budget > 0 && sh.size() > budget {
+			return fmt.Errorf("twin: lumped chain for n=%d k=%d exceeds the %d-state budget", n, sh.k, budget)
 		}
-		copy(cur, ch.vec(i))
-		decodeFull(p, cur, counts)
-		self := 0.0
+		copy(cur, sh.vec(i))
+		decodeFull(p, cur, q, counts)
+		nz = present(counts, nz)
 		met = met[:0]
-		for s1, c1 := range counts {
-			if c1 == 0 {
-				continue
+		for _, s1 := range nz {
+			row := move[s1*S : (s1+1)*S]
+			for _, s2 := range nz {
+				mv := row[s2]
+				if mv < 0 || seen[mv] == int32(i+1) || s2 == s1 && counts[s1] == 1 {
+					continue
+				}
+				seen[mv] = int32(i + 1)
+				met = append(met, mv)
 			}
-			for s2, mv := range move[s1*S : (s1+1)*S] {
+		}
+		for _, mv := range met {
+			deltas[mv].apply(cur, target)
+			sh.edges = append(sh.edges, shapeEdge{to: int32(sh.intern(target)), mv: mv})
+		}
+		sh.off = append(sh.off, int32(len(sh.edges)))
+		sh.stable = append(sh.stable, isStable(counts))
+	}
+	// Levels and the monotonicity check; then sort edges for determinism
+	// of the float sums (same reason markov.New sorts).
+	N := sh.size()
+	sh.lvl = make([]int32, N)
+	top := 0
+	for id := range sh.lvl {
+		l := int(sh.vecs[id*L+L-1]) + q - cMin
+		if l < 0 {
+			return fmt.Errorf("twin: node %d at level %d below floor %d", id, l+cMin, cMin)
+		}
+		sh.lvl[id] = int32(l)
+		top = max(top, l)
+	}
+	sh.levels = make([][]int, top+1)
+	for id, l := range sh.lvl {
+		sh.levels[l] = append(sh.levels[l], id)
+		out := sh.edges[sh.off[id]:sh.off[id+1]]
+		slices.SortFunc(out, func(a, b shapeEdge) int { return int(a.to - b.to) })
+		for _, e := range out {
+			if sh.lvl[e.to] < l {
+				return fmt.Errorf("twin: #gk decreased on edge %d->%d — lumping is broken", id, e.to)
+			}
+		}
+	}
+	// The LU pattern of each level's non-stable nodes: the set every pass
+	// solves, since stable nodes sit at the top level only and hitLevel
+	// absorbs whole levels.
+	sh.pat = make([]*luPattern, len(sh.levels))
+	local := make([]int32, N)
+	for i := range local {
+		local[i] = -1
+	}
+	var sc luScratch
+	for li, level := range sh.levels {
+		var trans []int
+		for _, id := range level {
+			if !sh.stable[id] {
+				trans = append(trans, id)
+			}
+		}
+		if len(trans) == 0 || len(trans) > denseLevelCap {
+			continue
+		}
+		for i, id := range trans {
+			local[id] = int32(i)
+		}
+		sh.pat[li] = newLUPattern(sh, trans, local, &sc)
+		for _, id := range trans {
+			local[id] = -1
+		}
+	}
+	return nil
+}
+
+// present returns the states with a positive count, in increasing
+// order, in buf's storage. The pairs a node's loops visit are those of
+// present states, in the order a loop over all states meets them.
+func present(counts, buf []int) []int {
+	buf = buf[:0]
+	for s, c := range counts {
+		if c > 0 {
+			buf = append(buf, s)
+		}
+	}
+	return buf
+}
+
+// newChain fills shape sh with the transition probabilities of n agents
+// (the shape's floor is level cMin). A node's lumped out-distribution
+// sums its pair weights c1·(c2 − [s1 = s2])/(n(n−1)) by reduced move, in
+// (s1, s2) order, so each edge's probability is the same float sum
+// whichever population of the shape's key built the shape. A shape that
+// does not fit n fails instead of answering.
+func newChain(sh *chainShape, p *core.Protocol, n, cMin int) (*lchain, error) {
+	N, S, q := sh.size(), p.NumStates(), n/sh.k
+	ch := &lchain{chainShape: sh, n: n, cMin: cMin,
+		P: make([]float64, len(sh.edges)), self: make([]float64, N), outMass: make([]float64, N)}
+	counts := make([]int, S)
+	nz := make([]int, 0, S)
+	slot := make([]int32, sh.moves)
+	for i := range slot {
+		slot[i] = -1 // the current node's edge of each move, −1 for none
+	}
+	total := float64(n) * float64(n-1)
+	for i := 0; i < N; i++ {
+		decodeFull(p, sh.vec(i), q, counts)
+		nz = present(counts, nz)
+		lo, hi := sh.off[i], sh.off[i+1]
+		for e := lo; e < hi; e++ {
+			slot[sh.edges[e].mv] = e
+		}
+		self := 0.0
+		for _, s1 := range nz {
+			c1, row := counts[s1], sh.move[s1*S:(s1+1)*S]
+			for _, s2 := range nz {
 				c2 := counts[s2]
 				if s2 == s1 {
 					c2--
@@ -414,54 +570,29 @@ func (ch *lchain) grow(seeds [][]int32, budget int) error {
 					continue
 				}
 				w := float64(c1) * float64(c2) / total
+				mv := row[s2]
 				if mv < 0 {
 					self += w
 					continue
 				}
-				if acc[mv] == 0 {
-					met = append(met, mv)
+				e := slot[mv]
+				if e < 0 {
+					return nil, fmt.Errorf("twin: chain shape lacks a move of node %d at n=%d k=%d", i, n, sh.k)
 				}
-				acc[mv] += w
+				ch.P[e] += w
 			}
 		}
-		for _, mv := range met {
-			deltas[mv].apply(cur, target)
-			ch.edges = append(ch.edges, ledge{To: ch.intern(target), P: acc[mv]})
-			acc[mv] = 0
-		}
-		ch.off = append(ch.off, int32(len(ch.edges)))
-		ch.self = append(ch.self, self)
-		ch.stable = append(ch.stable, isStable(counts))
-	}
-	// Levels and the monotonicity check; then sort edges for determinism
-	// of the float sums (same reason markov.New sorts).
-	N := ch.size()
-	ch.lvl = make([]int32, N)
-	maxLevel := 0
-	for id := range ch.lvl {
-		l := int(ch.vecs[id*L+L-1])
-		ch.lvl[id] = int32(l)
-		maxLevel = max(maxLevel, l)
-	}
-	ch.levels = make([][]int, maxLevel-ch.cMin+1)
-	ch.outMass = make([]float64, N)
-	for id, l := range ch.lvl {
-		if int(l) < ch.cMin {
-			return fmt.Errorf("twin: node %d at level %d below floor %d", id, l, ch.cMin)
-		}
-		ch.levels[int(l)-ch.cMin] = append(ch.levels[int(l)-ch.cMin], id)
-		out := ch.outOf(id)
-		slices.SortFunc(out, func(a, b ledge) int { return a.To - b.To })
 		sum := 0.0
-		for _, e := range out {
-			if ch.lvl[e.To] < l {
-				return fmt.Errorf("twin: #gk decreased on edge %d->%d — lumping is broken", id, e.To)
+		for e := lo; e < hi; e++ {
+			if ch.P[e] == 0 {
+				return nil, fmt.Errorf("twin: chain shape has an edge node %d lacks at n=%d k=%d", i, n, sh.k)
 			}
-			sum += e.P
+			sum += ch.P[e]
+			slot[sh.edges[e].mv] = -1
 		}
-		ch.outMass[id] = sum
+		ch.self[i], ch.outMass[i] = self, sum
 	}
-	return nil
+	return ch, nil
 }
 
 // Solver parameters: levels up to denseLevelCap transient nodes solve by
@@ -486,15 +617,14 @@ const (
 // call. Each level's factorization is kept for the solver's lifetime and
 // reused by every later pass over the same transient set — the hitting,
 // second-moment and occupancy passes and each milestone's hitting pass —
-// and goes with the solver when the call returns.
+// and goes with the solver when the call returns. Its pattern comes from
+// the chain's shape when the transient set is the level's non-stable
+// nodes, as it is for every pass Predict makes.
 type levelSolver struct {
 	ch    *lchain
 	local []int32     // node id → index among the level's transient nodes, −1 elsewhere
 	lu    []*sparseLU // by level index, nil until the level is factored
 	sc    luScratch
-	// The level matrix's off-diagonal rows, rebuilt per factorization.
-	rowOff, cols []int32
-	vals, diag   []float64
 }
 
 func newLevelSolver(ch *lchain) *levelSolver {
@@ -509,27 +639,21 @@ func (s *levelSolver) solve(li int, trans []int, rhs, x []float64, transpose boo
 	if m == 0 {
 		return nil
 	}
-	if s.local == nil {
-		s.local = make([]int32, s.ch.size())
-		for i := range s.local {
-			s.local[i] = -1
-		}
-	}
-	for i, id := range trans {
-		s.local[id] = int32(i)
-	}
-	defer func() {
-		for _, id := range trans {
-			s.local[id] = -1
-		}
-	}()
 	if m > denseLevelCap {
+		s.mapLocal(trans)
+		defer s.unmapLocal(trans)
 		return s.gaussSeidel(trans, rhs, x, transpose)
 	}
 	f := s.lu[li]
 	if f == nil || !slices.Equal(f.ids, trans) {
+		pt := s.ch.pat[li]
+		if pt == nil || !slices.Equal(pt.ids, trans) {
+			s.mapLocal(trans)
+			pt = newLUPattern(s.ch.chainShape, trans, s.local, &s.sc)
+			s.unmapLocal(trans)
+		}
 		var err error
-		if f, err = s.factor(trans); err != nil {
+		if f, err = pt.factor(s.ch, &s.sc); err != nil {
 			return err
 		}
 		s.lu[li] = f
@@ -548,24 +672,30 @@ func (s *levelSolver) solve(li int, trans []int, rhs, x []float64, transpose boo
 	return nil
 }
 
-// factor assembles and factors the level matrix over trans: the exact
-// out-mass on the diagonal, the negated in-level transition probabilities
-// between transient nodes off it.
-func (s *levelSolver) factor(trans []int) (*sparseLU, error) {
-	ch := s.ch
-	s.rowOff = append(s.rowOff[:0], 0)
-	s.cols, s.vals, s.diag = s.cols[:0], s.vals[:0], s.diag[:0]
-	for _, id := range trans {
-		for _, e := range ch.outOf(id) {
-			if lj := s.local[e.To]; lj >= 0 {
-				s.cols = append(s.cols, lj)
-				s.vals = append(s.vals, -e.P)
-			}
+// mapLocal points local at trans's indices; unmapLocal undoes it.
+func (s *levelSolver) mapLocal(trans []int) {
+	if s.local == nil {
+		s.local = make([]int32, s.ch.size())
+		for i := range s.local {
+			s.local[i] = -1
 		}
-		s.rowOff = append(s.rowOff, int32(len(s.cols)))
-		s.diag = append(s.diag, ch.outMass[id])
 	}
-	return factorLevel(trans, s.diag, s.rowOff, s.cols, s.vals, &s.sc)
+	for i, id := range trans {
+		s.local[id] = int32(i)
+	}
+}
+
+func (s *levelSolver) unmapLocal(trans []int) {
+	for _, id := range trans {
+		s.local[id] = -1
+	}
+}
+
+// ledge is one in-level transition of the Gauss–Seidel fallback's
+// transposed sweep, from index To.
+type ledge struct {
+	To int
+	P  float64
 }
 
 // gaussSeidel is the fallback for levels above denseLevelCap.
@@ -576,9 +706,10 @@ func (s *levelSolver) gaussSeidel(trans []int, rhs, x []float64, transpose bool)
 	if transpose {
 		in = make([][]ledge, m)
 		for li, id := range trans {
-			for _, e := range ch.outOf(id) {
-				if lj := s.local[e.To]; lj >= 0 {
-					in[lj] = append(in[lj], ledge{To: li, P: e.P})
+			out, P := ch.outOf(id)
+			for j, e := range out {
+				if lj := s.local[e.to]; lj >= 0 {
+					in[lj] = append(in[lj], ledge{To: li, P: P[j]})
 				}
 			}
 		}
@@ -592,9 +723,10 @@ func (s *levelSolver) gaussSeidel(trans []int, rhs, x []float64, transpose bool)
 					sum += e.P * x[trans[e.To]]
 				}
 			} else {
-				for _, e := range ch.outOf(id) {
-					if s.local[e.To] >= 0 {
-						sum += e.P * x[e.To]
+				out, P := ch.outOf(id)
+				for j, e := range out {
+					if s.local[e.to] >= 0 {
+						sum += P[j] * x[e.to]
 					}
 				}
 			}
@@ -632,9 +764,10 @@ func (ch *lchain) solveHitting(s *levelSolver, absorb []bool) ([]float64, error)
 			}
 			// rhs = 1 + mass flowing to already-solved higher levels.
 			sum := 1.0
-			for _, e := range ch.outOf(i) {
-				if ch.lvl[e.To] > ch.lvl[i] {
-					sum += e.P * E[e.To]
+			out, P := ch.outOf(i)
+			for j, e := range out {
+				if ch.lvl[e.to] > ch.lvl[i] {
+					sum += P[j] * E[e.to]
 				}
 			}
 			trans = append(trans, i)
@@ -665,7 +798,7 @@ func (ch *lchain) moments(s *levelSolver) (E, M []float64, err error) {
 func (ch *lchain) hitLevel(s *levelSolver, j int) ([]float64, error) {
 	absorb := make([]bool, ch.size())
 	for i, l := range ch.lvl {
-		absorb[i] = int(l) >= j
+		absorb[i] = int(l)+ch.cMin >= j
 	}
 	return ch.solveHitting(s, absorb)
 }
@@ -683,10 +816,11 @@ func (ch *lchain) secondMoments(s *levelSolver, E []float64) ([]float64, error) 
 				continue
 			}
 			sum := 1.0 + 2*ch.self[i]*E[i]
-			for _, e := range ch.outOf(i) {
-				sum += 2 * e.P * E[e.To]
-				if ch.lvl[e.To] > ch.lvl[i] {
-					sum += e.P * M[e.To]
+			out, P := ch.outOf(i)
+			for j, e := range out {
+				sum += 2 * P[j] * E[e.to]
+				if ch.lvl[e.to] > ch.lvl[i] {
+					sum += P[j] * M[e.to]
 				}
 			}
 			trans = append(trans, i)
@@ -727,9 +861,10 @@ func (ch *lchain) occupancy(s *levelSolver) ([]float64, error) {
 		}
 		// Push the level's settled mass to higher levels.
 		for _, i := range trans {
-			for _, e := range ch.outOf(i) {
-				if ch.lvl[e.To] > ch.lvl[i] {
-					entry[e.To] += e.P * nu[i]
+			out, P := ch.outOf(i)
+			for j, e := range out {
+				if ch.lvl[e.to] > ch.lvl[i] {
+					entry[e.to] += P[j] * nu[i]
 				}
 			}
 		}
@@ -780,7 +915,9 @@ func LumpedFits(n, k, budget int) bool {
 
 // Lumped is rung 1 of the ladder: exact expectations from the lumped
 // chain for every (n, k) whose reduced state space fits
-// DefaultStateBudget. It holds no state.
+// DefaultStateBudget. It keeps nothing between calls: every answer
+// builds its chain, shape and probabilities, afresh (the endgame shape
+// cache serves the mean-field rung only).
 type Lumped struct{}
 
 // NewLumped returns the exact rung.
@@ -798,11 +935,7 @@ func (l *Lumped) Predict(s Spec) (Prediction, error) {
 	if err := checkSpec(s); err != nil {
 		return Prediction{}, err
 	}
-	p, err := core.New(s.K)
-	if err != nil {
-		return Prediction{}, fmt.Errorf("twin: %v", err)
-	}
-	ch, err := buildLumped(p, s.N, DefaultStateBudget)
+	ch, err := buildLumped(harness.Proto(s.K), s.N, DefaultStateBudget)
 	if err != nil {
 		return Prediction{}, err
 	}

@@ -134,7 +134,7 @@ func TestEnumerateLevelConsistent(t *testing.T) {
 				t.Fatalf("level %d: duplicate vector %v", c, vec)
 			}
 			seen[key] = true
-			decodeFull(p, vec, counts)
+			decodeFull(p, vec, 0, counts)
 			pop := 0
 			for _, ct := range counts {
 				pop += ct

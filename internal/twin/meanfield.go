@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
+	"repro/internal/harness"
 )
 
 // Rung 2: the mean-field (fluid) model with an exact endgame.
@@ -142,10 +142,10 @@ func (f *fluid) drift(y, dy []float64) {
 	}
 }
 
-// rk4 advances y by one classical Runge–Kutta step of size h into out.
-func (f *fluid) rk4(y []float64, h float64, out []float64, k1, k2, k3, k4, tmp []float64) {
+// rk4 advances y by one classical Runge–Kutta step of size h into out,
+// given k1 = drift(y).
+func (f *fluid) rk4(y, k1 []float64, h float64, out []float64, k2, k3, k4, tmp []float64) {
 	n := len(y)
-	f.drift(y, k1)
 	for i := 0; i < n; i++ {
 		tmp[i] = y[i] + h/2*k1[i]
 	}
@@ -186,7 +186,9 @@ type fluidResult struct {
 // integrate runs the fluid from all-free until #gk reaches cStop. The
 // step size adapts by step doubling: a full step is compared against two
 // half steps, accepted when they agree to fluidTol, and the richer
-// two-half-step estimate is kept. The next step size follows the
+// two-half-step estimate is kept. Both start from the drift at y, which
+// is evaluated once per accepted point and kept across rejected tries.
+// The next step size follows the
 // standard proportional controller h·0.9·(tol/err)^(1/5) (clamped) —
 // always adjusting, so h keeps growing geometrically along the long
 // quiet tail instead of freezing the first time the error lands between
@@ -203,6 +205,7 @@ func (f *fluid) integrate(n, cStop int) (fluidResult, error) {
 	full := make([]float64, dim)
 	half := make([]float64, dim)
 	half2 := make([]float64, dim)
+	dy := make([]float64, dim) // drift(y)
 	k1 := make([]float64, dim)
 	k2 := make([]float64, dim)
 	k3 := make([]float64, dim)
@@ -212,10 +215,12 @@ func (f *fluid) integrate(n, cStop int) (fluidResult, error) {
 	tau := 0.0
 	h := 1.0
 	nextMilestone := 1
+	f.drift(y, dy)
 	for step := 0; step < fluidMaxSteps; step++ {
-		f.rk4(y, h, full, k1, k2, k3, k4, tmp)
-		f.rk4(y, h/2, half, k1, k2, k3, k4, tmp)
-		f.rk4(half, h/2, half2, k1, k2, k3, k4, tmp)
+		f.rk4(y, dy, h, full, k2, k3, k4, tmp)
+		f.rk4(y, dy, h/2, half, k2, k3, k4, tmp)
+		f.drift(half, k1)
+		f.rk4(half, k1, h/2, half2, k2, k3, k4, tmp)
 		errEst := 0.0
 		for i := 0; i < dim; i++ {
 			d := math.Abs(full[i] - half2[i])
@@ -263,6 +268,7 @@ func (f *fluid) integrate(n, cStop int) (fluidResult, error) {
 			nextMilestone++
 		}
 		copy(y, half2)
+		f.drift(y, dy)
 		tau += h
 		h *= fac
 	}
@@ -341,8 +347,11 @@ func binomialHalfPMF(a, b int) float64 {
 }
 
 // MeanField is rung 2 of the ladder: fluid bulk dynamics plus the exact
-// endgame sub-chain, for arbitrary populations. It holds no state: every
-// answer builds and solves its own endgame chain.
+// endgame sub-chain, for arbitrary populations. Every answer integrates
+// its own fluid and fills and solves its own endgame chain; the chain's
+// shape comes from a package-level cache shared by every MeanField
+// (shapecache.go), keyed so that a shape never depends on which
+// population built it. One value serves any number of goroutines.
 type MeanField struct{}
 
 // Endgame sizing: endgameLevels exactly-solved #gk levels (J) when they
@@ -394,10 +403,7 @@ func (m *MeanField) Predict(s Spec) (Prediction, error) {
 	if err := checkSpec(s); err != nil {
 		return Prediction{}, err
 	}
-	p, err := core.New(s.K)
-	if err != nil {
-		return Prediction{}, fmt.Errorf("twin: %v", err)
-	}
+	p := harness.Proto(s.K)
 	n, k := s.N, s.K
 	q := n / k
 	f := &fluid{k: k, t: float64(n) * float64(n-1)}
@@ -409,7 +415,11 @@ func (m *MeanField) Predict(s Spec) (Prediction, error) {
 	if err != nil {
 		return Prediction{}, err
 	}
-	ch, err := buildEndgame(p, n, cStop)
+	sh, err := endgameShape(p, n, cStop)
+	if err != nil {
+		return Prediction{}, err
+	}
+	ch, err := newChain(sh, p, n, cStop)
 	if err != nil {
 		return Prediction{}, err
 	}

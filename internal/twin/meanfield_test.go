@@ -58,7 +58,7 @@ func TestFluidConservesPopulation(t *testing.T) {
 		y := make([]float64, dim)
 		y[0] = float64(n)
 		out := make([]float64, dim)
-		k1 := make([]float64, dim)
+		dy := make([]float64, dim)
 		k2 := make([]float64, dim)
 		k3 := make([]float64, dim)
 		k4 := make([]float64, dim)
@@ -75,7 +75,8 @@ func TestFluidConservesPopulation(t *testing.T) {
 		}
 		h := float64(n) / 4
 		for step := 0; step < 400; step++ {
-			f.rk4(y, h, out, k1, k2, k3, k4, tmp)
+			f.drift(y, dy)
+			f.rk4(y, dy, h, out, k2, k3, k4, tmp)
 			copy(y, out)
 			if w := weight(y); math.Abs(w-float64(n)) > 1e-6*float64(n) {
 				t.Fatalf("k=%d step %d: population weight %.6f, want %d", k, step, w, n)
@@ -169,23 +170,29 @@ func TestMeanFieldDeterministic(t *testing.T) {
 
 // One MeanField answers from several goroutines at once, as the
 // /v1/predict request goroutines share Auto's rungs. Repeated and
-// distinct questions, with and without milestones, run side by side, so
-// any mutable state the rung shares across calls shows up under the race
+// distinct questions, with and without milestones, run side by side on
+// an empty shape cache, and most share their shape key with another
+// question, so the goroutines miss, build and hit the same keys at once:
+// any mutable state shared across calls shows up under the race
 // detector, and every answer equals the one a fresh rung gives
-// sequentially.
+// sequentially on its own shape.
 func TestMeanFieldConcurrentPredict(t *testing.T) {
 	specs := []Spec{
 		{N: 200, K: 4}, {N: 960, K: 4, Milestones: true}, {N: 1000, K: 5}, {N: 611, K: 6},
 		{N: 300, K: 3, Milestones: true}, {N: 2503, K: 4}, {N: 4242, K: 6, Milestones: true}, {N: 500, K: 8},
+		{N: 1004, K: 4}, {N: 2007, K: 4}, {N: 1500, K: 5, Milestones: true}, {N: 4247, K: 6}, {N: 336, K: 3},
 	}
+	defer shapes.reset()
 	want := make([]Prediction, len(specs))
 	for i, s := range specs {
+		shapes.reset()
 		pr, err := NewMeanField().Predict(s)
 		if err != nil {
 			t.Fatalf("Predict(%+v): %v", s, err)
 		}
 		want[i] = pr
 	}
+	shapes.reset()
 	m := NewMeanField()
 	const workers, rounds = 4, 2
 	var wg sync.WaitGroup
@@ -259,7 +266,7 @@ func TestEntryDistNormalized(t *testing.T) {
 		if w < 0 {
 			t.Fatalf("negative weight %g", w)
 		}
-		if lv := int(ch.lvl[ids[i]]); lv != cStop {
+		if lv := int(ch.lvl[ids[i]]) + ch.cMin; lv != cStop {
 			t.Fatalf("entry state at level %d, want floor %d", lv, cStop)
 		}
 		sum += w

@@ -56,8 +56,9 @@ func TestLumpedProjectionIsExact(t *testing.T) {
 				t.Errorf("n=%d k=%d: node %d: self-loop %g vs %g", fx.n, fx.k, i, wantSelf, lch.self[li])
 			}
 			got := make(map[int]float64)
-			for _, e := range lch.outOf(li) {
-				got[e.To] = e.P
+			out, P := lch.outOf(li)
+			for j, e := range out {
+				got[int(e.to)] = P[j]
 			}
 			if len(got) != len(want) {
 				t.Errorf("n=%d k=%d: node %d: %d projected edges vs %d lumped", fx.n, fx.k, i, len(want), len(got))
