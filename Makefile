@@ -96,13 +96,16 @@ fuzz-smoke:
 # BenchmarkSuite and BenchmarkEngineThroughput), the A1–A3 ablations
 # at the root, the count engines' per-step costs (internal/countsim:
 # BenchmarkFig6Step times a count step against a batch fallback step at
-# n = 960, k = 8; BenchmarkCountStep a count step at n = 961), and the
-# twin's answers (internal/twin: BenchmarkColdPredict answers a
+# n = 960, k = 8; BenchmarkCountStep a count step at n = 961), the
+# generator's draws (internal/rng: BenchmarkXoshiro256 draws through the
+# pointer, BenchmarkXoshiro256Next with the generator held in a local as
+# the agent engine's loop holds it, BenchmarkPairSampling a Rand.Pair),
+# and the twin's answers (internal/twin: BenchmarkColdPredict answers a
 # serve-mix-shaped grid of 16 questions, each on a fresh MeanField with
 # an empty shape cache; BenchmarkWarmPredict the same grid on cached
 # shapes, serve-mix's steady state).
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' . ./cmd/kpart ./internal/countsim ./internal/twin
+	$(GO) test -bench=. -benchmem -run='^$$' . ./cmd/kpart ./internal/countsim ./internal/rng ./internal/twin
 
 # Machine-readable perf trajectory; compare BENCH_kpart.json across PRs.
 bench-json:

@@ -50,19 +50,24 @@
 // Final-approach steps are audited just as often but cost O(S), not
 // O(S²): when the engine falls back it opens a shadow — a copy of the
 // counts plus their from-scratch null, flip and progress weights — and
-// after each sequential step updates those weights exactly from the
-// states whose counts moved (see syncShadow). By induction from that full
-// recompute the shadow's null weight is the O(S²) audit's value, so every
-// step still checks the incremental null weight against it, checks the
-// decomposition, and runs Check; the window policy reads the same weights
-// and makes bit for bit the decisions the full scan would. States with
-// the same null, flip and progress cells in their rows and columns (class
-// twins, like initial and initial') share their line sums, so a flip
-// between them updates the weights without summing a line. At the
-// paper's Figure 6 point (n = 960, k = 8), where nearly every step is a
-// final-approach step, a fallback step costs 3.2–3.6× a Sim.Step and a
-// batch trial 2.3–2.8× a count-engine trial; the rest of the step is its
-// O(S) pass and Check.
+// after each sequential step brings it up to the live counts (see
+// syncShadow). By induction from that full recompute the shadow's null
+// weight is the O(S²) audit's value, so every step still checks the
+// incremental null weight against it, checks the decomposition, and runs
+// Check; the window policy reads the same weights and makes bit for bit
+// the decisions the full scan would, dividing again only when one of its
+// inputs changed. States with the same null, flip and progress cells in
+// their rows and columns (class twins, like initial and initial') have
+// the same weight terms, so a step that only moves agents between class
+// twins and leaves each moved state at least two agents changes no
+// weight and no live cell: such a twin flip, 86% of the fallback steps at
+// the paper's Figure 6 point (n = 960, k = 8), costs the shadow one lean
+// O(S) audit pass. Any other step updates the weights from the states
+// whose counts moved. There, where nearly every step is a final-approach
+// step, a fallback step costs 1.6–1.7× a Sim.Step and a batch trial
+// 1.7–1.8× a count-engine trial (traced perfbench runs; 2.7–3.1× and
+// 2.4–2.5× before twin flips); the rest of the step is the audit pass and
+// Check.
 package countsim
 
 import (
@@ -169,6 +174,10 @@ type Batch struct {
 	shPA     int64    // agents in states with a live progress cell
 	shCmax   int64    // largest count among those states
 	shDiag   int64    // agents in states whose diagonal cell is null
+	// shPolicyIn holds the (progW, pA, cmax) at which stayFinal last ran
+	// the window policy, and shPolicySeq its verdict.
+	shPolicyIn  [3]int64
+	shPolicySeq bool
 	// cellClass is the class of each cell; lines lists, for each state x,
 	// the other ends of the flip cells in column x, the flip cells in row
 	// x, the progress cells in column x and the progress cells in row x:
@@ -184,10 +193,12 @@ type Batch struct {
 	crossed   []bool  // syncShadow scratch: states whose count crossed 0, 1 or 2
 	net       []int64 // syncShadow scratch: net count change per class-twin group
 
-	// Introspection counters.
-	batches  uint64
-	seqSteps uint64
-	clamped  uint64
+	// Introspection counters; twinFlips counts the final-approach steps
+	// that syncShadow took as twin flips.
+	batches   uint64
+	seqSteps  uint64
+	twinFlips uint64
+	clamped   uint64
 }
 
 // NewBatch builds a batched engine with n agents in the protocol's initial
@@ -467,7 +478,7 @@ func (b *Batch) stepAggregate(limit uint64) error {
 		if progW+flipW <= 0 {
 			return ErrDead
 		}
-		if progW > 0 && b.sequential(b.window(progW, b.shPA, b.shCmax)) {
+		if progW > 0 && b.stayFinal(progW) {
 			return b.seqStep()
 		}
 		b.shadowOn = false
@@ -682,6 +693,18 @@ func (b *Batch) sequential(mf float64) bool {
 	return b.opts.SeqThreshold > 0 && mf < float64(b.opts.SeqThreshold)
 }
 
+// stayFinal reports whether the window policy keeps the final approach at
+// the progress weight progW > 0 and the shadow's pA and cmax. It divides
+// only when one of the three changed since it last did; openShadow clears
+// what it remembers.
+func (b *Batch) stayFinal(progW int64) bool {
+	if in := [3]int64{progW, b.shPA, b.shCmax}; in != b.shPolicyIn {
+		b.shPolicyIn = in
+		b.shPolicySeq = b.sequential(b.window(progW, b.shPA, b.shCmax))
+	}
+	return b.shPolicySeq
+}
+
 // openShadow starts the final-approach shadow from the weight scan that
 // just chose to fall back: the live counts, the scan's from-scratch flip
 // and progress weights and live cells, and a from-scratch null weight.
@@ -712,6 +735,7 @@ func (b *Batch) openShadow(progW, flipW int64) {
 	}
 	b.shW = [3]int64{classNull: s.auditNullWeight(), classFlip: flipW, classProg: progW}
 	b.shPA, b.shCmax = b.participation()
+	b.shPolicyIn = [3]int64{}
 	b.shadowOn = true
 }
 
@@ -782,11 +806,115 @@ func (b *Batch) participation() (pA, cmax int64) {
 // syncShadow brings the shadow up to the live counts and audits the
 // incremental null weight against it. It finds the states that moved by
 // diffing the live counts against the shadow's copy, never from the
-// moves Sim.Step made, and updates each class weight
+// moves Sim.Step made.
+//
+// One lean O(S) pass serves every step: it finds the moved states and
+// sums the audit's row and column terms. When the moved states all lie in
+// one class-twin group with zero net change and none crossed 0, 1 or 2 —
+// a twin flip, like initial ↔ initial', 86% of the final-approach steps
+// at the Figure 6 point — no class weight, live cell or pA can change
+// (see twinFlip), so the step only copies the moved counts and brings the
+// window policy's cmax along. Any other step reweighs the shadow (see
+// reweigh) and recomputes pA and cmax from it.
+//
+// The audit: by induction from the full recompute that opened the shadow,
+// its null weight equals the O(S²) recompute of auditNullWeight, so
+// comparing the incremental nullW against it is exactly as strong. The row
+// and column sums that Sim.move keeps and Sim.Step works from must give
+// the same weight: Σ_a c_a·rowSum[a] and Σ_b c_b·colSum[b] both equal
+// nullW plus shDiag, the agents in states whose diagonal cell is null
+// (kept, like the class weights, by induction).
+func (b *Batch) syncShadow() error {
+	s := b.sim
+	o := b.shCounts
+	counts := s.counts[:len(o)]
+	rowSum, colSum := s.rowSum[:len(o)], s.colSum[:len(o)]
+	var T [4]int // the moved states, while there are at most four (one step's most)
+	var moved int
+	var viaRow, viaCol int64
+	for x, c := range counts {
+		c := int64(c)
+		if c != o[x] {
+			if moved < len(T) {
+				T[moved] = x
+			}
+			moved++
+		}
+		viaRow += c * rowSum[x]
+		viaCol += c * colSum[x]
+	}
+	if moved <= len(T) && b.twinFlip(T[:moved]) {
+		b.twinFlips++
+	} else {
+		b.reweigh()
+		b.shPA, b.shCmax = b.participation()
+	}
+
+	want := b.shW[classNull]
+	if s.nullW != want {
+		return nullAuditError(s.nullW, want)
+	}
+	viaRow -= b.shDiag
+	viaCol -= b.shDiag
+	if viaRow != want || viaCol != want {
+		return fmt.Errorf("countsim: batch null-weight audit failed: row sums give %d, column sums %d, recomputed %d",
+			viaRow, viaCol, want)
+	}
+	return nil
+}
+
+// twinFlip reports whether the moved states T all lie in one class-twin
+// group, with zero net change, and none crossed 0, 1 or 2; if so it copies
+// their counts into the shadow and updates cmax, the largest count among
+// states with a live progress cell.
+//
+// Such a move changes no class weight: with d the count change, supported
+// on the group, and Σ d = 0, each term of ΔF_M (see reweigh) vanishes,
+// because the group's members have equal rows and columns in every class
+// M, and so equal diagonal entries. No live cell changes either, since a
+// cell's liveness changes only where a count crosses 0, 1 or 2. Every
+// moved state keeps at least two agents, and members of a group with as
+// many have the same live cells, so they are all in pA or all out of it,
+// and pA moves by Σ d = 0; shDiag likewise.
+func (b *Batch) twinFlip(T []int) bool {
+	o, counts := b.shCounts, b.sim.counts
+	var net int64
+	for _, t := range T {
+		c := int64(counts[t])
+		if b.classTwin[t] != b.classTwin[T[0]] || min(o[t], 2) != min(c, 2) {
+			return false
+		}
+		net += c - o[t]
+	}
+	if net != 0 {
+		return false
+	}
+	// cmax moves with the moved states alone, and only if they are live.
+	stale := false
+	for _, t := range T {
+		c := int64(counts[t])
+		if b.shLive[t] > 0 {
+			if c > b.shCmax {
+				b.shCmax = c
+			} else if c < o[t] && o[t] == b.shCmax {
+				stale = true
+			}
+		}
+		o[t] = c
+	}
+	if stale {
+		_, b.shCmax = b.participation()
+	}
+	return true
+}
+
+// reweigh brings the shadow's class weights, live cells, null diagonal and
+// count copy up to the live counts. It diffs the counts against the copy
+// for the states T that moved, then updates each class weight
 //
 //	F_M(c) = Σ_{a,b} M_ab·c_a·(c_b − [a = b])
 //
-// over those states' rows and columns only. With o the shadow counts and
+// is updated over T's rows and columns only. With o the shadow counts and
 // d = c − o,
 //
 //	ΔF_M = dᵀM·o + oᵀM·d + dᵀM·d − Σ_t M_tt·d_t.
@@ -798,36 +926,18 @@ func (b *Batch) participation() (pA, cmax int64) {
 // group with a nonzero net change. The T×T term dᵀM·d and the diagonal
 // stay per state. A progress cell's liveness (both ends present) changes
 // only where a count crosses 0, 1 or 2, so only those states' progress
-// cells are re-examined. Cost O(S) per moved group, O(|T|) per moved
-// state, plus one O(S) pass that also gathers the audit's sums and the
-// window policy's pA and cmax.
-//
-// The audit: by induction from the full recompute that opened the shadow,
-// its null weight equals the O(S²) recompute of auditNullWeight, so
-// comparing the incremental nullW against it is exactly as strong. The row
-// and column sums that Sim.move keeps and Sim.Step works from must give
-// the same weight: Σ_a c_a·rowSum[a] and Σ_b c_b·colSum[b] both equal
-// nullW plus shDiag, the agents in states whose diagonal cell is null
-// (kept, like the class weights, by induction).
-func (b *Batch) syncShadow() error {
-	s := b.sim
-	S := s.S
-	o, live := b.shCounts, b.shLive[:len(b.shCounts)]
-	counts := s.counts[:len(o)]
-	rowSum, colSum := s.rowSum[:len(o)], s.colSum[:len(o)]
+// cells are re-examined. Cost O(S) for the diff and per moved group, and
+// O(|T|) per moved state.
+func (b *Batch) reweigh() {
+	S := b.sim.S
+	o := b.shCounts
+	counts := b.sim.counts[:len(o)]
 	T := b.touched[:0]
-	var total, viaRow, viaCol, pA, cmax int64
+	var total int64
 	for x, c := range counts {
-		c := int64(c)
 		total += o[x]
-		if c != o[x] {
+		if int64(c) != o[x] {
 			T = append(T, x)
-		}
-		viaRow += c * rowSum[x]
-		viaCol += c * colSum[x]
-		if live[x] > 0 {
-			pA += c
-			cmax = max(cmax, c)
 		}
 	}
 	var dW [3]int64
@@ -896,23 +1006,6 @@ func (b *Batch) syncShadow() error {
 	for k, v := range dW {
 		b.shW[k] += v
 	}
-	if crossed {
-		// pA and cmax above read the liveness from before the step.
-		pA, cmax = b.participation()
-	}
-	b.shPA, b.shCmax = pA, cmax
-
-	want := b.shW[classNull]
-	if s.nullW != want {
-		return nullAuditError(s.nullW, want)
-	}
-	viaRow -= b.shDiag
-	viaCol -= b.shDiag
-	if viaRow != want || viaCol != want {
-		return fmt.Errorf("countsim: batch null-weight audit failed: row sums give %d, column sums %d, recomputed %d",
-			viaRow, viaCol, want)
-	}
-	return nil
 }
 
 // lineSum returns the sum of o over the states in seg.

@@ -603,6 +603,137 @@ func TestShadowAuditCatchesMutation(t *testing.T) {
 	}
 }
 
+// twinFlipNext returns an engine at the Figure 6 final approach whose
+// next Step is a twin flip (see Batch.twinFlip), and the states that step
+// moves. It finds the step on a second engine from the same seed.
+func twinFlipNext(t *testing.T) (*Batch, map[int]bool) {
+	t.Helper()
+	ref := fig6FinalApproach(t)
+	var before []int
+	steps := 0
+	for flips := ref.twinFlips; ref.twinFlips == flips; steps++ {
+		before = ref.Counts()
+		if err := ref.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved := map[int]bool{}
+	for x, c := range ref.sim.counts {
+		if c != before[x] {
+			moved[x] = true
+		}
+	}
+	b := fig6FinalApproach(t)
+	for i := 0; i < steps-1; i++ {
+		if err := b.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b, moved
+}
+
+// A twin flip updates only the shadow's counts and cmax, yet its step is
+// audited as any other: corrupting the incremental null weight, a row or
+// column sum it is kept from, or the count of a state the step does not
+// move fails that step with the null-weight audit. The null weight fails
+// the check the final approach makes before its sequential step; the row
+// and column sums leave the step a twin flip, whose pass audits them; the
+// unmoved count that pass sees moved, and the step reweighs the shadow.
+func TestTwinFlipAuditCatchesMutation(t *testing.T) {
+	for _, mut := range []struct {
+		name  string
+		apply func(s *Sim, x int)
+		twin  bool
+	}{
+		{"nullW", func(s *Sim, _ int) { s.nullW++ }, false},
+		{"rowSum", func(s *Sim, x int) { s.rowSum[x]++ }, true},
+		{"colSum", func(s *Sim, x int) { s.colSum[x]-- }, true},
+		{"unmoved count", func(s *Sim, x int) { s.counts[x]++ }, false},
+	} {
+		b, moved := twinFlipNext(t)
+		x := -1 // the fullest state the step does not move
+		for i, c := range b.sim.counts {
+			if !moved[i] && (x < 0 || c > b.sim.counts[x]) {
+				x = i
+			}
+		}
+		flips := b.twinFlips
+		mut.apply(b.sim, x)
+		if err := b.Step(); err == nil || !strings.Contains(err.Error(), "null-weight audit failed") {
+			t.Errorf("%s bumped: the twin flip's Step returned %v, want the null-weight audit failure", mut.name, err)
+		}
+		if twin := b.twinFlips > flips; twin != mut.twin {
+			t.Errorf("%s bumped: step taken as a twin flip: %v, want %v", mut.name, twin, mut.twin)
+		}
+	}
+}
+
+// Over the Figure 6 final approach, the shadow equals an O(S²) recompute
+// after twin flips and after reweighed steps alike, and the run takes
+// both kinds of step.
+func TestShadowMatchesRecomputeOnBothPaths(t *testing.T) {
+	b := fig6FinalApproach(t)
+	flips, seq := b.twinFlips, b.seqSteps
+	for i := 0; i < 2000; i++ {
+		if err := b.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if !b.shadowOn {
+			continue
+		}
+		w, live, diag := recomputeShadow(b)
+		if b.shW != w || b.shDiag != diag {
+			t.Fatalf("step %d: shadow weights %v diagonal %d, recomputed %v and %d", i, b.shW, b.shDiag, w, diag)
+		}
+		if pA, cmax := b.participation(); b.shPA != pA || b.shCmax != cmax {
+			t.Fatalf("step %d: shadow pA %d cmax %d, recomputed %d and %d", i, b.shPA, b.shCmax, pA, cmax)
+		}
+		for x := range live {
+			if b.shLive[x] != live[x] || b.shCounts[x] != int64(b.sim.counts[x]) {
+				t.Fatalf("step %d state %d: shadow live %d count %d, recomputed live %d count %d",
+					i, x, b.shLive[x], b.shCounts[x], live[x], b.sim.counts[x])
+			}
+		}
+	}
+	twin := b.twinFlips - flips
+	full := b.seqSteps - seq - twin
+	if twin == 0 || full == 0 {
+		t.Fatalf("%d twin flips and %d reweighed steps; want both kinds", twin, full)
+	}
+}
+
+// stayFinal divides only when progW, pA or cmax changed, so a change to
+// any one of them alone must reach the window policy. At n = 960, each
+// change below flips the policy's verdict.
+func TestStayFinalRedecidesOnEachInput(t *testing.T) {
+	b := fig6FinalApproach(t)
+	progW := int64(10000)
+	b.shPA, b.shCmax = 960, 1
+	steps := []struct {
+		name string
+		edit func()
+	}{
+		{"cmax", func() { b.shCmax = 100 }},
+		{"cmax back", func() { b.shCmax = 1 }},
+		{"pA", func() { b.shPA = 320 }},
+		{"pA back", func() { b.shPA = 960 }},
+		{"progW", func() { progW = 100000 }},
+	}
+	last := b.stayFinal(progW)
+	for _, st := range steps {
+		st.edit()
+		want := b.sequential(b.window(progW, b.shPA, b.shCmax))
+		got := b.stayFinal(progW)
+		if got != want {
+			t.Fatalf("after the %s change: stayFinal says %v, the window policy %v", st.name, got, want)
+		}
+		if got == last {
+			t.Fatalf("after the %s change: verdict stayed %v; the test needs a flip", st.name, got)
+		}
+		last = got
+	}
+}
+
 // A final-approach step allocates nothing: the shadow is allocated once,
 // when the engine first falls back.
 func TestFinalApproachStepAllocs(t *testing.T) {

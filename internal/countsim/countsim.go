@@ -338,13 +338,23 @@ func (s *Sim) Step() (from, to protocol.Pair, err error) {
 		// inverse-CDF sampling via K = ⌊ln U / ln q⌋.
 		if s.nullW != s.lnQFor {
 			s.lnQ = math.Log(float64(s.nullW) / float64(W))
+			if s.lnQ == 0 {
+				// prodW/W < 2⁻⁵³: nullW/W rounds to 1. ln q = ln(1 − prodW/W).
+				s.lnQ = math.Log1p(-float64(prodW) / float64(W))
+			}
 			s.lnQFor = s.nullW
 		}
 		u := s.rand.Float64()
 		if u <= 0 {
 			u = math.SmallestNonzeroFloat64
 		}
-		s.interactions += uint64(math.Log(u) / s.lnQ)
+		// A skip past the counter's range saturates it (converting a
+		// float64 of 2⁶⁴ or more to uint64 is implementation-dependent).
+		if k := math.Log(u) / s.lnQ; k < 1<<64 && uint64(k) < math.MaxUint64-s.interactions {
+			s.interactions += uint64(k)
+		} else {
+			s.interactions = math.MaxUint64 - 1
+		}
 	}
 	s.interactions++
 	s.productive++

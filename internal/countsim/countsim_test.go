@@ -301,6 +301,38 @@ func TestNullSkipping(t *testing.T) {
 	}
 }
 
+// When the productive weight is below 2⁻⁵³ of all ordered pairs,
+// nullW/W rounds to 1 in float64 and its logarithm to 0; Step then takes
+// the null-run rate from log1p(−prodW/W). At k = 4 with 10⁹ − 2 agents in
+// g1 and two in m2, only the two m2 agents' meeting is productive: prodW =
+// 2 of W ≈ 10¹⁸, so the skip is geometric with mean about W/2.
+func TestStepSkipsWhenNullWeightRoundsToOne(t *testing.T) {
+	p := core.MustNew(4)
+	counts := make([]int, p.NumStates())
+	counts[p.G(1)] = 1e9 - 2
+	counts[p.M(2)] = 2
+	const runs = 256
+	var mean float64
+	for seed := uint64(0); seed < runs; seed++ {
+		s, err := FromCounts(p, counts, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		W := int64(s.N()) * int64(s.N()-1)
+		if prodW := W - s.NullWeight(); prodW != 2 {
+			t.Fatalf("productive weight %d, want 2", prodW)
+		}
+		if _, _, err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+		mean += float64(s.Interactions()) / runs / (float64(W) / 2)
+	}
+	// A geometric mean over 256 runs has a relative spread of 1/16.
+	if mean < 0.75 || mean > 1.25 {
+		t.Fatalf("mean skip is %.3g of W/prodW, want about 1", mean)
+	}
+}
+
 // Large-population smoke test: a million agents, k = 2, far beyond what
 // an exhaustive structure could handle, in O(|Q|²) memory.
 func TestMillionAgents(t *testing.T) {

@@ -14,6 +14,7 @@ package population
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -127,8 +128,11 @@ func (pop *Population) Interact(i, j int) bool {
 // counters are current again whenever InteractUniform returns.
 //
 // This is the agent engine's loop under the paper's uniform random
-// scheduler, where almost every encounter is null: such an encounter
-// costs two inlined draws and one table read.
+// scheduler, where almost every encounter is null. The null encounters
+// run in nullRun, which calls nothing, so that Go keeps its generator, a
+// local Xoshiro256, in registers; InteractUniform stores the generator
+// back to x only before productive and on return, and reloads it after
+// productive, which may draw from x.
 func (pop *Population) InteractUniform(x *rng.Xoshiro256, delta []protocol.Pair, until uint64,
 	productive func(i, j int, before, after protocol.Pair) bool) bool {
 	S := len(pop.counts)
@@ -136,30 +140,76 @@ func (pop *Population) InteractUniform(x *rng.Xoshiro256, delta []protocol.Pair,
 		panic(fmt.Sprintf("population: transition table has %d entries, want %d", len(delta), S*S))
 	}
 	states := pop.states
-	n := uint64(len(states))
 	t := pop.interactions
+	g := *x
 	for t < until {
-		t++
-		i := int(rng.Lemire(x, x.Uint64(), n))
-		j := int(rng.Lemire(x, x.Uint64(), n-1))
+		var i, j int
+		var found bool
+		var left uint64
+		g, left, i, j, found = nullRun(g, states, delta, S, until-t)
+		t = until - left
+		if !found {
+			break
+		}
+		p, q := states[i], states[j]
+		out := delta[int(p)*S+int(q)]
+		pop.interactions = t
+		pop.apply(i, j, p, q, out)
+		*x = g
+		if productive(i, j, protocol.Pair{P: p, Q: q}, out) {
+			return true
+		}
+		g = *x
+	}
+	*x = g
+	pop.interactions = t
+	return false
+}
+
+// nullRun draws up to left encounters among the agents of states from g,
+// each pair as rng.Rand.Pair draws it, and stops after the first whose
+// transition in delta (a table over S states) is not the identity. It
+// returns g advanced past its draws, the encounters left undrawn, and
+// the productive pair, found, if it met one.
+//
+// A null encounter costs two generator steps, two multiplies, two state
+// reads and one table read. Each draw takes Lemire's method inline: the
+// high word of v·n is the value unless the low word falls below 2⁶⁴ mod
+// n, which only a draw whose low word is below n (n/2⁶⁴ of them) needs
+// to check, and the rejection loop redraws in place. nullRun calls
+// nothing and counts down, so the generator stays in registers: a call
+// anywhere in the loop made Go's register allocator spill the state
+// words around it.
+func nullRun(g rng.Xoshiro256, states []protocol.State, delta []protocol.Pair, S int, left uint64) (_ rng.Xoshiro256, _ uint64, i, j int, found bool) {
+	n := uint64(len(states))
+	n1 := n - 1
+	for left > 0 {
+		left--
+		var v uint64
+		v, g = g.Next()
+		hi, lo := bits.Mul64(v, n)
+		for lo < n && lo < -n%n {
+			v, g = g.Next()
+			hi, lo = bits.Mul64(v, n)
+		}
+		v, g = g.Next()
+		hj, lo := bits.Mul64(v, n1)
+		for lo < n1 && lo < -n1%n1 {
+			v, g = g.Next()
+			hj, lo = bits.Mul64(v, n1)
+		}
+		i, j = int(hi), int(hj)
 		// Skip the initiator: j moves up one when j >= i. (j-i)>>63 is -1
 		// exactly when j < i, so this adds 1 or 0 without a branch. A
 		// branch would go either way at random, and the CPU would
 		// mispredict it on about every other encounter, null ones too.
 		j += 1 + (j-i)>>63
 		p, q := states[i], states[j]
-		out := delta[int(p)*S+int(q)]
-		if out.P == p && out.Q == q {
-			continue
-		}
-		pop.interactions = t
-		pop.apply(i, j, p, q, out)
-		if productive(i, j, protocol.Pair{P: p, Q: q}, out) {
-			return true
+		if out := delta[int(p)*S+int(q)]; out.P != p || out.Q != q {
+			return g, left, i, j, true
 		}
 	}
-	pop.interactions = t
-	return false
+	return g, 0, 0, 0, false
 }
 
 // apply moves agents i and j from states p and q to out, keeping the

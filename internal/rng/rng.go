@@ -65,35 +65,48 @@ func Mix64(x uint64) uint64 {
 // It has a 256-bit state, passes BigCrush, and emits one value in a handful
 // of ALU operations. The zero value is invalid (all-zero state is a fixed
 // point); use NewXoshiro256.
+//
+// The state is four scalar fields rather than an array: Go can keep a
+// local struct of up to four scalars in registers, never a [4]uint64, so
+// a loop that holds a Xoshiro256 in a local and draws through Next can
+// leave memory alone between draws.
 type Xoshiro256 struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // NewXoshiro256 returns a Xoshiro256 whose state is filled from seed via
 // SplitMix64, as recommended by the xoshiro authors.
 func NewXoshiro256(seed uint64) *Xoshiro256 {
 	sm := NewSplitMix64(seed)
-	var x Xoshiro256
-	for i := range x.s {
-		x.s[i] = sm.Uint64()
-	}
+	x := Xoshiro256{sm.Uint64(), sm.Uint64(), sm.Uint64(), sm.Uint64()}
 	// An all-zero state would be a fixed point emitting only zeros.
 	// SplitMix64 is a bijection over its 2^64 outputs so four consecutive
 	// zero outputs cannot happen, but guard anyway: the cost is nothing.
-	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
-		x.s[0] = 0x9e3779b97f4a7c15
+	if x.s0|x.s1|x.s2|x.s3 == 0 {
+		x.s0 = 0x9e3779b97f4a7c15
 	}
 	return &x
 }
 
+// Next returns the next value of the stream and the generator advanced
+// past it, leaving x as it was.
+func (x Xoshiro256) Next() (uint64, Xoshiro256) {
+	result := bits.RotateLeft64(x.s1*5, 7) * 9
+	t := x.s1 << 17
+	x.s2 ^= x.s0
+	x.s3 ^= x.s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= t
+	x.s3 = bits.RotateLeft64(x.s3, 45)
+	return result, x
+}
+
 // Uint64 returns the next value of the stream.
 func (x *Xoshiro256) Uint64() uint64 {
-	s0, s1, s2, s3 := x.s[0], x.s[1], x.s[2], x.s[3]
-	result := bits.RotateLeft64(s1*5, 7) * 9
-	s2 ^= s0
-	s3 ^= s1
-	x.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
-	return result
+	v, next := x.Next()
+	*x = next
+	return v
 }
 
 // StreamSeed deterministically derives a sub-seed for a named stream, e.g.

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -63,6 +64,61 @@ func TestXoshiroKnownStream(t *testing.T) {
 	}
 }
 
+// The first outputs of xoshiro256** 1.0 from the state {1, 2, 3, 4}, the
+// reference implementation's (they are the test vector of, among others,
+// Rust's rand_xoshiro). Next and Uint64 must both give them.
+func TestXoshiroReferenceVector(t *testing.T) {
+	want := []uint64{11520, 0, 1509978240, 1215971899390074240, 1216172134540287360, 607988272756665600}
+	x := Xoshiro256{1, 2, 3, 4}
+	p := &Xoshiro256{1, 2, 3, 4}
+	for i, w := range want {
+		var v uint64
+		v, x = x.Next()
+		if u := p.Uint64(); v != w || u != w {
+			t.Fatalf("output %d: Next gives %d, Uint64 %d, want %d", i, v, u, w)
+		}
+	}
+	if x != *p {
+		t.Fatalf("Next left %+v, Uint64 %+v", x, *p)
+	}
+}
+
+// A draw of 0 lies in Lemire's rejected region for every bound. From the
+// reference state, whose second output is 0, and from its successor,
+// whose first is, Rand.Pair at n = 960, the general agent loop's draw,
+// redraws the rejected responder or initiator as plain rejection sampling
+// does and leaves the generator where it does.
+func TestPairRedrawsZeroDraw(t *testing.T) {
+	// bounded draws until lo(v·n) reaches 2⁶⁴ mod n, Lemire's acceptance
+	// region, with no fast path.
+	bounded := func(x *Xoshiro256, n uint64) int {
+		for {
+			hi, lo := bits.Mul64(x.Uint64(), n)
+			if lo >= -n%n {
+				return int(hi)
+			}
+		}
+	}
+	_, succ := Xoshiro256{1, 2, 3, 4}.Next()
+	for _, start := range []Xoshiro256{{1, 2, 3, 4}, succ} {
+		got, want := start, start
+		r := FromSource(&got)
+		for k := 0; k < 3; k++ {
+			i, j := r.Pair(960)
+			wi, wj := bounded(&want, 960), bounded(&want, 959)
+			if wj >= wi {
+				wj++
+			}
+			if i != wi || j != wj {
+				t.Fatalf("from %+v, pair %d: Pair gives (%d, %d), rejection sampling (%d, %d)", start, k, i, j, wi, wj)
+			}
+		}
+		if got != want {
+			t.Fatalf("from %+v: Pair left %+v, rejection sampling %+v", start, got, want)
+		}
+	}
+}
+
 func TestXoshiroNeverAllZeroState(t *testing.T) {
 	x := NewXoshiro256(0)
 	for i := 0; i < 1000; i++ {
@@ -120,9 +176,9 @@ type countingSource struct {
 
 func (c *countingSource) Uint64() uint64 { c.draws++; return c.x.Uint64() }
 
-// Lemire over a raw xoshiro draw, the agent engine's inlined draw, is
-// Rand.Uint64n's stream, redraws included. For n = 3·2^62 a quarter of
-// the first draws land in the rejected region, so the redraw path runs.
+// lemire over a raw xoshiro draw is Rand.Uint64n's stream through any
+// Source, redraws included. For n = 3·2^62 a quarter of the first draws
+// land in the rejected region, so the redraw path runs.
 func TestLemireMatchesUint64n(t *testing.T) {
 	const draws = 4000
 	for _, n := range []uint64{1, 2, 959, 3 << 62} {
@@ -130,9 +186,9 @@ func TestLemireMatchesUint64n(t *testing.T) {
 		src := &countingSource{x: NewXoshiro256(0xf16)}
 		r := FromSource(src)
 		for i := 0; i < draws; i++ {
-			got, want := Lemire(x, x.Uint64(), n), r.Uint64n(n)
+			got, want := lemire(x, x.Uint64(), n), r.Uint64n(n)
 			if got != want || got >= n {
-				t.Fatalf("n=%d draw %d: Lemire gives %d, Uint64n %d", n, i, got, want)
+				t.Fatalf("n=%d draw %d: lemire gives %d, Uint64n %d", n, i, got, want)
 			}
 		}
 		if *x != *src.x {
@@ -294,13 +350,29 @@ func TestStreamSeedNoEasyCollisions(t *testing.T) {
 	}
 }
 
+// benchSink keeps the benchmarks' draws live.
+var benchSink uint64
+
+// BenchmarkXoshiro256 draws through the pointer, loading and storing the
+// state on every draw; BenchmarkXoshiro256Next holds the generator in a
+// local and draws through Next, as the agent engine's loop does.
 func BenchmarkXoshiro256(b *testing.B) {
 	x := NewXoshiro256(1)
 	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink ^= x.Uint64()
 	}
-	_ = sink
+	benchSink = sink
+}
+
+func BenchmarkXoshiro256Next(b *testing.B) {
+	x := *NewXoshiro256(1)
+	var sink, v uint64
+	for i := 0; i < b.N; i++ {
+		v, x = x.Next()
+		sink ^= v
+	}
+	benchSink = sink
 }
 
 func BenchmarkPairSampling(b *testing.B) {

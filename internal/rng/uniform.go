@@ -58,22 +58,22 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	} else {
 		v = r.src.Uint64()
 	}
-	return Lemire(r.src, v, n)
+	return lemire(r.src, v, n)
 }
 
 // Xoshiro returns the generator r draws from when it is a *Xoshiro256,
 // and nil otherwise. Draws through it and through r are one stream.
 func (r *Rand) Xoshiro() *Xoshiro256 { return r.x }
 
-// Lemire maps v, the next draw from src, onto a uniform value in [0, n)
+// lemire maps v, the next draw from src, onto a uniform value in [0, n)
 // for n > 0 by Lemire's multiply-shift method (Lemire 2019, "Fast Random
 // Integer Generation in an Interval"). The high word of v*n is uniform
 // in [0, n) except for a small biased region of the low word, which is
 // rejected and redrawn from src, so the redraws continue src's stream.
 //
-// Lemire inlines. A caller drawing v through (*Xoshiro256).Uint64 gets
-// the common case, one multiply and one compare, without a call.
-func Lemire(src Source, v, n uint64) uint64 {
+// lemire inlines: a draw through (*Xoshiro256).Uint64 gets the common
+// case, one multiply and one compare, without a call.
+func lemire(src Source, v, n uint64) uint64 {
 	hi, lo := bits.Mul64(v, n)
 	if lo < n {
 		return lemireRedraw(src, v, n)
@@ -82,7 +82,7 @@ func Lemire(src Source, v, n uint64) uint64 {
 }
 
 // lemireRedraw is Lemire's rejection loop, kept out of line so that
-// Lemire stays within the inlining budget.
+// lemire stays within the inlining budget.
 //
 //go:noinline
 func lemireRedraw(src Source, v, n uint64) uint64 {

@@ -114,6 +114,91 @@ func TestFusedLoopMatchesGeneral(t *testing.T) {
 	}
 }
 
+// zeroFirstSeed returns a seed whose generator's first output is 0, which
+// Lemire rejects for every bound. NewXoshiro256 fills the state words
+// s0…s3 with the SplitMix64 outputs mix(seed + i·γ), i = 1…4, where γ is
+// SplitMix64's increment; mix maps 0 to 0, so seed −2γ makes s1 zero, and
+// xoshiro256** first outputs rotl(5·s1, 7)·9.
+func zeroFirstSeed() uint64 {
+	gamma := uint64(0x9e3779b97f4a7c15)
+	return 0 - 2*gamma
+}
+
+// restartOnce, on the first productive step it sees, sets the generator
+// x to zeroFirstSeed's. It is a marked hook, so the fused loop runs it
+// between storing its register-held generator back to x and reloading it.
+type restartOnce struct {
+	x    *rng.Xoshiro256
+	done bool
+}
+
+func (r *restartOnce) Init(*population.Population) {}
+
+func (r *restartOnce) OnStep(_ *population.Population, s sim.StepInfo) {
+	if s.Changed && !r.done {
+		*r.x = *rng.NewXoshiro256(zeroFirstSeed())
+		r.done = true
+	}
+}
+
+func (r *restartOnce) IgnoresNull() {}
+
+// No seeded run draws from Lemire's rejected region (about n/2⁶⁴ per
+// draw), so the fused loop's out-of-line redraw runs only from a
+// generator built to reach it. Both loops start from zeroFirstSeed's
+// generator, so the first initiator draw is rejected; with restartOnce
+// they start over from it after the first productive step, so a rejected
+// draw follows the reload after a callback. They must agree on
+// everything, the generator's final state included. (No seed gives a
+// generator whose second output is rejected, so the responder draw's
+// redraw is tested in package rng, from the reference state.)
+func TestFusedLoopRedrawsRejectedDraw(t *testing.T) {
+	const n, k = 960, 8
+	seed := zeroFirstSeed()
+	if v := rng.NewXoshiro256(seed).Uint64(); v != 0 {
+		t.Fatalf("seed %#x: first output %#x, want 0", seed, v)
+	}
+	p := core.MustNew(k)
+	target, err := p.TargetCounts(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(maxI uint64, restart, viaFunc bool) observed {
+		r := sched.NewRandom(seed)
+		var s sched.Scheduler = r
+		if viaFunc {
+			s = general(r)
+		}
+		var hooks []sim.Hook
+		if restart {
+			hooks = append(hooks, &restartOnce{x: r.RNG().Xoshiro()})
+		}
+		pop := population.New(p, n)
+		res, err := sim.Run(pop, s, sim.NewCountTarget(p.CanonMap(), target), sim.Options{MaxInteractions: maxI, Hooks: hooks})
+		return observed{res: res, err: err, states: pop.Snapshot(), rngState: *r.RNG().Xoshiro()}
+	}
+	// One encounter draws three values: the rejected 0, the initiator's
+	// redraw and the responder.
+	three := rng.NewXoshiro256(seed)
+	three.Uint64()
+	three.Uint64()
+	three.Uint64()
+	if got := run(1, false, false); got.rngState != *three {
+		t.Fatalf("after one encounter the generator is at %+v, want three draws on, %+v", got.rngState, *three)
+	}
+	for _, maxI := range []uint64{1, 2, 1e5} {
+		for _, restart := range []bool{false, true} {
+			fused, ref := run(maxI, restart, false), run(maxI, restart, true)
+			if fused.err != nil || ref.err != nil {
+				t.Fatalf("cap %d restart %v: errors %v / %v", maxI, restart, fused.err, ref.err)
+			}
+			if !reflect.DeepEqual(fused, ref) {
+				t.Errorf("cap %d restart %v: fused loop\n%+v\ngeneral loop\n%+v", maxI, restart, fused, ref)
+			}
+		}
+	}
+}
+
 // cancelAfter cancels a context on its after-th productive step. It is a
 // marked hook, so it leaves a run on the fused loop.
 type cancelAfter struct {

@@ -13,8 +13,9 @@
 // fused loop serves the paper's evaluation model, where almost every
 // encounter is null (98.6% at the Figure 6 point): it touches the stop
 // condition and the hooks only on productive encounters, so a null one
-// costs two inlined draws and one transition-table read. Run takes the
-// fused loop when all of these hold, and the general loop otherwise:
+// costs two steps of a generator held in registers and one
+// transition-table read. Run takes the fused loop when all of these hold,
+// and the general loop otherwise:
 //
 //   - the scheduler is a *sched.Random over a xoshiro generator;
 //   - the stop condition is a *CountTarget;
