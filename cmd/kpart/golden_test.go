@@ -31,7 +31,12 @@ var goldenCases = []goldenCase{
 	{name: "run-verbose", steps: [][]string{argv("run -n 24 -k 4 -seed 1 -v")}},
 	{name: "run-rules", steps: [][]string{argv("run -n 24 -k 4 -seed 1 -rules")}},
 	{name: "run-dot", steps: [][]string{argv("run -n 24 -k 4 -seed 1 -dot")}},
-	{name: "run-metrics", steps: [][]string{argv("run -n 24 -k 4 -seed 1 -metrics m.jsonl")}},
+	// The capped run ends in a null stretch after its last productive
+	// step; its snapshot pins the interaction counters at the cap.
+	{name: "run-metrics", steps: [][]string{
+		argv("run -n 24 -k 4 -seed 1 -metrics m.jsonl"),
+		argv("run -n 960 -k 10 -seed 1 -max 100000 -metrics c.jsonl"),
+	}, files: []string{"m.jsonl", "c.jsonl"}},
 	{name: "run-trace", steps: [][]string{
 		argv("run -n 24 -k 4 -seed 1 -trace run.jsonl"),
 		argv("trace -k 4 run.jsonl"),
