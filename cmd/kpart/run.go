@@ -17,6 +17,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -65,7 +66,7 @@ func runCmd(_ context.Context, args []string) error {
 	// The registry is enabled whenever someone will read it: a snapshot
 	// file, or live /debug/vars. With neither, it is the no-op registry:
 	// the milestone observer only keeps the marks -v prints, and the rule
-	// tally is not attached at all.
+	// tally is attached only under -v.
 	reg := registry("kpart", *metrics != "" || *debugAddr != "")
 	if err := serveDebug(*debugAddr); err != nil {
 		return err
@@ -76,51 +77,40 @@ func runCmd(_ context.Context, args []string) error {
 		return usageError{err}
 	}
 	pop := population.New(p, *n)
-	opts := sim.Options{MaxInteractions: *maxI}
 
-	ms := obs.NewMilestones(reg, p.G(*k), nil)
-	opts.Hooks = append(opts.Hooks, ms)
-
-	// The tally is printed only under -v. An unmarked step function keeps
-	// sim.Run off its fused loop, so plain runs do not attach it.
-	var tally *core.Tally
-	if *verbose {
-		tally = core.NewTally(p)
-		opts.Hooks = append(opts.Hooks, sim.StepFunc(func(pop *population.Population, s sim.StepInfo) {
-			tally.Observe(s.Before.P, s.Before.Q)
-		}))
-	}
-
-	if reg.Enabled() {
-		opts.Hooks = append(opts.Hooks, newRuleTally(reg, p))
-	}
+	var progress *obs.Progress
 	if *verbose || *progressN > 0 {
 		capI := *maxI
 		if capI == 0 {
 			capI = sim.DefaultMaxInteractions
 		}
-		opts.Hooks = append(opts.Hooks, &obs.Progress{
+		progress = &obs.Progress{
 			Every: *progressN, // 0 = obs.DefaultProgressEvery
 			Cap:   capI,
 			Label: fmt.Sprintf("n=%d k=%d", *n, *k),
-		})
+		}
 	}
-
+	var traceW io.Writer
 	if *tracePath != "" {
 		traceFile, err := os.Create(*tracePath)
 		if err != nil {
 			return err
 		}
 		defer traceFile.Close()
-		opts.Hooks = append(opts.Hooks, &trace.Writer{W: traceFile})
+		traceW = traceFile
 	}
+	obsv := newRunObservers(p, reg, *verbose, progress, traceW)
 
 	start := time.Now()
-	res, err := sim.Run(pop, sched.NewRandom(*seed), sim.NewCountTarget(p.CanonMap(), target), opts)
+	res, err := sim.Run(pop, sched.NewRandom(*seed), sim.NewCountTarget(p.CanonMap(), target),
+		sim.Options{MaxInteractions: *maxI, Hooks: obsv.hooks})
 	if err != nil {
 		return err
 	}
 	wall := time.Since(start)
+	if obsv.rules != nil {
+		obsv.rules.settle(res)
+	}
 
 	fmt.Printf("protocol   %s (%d states)\n", p.Name(), p.NumStates())
 	fmt.Printf("population n=%d, seed=%d\n", *n, *seed)
@@ -135,9 +125,10 @@ func runCmd(_ context.Context, args []string) error {
 		rate := float64(res.Interactions) / wall.Seconds()
 		fmt.Printf("wall time %v (%.3g interactions/sec), productive %.1f%%\n",
 			wall.Round(time.Microsecond), rate, 100*float64(res.Productive)/float64(res.Interactions))
-		for i, m := range ms.Marks() {
+		for i, m := range obsv.marks.Marks() {
 			fmt.Printf("  grouping %d complete at interaction %d\n", i+1, m)
 		}
+		tally := obsv.rules.tally
 		fmt.Println("rule-family tally:")
 		for r := core.RuleKind(0); int(r) < core.NumRuleKinds; r++ {
 			if c := tally.Counts[r]; c > 0 {
@@ -158,14 +149,87 @@ func runCmd(_ context.Context, args []string) error {
 	return nil
 }
 
-// newRuleTally wires the obs per-rule counters to Algorithm 1's rule
-// families via core's pair classifier.
-func newRuleTally(reg *obs.Registry, p *core.Protocol) *obs.RuleTally {
-	names := make([]string, 0, core.NumRuleKinds-1)
-	for kind := core.RuleNull + 1; int(kind) < core.NumRuleKinds; kind++ {
-		names = append(names, kind.String())
+// runObservers is what kpart run attaches to sim.Run: the milestone
+// observer always, the rule tally under -v or with an enabled registry,
+// the progress reporter under -v or -progress, and the trace writer
+// under -trace. Only the trace writer watches null steps, so every run
+// without -trace keeps sim.Run's fused loop.
+type runObservers struct {
+	marks *obs.Milestones
+	rules *ruleHook // nil when neither -v nor the registry reads it
+	hooks []sim.Hook
+}
+
+// newRunObservers wires the observers of a run of p; progress and
+// traceW are nil when their flags are unset.
+func newRunObservers(p *core.Protocol, reg *obs.Registry, verbose bool, progress *obs.Progress, traceW io.Writer) runObservers {
+	o := runObservers{marks: obs.NewMilestones(reg, p.G(p.K()), nil)}
+	o.hooks = append(o.hooks, o.marks)
+	if verbose || reg.Enabled() {
+		o.rules = newRuleHook(reg, p)
+		o.hooks = append(o.hooks, o.rules)
 	}
-	return obs.NewRuleTally(reg, names, func(a, b protocol.State) int {
-		return int(p.ClassifyPair(a, b)) - 1
-	})
+	if progress != nil {
+		o.hooks = append(o.hooks, progress)
+	}
+	if traceW != nil {
+		o.hooks = append(o.hooks, &trace.Writer{W: traceW})
+	}
+	return o
+}
+
+// ruleHook counts Algorithm 1's rule firings on the productive steps of
+// a run: into the core.Tally that -v prints and into reg's counters
+// rule/<family> (sim/unclassified for a productive step no family
+// claims), sim/productive_interactions, sim/interactions and
+// sim/null_interactions. The interaction counters are live as of the
+// last productive step; settle adds the null stretch after it.
+type ruleHook struct {
+	tally                          *core.Tally
+	rules                          [core.NumRuleKinds]obs.Counter
+	interactions, productive, null obs.Counter
+	seen                           uint64 // interactions counted so far
+}
+
+func newRuleHook(reg *obs.Registry, p *core.Protocol) *ruleHook {
+	h := &ruleHook{
+		tally:        core.NewTally(p),
+		interactions: reg.Counter("sim/interactions"),
+		productive:   reg.Counter("sim/productive_interactions"),
+		null:         reg.Counter("sim/null_interactions"),
+	}
+	h.rules[core.RuleNull] = reg.Counter("sim/unclassified")
+	for kind := core.RuleNull + 1; int(kind) < core.NumRuleKinds; kind++ {
+		h.rules[kind] = reg.Counter("rule/" + kind.String())
+	}
+	return h
+}
+
+// Init implements sim.Hook.
+func (h *ruleHook) Init(pop *population.Population) { h.seen = pop.Interactions() }
+
+// OnStep implements sim.Hook.
+func (h *ruleHook) OnStep(pop *population.Population, s sim.StepInfo) {
+	if !s.Changed {
+		return
+	}
+	h.rules[h.tally.Observe(s.Before.P, s.Before.Q)].Inc()
+	h.productive.Inc()
+	at := pop.Interactions()
+	h.interactions.Add(at - h.seen)
+	h.null.Add(at - h.seen - 1)
+	h.seen = at
+}
+
+// IgnoresNull marks OnStep as a no-op on null steps (see sim.Hook).
+func (h *ruleHook) IgnoresNull() {}
+
+// settle counts the null encounters of the finished run res: into the
+// tally's null family, and into the interaction counters for the null
+// stretch after the last productive step, which a capped run ends in.
+func (h *ruleHook) settle(res sim.Result) {
+	h.tally.Counts[core.RuleNull] += res.Interactions - res.Productive
+	h.interactions.Add(res.Interactions - h.seen)
+	h.null.Add(res.Interactions - h.seen)
+	h.seen = res.Interactions
 }

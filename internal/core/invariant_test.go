@@ -194,8 +194,30 @@ func TestInvariantInductiveStep(t *testing.T) {
 	}
 }
 
-// Lemma 1 along full random executions, checked by the engine every few
-// steps, across a grid of (n, k).
+// lemma1Check checks Lemma 1 on every productive step and keeps the
+// first violation. A null step leaves the counts as they were, so it
+// carries the IgnoresNull marker and the run keeps the fused loop.
+type lemma1Check struct {
+	p   *core.Protocol
+	err error
+}
+
+func (c *lemma1Check) Init(pop *population.Population) {
+	c.err = c.p.CheckInvariant(pop.CountsView())
+}
+
+func (c *lemma1Check) OnStep(pop *population.Population, s sim.StepInfo) {
+	if s.Changed && c.err == nil {
+		if err := c.p.CheckInvariant(pop.CountsView()); err != nil {
+			c.err = fmt.Errorf("after %d interactions: %w", pop.Interactions(), err)
+		}
+	}
+}
+
+func (c *lemma1Check) IgnoresNull() {}
+
+// Lemma 1 along full random executions, checked after every productive
+// step, across a grid of (n, k).
 func TestInvariantAlongExecutions(t *testing.T) {
 	for _, k := range []int{2, 3, 4, 6} {
 		for _, n := range []int{3, 7, 12, 25} {
@@ -206,15 +228,16 @@ func TestInvariantAlongExecutions(t *testing.T) {
 				t.Fatal(err)
 			}
 			stop := sim.NewCountTarget(p.CanonMap(), target)
+			check := &lemma1Check{p: p}
 			res, err := sim.Run(pop, sched.NewRandom(rng.StreamSeed(1, uint64(k), uint64(n))), stop, sim.Options{
 				MaxInteractions: 5_000_000,
-				InvariantEvery:  7,
-				Invariant: func(pop *population.Population) error {
-					return p.CheckInvariant(pop.CountsView())
-				},
+				Hooks:           []sim.Hook{check},
 			})
 			if err != nil {
 				t.Fatalf("k=%d n=%d: %v", k, n, err)
+			}
+			if check.err != nil {
+				t.Fatalf("k=%d n=%d: Lemma 1 violated %v", k, n, check.err)
 			}
 			if !res.Converged {
 				t.Fatalf("k=%d n=%d: did not stabilize in %d interactions", k, n, res.Interactions)

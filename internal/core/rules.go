@@ -97,9 +97,11 @@ func (p *Protocol) ClassifyPair(a, b protocol.State) RuleKind {
 	return RuleNull
 }
 
-// Tally counts rule-family firings along an execution, one Observe call
-// per encounter (null ones included). It is not a sim.Hook: callers
-// feed it from a step function or from a replayed trace.
+// Tally counts rule-family firings along an execution. It is not a
+// sim.Hook: a replayed trace feeds it one Observe call per encounter,
+// null ones included; a caller that observes only the productive
+// encounters (kpart run, which keeps sim.Run's fused loop) adds the null
+// count to Counts[RuleNull] from the run's Result.
 type Tally struct {
 	p *Protocol
 	// Counts[kind] is the number of interactions classified as kind.
@@ -109,9 +111,12 @@ type Tally struct {
 // NewTally returns a Tally for p.
 func NewTally(p *Protocol) *Tally { return &Tally{p: p} }
 
-// Observe classifies one interaction between states (a, b).
-func (t *Tally) Observe(a, b protocol.State) {
-	t.Counts[t.p.ClassifyPair(a, b)]++
+// Observe classifies one interaction between states (a, b), counts it
+// and returns its family.
+func (t *Tally) Observe(a, b protocol.State) RuleKind {
+	kind := t.p.ClassifyPair(a, b)
+	t.Counts[kind]++
+	return kind
 }
 
 // Total returns the total number of observed interactions.

@@ -9,62 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// RuleTally is a sim.Hook that maintains per-rule-family firing counters
-// in a Registry, keyed by a protocol-supplied classifier (for the
-// paper's protocol, core.ClassifyPair maps a state pair onto Algorithm
-// 1's ten rule families).
-//
-// Counting discipline: a productive step increments exactly one family
-// counter, so the family counters always sum to Result.Productive; a
-// null encounter increments only sim/null_interactions. Both also feed
-// sim/interactions, the paper's time metric.
-type RuleTally struct {
-	// Classify maps the pre-interaction state pair to a family index in
-	// [0, len(families)); out-of-range results land in sim/unclassified.
-	Classify func(a, b protocol.State) int
-
-	families     []Counter
-	total        Counter
-	productive   Counter
-	null         Counter
-	unclassified Counter
-}
-
-// NewRuleTally wires family counters named "rule/<family>" plus the
-// sim/interactions, sim/productive_interactions, sim/null_interactions
-// and sim/unclassified counters into r.
-func NewRuleTally(r *Registry, families []string, classify func(a, b protocol.State) int) *RuleTally {
-	t := &RuleTally{
-		Classify:     classify,
-		total:        r.Counter("sim/interactions"),
-		productive:   r.Counter("sim/productive_interactions"),
-		null:         r.Counter("sim/null_interactions"),
-		unclassified: r.Counter("sim/unclassified"),
-	}
-	for _, f := range families {
-		t.families = append(t.families, r.Counter("rule/"+f))
-	}
-	return t
-}
-
-// Init implements sim.Hook.
-func (t *RuleTally) Init(*population.Population) {}
-
-// OnStep implements sim.Hook.
-func (t *RuleTally) OnStep(pop *population.Population, s sim.StepInfo) {
-	t.total.Inc()
-	if !s.Changed {
-		t.null.Inc()
-		return
-	}
-	t.productive.Inc()
-	if i := t.Classify(s.Before.P, s.Before.Q); i >= 0 && i < len(t.families) {
-		t.families[i].Inc()
-	} else {
-		t.unclassified.Inc()
-	}
-}
-
 // Milestones observes the #gk milestones of a run, the instrumentation
 // behind Figure 4 of the paper: NI_i, the total number of interactions
 // applied when the i-th complete set of agents {g1..gk} is finished. That
@@ -171,7 +115,4 @@ func Deltas(marks []uint64, total uint64) []uint64 {
 	return out
 }
 
-var (
-	_ sim.Hook = (*RuleTally)(nil)
-	_ sim.Hook = (*Milestones)(nil)
-)
+var _ sim.Hook = (*Milestones)(nil)

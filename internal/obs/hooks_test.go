@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"reflect"
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
 	"repro/internal/population"
-	"repro/internal/protocol"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -35,76 +33,6 @@ func runWithHooks(t *testing.T, n, k int, seed uint64, hooks ...sim.Hook) sim.Re
 		t.Fatalf("n=%d k=%d seed=%d did not converge", n, k, seed)
 	}
 	return res
-}
-
-// kpartTally wires a RuleTally for the paper's protocol: families are
-// Algorithm 1's rule1..rule10, classification via core.ClassifyPair.
-func kpartTally(r *obs.Registry, p *core.Protocol) *obs.RuleTally {
-	names := make([]string, 0, core.NumRuleKinds-1)
-	for kind := core.RuleNull + 1; int(kind) < core.NumRuleKinds; kind++ {
-		names = append(names, kind.String())
-	}
-	return obs.NewRuleTally(r, names, func(a, b protocol.State) int {
-		return int(p.ClassifyPair(a, b)) - 1
-	})
-}
-
-func TestRuleTallySumsToProductive(t *testing.T) {
-	const n, k = 24, 4
-	p := core.MustNew(k)
-	r := obs.New("kpart")
-	tally := kpartTally(r, p)
-	res := runWithHooks(t, n, k, 7, tally)
-
-	snap := r.Snapshot()
-	var ruleSum uint64
-	for _, m := range snap.Metrics {
-		if strings.HasPrefix(m.Name, "rule/") {
-			ruleSum += m.Value
-		}
-	}
-	if ruleSum != res.Productive {
-		t.Fatalf("per-rule firing counts sum to %d, Result.Productive = %d", ruleSum, res.Productive)
-	}
-	if m, _ := snap.Find("sim/productive_interactions"); m.Value != res.Productive {
-		t.Fatalf("sim/productive_interactions = %d, want %d", m.Value, res.Productive)
-	}
-	if m, _ := snap.Find("sim/interactions"); m.Value != res.Interactions {
-		t.Fatalf("sim/interactions = %d, want %d", m.Value, res.Interactions)
-	}
-	if m, _ := snap.Find("sim/null_interactions"); m.Value != res.Interactions-res.Productive {
-		t.Fatalf("sim/null_interactions = %d, want %d", m.Value, res.Interactions-res.Productive)
-	}
-	if m, _ := snap.Find("sim/unclassified"); m.Value != 0 {
-		t.Fatalf("%d productive steps unclassified", m.Value)
-	}
-}
-
-func TestRuleTallyMatchesCoreTally(t *testing.T) {
-	// The obs counters and the pre-existing core.Tally must agree family
-	// by family on the productive steps (core.Tally additionally counts
-	// null encounters in Counts[RuleNull]).
-	const n, k = 20, 5
-	p := core.MustNew(k)
-	r := obs.New("kpart")
-	obsTally := kpartTally(r, p)
-	coreTally := core.NewTally(p)
-	res := runWithHooks(t, n, k, 11, obsTally, sim.StepFunc(func(pop *population.Population, s sim.StepInfo) {
-		if s.Changed {
-			coreTally.Observe(s.Before.P, s.Before.Q)
-		}
-	}))
-	_ = res
-	snap := r.Snapshot()
-	for kind := core.RuleNull + 1; int(kind) < core.NumRuleKinds; kind++ {
-		m, ok := snap.Find("rule/" + kind.String())
-		if !ok {
-			t.Fatalf("no counter for %s", kind)
-		}
-		if m.Value != coreTally.Counts[kind] {
-			t.Fatalf("%s: obs %d, core.Tally %d", kind, m.Value, coreTally.Counts[kind])
-		}
-	}
 }
 
 func TestMilestonesMarks(t *testing.T) {
@@ -217,11 +145,10 @@ func TestHooksDisabledRegistryStillRuns(t *testing.T) {
 	// Wiring hooks against the Nop registry must not affect results.
 	const n, k = 15, 3
 	p := core.MustNew(k)
-	tally := kpartTally(obs.Nop(), p)
 	ms := obs.NewMilestones(obs.Nop(), p.G(k), nil)
 	var buf bytes.Buffer
 	prog := &obs.Progress{W: &buf, Every: 1 << 10}
-	withHooks := runWithHooks(t, n, k, 9, tally, ms, prog)
+	withHooks := runWithHooks(t, n, k, 9, ms, prog)
 	bare := runWithHooks(t, n, k, 9)
 	if withHooks.Interactions != bare.Interactions || withHooks.Productive != bare.Productive {
 		t.Fatalf("hooks changed the run: %+v vs %+v", withHooks, bare)

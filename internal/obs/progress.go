@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"os"
 	"time"
 
@@ -17,12 +19,13 @@ import (
 // the current rate.
 //
 // Reporting is driven by the interaction count, not wall clock: a report
-// is emitted when the count first reaches each multiple of Every. The
-// set of reporting points is therefore deterministic for a given seed,
-// so verbose runs stay reproducible line-for-line (only the
-// rate/ETA fields depend on the machine). Progress is both a sim.Hook
-// (agent engine) and a plain MaybeReport method for count-based engines
-// that have no step hooks.
+// is emitted at the first productive encounter at or past each multiple
+// of Every. The set of reporting points is therefore deterministic for a
+// given seed, so verbose runs stay reproducible line-for-line (only the
+// rate/ETA fields depend on the machine). Every engine reports by that
+// rule: Progress is a sim.Hook that ignores null steps (agent engine)
+// and a plain MaybeReport method for the count-based engines, which
+// advance the count in jumps that end at productive steps.
 type Progress struct {
 	// W receives report lines; nil means os.Stderr.
 	W io.Writer
@@ -59,16 +62,30 @@ func (p *Progress) reset(interactions uint64) {
 	p.start = time.Now()
 	p.lastT = p.start
 	p.lastI = interactions
-	p.next = (interactions/p.Every + 1) * p.Every
+	p.next = p.nextAfter(interactions)
 }
 
-// OnStep implements sim.Hook.
+// nextAfter returns the least multiple of Every above interactions, or
+// 2⁶⁴ − 1 when that multiple does not fit in a uint64.
+func (p *Progress) nextAfter(interactions uint64) uint64 {
+	hi, next := bits.Mul64(interactions/p.Every+1, p.Every)
+	if hi != 0 || next <= interactions {
+		return math.MaxUint64
+	}
+	return next
+}
+
+// OnStep implements sim.Hook. It reports only on productive steps.
 func (p *Progress) OnStep(pop *population.Population, s sim.StepInfo) {
-	if pop.Interactions() < p.next {
+	if !s.Changed || pop.Interactions() < p.next {
 		return
 	}
 	p.report(pop.Interactions(), pop.Productive(), pop.Spread())
 }
+
+// IgnoresNull marks OnStep as a no-op on null steps (see sim.Hook), so
+// a run that reports progress keeps sim.Run's fused loop.
+func (p *Progress) IgnoresNull() {}
 
 // MaybeReport is the hook-less entry point for engines that advance the
 // interaction count in jumps (internal/countsim): it reports once when
@@ -114,9 +131,7 @@ func (p *Progress) report(interactions, productive uint64, spread int) {
 	fmt.Fprintln(w, "progress:", line)
 	p.lastT = now
 	p.lastI = interactions
-	for p.next <= interactions {
-		p.next += p.Every
-	}
+	p.next = p.nextAfter(interactions)
 }
 
 // siCount renders a rate with an SI suffix (k/M/G) at 3 significant-ish

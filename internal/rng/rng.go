@@ -12,20 +12,13 @@
 //   - Xoshiro256** : Blackman & Vigna (2018). The workhorse generator used
 //     by simulation trials.
 //
-// All generators implement the Source interface. None of them are safe for
-// concurrent use; parallel workers must each own a Source.
+// Rand holds a Xoshiro256 and adds the distributions the simulations
+// draw (uniform integers, pairs, floats, binomials, multinomials). None
+// of these types are safe for concurrent use; parallel workers must each
+// own a generator.
 package rng
 
 import "math/bits"
-
-// Source is a stream of uniformly distributed pseudo-random numbers.
-//
-// Implementations are deterministic functions of their seed and are not
-// safe for concurrent use.
-type Source interface {
-	// Uint64 returns the next 64 uniformly distributed bits.
-	Uint64() uint64
-}
 
 // SplitMix64 is the splitmix64 generator. Its zero value is a valid
 // generator seeded with 0.

@@ -101,8 +101,7 @@ func TestPairRedrawsZeroDraw(t *testing.T) {
 	}
 	_, succ := Xoshiro256{1, 2, 3, 4}.Next()
 	for _, start := range []Xoshiro256{{1, 2, 3, 4}, succ} {
-		got, want := start, start
-		r := FromSource(&got)
+		r, want := &Rand{x: start}, start
 		for k := 0; k < 3; k++ {
 			i, j := r.Pair(960)
 			wi, wj := bounded(&want, 960), bounded(&want, 959)
@@ -113,8 +112,8 @@ func TestPairRedrawsZeroDraw(t *testing.T) {
 				t.Fatalf("from %+v, pair %d: Pair gives (%d, %d), rejection sampling (%d, %d)", start, k, i, j, wi, wj)
 			}
 		}
-		if got != want {
-			t.Fatalf("from %+v: Pair left %+v, rejection sampling %+v", start, got, want)
+		if r.x != want {
+			t.Fatalf("from %+v: Pair left %+v, rejection sampling %+v", start, r.x, want)
 		}
 	}
 }
@@ -129,73 +128,32 @@ func TestXoshiroNeverAllZeroState(t *testing.T) {
 	t.Fatal("xoshiro seeded with 0 emitted 1000 zeros; state is degenerate")
 }
 
-// wrappedXoshiro hides a *Xoshiro256 behind another type, so a Rand over
-// it draws through the Source interface.
-type wrappedXoshiro struct{ x *Xoshiro256 }
-
-func (w wrappedXoshiro) Uint64() uint64 { return w.x.Uint64() }
-
-// Rand draws from a *Xoshiro256 directly and from any other Source
-// through the interface; both paths must be one stream. New(seed),
-// FromSource(NewXoshiro256(seed)) and a Rand over a wrapper of the same
-// generator emit identical draws of every kind.
-func TestDirectDrawMatchesInterfaceDraw(t *testing.T) {
-	draws := func(r *Rand) []uint64 {
-		var out []uint64
-		for i := 0; i < 2000; i++ {
-			a, b := r.Pair(97)
-			out = append(out, r.Uint64(), r.Uint64n(uint64(i)+1), uint64(a), uint64(b),
-				math.Float64bits(r.Float64()), uint64(r.Binomial(int64(i)*37, 0.3)))
-		}
-		return out
-	}
-	for _, seed := range []uint64{0, 1, 0xf16} {
-		want := draws(New(seed))
-		for _, c := range []struct {
-			name string
-			r    *Rand
-		}{
-			{"FromSource(NewXoshiro256)", FromSource(NewXoshiro256(seed))},
-			{"FromSource(wrapped)", FromSource(wrappedXoshiro{NewXoshiro256(seed)})},
-		} {
-			got := draws(c.r)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d %s: draw %d = %#x, New gives %#x", seed, c.name, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// countingSource counts the draws taken from a *Xoshiro256.
-type countingSource struct {
-	x     *Xoshiro256
-	draws int
-}
-
-func (c *countingSource) Uint64() uint64 { c.draws++; return c.x.Uint64() }
-
-// lemire over a raw xoshiro draw is Rand.Uint64n's stream through any
-// Source, redraws included. For n = 3·2^62 a quarter of the first draws
-// land in the rejected region, so the redraw path runs.
+// lemire over a raw xoshiro draw is Rand.Uint64n's stream, redraws
+// included: both leave the generator where plain rejection sampling
+// does. For n = 3·2^62 a quarter of the first draws land in the
+// rejected region, so the redraw path runs.
 func TestLemireMatchesUint64n(t *testing.T) {
 	const draws = 4000
 	for _, n := range []uint64{1, 2, 959, 3 << 62} {
-		x := NewXoshiro256(0xf16)
-		src := &countingSource{x: NewXoshiro256(0xf16)}
-		r := FromSource(src)
+		x, r, ref := NewXoshiro256(0xf16), New(0xf16), NewXoshiro256(0xf16)
+		raw := 0
 		for i := 0; i < draws; i++ {
 			got, want := lemire(x, x.Uint64(), n), r.Uint64n(n)
 			if got != want || got >= n {
 				t.Fatalf("n=%d draw %d: lemire gives %d, Uint64n %d", n, i, got, want)
 			}
+			for {
+				raw++
+				if _, lo := bits.Mul64(ref.Uint64(), n); lo >= -n%n {
+					break
+				}
+			}
 		}
-		if *x != *src.x {
-			t.Fatalf("n=%d: the generators ended in different states", n)
+		if *x != r.x || *x != *ref {
+			t.Fatalf("n=%d: lemire left %+v, Uint64n %+v, rejection sampling %+v", n, *x, r.x, *ref)
 		}
-		if n == 3<<62 && src.draws < draws*5/4 {
-			t.Fatalf("n=%d: %d raw draws for %d values, want about %d", n, src.draws, draws, draws*4/3)
+		if n == 3<<62 && raw < draws*5/4 {
+			t.Fatalf("n=%d: %d raw draws for %d values, want about %d", n, raw, draws, draws*4/3)
 		}
 	}
 }

@@ -2,37 +2,23 @@ package rng
 
 import "math/bits"
 
-// This file provides small distribution helpers on top of a raw Source.
-// They are methods of Rand, a convenience wrapper that callers embed or
-// hold by value.
+// This file provides small distribution helpers on top of the
+// xoshiro256** generator. They are methods of Rand, which callers hold
+// by pointer.
 
-// Rand wraps a Source with the distribution helpers simulations need.
+// Rand is a Xoshiro256 with the distribution helpers simulations need.
 // The zero value is invalid; use New.
 type Rand struct {
-	src Source
-	// x is src itself when src is a *Xoshiro256, so the simulations' hot
-	// draws call the generator directly instead of through the interface.
-	x *Xoshiro256
+	x Xoshiro256
 }
 
 // New returns a Rand drawing from a fresh Xoshiro256 seeded with seed.
 func New(seed uint64) *Rand {
-	return FromSource(NewXoshiro256(seed))
-}
-
-// FromSource returns a Rand drawing from src.
-func FromSource(src Source) *Rand {
-	x, _ := src.(*Xoshiro256)
-	return &Rand{src: src, x: x}
+	return &Rand{x: *NewXoshiro256(seed)}
 }
 
 // Uint64 returns the next raw 64 bits.
-func (r *Rand) Uint64() uint64 {
-	if r.x != nil {
-		return r.x.Uint64()
-	}
-	return r.src.Uint64()
-}
+func (r *Rand) Uint64() uint64 { return r.x.Uint64() }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
 //
@@ -50,33 +36,25 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with zero n")
 	}
-	// The first draw repeats Uint64's dispatch, which is too large to
-	// inline, so the schedulers' pair draws reach the generator inline.
-	var v uint64
-	if r.x != nil {
-		v = r.x.Uint64()
-	} else {
-		v = r.src.Uint64()
-	}
-	return lemire(r.src, v, n)
+	return lemire(&r.x, r.x.Uint64(), n)
 }
 
-// Xoshiro returns the generator r draws from when it is a *Xoshiro256,
-// and nil otherwise. Draws through it and through r are one stream.
-func (r *Rand) Xoshiro() *Xoshiro256 { return r.x }
+// Xoshiro returns the generator r draws from. Draws through it and
+// through r are one stream.
+func (r *Rand) Xoshiro() *Xoshiro256 { return &r.x }
 
-// lemire maps v, the next draw from src, onto a uniform value in [0, n)
+// lemire maps v, the next draw from x, onto a uniform value in [0, n)
 // for n > 0 by Lemire's multiply-shift method (Lemire 2019, "Fast Random
 // Integer Generation in an Interval"). The high word of v*n is uniform
 // in [0, n) except for a small biased region of the low word, which is
-// rejected and redrawn from src, so the redraws continue src's stream.
+// rejected and redrawn from x, so the redraws continue x's stream.
 //
 // lemire inlines: a draw through (*Xoshiro256).Uint64 gets the common
 // case, one multiply and one compare, without a call.
-func lemire(src Source, v, n uint64) uint64 {
+func lemire(x *Xoshiro256, v, n uint64) uint64 {
 	hi, lo := bits.Mul64(v, n)
 	if lo < n {
-		return lemireRedraw(src, v, n)
+		return lemireRedraw(x, v, n)
 	}
 	return hi
 }
@@ -85,11 +63,11 @@ func lemire(src Source, v, n uint64) uint64 {
 // lemire stays within the inlining budget.
 //
 //go:noinline
-func lemireRedraw(src Source, v, n uint64) uint64 {
+func lemireRedraw(x *Xoshiro256, v, n uint64) uint64 {
 	thresh := -n % n // == (2^64 - n) mod n
 	hi, lo := bits.Mul64(v, n)
 	for lo < thresh {
-		hi, lo = bits.Mul64(src.Uint64(), n)
+		hi, lo = bits.Mul64(x.Uint64(), n)
 	}
 	return hi
 }

@@ -276,8 +276,8 @@ func TestRunPicksLoopFromInputs(t *testing.T) {
 	base := func() inputs {
 		return inputs{p, sched.NewRandom(seed), sim.NewCountTarget(p.CanonMap(), target), sim.Options{}}
 	}
-	reg := obs.New("loop")
-	tally := obs.NewRuleTally(reg, []string{"productive"}, func(a, b protocol.State) int { return 0 })
+	var watched uint64
+	unmarked := sim.StepFunc(func(*population.Population, sim.StepInfo) { watched++ })
 	cases := []struct {
 		name  string
 		edit  func(*inputs)
@@ -285,16 +285,9 @@ func TestRunPicksLoopFromInputs(t *testing.T) {
 	}{
 		{"evaluation model", func(*inputs) {}, true},
 		{"scheduler behind sched.Func", func(in *inputs) { in.sched = general(sched.NewRandom(seed)) }, false},
-		{"non-xoshiro generator", func(in *inputs) {
-			in.sched = sched.NewRandomFrom(rng.FromSource(rng.NewSplitMix64(seed)))
-		}, false},
 		{"stop condition not a CountTarget", func(in *inputs) { in.stop = sim.Any{in.stop} }, false},
-		{"invariant checks", func(in *inputs) {
-			in.opts.InvariantEvery = 1000
-			in.opts.Invariant = func(pop *population.Population) error { return p.CheckInvariant(pop.CountsView()) }
-		}, false},
 		{"protocol without a table", func(in *inputs) { in.proto = opaque{p} }, false},
-		{"unmarked hook", func(in *inputs) { in.opts.Hooks = []sim.Hook{tally} }, false},
+		{"unmarked hook", func(in *inputs) { in.opts.Hooks = []sim.Hook{unmarked} }, false},
 	}
 	var want sim.Result
 	for i, c := range cases {
@@ -313,22 +306,15 @@ func TestRunPicksLoopFromInputs(t *testing.T) {
 		if seen.steps != wantSeen {
 			t.Errorf("%s: marked hook saw %d steps, want %d (fused loop: %v)", c.name, seen.steps, wantSeen, c.fused)
 		}
-		if c.name == "non-xoshiro generator" {
-			continue // a different stream
-		}
 		if i == 0 {
 			want = res
 		} else if !reflect.DeepEqual(res, want) {
 			t.Errorf("%s: result %+v, want %+v", c.name, res, want)
 		}
 	}
-	// The unmarked RuleTally saw every encounter, null ones included.
-	snap := reg.Snapshot()
-	if m, _ := snap.Find("sim/null_interactions"); m.Value != want.Interactions-want.Productive {
-		t.Errorf("RuleTally counted %d null encounters, want %d", m.Value, want.Interactions-want.Productive)
-	}
-	if m, _ := snap.Find("sim/interactions"); m.Value != want.Interactions {
-		t.Errorf("RuleTally counted %d encounters, want %d", m.Value, want.Interactions)
+	// The unmarked hook saw every encounter, null ones included.
+	if watched != want.Interactions {
+		t.Errorf("unmarked hook saw %d encounters, want %d", watched, want.Interactions)
 	}
 }
 

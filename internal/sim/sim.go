@@ -14,14 +14,19 @@
 // encounter is null (98.6% at the Figure 6 point): it touches the stop
 // condition and the hooks only on productive encounters, so a null one
 // costs two steps of a generator held in registers and one
-// transition-table read. Run takes the fused loop when all of these hold,
-// and the general loop otherwise:
+// transition-table read. Run takes the fused loop when all four of
+// these hold, and the general loop otherwise:
 //
-//   - the scheduler is a *sched.Random over a xoshiro generator;
+//   - the scheduler is a *sched.Random;
 //   - the stop condition is a *CountTarget;
-//   - Options.InvariantEvery is 0;
 //   - the protocol is table-backed (protocol.Table.TransitionsView);
 //   - every hook declares that it ignores null steps (see Hook).
+//
+// On the fused loop a null encounter is something the engine counts and
+// no observer visits. Only a hook that watches null steps (trace.Writer,
+// SpreadRecorder, StepFunc) or a departure from the evaluation model
+// (the sweep, hostile, weakly fair and graph-restricted schedulers,
+// another stop condition) keeps a run on the general loop.
 //
 // Both loops draw the same pairs, apply the same transitions, poll the
 // context at the same interaction counts and stop at the same step, so
@@ -31,8 +36,6 @@ package sim
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"repro/internal/population"
 	"repro/internal/protocol"
@@ -67,8 +70,8 @@ type StopCondition interface {
 // the way stop conditions declare Satisfied. Run may then skip the
 // hook's null steps, which lets it take the fused loop (see the package
 // documentation); a hook without the marker sees every step.
-// obs.Milestones carries the marker; SpreadRecorder, StepFunc,
-// obs.RuleTally, obs.Progress and trace.Writer do not.
+// obs.Milestones and obs.Progress carry the marker; SpreadRecorder,
+// StepFunc and trace.Writer do not.
 type Hook interface {
 	Init(pop *population.Population)
 	OnStep(pop *population.Population, s StepInfo)
@@ -86,12 +89,6 @@ type Options struct {
 	// null steps. A hook without the marker keeps the run on the
 	// general loop.
 	Hooks []Hook
-	// InvariantEvery, if > 0, calls Invariant on the population every so
-	// many interactions and aborts with an error if it fails. Used by
-	// tests to fuzz the Lemma 1 invariant cheaply.
-	InvariantEvery uint64
-	// Invariant is the predicate checked every InvariantEvery steps.
-	Invariant func(pop *population.Population) error
 	// Ctx, when non-nil, lets a run be cancelled (or deadlined) from the
 	// outside. It is polled every ctxPollMask+1 applied interactions —
 	// cheap enough to be free on the hot loop, frequent enough that a
@@ -142,9 +139,6 @@ func (r Result) Spread() int {
 	return max - min
 }
 
-// ErrInvariant wraps invariant-check failures reported by Run.
-var ErrInvariant = errors.New("sim: invariant violated")
-
 // Run drives pop under s until stop fires or the interaction cap is hit.
 // The population is mutated in place; callers wanting a fresh run each time
 // should pass a fresh or Reset population.
@@ -190,11 +184,6 @@ func Run(pop *population.Population, s sched.Scheduler, stop StopCondition, opts
 		for _, h := range opts.Hooks {
 			h.OnStep(pop, info)
 		}
-		if opts.InvariantEvery > 0 && pop.Interactions()%opts.InvariantEvery == 0 && opts.Invariant != nil {
-			if err := opts.Invariant(pop); err != nil {
-				return finish(pop, false), fmt.Errorf("%w after %d interactions: %v", ErrInvariant, pop.Interactions(), err)
-			}
-		}
 		if done {
 			return finish(pop, true), nil
 		}
@@ -208,12 +197,11 @@ func Run(pop *population.Population, s sched.Scheduler, stop StopCondition, opts
 // condition as a *CountTarget.
 func fusable(pop *population.Population, s sched.Scheduler, stop StopCondition, opts Options) (*rng.Xoshiro256, []protocol.Pair, *CountTarget, bool) {
 	random, ok := s.(*sched.Random)
-	if !ok || opts.InvariantEvery > 0 {
+	if !ok {
 		return nil, nil, nil, false
 	}
-	x := random.RNG().Xoshiro()
 	target, ok := stop.(*CountTarget)
-	if x == nil || !ok {
+	if !ok {
 		return nil, nil, nil, false
 	}
 	table, ok := pop.Protocol().(interface{ TransitionsView() []protocol.Pair })
@@ -225,7 +213,7 @@ func fusable(pop *population.Population, s sched.Scheduler, stop StopCondition, 
 			return nil, nil, nil, false
 		}
 	}
-	return x, table.TransitionsView(), target, true
+	return random.RNG().Xoshiro(), table.TransitionsView(), target, true
 }
 
 // runFused is Run's fused loop. Population.InteractUniform runs the

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/core"
@@ -67,25 +66,6 @@ func TestRunPreSatisfiedTarget(t *testing.T) {
 	}
 	if !res.Converged || res.Interactions != 0 {
 		t.Fatalf("pre-satisfied target not detected: %+v", res)
-	}
-}
-
-func TestRunInvariantFailureSurfaces(t *testing.T) {
-	p := core.MustNew(4)
-	pop := population.New(p, 12)
-	boom := errors.New("boom")
-	_, err := Run(pop, sched.NewRandom(1), Never{}, Options{
-		MaxInteractions: 10_000,
-		InvariantEvery:  10,
-		Invariant: func(pop *population.Population) error {
-			if pop.Interactions() >= 100 {
-				return boom
-			}
-			return nil
-		},
-	})
-	if !errors.Is(err, ErrInvariant) {
-		t.Fatalf("got %v, want ErrInvariant", err)
 	}
 }
 
