@@ -114,6 +114,9 @@ func TestSubcommandDispatch(t *testing.T) {
 		{[]string{"run", "-h"}, 0, "", "-trace string"},
 		{[]string{"scale", "-resume"}, 2, "", "kpart scale: -resume requires -journal"},
 		{[]string{"scale", "-engine", "warp"}, 2, "", "kpart scale: "},
+		// n(n−1) overflows an int64: refused before any trial runs.
+		{argv("scale -n 4000000000 -k 8"), 2, "", "kpart scale: harness: invalid trial spec: n=4000000000 exceeds the count engines' bound"},
+		{argv("scale -n 5000000000 -k 8 -engine batch"), 2, "", "kpart scale: harness: invalid trial spec: n=5000000000 exceeds the count engines' bound"},
 		{[]string{"trace", "-k", "3"}, 2, "", "usage: kpart trace"},
 		{argv("trace -k 4 n1.jsonl"), 1, "", "replay validation failed: trace: replay diverged: trace has n = 1"},
 		{argv("trace -k 4 n1e7.jsonl"), 1, "", "trace has n = 10000000, above the replay bound trace.MaxN = 2048"},

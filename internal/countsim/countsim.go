@@ -89,7 +89,13 @@ func New(p protocol.Protocol, n int, seed uint64) (*Sim, error) {
 	return FromCounts(p, counts, seed)
 }
 
-// FromCounts builds a Sim from an explicit count vector.
+// MaxN is the largest population the count engines take: they weigh
+// the n(n−1) ordered pairs of agents in an int64, which overflows above
+// it.
+const MaxN = 3_037_000_500
+
+// FromCounts builds a Sim from an explicit count vector of at most MaxN
+// agents.
 func FromCounts(p protocol.Protocol, counts []int, seed uint64) (*Sim, error) {
 	S := p.NumStates()
 	if len(counts) != S {
@@ -99,6 +105,9 @@ func FromCounts(p protocol.Protocol, counts []int, seed uint64) (*Sim, error) {
 	for _, c := range counts {
 		if c < 0 {
 			return nil, errors.New("countsim: negative count")
+		}
+		if c > MaxN-n {
+			return nil, fmt.Errorf("countsim: more than MaxN = %d agents, whose n(n−1) ordered pairs overflow int64", MaxN)
 		}
 		n += c
 	}

@@ -27,6 +27,40 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// The count engines take populations up to MaxN, where the n(n−1)
+// ordered pairs still fit in an int64, and refuse larger ones, including
+// count vectors whose sum wraps int.
+func TestFromCountsRefusesPairOverflow(t *testing.T) {
+	p := core.MustNew(8)
+	s, err := New(p, MaxN, 1)
+	if err != nil {
+		t.Fatalf("n = MaxN refused: %v", err)
+	}
+	if W := int64(s.N()) * int64(s.N()-1); W <= 0 || W/int64(s.N()) != int64(s.N()-1) {
+		t.Fatalf("n = MaxN: pair count %d overflows", W)
+	}
+	over := make([]int, p.NumStates())
+	over[p.InitialState()], over[p.G(1)] = MaxN, 1
+	wrap := make([]int, p.NumStates())
+	wrap[0], wrap[1], wrap[2] = math.MaxInt, math.MaxInt, 2
+	for _, counts := range [][]int{over, wrap} {
+		if _, err := FromCounts(p, counts, 1); err == nil {
+			t.Errorf("counts %v accepted", counts)
+		}
+		if _, err := BatchFromCounts(p, counts, 1, BatchOptions{}); err == nil {
+			t.Errorf("batch: counts %v accepted", counts)
+		}
+	}
+	for _, n := range []int{MaxN + 1, 4_000_000_000, 5_000_000_000} {
+		if _, err := New(p, n, 1); err == nil {
+			t.Errorf("n = %d accepted", n)
+		}
+		if _, err := NewBatch(p, n, 1, BatchOptions{}); err == nil {
+			t.Errorf("batch: n = %d accepted", n)
+		}
+	}
+}
+
 // The incremental null-weight bookkeeping must match the O(S²) audit after
 // every single step, across protocols with different null structure
 // (symmetric k-partition, asymmetric interval splitting).

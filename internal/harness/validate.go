@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/countsim"
 	"repro/internal/protocol"
 )
 
@@ -72,7 +73,12 @@ func ValidateSpec(spec TrialSpec) error {
 		return err
 	}
 	switch spec.Engine {
-	case EngineAgent, EngineCount, EngineBatch:
+	case EngineAgent:
+	case EngineCount, EngineBatch:
+		if spec.N > countsim.MaxN {
+			return fmt.Errorf("%w: n=%d exceeds the count engines' bound %d (n(n−1) must fit in an int64)",
+				ErrInvalidSpec, spec.N, countsim.MaxN)
+		}
 	default:
 		return fmt.Errorf("%w: unknown engine %d", ErrInvalidSpec, spec.Engine)
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"repro/internal/countsim"
 )
 
 // validateExempt lists the TrialSpec fields ValidateSpec need not
@@ -22,6 +24,8 @@ func TestValidateSpecRejectsEachField(t *testing.T) {
 	ring := TrialSpec{N: 12, K: 3, MaxInteractions: 1000, Topology: TopologySpec{Kind: TopologyRing}}
 	churn := TrialSpec{N: 12, K: 3, MaxInteractions: 1000, Churn: ChurnSpec{At: 10, Events: 1, Joins: 1}}
 	batch := TrialSpec{N: 24, K: 4, Engine: EngineBatch, BatchSize: 4}
+	count := TrialSpec{N: 24, K: 8, Engine: EngineCount}
+	huge := TrialSpec{N: countsim.MaxN + 1, K: 8}
 	rows := []struct {
 		field  string
 		base   TrialSpec
@@ -37,6 +41,11 @@ func TestValidateSpecRejectsEachField(t *testing.T) {
 		{"Grouping", churn, func(s *TrialSpec) { s.Grouping = true }},
 		// 2·size wraps to 0 here, so only a bound that divides n holds.
 		{"BatchSize", batch, func(s *TrialSpec) { s.BatchSize = 1 << 63 }},
+		// The count engines' n(n−1) ordered pairs overflow an int64.
+		{"N", count, func(s *TrialSpec) { s.N = countsim.MaxN + 1 }},
+		{"N", batch, func(s *TrialSpec) { s.N = 5_000_000_000 }},
+		{"Engine", huge, func(s *TrialSpec) { s.Engine = EngineCount }},
+		{"Engine", huge, func(s *TrialSpec) { s.Engine = EngineBatch }},
 	}
 	covered := make(map[string]bool)
 	for _, row := range rows {
