@@ -159,10 +159,10 @@ func (g *Graph) Lookup(c Config) (int, bool) {
 
 // StableNodes computes the set of stable configurations: nodes whose whole
 // forward closure is frozen. Returned as a boolean mask over node ids.
-// (A node is unstable iff it can reach a non-frozen node; the shared
-// backward taint propagation lives in graph.go.)
+// A node is unstable iff it can reach a non-frozen node, so the mask is
+// the complement of CanReach over the non-frozen nodes.
 func (g *Graph) StableNodes() []bool {
-	return stableMask(g.Succ, g.Frozen)
+	return complement(g.CanReach(complement(g.Frozen)))
 }
 
 // CanReach computes, for every node, whether it can reach some node in the

@@ -23,40 +23,13 @@ import (
 	"repro/internal/protocol"
 )
 
-// stableMask computes the nodes whose whole forward closure is frozen:
-// a node is stable iff it cannot reach any non-frozen node (backward
-// taint propagation over reversed edges).
-func stableMask(succ [][]int, frozen []bool) []bool {
-	n := len(frozen)
-	pred := make([][]int, n)
-	for u, ss := range succ {
-		for _, v := range ss {
-			pred[v] = append(pred[v], u)
-		}
+// complement returns the mask with every entry negated.
+func complement(mask []bool) []bool {
+	out := make([]bool, len(mask))
+	for i, m := range mask {
+		out[i] = !m
 	}
-	tainted := make([]bool, n)
-	var stack []int
-	for i, f := range frozen {
-		if !f {
-			tainted[i] = true
-			stack = append(stack, i)
-		}
-	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, u := range pred[v] {
-			if !tainted[u] {
-				tainted[u] = true
-				stack = append(stack, u)
-			}
-		}
-	}
-	stable := make([]bool, n)
-	for i := range stable {
-		stable[i] = !tainted[i]
-	}
-	return stable
+	return out
 }
 
 // reachMask computes, for every node, whether it can reach some node in
@@ -195,9 +168,10 @@ func (g *VectorGraph) Lookup(states []protocol.State) (int, bool) {
 }
 
 // StableNodes computes the stable mask: nodes whose whole forward
-// closure is frozen.
+// closure is frozen, that is, the nodes that cannot reach a non-frozen
+// one.
 func (g *VectorGraph) StableNodes() []bool {
-	return stableMask(g.Succ, g.Frozen)
+	return complement(g.CanReach(complement(g.Frozen)))
 }
 
 // CanReach computes, for every node, whether it can reach some node in
