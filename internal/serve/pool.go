@@ -233,30 +233,15 @@ func (j *Job) failAdmission(reason string, err error) {
 // and no new work enters the queue. parent (nil = untraced) roots the
 // job's span subtree.
 func (p *Pool) TrySubmit(spec harness.TrialSpec, parent *span.ActiveSpan) (*Job, error) {
-	j := newJob(spec, parent)
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		j.failAdmission("draining", ErrDraining)
-		return nil, ErrDraining
-	}
-	if prior, joined := p.flight.join(j.Key, j); joined {
-		p.coalesced.Inc()
-		j.abandonQueue("coalesced")
-		parent.SetAttr("coalesced", "true")
-		return prior, nil
-	}
-	select {
-	case p.queue <- j:
-		p.admitted.Inc()
-		p.depthGauge.Add(1)
-		return j, nil
-	default:
-		p.flight.leave(j.Key, j)
-		p.rejected.Inc()
-		j.failAdmission("rejected", ErrQueueFull)
-		return nil, ErrQueueFull
-	}
+	return p.admit(spec, parent, func(j *Job) (string, error) {
+		select {
+		case p.queue <- j:
+			return "", nil
+		default:
+			p.rejected.Inc()
+			return "rejected", ErrQueueFull
+		}
+	})
 }
 
 // Submit admits spec, blocking until queue space frees up, ctx fires, or
@@ -264,6 +249,27 @@ func (p *Pool) TrySubmit(spec harness.TrialSpec, parent *span.ActiveSpan) (*Job,
 // its own connection instead of failing mid-stream. In-flight identical
 // specs coalesce exactly as in TrySubmit.
 func (p *Pool) Submit(ctx context.Context, spec harness.TrialSpec, parent *span.ActiveSpan) (*Job, error) {
+	// Close cancels p.ctx before closing the queue channel, so a sender
+	// blocked here always exits via ErrDraining rather than racing the
+	// close.
+	return p.admit(spec, parent, func(j *Job) (string, error) {
+		select {
+		case p.queue <- j:
+			return "", nil
+		case <-ctx.Done():
+			return "cancelled", ctx.Err()
+		case <-p.ctx.Done():
+			return "draining", ErrDraining
+		}
+	})
+}
+
+// admit is the admission body TrySubmit and Submit share: it refuses
+// spec while the pool drains, coalesces it onto an identical job in
+// flight, and otherwise hands its new job to enqueue, which waits for a
+// queue slot in its caller's way. A job enqueue refuses leaves the
+// flight group and fails with enqueue's reason and error.
+func (p *Pool) admit(spec harness.TrialSpec, parent *span.ActiveSpan, enqueue func(*Job) (string, error)) (*Job, error) {
 	j := newJob(spec, parent)
 	p.mu.RLock()
 	defer p.mu.RUnlock()
@@ -277,23 +283,14 @@ func (p *Pool) Submit(ctx context.Context, spec harness.TrialSpec, parent *span.
 		parent.SetAttr("coalesced", "true")
 		return prior, nil
 	}
-	// Close cancels p.ctx before closing the queue channel, so a sender
-	// blocked here always exits via ErrDraining rather than racing the
-	// close.
-	select {
-	case p.queue <- j:
-		p.admitted.Inc()
-		p.depthGauge.Add(1)
-		return j, nil
-	case <-ctx.Done():
+	if reason, err := enqueue(j); err != nil {
 		p.flight.leave(j.Key, j)
-		j.failAdmission("cancelled", ctx.Err())
-		return nil, ctx.Err()
-	case <-p.ctx.Done():
-		p.flight.leave(j.Key, j)
-		j.failAdmission("draining", ErrDraining)
-		return nil, ErrDraining
+		j.failAdmission(reason, err)
+		return nil, err
 	}
+	p.admitted.Inc()
+	p.depthGauge.Add(1)
+	return j, nil
 }
 
 func (p *Pool) worker() {
