@@ -22,10 +22,10 @@ import (
 // is emitted at the first productive encounter at or past each multiple
 // of Every. The set of reporting points is therefore deterministic for a
 // given seed, so verbose runs stay reproducible line-for-line (only the
-// rate/ETA fields depend on the machine). Every engine reports by that
-// rule: Progress is a sim.Hook that ignores null steps (agent engine)
-// and a plain MaybeReport method for the count-based engines, which
-// advance the count in jumps that end at productive steps.
+// rate/ETA fields depend on the machine). Progress is a sim.Hook that
+// ignores null steps (agent engine) and a plain MaybeReport method for
+// the count-based engines, which skip null runs and call it after each
+// productive step (the batched engine: after each batch).
 type Progress struct {
 	// W receives report lines; nil means os.Stderr.
 	W io.Writer
@@ -89,8 +89,9 @@ func (p *Progress) IgnoresNull() {}
 
 // MaybeReport is the hook-less entry point for engines that advance the
 // interaction count in jumps (internal/countsim): it reports once when
-// interactions has reached the next multiple of Every. spread is a
-// thunk so callers only pay for group-size computation on report lines.
+// interactions has reached the next multiple of Every, however far
+// past it. spread is a thunk so callers only pay for group-size
+// computation on report lines.
 func (p *Progress) MaybeReport(interactions, productive uint64, spread func() int) {
 	if p.next == 0 {
 		p.reset(0)

@@ -70,15 +70,22 @@ type Xoshiro256 struct {
 // NewXoshiro256 returns a Xoshiro256 whose state is filled from seed via
 // SplitMix64, as recommended by the xoshiro authors.
 func NewXoshiro256(seed uint64) *Xoshiro256 {
+	x := new(Xoshiro256)
+	x.seed(seed)
+	return x
+}
+
+// seed fills x's state from seed as NewXoshiro256 does, in place, so a
+// Rand seeds the generator it holds without allocating another.
+func (x *Xoshiro256) seed(seed uint64) {
 	sm := NewSplitMix64(seed)
-	x := Xoshiro256{sm.Uint64(), sm.Uint64(), sm.Uint64(), sm.Uint64()}
+	*x = Xoshiro256{sm.Uint64(), sm.Uint64(), sm.Uint64(), sm.Uint64()}
 	// An all-zero state would be a fixed point emitting only zeros.
 	// SplitMix64 is a bijection over its 2^64 outputs so four consecutive
 	// zero outputs cannot happen, but guard anyway: the cost is nothing.
 	if x.s0|x.s1|x.s2|x.s3 == 0 {
 		x.s0 = 0x9e3779b97f4a7c15
 	}
-	return &x
 }
 
 // Next returns the next value of the stream and the generator advanced

@@ -14,7 +14,9 @@ type Rand struct {
 
 // New returns a Rand drawing from a fresh Xoshiro256 seeded with seed.
 func New(seed uint64) *Rand {
-	return &Rand{x: *NewXoshiro256(seed)}
+	r := new(Rand)
+	r.x.seed(seed)
+	return r
 }
 
 // Uint64 returns the next raw 64 bits.
